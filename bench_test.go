@@ -22,6 +22,7 @@ import (
 	"repro/internal/fpgrowth"
 	"repro/internal/gen"
 	"repro/internal/itemset"
+	"repro/internal/miner"
 	"repro/internal/nffilter"
 	"repro/internal/nfstore"
 	"repro/internal/sampling"
@@ -262,9 +263,9 @@ func BenchmarkApriori_10k(b *testing.B)  { benchMiner(b, 10_000, apriori.Mine) }
 func BenchmarkApriori_100k(b *testing.B) { benchMiner(b, 100_000, apriori.Mine) }
 func BenchmarkApriori_500k(b *testing.B) { benchMiner(b, 500_000, apriori.Mine) }
 
-func BenchmarkFPGrowth_10k(b *testing.B)  { benchMiner(b, 10_000, fpgrowth.Mine) }
-func BenchmarkFPGrowth_100k(b *testing.B) { benchMiner(b, 100_000, fpgrowth.Mine) }
-func BenchmarkFPGrowth_500k(b *testing.B) { benchMiner(b, 500_000, fpgrowth.Mine) }
+func BenchmarkFPGrowth_10k(b *testing.B)  { benchMiner(b, 10_000, fpgrowth.Miner{}.Mine) }
+func BenchmarkFPGrowth_100k(b *testing.B) { benchMiner(b, 100_000, fpgrowth.Miner{}.Mine) }
+func BenchmarkFPGrowth_500k(b *testing.B) { benchMiner(b, 500_000, fpgrowth.Miner{}.Mine) }
 
 // extractionScenario prepares one store+alarm pair for extraction-option
 // ablations.
@@ -338,7 +339,7 @@ func BenchmarkMaximalReduction_Ablation(b *testing.B) {
 	})
 	b.Run("maximal-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := apriori.MineMaximal(b.Context(), ds, apriori.Options{MinSupport: minSup}); err != nil {
+			if _, err := miner.MineMaximal(b.Context(), apriori.Miner{}, ds, apriori.Options{MinSupport: minSup}); err != nil {
 				b.Fatal(err)
 			}
 		}

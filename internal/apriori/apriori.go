@@ -16,18 +16,13 @@ type Options = miner.Options
 // declare every possible itemset frequent.
 var ErrZeroSupport = miner.ErrZeroSupport
 
-// Miner is the registry adapter: package-level Mine/MineMaximal behind
-// the miner.Miner interface. Registered as "apriori" (the default).
+// Miner is the registry adapter: package-level Mine behind the
+// miner.Miner interface. Registered as "apriori" (the default).
 type Miner struct{}
 
 // Mine implements miner.Miner.
 func (Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
 	return Mine(ctx, ds, opts)
-}
-
-// MineMaximal implements miner.Miner.
-func (Miner) MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	return MineMaximal(ctx, ds, opts)
 }
 
 func init() {
@@ -102,16 +97,6 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 
 	itemset.SortFrequent(result)
 	return result, nil
-}
-
-// MineMaximal runs Mine and reduces the result to maximal itemsets, the
-// form the paper reports to operators.
-func MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	all, err := Mine(ctx, ds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return itemset.MaximalOnly(all), nil
 }
 
 // ctxCheckStride is how many transactions a dataset scan processes between

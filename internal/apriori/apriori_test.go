@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/itemset"
+	"repro/internal/miner"
 	"repro/internal/stats"
 )
 
@@ -191,7 +192,7 @@ func TestAnomalyScenario(t *testing.T) {
 		})
 	}
 	ds := itemset.FromRecords(recs)
-	got, err := MineMaximal(t.Context(), ds, Options{MinSupport: 400})
+	got, err := miner.MineMaximal(t.Context(), Miner{}, ds, Options{MinSupport: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestMaximalReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max, err := MineMaximal(t.Context(), ds, Options{MinSupport: 10})
+	max, err := miner.MineMaximal(t.Context(), Miner{}, ds, Options{MinSupport: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestMineCancelled(t *testing.T) {
 	if _, err := Mine(ctx, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Mine err = %v, want context.Canceled", err)
 	}
-	if _, err := MineMaximal(ctx, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := miner.MineMaximal(ctx, Miner{}, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MineMaximal err = %v, want context.Canceled", err)
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	// Built-in miners self-register into the miner registry.
 	_ "repro/internal/apriori"
-	_ "repro/internal/fda"
 	_ "repro/internal/fpgrowth"
 )
 
@@ -84,8 +83,8 @@ const (
 // start from DefaultOptions.
 type Options struct {
 	// Miner selects the frequent-itemset miner by registry name
-	// ("apriori", "fpgrowth", or an externally registered one). Empty
-	// selects the default miner (apriori, as in the paper).
+	// ("apriori", "fpgrowth", "fda", or an externally registered one).
+	// Empty selects the default miner (apriori, as in the paper).
 	Miner string
 	// MinItemsets..MaxItemsets is the target band for the number of
 	// reported maximal itemsets. Self-tuning lowers the support until at
@@ -139,17 +138,6 @@ type Options struct {
 	// (the paper's share score, the default), RankLift or RankWeighted.
 	// Empty inherits RankSupport; unknown modes are rejected.
 	Ranking string
-	// MinerPrefilter enables per-item significance pre-filtering in miners
-	// that implement it (the fda miner); apriori and fpgrowth ignore it.
-	// Like the other boolean switches its zero value means "off" — start
-	// from DefaultOptions, which enables it.
-	MinerPrefilter bool
-	// Significance and MinLift are the fda pre-filter thresholds,
-	// forwarded into miner.Options; zero inherits the miner defaults
-	// (miner.DefaultSignificance, miner.DefaultMinLift), negative or NaN
-	// values are rejected.
-	Significance float64
-	MinLift      float64
 	// Progress, when non-nil, receives sampled progress observations
 	// (phase transitions, tuning rounds, streamed-flow counts). It is
 	// exempt from validation; nil disables reporting entirely.
@@ -174,7 +162,6 @@ func DefaultOptions() Options {
 		BaselineRatio:          3,
 		MaxLen:                 0,
 		Ranking:                RankSupport,
-		MinerPrefilter:         true,
 	}
 }
 
@@ -190,7 +177,6 @@ func DefaultOptions() Options {
 func (o *Options) validate() error {
 	in01 := func(v float64) bool { return v > 0 && v <= 1 }
 	geOne := func(v float64) bool { return v >= 1 }
-	positive := func(v float64) bool { return v > 0 }
 	if err := miner.IntOption("core", "MinItemsets", &o.MinItemsets, 2); err != nil {
 		return err
 	}
@@ -229,14 +215,11 @@ func (o *Options) validate() error {
 	}
 	switch o.Ranking {
 	case RankSupport, RankLift, RankWeighted:
+		return nil
 	default:
 		return fmt.Errorf("core: unknown ranking %q (have %q, %q, %q)",
 			o.Ranking, RankSupport, RankLift, RankWeighted)
 	}
-	if err := miner.FloatOption("core", "Significance", &o.Significance, miner.DefaultSignificance, positive, "> 0"); err != nil {
-		return err
-	}
-	return miner.FloatOption("core", "MinLift", &o.MinLift, miner.DefaultMinLift, positive, "> 0")
 }
 
 // ItemsetReport is one ranked row of an extraction result — one line of
@@ -587,13 +570,14 @@ func (e *Extractor) mineTuned(ctx context.Context, ds *itemset.Dataset, byPacket
 		tuning.Rounds = round + 1
 		e.report(Progress{Phase: phase, TuningRound: round + 1, Itemsets: len(result)})
 		var err error
-		result, err = e.m.MineMaximal(ctx, ds, miner.Options{
-			MinSupport:   minSup,
-			ByPackets:    byPackets,
-			MaxLen:       e.opts.MaxLen,
-			Prefilter:    e.opts.MinerPrefilter,
-			Significance: e.opts.Significance,
-			MinLift:      e.opts.MinLift,
+		// Prefilter is always on: only the miner registered as "fda"
+		// honours it, so the registry name decides, at the miner defaults
+		// for significance and lift.
+		result, err = miner.MineMaximal(ctx, e.m, ds, miner.Options{
+			MinSupport: minSup,
+			ByPackets:  byPackets,
+			MaxLen:     e.opts.MaxLen,
+			Prefilter:  true,
 		})
 		if err != nil {
 			return nil, tuning, err

@@ -25,8 +25,9 @@
 // drill-down so an operator can inspect the raw flows behind any row.
 //
 // The miner itself is pluggable (Options.Miner selects a name from the
-// internal/miner registry; "apriori" is the default and "fpgrowth" the
-// built-in alternative — both emit identical canonical results), the
+// internal/miner registry; "apriori" is the default, "fpgrowth" the
+// built-in alternative emitting identical canonical results, and "fda"
+// the same FP-growth engine with its significance pre-filter on), the
 // candidate dataset is built by streaming the store's record iterator
 // through an itemset.Builder (the raw candidate records are never
 // materialized as a slice), and support counting plus the coverage loop

@@ -2,7 +2,11 @@ package fpgrowth
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/flow"
 	"repro/internal/itemset"
@@ -10,26 +14,25 @@ import (
 )
 
 // Options is the shared miner configuration (see miner.Options), so the
-// two built-in miners are interchangeable.
+// built-in miners are interchangeable.
 type Options = miner.Options
 
-// Miner is the registry adapter: package-level Mine/MineMaximal behind
-// the miner.Miner interface. Registered as "fpgrowth".
-type Miner struct{}
-
-// Mine implements miner.Miner.
-func (Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	return Mine(ctx, ds, opts)
-}
-
-// MineMaximal implements miner.Miner.
-func (Miner) MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	return MineMaximal(ctx, ds, opts)
-}
+// Miner is the FP-growth engine behind both registry names. The zero value
+// is "fpgrowth"; the "fda" registration sets fda, which makes the engine
+// honour Options.Prefilter (the significance pre-filter before the tree is
+// built and the lift cut after mining). The registry name is the only way
+// to reach the fda half from outside the package.
+type Miner struct{ fda bool }
 
 func init() {
 	miner.MustRegister("fpgrowth", func() miner.Miner { return Miner{} })
+	miner.MustRegister("fda", func() miner.Miner { return Miner{fda: true} })
 }
+
+// maxWorkers bounds the top-level mining fan-out; alarm datasets carry at
+// most a few hundred header items, so more workers only add scheduling
+// overhead.
+const maxWorkers = 8
 
 // node is one FP-tree node.
 type node struct {
@@ -72,11 +75,28 @@ func (t *tree) insert(items []itemset.Item, weight uint64) {
 	}
 }
 
+// frequentItems lists t's header items with support >= minSupport in item
+// order: the deterministic iteration order of every recursion level.
+func (t *tree) frequentItems(minSupport uint64) []itemset.Item {
+	items := make([]itemset.Item, 0, len(t.heads))
+	for it := range t.heads {
+		if t.counts[it] >= minSupport {
+			items = append(items, it)
+		}
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+	return items
+}
+
 // Mine returns all itemsets with support >= opts.MinSupport in the chosen
-// dimension, canonically sorted; the result is element-for-element equal to
-// apriori.Mine on the same input. Cancelling ctx aborts mining between
-// conditional-tree expansions and returns ctx.Err().
-func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
+// dimension, canonically sorted. Under the name "fpgrowth", and under
+// "fda" without opts.Prefilter, the result is element-for-element equal to
+// apriori.Mine on the same input; under "fda" with opts.Prefilter the
+// significance pre-filter and the lift cut reduce it to a subset with
+// equal supports in the same order. Cancelling ctx aborts the dataset
+// passes within a stride and mining between conditional-tree expansions,
+// returning ctx.Err().
+func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,8 +104,9 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 	if maxLen <= 0 || maxLen > flow.NumFeatures {
 		maxLen = flow.NumFeatures
 	}
+	prefilter := m.fda && opts.Prefilter
 
-	// Pass 1: global item supports.
+	// Pass 1: global item supports in the mining dimension.
 	support := make(map[itemset.Item]uint64)
 	for i := 0; i < ds.Len(); i++ {
 		if i%1024 == 0 {
@@ -99,13 +120,20 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 			support[it] += w
 		}
 	}
+	total := ds.Total(opts.ByPackets)
 
-	// Global item order: descending support, ties by item value, so that
-	// every transaction inserts items in one canonical order.
-	order := make(map[itemset.Item]int, len(support))
+	// Global item order over the frequent items (the pre-filter's survivors
+	// when it runs): descending support, ties by item value, so that every
+	// transaction inserts items in one canonical order and a filtered run
+	// mines a sub-tree of the unfiltered one.
+	kept := support
+	if prefilter {
+		kept = significantItems(support, total, opts.Significance)
+	}
+	order := make(map[itemset.Item]int, len(kept))
 	{
-		items := make([]itemset.Item, 0, len(support))
-		for it, c := range support {
+		items := make([]itemset.Item, 0, len(kept))
+		for it, c := range kept {
 			if c >= opts.MinSupport {
 				items = append(items, it)
 			}
@@ -121,7 +149,7 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 		}
 	}
 
-	// Pass 2: build the tree over frequent items only.
+	// Pass 2: build the tree over the ordered items only.
 	t := newTree()
 	var path []itemset.Item
 	for i := 0; i < ds.Len(); i++ {
@@ -144,55 +172,144 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 		t.insert(path, tx.Weight(opts.ByPackets))
 	}
 
-	var result []itemset.Frequent
-	if err := mineTree(ctx, t, nil, opts.MinSupport, maxLen, &result); err != nil {
+	result, err := mineTop(ctx, t, opts.MinSupport, maxLen)
+	if err != nil {
 		return nil, err
+	}
+	if prefilter {
+		result = liftCut(result, support, total, opts.MinLift)
 	}
 	itemset.SortFrequent(result)
 	return result, nil
 }
 
-// MineMaximal mines and reduces to maximal itemsets.
-func MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	all, err := Mine(ctx, ds, opts)
-	if err != nil {
-		return nil, err
+// significantItems applies the per-item pre-filter. The null model
+// spreads a feature's weight uniformly over its k observed values (share
+// p0 = 1/k); an item survives when its observed weight w clears the
+// one-sided z-test against the Binomial(total, p0) null:
+//
+//	z = (w − total·p0) / sqrt(total·p0·(1−p0)) >= sig
+//
+// Features with a single observed value carry nothing to test and always
+// survive, as does everything when the dataset has no weight at all.
+func significantItems(support map[itemset.Item]uint64, total uint64, sig float64) map[itemset.Item]uint64 {
+	if total == 0 {
+		return support
 	}
-	return itemset.MaximalOnly(all), nil
+	valuesPerFeature := make(map[flow.Feature]int)
+	for it := range support {
+		valuesPerFeature[it.Feature()]++
+	}
+	kept := make(map[itemset.Item]uint64, len(support))
+	for it, w := range support {
+		k := valuesPerFeature[it.Feature()]
+		if k <= 1 {
+			kept[it] = w
+			continue
+		}
+		p0 := 1 / float64(k)
+		mean := float64(total) * p0
+		sd := math.Sqrt(float64(total) * p0 * (1 - p0))
+		if (float64(w)-mean)/sd >= sig {
+			kept[it] = w
+		}
+	}
+	return kept
 }
 
-// mineTree recursively mines t, emitting each frequent item of t extended
-// with the current suffix, then recursing on the item's conditional tree.
-func mineTree(ctx context.Context, t *tree, suffix itemset.Set, minSupport uint64, maxLen int, out *[]itemset.Frequent) error {
-	if len(suffix) >= maxLen {
-		return nil
+// liftCut drops mined itemsets whose lift — observed support share over
+// the independence expectation of their items' shares — falls below
+// minLift. A single item's lift is exactly 1 (its observation is its own
+// expectation), so level-1 sets survive any minLift <= 1.
+func liftCut(sets []itemset.Frequent, support map[itemset.Item]uint64, total uint64, minLift float64) []itemset.Frequent {
+	if total == 0 {
+		return sets
 	}
+	out := sets[:0]
+	for _, fr := range sets {
+		obs := float64(fr.Support) / float64(total)
+		expect := 1.0
+		for _, it := range fr.Items {
+			// Item support >= set support >= MinSupport >= 1, so the
+			// expectation is always positive.
+			expect *= float64(support[it]) / float64(total)
+		}
+		if obs/expect >= minLift {
+			out = append(out, fr)
+		}
+	}
+	return out
+}
+
+// mineTop is the top level of the recursion, fanned out over a bounded
+// worker pool: each frequent header item is mined independently (the tree
+// is read-only by then) into its own slice, and the slices concatenate in
+// header order, so the output does not depend on the worker count.
+func mineTop(ctx context.Context, t *tree, minSupport uint64, maxLen int) ([]itemset.Frequent, error) {
+	items := t.frequentItems(minSupport)
+	workers := min(runtime.GOMAXPROCS(0), maxWorkers, len(items))
+	parts := make([][]itemset.Frequent, len(items))
+	errs := make([]error, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				idx := int(next.Add(1)) - 1
+				if idx >= len(items) {
+					return
+				}
+				if errs[w] = ctx.Err(); errs[w] != nil {
+					return
+				}
+				if errs[w] = mineItem(ctx, t, nil, items[idx], minSupport, maxLen, &parts[idx]); errs[w] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	var result []itemset.Frequent
+	for _, part := range parts {
+		result = append(result, part...)
+	}
+	return result, nil
+}
+
+// mineTree recursively mines t: every frequent item of t extended with the
+// current suffix, then that item's conditional tree.
+func mineTree(ctx context.Context, t *tree, suffix itemset.Set, minSupport uint64, maxLen int, out *[]itemset.Frequent) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Deterministic iteration order over header items.
-	items := make([]itemset.Item, 0, len(t.heads))
-	for it := range t.heads {
-		if t.counts[it] >= minSupport {
-			items = append(items, it)
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-
-	for _, it := range items {
-		newSet := suffix.Union(itemset.Set{it})
-		*out = append(*out, itemset.Frequent{Items: newSet, Support: t.counts[it]})
-		if len(newSet) >= maxLen {
-			continue
-		}
-		cond := conditionalTree(t, it)
-		if len(cond.heads) > 0 {
-			if err := mineTree(ctx, cond, newSet, minSupport, maxLen, out); err != nil {
-				return err
-			}
+	for _, it := range t.frequentItems(minSupport) {
+		if err := mineItem(ctx, t, suffix, it, minSupport, maxLen, out); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// mineItem emits suffix ∪ {it} and, while the set is shorter than maxLen,
+// everything mined from it's conditional tree.
+func mineItem(ctx context.Context, t *tree, suffix itemset.Set, it itemset.Item, minSupport uint64, maxLen int, out *[]itemset.Frequent) error {
+	set := suffix.Union(itemset.Set{it})
+	*out = append(*out, itemset.Frequent{Items: set, Support: t.counts[it]})
+	if len(set) >= maxLen {
+		return nil
+	}
+	cond := conditionalTree(t, it)
+	if len(cond.heads) == 0 {
+		return nil
+	}
+	return mineTree(ctx, cond, set, minSupport, maxLen, out)
 }
 
 // conditionalTree builds the conditional FP-tree of item: the tree of

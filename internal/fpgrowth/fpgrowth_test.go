@@ -3,16 +3,20 @@ package fpgrowth
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/apriori"
 	"repro/internal/flow"
 	"repro/internal/itemset"
+	"repro/internal/miner"
 	"repro/internal/stats"
 )
 
-func randomDataset(seed uint64, n int) *itemset.Dataset {
+func randomRecords(seed uint64, n int) []flow.Record {
 	rng := stats.NewRNG(seed)
 	protos := []flow.Protocol{flow.ProtoTCP, flow.ProtoUDP, flow.ProtoICMP}
 	recs := make([]flow.Record, n)
@@ -28,6 +32,31 @@ func randomDataset(seed uint64, n int) *itemset.Dataset {
 			Packets: pk,
 			Bytes:   pk * 40,
 		}
+	}
+	return recs
+}
+
+func randomDataset(seed uint64, n int) *itemset.Dataset {
+	return itemset.FromRecords(randomRecords(seed, n))
+}
+
+// scanDataset is randomDataset plus an equally large one-source scan
+// burst, so that the fda pre-filter (which rejects the uniform background
+// wholesale) keeps something to mine.
+func scanDataset(seed uint64, n int) *itemset.Dataset {
+	recs := randomRecords(seed, n)
+	rng := stats.NewRNG(seed + 1)
+	for range n {
+		recs = append(recs, flow.Record{
+			Start:   1,
+			SrcIP:   flow.IP(9),
+			DstIP:   flow.IP(rng.Intn(4)),
+			SrcPort: uint16(rng.Intn(4)),
+			DstPort: uint16(rng.Intn(2)),
+			Proto:   flow.ProtoTCP,
+			Packets: 1,
+			Bytes:   40,
+		})
 	}
 	return itemset.FromRecords(recs)
 }
@@ -58,7 +87,7 @@ func TestMatchesApriori(t *testing.T) {
 		ds := randomDataset(seed, 200)
 		for _, minSup := range []uint64{1, 5, 25, 80} {
 			opts := Options{MinSupport: minSup}
-			fp, err := Mine(t.Context(), ds, opts)
+			fp, err := Miner{}.Mine(t.Context(), ds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +105,7 @@ func TestMatchesAprioriByPackets(t *testing.T) {
 		ds := randomDataset(seed, 150)
 		for _, minSup := range []uint64{50, 400, 2000} {
 			opts := Options{MinSupport: minSup, ByPackets: true}
-			fp, err := Mine(t.Context(), ds, opts)
+			fp, err := Miner{}.Mine(t.Context(), ds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +122,7 @@ func TestMaxLenAgreement(t *testing.T) {
 	ds := randomDataset(9, 120)
 	for maxLen := 1; maxLen <= 5; maxLen++ {
 		opts := Options{MinSupport: 4, MaxLen: maxLen}
-		fp, err := Mine(t.Context(), ds, opts)
+		fp, err := Miner{}.Mine(t.Context(), ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,13 +141,13 @@ func TestMaxLenAgreement(t *testing.T) {
 
 func TestZeroSupportRejected(t *testing.T) {
 	ds := randomDataset(1, 10)
-	if _, err := Mine(t.Context(), ds, Options{MinSupport: 0}); err != apriori.ErrZeroSupport {
+	if _, err := (Miner{}).Mine(t.Context(), ds, Options{MinSupport: 0}); err != apriori.ErrZeroSupport {
 		t.Fatalf("got %v, want ErrZeroSupport", err)
 	}
 }
 
 func TestEmptyDataset(t *testing.T) {
-	got, err := Mine(t.Context(), itemset.FromRecords(nil), Options{MinSupport: 1})
+	got, err := Miner{}.Mine(t.Context(), itemset.FromRecords(nil), Options{MinSupport: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +159,11 @@ func TestEmptyDataset(t *testing.T) {
 func TestMineMaximalAgreement(t *testing.T) {
 	ds := randomDataset(31, 250)
 	opts := Options{MinSupport: 12}
-	fp, err := MineMaximal(t.Context(), ds, opts)
+	fp, err := miner.MineMaximal(t.Context(), Miner{}, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := apriori.MineMaximal(t.Context(), ds, opts)
+	ap, err := miner.MineMaximal(t.Context(), apriori.Miner{}, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +179,7 @@ func TestQuickAgreementProperty(t *testing.T) {
 		if opts.ByPackets {
 			opts.MinSupport *= 20
 		}
-		fp, err1 := Mine(t.Context(), ds, opts)
+		fp, err1 := Miner{}.Mine(t.Context(), ds, opts)
 		ap, err2 := apriori.Mine(t.Context(), ds, opts)
 		if err1 != nil || err2 != nil || len(fp) != len(ap) {
 			return false
@@ -171,11 +200,139 @@ func TestQuickAgreementProperty(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err turns into context.Canceled after a
+// fixed number of polls, so a test can cancel at a chosen depth of the
+// engine without timing.
+type cancelAfter struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 func TestMineCancelled(t *testing.T) {
-	ds := randomDataset(3, 500)
+	ds := scanDataset(3, 250)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Mine(ctx, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := (Miner{}).Mine(ctx, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Mine err = %v, want context.Canceled", err)
+	}
+
+	// Cancel while the top-level workers are running. The number of ctx
+	// polls in a run is fixed by the input (one per 1024-transaction stride
+	// of each dataset pass — two here — then one per top-level item and
+	// one per conditional tree), so count them in a clean run and cancel
+	// at a spread of later polls: each lands in mineTop's workers or below.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	opts := Options{MinSupport: 1, Prefilter: true}
+	for _, m := range []Miner{{}, {fda: true}} {
+		const budget = 1 << 40
+		clean := &cancelAfter{Context: context.Background()}
+		clean.polls.Store(budget)
+		if _, err := m.Mine(clean, ds, opts); err != nil {
+			t.Fatal(err)
+		}
+		total := budget - clean.polls.Load()
+		if total < 10 {
+			t.Fatalf("fda=%v: only %d ctx polls, dataset too small to cancel mid-mining", m.fda, total)
+		}
+		for polls := int64(2); polls < total; polls += max(1, total/64) {
+			mid := &cancelAfter{Context: context.Background()}
+			mid.polls.Store(polls)
+			got, err := m.Mine(mid, ds, opts)
+			if !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("fda=%v cancel after %d of %d polls: %d itemsets, err = %v; want nil, context.Canceled",
+					m.fda, polls, total, len(got), err)
+			}
+		}
+	}
+}
+
+// TestWorkerCountDeterminism pins the output of both registry names to be
+// byte-equal whether the top level runs on one worker or four.
+func TestWorkerCountDeterminism(t *testing.T) {
+	ds := scanDataset(77, 200)
+	opts := Options{MinSupport: 3, Prefilter: true}
+	for _, name := range []string{"fpgrowth", "fda"} {
+		m, err := miner.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [][]itemset.Frequent
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := m.Mine(t.Context(), ds, opts)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, got)
+		}
+		if len(runs[0]) == 0 || !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Fatalf("%s: GOMAXPROCS 1 mined %d itemsets, GOMAXPROCS 4 mined %d, or rows differ",
+				name, len(runs[0]), len(runs[1]))
+		}
+	}
+}
+
+func TestSignificantItems(t *testing.T) {
+	a, b := itemset.NewItem(flow.FeatSrcIP, 1), itemset.NewItem(flow.FeatSrcIP, 2)
+	tcp := itemset.NewItem(flow.FeatProto, uint32(flow.ProtoTCP))
+	// Two srcIP values over total 100: p0 = 1/2, mean 50, sd 5, so weight
+	// 60 sits exactly two standard deviations above the null.
+	support := map[itemset.Item]uint64{a: 60, b: 40, tcp: 5}
+	cases := []struct {
+		name  string
+		total uint64
+		sig   float64
+		want  []itemset.Item
+	}{
+		{"total zero keeps everything", 0, 2, []itemset.Item{a, b, tcp}},
+		{"single-valued feature always survives", 100, 1e9, []itemset.Item{tcp}},
+		{"exactly at the threshold survives", 100, 2, []itemset.Item{a, tcp}},
+		{"just above the threshold is dropped", 100, 2.000001, []itemset.Item{tcp}},
+	}
+	for _, tc := range cases {
+		kept := significantItems(support, tc.total, tc.sig)
+		if len(kept) != len(tc.want) {
+			t.Errorf("%s: kept %v, want %v", tc.name, kept, tc.want)
+			continue
+		}
+		for _, it := range tc.want {
+			if kept[it] != support[it] {
+				t.Errorf("%s: kept[%v] = %d, want %d", tc.name, it, kept[it], support[it])
+			}
+		}
+	}
+}
+
+func TestLiftCut(t *testing.T) {
+	a, b := itemset.NewItem(flow.FeatSrcIP, 1), itemset.NewItem(flow.FeatDstPort, 80)
+	support := map[itemset.Item]uint64{a: 50, b: 50}
+	single := itemset.Frequent{Items: itemset.Set{a}, Support: 50}
+	// Shares 0.5 × 0.5 against an observed 0.5: lift exactly 2.
+	pair := itemset.Frequent{Items: itemset.NewSet(a, b), Support: 50}
+	cases := []struct {
+		name    string
+		total   uint64
+		minLift float64
+		want    []itemset.Frequent
+	}{
+		{"total zero keeps everything", 0, 1e9, []itemset.Frequent{single, pair}},
+		{"level-1 lift is exactly 1", 100, 1, []itemset.Frequent{single, pair}},
+		{"level-1 dropped above 1", 100, 1.000001, []itemset.Frequent{pair}},
+		{"exactly at MinLift survives", 100, 2, []itemset.Frequent{pair}},
+		{"just above MinLift is dropped", 100, 2.000001, nil},
+	}
+	for _, tc := range cases {
+		got := liftCut([]itemset.Frequent{single, pair}, support, tc.total, tc.minLift)
+		if len(got) != len(tc.want) || (len(got) > 0 && !reflect.DeepEqual(got, tc.want)) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -4,11 +4,14 @@
 //
 // The paper's system mines with Apriori; FP-Growth (Han, Pei & Yin,
 // SIGMOD'00) is the natural alternative on dense transaction databases.
-// Both built-ins self-register from their packages' init functions under
-// the names "apriori" and "fpgrowth", and both are pinned — by property
-// tests over random weighted datasets — to emit byte-identical canonical
-// results, so the extraction engine can swap miners without changing a
-// single reported itemset. External miners plug in through Register and
-// become selectable everywhere a miner name is accepted: core.Options,
-// rootcause.WithMiner, the -miner CLI flags, and rcad's HTTP API.
+// The built-ins self-register from their packages' init functions:
+// "apriori", and one FP-growth engine under the names "fpgrowth" and
+// "fda" (the latter honours Options.Prefilter). With Prefilter off all
+// three are pinned — by property tests over random weighted datasets —
+// to emit byte-identical canonical results, so the extraction engine can
+// swap miners without changing a single reported itemset; with it on,
+// "fda" returns a subset of them. External miners plug in through
+// Register and become selectable everywhere a miner name is accepted:
+// core.Options, rootcause.WithMiner, the -miner CLI flags, and rcad's
+// HTTP API.
 package miner

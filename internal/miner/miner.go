@@ -35,11 +35,12 @@ type Options struct {
 	// MaxLen bounds the itemset length; 0 means no bound (i.e. up to
 	// flow.NumFeatures).
 	MaxLen int
-	// Prefilter enables per-item statistical pruning in miners that
-	// implement it (the FDA-style "fda" miner drops items whose weight is
+	// Prefilter enables per-item statistical pruning, honoured only by the
+	// miner registered as "fda" (it drops items whose weight is
 	// indistinguishable from a uniform spread over their feature before
-	// enumerating itemsets, then cuts mined sets below MinLift). Miners
-	// without a pre-filter ignore it. With Prefilter false every
+	// enumerating itemsets, then cuts mined sets below MinLift). "apriori"
+	// and "fpgrowth" ignore it — the latter is the same engine as "fda",
+	// so the registry name alone decides. With Prefilter false every
 	// registered miner produces identical canonical output for equal
 	// inputs; with it true the fda output is a subset with equal supports.
 	Prefilter bool
@@ -115,9 +116,16 @@ type Miner interface {
 	// chosen dimension, canonically sorted. Cancelling ctx aborts mining
 	// promptly with ctx.Err().
 	Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error)
-	// MineMaximal mines and reduces the result to maximal itemsets, the
-	// form the paper reports to operators.
-	MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error)
+}
+
+// MineMaximal mines with m and reduces the result to maximal itemsets, the
+// form the paper reports to operators.
+func MineMaximal(ctx context.Context, m Miner, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
+	all, err := m.Mine(ctx, ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	return itemset.MaximalOnly(all), nil
 }
 
 // Factory builds a miner instance. Miners are stateless between runs, so

@@ -15,7 +15,6 @@ import (
 
 	// Built-in miners self-register.
 	_ "repro/internal/apriori"
-	_ "repro/internal/fda"
 	_ "repro/internal/fpgrowth"
 )
 
@@ -158,7 +157,7 @@ func TestCrossMinerProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %s: %v", names[0], label, err)
 		}
-		refMax, err := miners[0].MineMaximal(t.Context(), ds, opts)
+		refMax, err := miner.MineMaximal(t.Context(), miners[0], ds, opts)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", names[0], label, err)
 		}
@@ -175,7 +174,7 @@ func TestCrossMinerProperty(t *testing.T) {
 				t.Fatalf("%s: %s: %v", names[i], label, err)
 			}
 			assertIdentical(t, fmt.Sprintf("%s vs %s Mine (%s)", names[0], names[i], label), ref, got)
-			gotMax, err := miners[i].MineMaximal(t.Context(), ds, opts)
+			gotMax, err := miner.MineMaximal(t.Context(), miners[i], ds, opts)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", names[i], label, err)
 			}
@@ -325,7 +324,7 @@ func TestCrossMinerCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.MineMaximal(ctx, ds, miner.Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
+		if _, err := miner.MineMaximal(ctx, m, ds, miner.Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: got %v, want context.Canceled", name, err)
 		}
 	}

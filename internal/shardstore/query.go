@@ -130,6 +130,10 @@ func (st *ShardedStore) execCells(ctx context.Context, cells []cell, filter *nff
 		return nil
 	}
 
+	// This cancel fires only on return, to stop the cells still scanning.
+	// No cell is cancelled because another one failed, so the first error
+	// met in merge order is that shard's own: unlike fanShards' fail-fast
+	// pool there is no cancellation echo for cellError to pass over.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

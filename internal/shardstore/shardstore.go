@@ -315,10 +315,15 @@ func (st *ShardedStore) Close() error {
 // fanShards runs fn once per shard on a bounded worker pool and merges
 // the per-shard errors: nil when every shard succeeded, nil with
 // partial effects when degraded mode ate a minority of failures, and
-// the first failing shard's ShardError otherwise. failed[i] reports
-// whether shard i's result must be treated as missing.
-func (st *ShardedStore) fanShards(ctx context.Context, fn func(ctx context.Context, i int, sh Shard) error) (failed []bool, err error) {
-	ctx, cancel := context.WithCancel(ctx)
+// otherwise the ShardError of the lowest-index shard that failed on its
+// own account. A healthy shard that returns context.Canceled only because
+// the fail-fast cancel below reached it is an echo of the causal failure,
+// not a cause, and is passed over when a real failure exists; when the
+// caller cancelled, every shard's error is the caller's and the lowest
+// index stands. failed[i] reports whether shard i's result must be
+// treated as missing.
+func (st *ShardedStore) fanShards(parent context.Context, fn func(ctx context.Context, i int, sh Shard) error) (failed []bool, err error) {
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	k := min(st.fanout(), len(st.shards))
 	degraded := st.degraded.Load()
@@ -340,12 +345,16 @@ func (st *ShardedStore) fanShards(ctx context.Context, fn func(ctx context.Conte
 	failed = make([]bool, len(st.shards))
 	nfail := 0
 	var first error
+	firstIsEcho := false
+	callerLive := parent.Err() == nil
 	for i, e := range errs {
 		if e != nil {
 			failed[i] = true
 			nfail++
-			if first == nil {
+			echo := callerLive && errors.Is(e, context.Canceled)
+			if first == nil || (firstIsEcho && !echo) {
 				first = &ShardError{Shard: st.shards[i].Name(), Err: e}
+				firstIsEcho = echo
 			}
 		}
 	}

@@ -451,3 +451,66 @@ func TestMigrateSharded(t *testing.T) {
 		t.Fatalf("post-migrate count (%d,%d,%d) != (%d,%d,%d)", gf, gp, gb, wf, wp, wb)
 	}
 }
+
+// fakeShard is a Shard whose reads are scripted: Count and Query call
+// read, everything else panics through the nil embedded interface.
+type fakeShard struct {
+	Shard
+	name string
+	read func(ctx context.Context) error
+}
+
+func (f fakeShard) Name() string            { return f.name }
+func (f fakeShard) Bins() ([]uint32, error) { return []uint32{0}, nil }
+func (f fakeShard) Count(ctx context.Context, _ flow.Interval, _ *nffilter.Filter) (uint64, uint64, uint64, error) {
+	return 0, 0, 0, f.read(ctx)
+}
+func (f fakeShard) Query(ctx context.Context, _ flow.Interval, _ *nffilter.Filter, _ func(*flow.Record) error) error {
+	return f.read(ctx)
+}
+
+// TestFailureAttribution pins which shard a ShardError names. In the
+// aggregation pool the failing shard's error cancels its healthy
+// neighbours, whose context.Canceled must not be reported in its place;
+// the caller's own cancellation still surfaces as the lowest-index shard's
+// error. The cell pool has no fail-fast cancel and reports in merge order.
+func TestFailureAttribution(t *testing.T) {
+	boom := errors.New("boom")
+	untilCanceled := func(ctx context.Context) error { <-ctx.Done(); return ctx.Err() }
+	shards := []Shard{
+		fakeShard{name: "healthy-0", read: untilCanceled},
+		fakeShard{name: "dead", read: func(context.Context) error { return boom }},
+		fakeShard{name: "healthy-2", read: untilCanceled},
+	}
+	st, err := NewFromShards(Manifest{Partition: PartitionHash, Shards: 3, BinSeconds: testBinSec}, shards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetParallelism(3)
+	iv := flow.Interval{Start: 0, End: testBinSec}
+
+	_, _, _, err = st.Count(context.Background(), iv, nil)
+	var se *ShardError
+	if !errors.As(err, &se) || se.Shard != "dead" || !errors.Is(err, boom) {
+		t.Fatalf("Count = %v, want ShardError naming dead with boom", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st.shards[1] = fakeShard{name: "healthy-1", read: untilCanceled}
+	_, _, _, err = st.Count(ctx, iv, nil)
+	if !errors.As(err, &se) || se.Shard != "healthy-0" || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Count under caller cancel = %v, want healthy-0's context.Canceled", err)
+	}
+
+	ok := func(context.Context) error { return nil }
+	st.shards = []Shard{
+		fakeShard{name: "healthy-0", read: ok},
+		fakeShard{name: "dead", read: func(context.Context) error { return boom }},
+		fakeShard{name: "healthy-2", read: ok},
+	}
+	err = st.Query(context.Background(), iv, nil, func(*flow.Record) error { return nil })
+	if !errors.As(err, &se) || se.Shard != "dead" || !errors.Is(err, boom) {
+		t.Fatalf("Query = %v, want ShardError naming dead with boom", err)
+	}
+}

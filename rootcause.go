@@ -250,7 +250,7 @@ func WithExtractionOptions(opts ExtractionOptions) Option {
 }
 
 // WithMiner selects the frequent-itemset miner (a name from MinerNames:
-// "apriori", "fpgrowth", or an externally registered one) for one
+// "apriori", "fpgrowth", "fda", or an externally registered one) for one
 // Extract/ExtractAlarm/ExtractAll call. It composes with
 // WithExtractionOptions — the miner name wins over the options' Miner
 // field. An unknown name fails the call with an error listing the
