@@ -42,7 +42,6 @@ func main() {
 		scenarios = flag.String("scenarios", "", "eval: comma-separated catalog scenarios (default: whole catalog)")
 		detectors = flag.String("detectors", "", "eval: comma-separated alarm sources: synthesized and/or registered detectors (default: all)")
 		miners    = flag.String("miners", "", "eval: comma-separated miner registry names (default: all)")
-		sync      = flag.Bool("sync", false, "eval: extract via the synchronous API instead of the job manager")
 		quick     = flag.Bool("quick", false, "eval: reduced matrix for CI smoke runs")
 		incidents = flag.Bool("incidents", false,
 			"eval: also run the incident-mode column (alarm storm -> dedup + correlation -> one job per incident)")
@@ -87,7 +86,7 @@ Flags:
 	cfg := evalFlags{
 		jsonPath: *jsonPath, mdPath: *mdPath,
 		scenarios: splitCSV(*scenarios), detectors: splitCSV(*detectors),
-		miners: splitCSV(*miners), sync: *sync, quick: *quick,
+		miners: splitCSV(*miners), quick: *quick,
 		incidents: *incidents, segmentFormat: uint16(*segFmt),
 		scanMD: *scanMD, shardMD: *shardMD, streamMD: *streamMD,
 		shards: *shards, httpPeers: *httpPeers,
@@ -102,7 +101,7 @@ Flags:
 type evalFlags struct {
 	jsonPath, mdPath             string
 	scenarios, detectors, miners []string
-	sync, quick, incidents       bool
+	quick, incidents             bool
 	segmentFormat                uint16
 	scanMD, shardMD, streamMD    string
 	shards                       int
@@ -468,7 +467,6 @@ func runEval(workDir string, seed uint64, cfg evalFlags) error {
 		Miners:        cfg.miners,
 		Seed:          seed,
 		WorkDir:       workDir + "/matrix",
-		UseJobs:       !cfg.sync,
 		Incidents:     cfg.incidents,
 		SegmentFormat: cfg.segmentFormat,
 		Shards:        cfg.shards,

@@ -190,7 +190,7 @@ func TestIntegrationCluster(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(coord.base + "/api/health")
+		resp, err := http.Get(coord.base + "/api/v1/health")
 		if err == nil {
 			err = json.NewDecoder(resp.Body).Decode(&health)
 			resp.Body.Close()
@@ -221,7 +221,7 @@ func TestIntegrationCluster(t *testing.T) {
 	// Extraction through the coordinator must match the in-process
 	// sharded extraction exactly.
 	extract := func() (int, extractResponse, string) {
-		resp, err := http.Post(coord.base+"/api/alarms/"+alarmID+"/extract", "application/json", nil)
+		resp, err := http.Post(coord.base+"/api/v1/alarms/"+alarmID+"/extract", "application/json", nil)
 		if err != nil {
 			t.Fatalf("extract: %v", err)
 		}
@@ -263,16 +263,28 @@ func TestIntegrationCluster(t *testing.T) {
 	// dead shard — never hang, never silently return partial flows.
 	peers[2].kill(t)
 	code, _, body := extract()
-	if code == http.StatusOK {
-		t.Fatalf("extract succeeded with a dead peer: %s", body)
+	if code < 500 {
+		t.Fatalf("extract with a dead peer answered %d, want 5xx: %s", code, body)
 	}
 	if !strings.Contains(body, urls[2]) {
 		t.Fatalf("dead-peer error does not name the shard %q: %s", urls[2], body)
 	}
 
+	// The drill-down fails the same way, and as the server's fault: a
+	// dead peer is a 5xx naming the peer, not a 400.
+	fresp, err := http.Get(coord.base + "/api/v1/flows?limit=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fraw, _ := io.ReadAll(fresp.Body)
+	fresp.Body.Close()
+	if fresp.StatusCode < 500 || !strings.Contains(string(fraw), urls[2]) {
+		t.Fatalf("flows with a dead peer: status %d body %s, want 5xx naming %q", fresp.StatusCode, fraw, urls[2])
+	}
+
 	// Health keeps answering — degraded, with the failure pinned to the
 	// dead peer's row.
-	resp, err := http.Get(coord.base + "/api/health")
+	resp, err := http.Get(coord.base + "/api/v1/health")
 	if err != nil {
 		t.Fatal(err)
 	}

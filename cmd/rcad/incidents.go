@@ -1,27 +1,17 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 
 	rootcause "repro"
-	"repro/internal/alarmdb"
-	"repro/internal/flow"
 )
 
 // handleCorrelate runs alarm dedup + temporal correlation over the
 // stored alarms of a span and stores the resulting incidents. The body
-// is optional; zero fields inherit the incident-layer defaults:
-//
-//	{"from":UNIX,"to":UNIX,"dedup_window":300,"cluster_gap":600,
-//	 "min_confidence":0.5}
-//
+// is optional; zero fields inherit the incident-layer defaults.
 // Correlation is idempotent — re-posting the same span returns the same
 // incident IDs.
-func (s *server) handleCorrelate(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleCorrelate(w http.ResponseWriter, r *http.Request) (any, error) {
 	var body struct {
 		From          uint32  `json:"from"`
 		To            uint32  `json:"to"`
@@ -29,103 +19,58 @@ func (s *server) handleCorrelate(w http.ResponseWriter, r *http.Request) {
 		ClusterGap    uint32  `json:"cluster_gap"`
 		MinConfidence float64 `json:"min_confidence"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad body: %v", err))
-		return
+	if err := decodeBody(w, r, &body, true); err != nil {
+		return nil, err
 	}
-	span := flow.Interval{Start: body.From, End: body.To}
-	if body.To == 0 {
-		span.End = ^uint32(0)
-	}
-	var opts []rootcause.Option
-	if body.DedupWindow > 0 {
-		opts = append(opts, rootcause.WithDedupWindow(body.DedupWindow))
-	}
-	if body.ClusterGap > 0 {
-		opts = append(opts, rootcause.WithClusterGap(body.ClusterGap))
-	}
-	if body.MinConfidence > 0 {
-		opts = append(opts, rootcause.WithLeadLagConfidence(body.MinConfidence))
-	}
-	sum, err := s.sys.Correlate(r.Context(), span, opts...)
+	// Zero means "incident-layer default" on both sides, so the fields
+	// pass straight through.
+	sum, err := s.sys.Correlate(r.Context(), bodySpan(body.From, body.To),
+		rootcause.WithDedupWindow(body.DedupWindow),
+		rootcause.WithClusterGap(body.ClusterGap),
+		rootcause.WithLeadLagConfidence(body.MinConfidence))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		// Correlation reads only the alarm database: what it rejects is an
+		// out-of-range tuning value.
+		return nil, badRequest{err}
 	}
-	writeJSON(w, http.StatusOK, sum)
+	return sum, nil
 }
 
 // handleIncidents lists stored incidents overlapping ?from&to (defaults
 // to everything), every lifecycle status, in time order.
-func (s *server) handleIncidents(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleIncidents(_ http.ResponseWriter, r *http.Request) (any, error) {
 	span, err := parseSpan(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"incidents": s.sys.Incidents(span),
-	})
+	return map[string]any{"incidents": s.sys.Incidents(span)}, nil
 }
 
 // handleIncident returns one incident with its member alarms. The
 // lead-lag chain rides inside the incident record; members are full
 // alarm entries so the operator sees each alarm's workflow status.
-func (s *server) handleIncident(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleIncident(_ http.ResponseWriter, r *http.Request) (any, error) {
 	id := r.PathValue("id")
 	entry, err := s.sys.Incident(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
+		return nil, err
 	}
 	members, err := s.sys.IncidentAlarms(id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"incident": entry,
-		"members":  members,
-	})
+	return map[string]any{"incident": entry, "members": members}, err
 }
 
 // handleIncidentExtract submits the ONE extraction job of an incident
 // (its members merged into a single mining run) and answers 202 with
-// the queued job, exactly like POST /api/v1/jobs. The optional body
-// selects the miner and ranking: {"miner":"fpgrowth","ranking":"lift"}.
-func (s *server) handleIncidentExtract(w http.ResponseWriter, r *http.Request) {
+// the queued job, exactly like POST /jobs.
+func (s *server) handleIncidentExtract(w http.ResponseWriter, r *http.Request) (any, error) {
 	id := r.PathValue("id")
-	var body struct {
-		Miner   string `json:"miner"`
-		Ranking string `json:"ranking"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad body: %v", err))
-		return
-	}
-	opts, err := extractOptions(body.Miner, body.Ranking)
+	_, opts, err := decodeExtract(w, r, true)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	// Reject unknown incidents before queueing a job doomed to fail.
 	if _, err := s.sys.Incident(id); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, alarmdb.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
-		return
+		return nil, err
 	}
-	jobID, err := s.sys.Submit(rootcause.JobRequest{IncidentID: id}, opts...)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	st, err := s.sys.Job(jobID)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": st})
+	return s.submitAccepted(w, rootcause.JobRequest{IncidentID: id}, opts)
 }

@@ -153,7 +153,7 @@ func TestIncidentExtractEndpoint(t *testing.T) {
 		t.Fatalf("incident status = %q, want extracted", detail.Incident.Status)
 	}
 	var entry map[string]any
-	getJSON(t, srv.URL+"/api/alarms/"+id, &entry)
+	getJSON(t, srv.URL+"/api/v1/alarms/"+id, &entry)
 	if entry["status"] != "analyzed" {
 		t.Fatalf("member alarm status = %v, want analyzed", entry["status"])
 	}
@@ -185,7 +185,7 @@ func TestHealthReportsIncidents(t *testing.T) {
 	var body struct {
 		Incidents map[string]int `json:"incidents"`
 	}
-	if code := getJSON(t, srv.URL+"/api/health", &body); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/api/v1/health", &body); code != http.StatusOK {
 		t.Fatalf("health status %d", code)
 	}
 	if body.Incidents["open"] != 1 {

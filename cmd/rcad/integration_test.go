@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"syscall"
@@ -136,7 +137,7 @@ func TestIntegrationHTTP(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if code := get("/api/health", &health); code == http.StatusOK {
+		if code := get("/api/v1/health", &health); code == http.StatusOK {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -146,6 +147,13 @@ func TestIntegrationHTTP(t *testing.T) {
 	}
 	if health.Status != "ok" || !health.HasData {
 		t.Fatalf("health = %+v", health)
+	}
+	// Alias smoke: the pre-v1 path is the same handler (TestRouteAliases
+	// walks the whole table in-process).
+	var v1Health, aliasHealth map[string]any
+	get("/api/v1/health", &v1Health)
+	if code := get("/api/health", &aliasHealth); code != http.StatusOK || !reflect.DeepEqual(v1Health, aliasHealth) {
+		t.Fatalf("GET /api/health (%d) = %v, want the /api/v1/health answer %v", code, aliasHealth, v1Health)
 	}
 
 	// Submit → poll → result.
@@ -204,8 +212,8 @@ func TestIntegrationHTTP(t *testing.T) {
 		t.Fatalf("job result = %+v", result.Result)
 	}
 
-	// Legacy wrapper answers over the same path.
-	resp, err = http.Post(base+"/api/alarms/"+alarmID+"/extract", "application/json", nil)
+	// The synchronous endpoint answers over the same job path.
+	resp, err = http.Post(base+"/api/v1/alarms/"+alarmID+"/extract", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

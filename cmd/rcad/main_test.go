@@ -84,7 +84,7 @@ func getJSON(t *testing.T, url string, into any) int {
 func TestHealth(t *testing.T) {
 	srv, _ := newTestServer(t)
 	var body map[string]any
-	if code := getJSON(t, srv.URL+"/api/health", &body); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/api/v1/health", &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if body["status"] != "ok" || body["has_data"] != true {
@@ -95,28 +95,28 @@ func TestHealth(t *testing.T) {
 func TestAlarmListAndGet(t *testing.T) {
 	srv, id := newTestServer(t)
 	var list []map[string]any
-	if code := getJSON(t, srv.URL+"/api/alarms", &list); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/api/v1/alarms", &list); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if len(list) != 1 {
 		t.Fatalf("%d alarms", len(list))
 	}
 	var entry map[string]any
-	if code := getJSON(t, srv.URL+"/api/alarms/"+id, &entry); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/api/v1/alarms/"+id, &entry); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if entry["status"] != "new" {
 		t.Fatalf("entry = %v", entry)
 	}
 	var errBody map[string]string
-	if code := getJSON(t, srv.URL+"/api/alarms/404", &errBody); code != http.StatusNotFound {
+	if code := getJSON(t, srv.URL+"/api/v1/alarms/404", &errBody); code != http.StatusNotFound {
 		t.Fatalf("unknown alarm status %d", code)
 	}
 }
 
 func TestExtractEndpoint(t *testing.T) {
 	srv, id := newTestServer(t)
-	resp, err := http.Post(srv.URL+"/api/alarms/"+id+"/extract", "application/json", nil)
+	resp, err := http.Post(srv.URL+"/api/v1/alarms/"+id+"/extract", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestExtractEndpoint(t *testing.T) {
 	}
 	// The alarm is now analyzed.
 	var entry map[string]any
-	getJSON(t, srv.URL+"/api/alarms/"+id, &entry)
+	getJSON(t, srv.URL+"/api/v1/alarms/"+id, &entry)
 	if entry["status"] != "analyzed" {
 		t.Fatalf("post-extract status = %v", entry["status"])
 	}
@@ -147,7 +147,7 @@ func TestExtractEndpoint(t *testing.T) {
 
 func TestVerdictEndpoint(t *testing.T) {
 	srv, id := newTestServer(t)
-	resp, err := http.Post(srv.URL+"/api/alarms/"+id+"/verdict", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/alarms/"+id+"/verdict", "application/json",
 		strings.NewReader(`{"validated":true,"note":"confirmed"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -157,12 +157,12 @@ func TestVerdictEndpoint(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var entry map[string]any
-	getJSON(t, srv.URL+"/api/alarms/"+id, &entry)
+	getJSON(t, srv.URL+"/api/v1/alarms/"+id, &entry)
 	if entry["status"] != "validated" {
 		t.Fatalf("status = %v", entry["status"])
 	}
 	// Bad body.
-	resp, err = http.Post(srv.URL+"/api/alarms/"+id+"/verdict", "application/json",
+	resp, err = http.Post(srv.URL+"/api/v1/alarms/"+id+"/verdict", "application/json",
 		strings.NewReader("{broken"))
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestFlowsEndpoint(t *testing.T) {
 		Returned int      `json:"returned"`
 		Flows    []string `json:"flows"`
 	}
-	url := srv.URL + "/api/flows?filter=" +
+	url := srv.URL + "/api/v1/flows?filter=" +
 		"src+ip+10.191.64.165+and+src+port+55548&limit=5"
 	if code := getJSON(t, url, &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -193,13 +193,13 @@ func TestFlowsEndpoint(t *testing.T) {
 	}
 	// Bad filter and bad limit.
 	var errBody map[string]string
-	if code := getJSON(t, srv.URL+"/api/flows?filter=banana", &errBody); code != http.StatusBadRequest {
+	if code := getJSON(t, srv.URL+"/api/v1/flows?filter=banana", &errBody); code != http.StatusBadRequest {
 		t.Fatalf("bad filter status %d", code)
 	}
-	if code := getJSON(t, srv.URL+"/api/flows?limit=-3", &errBody); code != http.StatusBadRequest {
+	if code := getJSON(t, srv.URL+"/api/v1/flows?limit=-3", &errBody); code != http.StatusBadRequest {
 		t.Fatalf("bad limit status %d", code)
 	}
-	if code := getJSON(t, srv.URL+"/api/flows?from=abc", &errBody); code != http.StatusBadRequest {
+	if code := getJSON(t, srv.URL+"/api/v1/flows?from=abc", &errBody); code != http.StatusBadRequest {
 		t.Fatalf("bad from status %d", code)
 	}
 }
@@ -209,7 +209,7 @@ func TestDetectorsEndpoint(t *testing.T) {
 	var body struct {
 		Detectors []string `json:"detectors"`
 	}
-	if code := getJSON(t, srv.URL+"/api/detectors", &body); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/api/v1/detectors", &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	want := map[string]bool{"netreflex": false, "histogram": false, "pca": false}
@@ -250,13 +250,13 @@ func TestDetectEndpoint(t *testing.T) {
 	var listing struct {
 		Detectors []string `json:"detectors"`
 	}
-	getJSON(t, srv.URL+"/api/detectors", &listing)
+	getJSON(t, srv.URL+"/api/v1/detectors", &listing)
 	if !slices.Contains(listing.Detectors, "http-test-detector") {
 		t.Fatalf("registered detector missing from %v", listing.Detectors)
 	}
 
 	// ...and usable: POST /api/detect files its alarms.
-	resp, err := http.Post(srv.URL+"/api/detect", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/detect", "application/json",
 		strings.NewReader(`{"detector":"http-test-detector","from":1300000200,"to":1300001400}`))
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestDetectEndpoint(t *testing.T) {
 
 	// Unknown detector and bad body are 400s.
 	for _, payload := range []string{`{"detector":"frobnicator"}`, `{broken`} {
-		resp, err := http.Post(srv.URL+"/api/detect", "application/json", strings.NewReader(payload))
+		resp, err := http.Post(srv.URL+"/api/v1/detect", "application/json", strings.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestDetectEndpoint(t *testing.T) {
 
 func TestExtractBatchEndpoint(t *testing.T) {
 	srv, id := newTestServer(t)
-	resp, err := http.Post(srv.URL+"/api/extract-batch", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/extract-batch", "application/json",
 		strings.NewReader(`{"alarm_ids":["`+id+`","404"],"concurrency":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestExtractBatchEndpoint(t *testing.T) {
 	}
 	// The extracted alarm is now analyzed; the unknown one obviously not.
 	var entry map[string]any
-	getJSON(t, srv.URL+"/api/alarms/"+id, &entry)
+	getJSON(t, srv.URL+"/api/v1/alarms/"+id, &entry)
 	if entry["status"] != "analyzed" {
 		t.Fatalf("post-batch status = %v", entry["status"])
 	}
@@ -336,7 +336,7 @@ func TestExtractBatchEndpoint(t *testing.T) {
 func TestExtractBatchBadRequests(t *testing.T) {
 	srv, _ := newTestServer(t)
 	for _, payload := range []string{`{"alarm_ids":[]}`, `{broken`} {
-		resp, err := http.Post(srv.URL+"/api/extract-batch", "application/json",
+		resp, err := http.Post(srv.URL+"/api/v1/extract-batch", "application/json",
 			strings.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +350,7 @@ func TestExtractBatchBadRequests(t *testing.T) {
 
 func TestExtractUnknownAlarmIs404(t *testing.T) {
 	srv, _ := newTestServer(t)
-	resp, err := http.Post(srv.URL+"/api/alarms/404/extract", "application/json", nil)
+	resp, err := http.Post(srv.URL+"/api/v1/alarms/404/extract", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestMinersEndpoint(t *testing.T) {
 	var body struct {
 		Miners []string `json:"miners"`
 	}
-	if code := getJSON(t, srv.URL+"/api/miners", &body); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/api/v1/miners", &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	for _, want := range []string{"apriori", "fpgrowth"} {
@@ -382,7 +382,7 @@ func TestExtractEndpointMinerSelection(t *testing.T) {
 	srv, id := newTestServer(t)
 	extract := func(body string) extractResponse {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/api/alarms/"+id+"/extract", "application/json",
+		resp, err := http.Post(srv.URL+"/api/v1/alarms/"+id+"/extract", "application/json",
 			strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -408,7 +408,7 @@ func TestExtractEndpointMinerSelection(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(srv.URL+"/api/alarms/"+id+"/extract", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/alarms/"+id+"/extract", "application/json",
 		strings.NewReader(`{"miner":"frobnicator"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestExtractEndpointMinerSelection(t *testing.T) {
 // fpgrowth miner end-to-end.
 func TestExtractBatchMinerSelection(t *testing.T) {
 	srv, id := newTestServer(t)
-	resp, err := http.Post(srv.URL+"/api/extract-batch", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/extract-batch", "application/json",
 		strings.NewReader(`{"alarm_ids":["`+id+`"],"miner":"fpgrowth"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +443,7 @@ func TestExtractBatchMinerSelection(t *testing.T) {
 		t.Fatal("no itemsets in batch result")
 	}
 
-	resp, err = http.Post(srv.URL+"/api/extract-batch", "application/json",
+	resp, err = http.Post(srv.URL+"/api/v1/extract-batch", "application/json",
 		strings.NewReader(`{"alarm_ids":["`+id+`"],"miner":"frobnicator"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +550,7 @@ func TestV1SubmitPollResult(t *testing.T) {
 	}
 	// The alarm went through the same workflow as a synchronous extract.
 	var entry map[string]any
-	getJSON(t, srv.URL+"/api/alarms/"+id, &entry)
+	getJSON(t, srv.URL+"/api/v1/alarms/"+id, &entry)
 	if entry["status"] != "analyzed" {
 		t.Fatalf("post-job alarm status = %v", entry["status"])
 	}
@@ -891,7 +891,7 @@ func TestHealthReportsJobs(t *testing.T) {
 		Jobs         map[string]int `json:"jobs"`
 		EventStreams int            `json:"event_streams"`
 	}
-	if code := getJSON(t, srv.URL+"/api/health", &body); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/api/v1/health", &body); code != http.StatusOK {
 		t.Fatalf("health status %d", code)
 	}
 	if body.Jobs["done"] == 0 {

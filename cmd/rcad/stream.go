@@ -7,15 +7,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
-	"time"
 
 	rootcause "repro"
-	"repro/internal/stream"
 )
 
 // ingestMaxLine bounds one NDJSON ingest line; a record is ~200 bytes,
@@ -36,17 +33,21 @@ func storeExists(dir string) bool {
 // handleStreamIngest consumes an NDJSON stream of flow records into the
 // live pipeline, blocking per record while the ingest buffer is full
 // (backpressure propagates to the HTTP client through flow control).
-// The response reports how many records were accepted. A malformed line
-// fails the request with its line number; records before it are already
-// ingested — the stream is append-only, not transactional.
-func (s *server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
+// The response reports how many records were accepted, on failure too:
+// a malformed line fails the request with its line number, but records
+// before it are already ingested — the stream is append-only, not
+// transactional.
+func (s *server) handleStreamIngest(w http.ResponseWriter, r *http.Request) (any, error) {
 	if !s.sys.Live() {
-		writeError(w, http.StatusConflict, rootcause.ErrNotLive)
-		return
+		return nil, rootcause.ErrNotLive
 	}
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64*1024), ingestMaxLine)
 	var n uint64
+	fail := func(err error) (any, error) {
+		writeErr(w, err, map[string]any{"ingested": n})
+		return nil, nil
+	}
 	for line := 1; sc.Scan(); line++ {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
@@ -54,29 +55,20 @@ func (s *server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		var rec rootcause.Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error": fmt.Sprintf("line %d: %v", line, err), "ingested": n,
-			})
-			return
+			return fail(badRequest{fmt.Errorf("line %d: %v", line, err)})
 		}
 		if err := s.sys.Ingest(r.Context(), &rec); err != nil {
 			if r.Context().Err() != nil {
-				return // client gone; nothing to answer
+				return nil, nil // client gone; nothing to answer
 			}
-			status := http.StatusInternalServerError
-			if errors.Is(err, stream.ErrClosed) {
-				status = http.StatusConflict
-			}
-			writeJSON(w, status, map[string]any{"error": err.Error(), "ingested": n})
-			return
+			return fail(err)
 		}
 		n++
 	}
 	if err := sc.Err(); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error(), "ingested": n})
-		return
+		return fail(badRequest{err})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ingested": n})
+	return map[string]any{"ingested": n}, nil
 }
 
 // handleStreamIncidents tails the live incident feed as server-sent
@@ -85,42 +77,12 @@ func (s *server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 // client disconnects; a client that stops reading is torn down by the
 // per-event write deadline, and the feed drops events to slow consumers
 // rather than stalling the watcher.
-func (s *server) handleStreamIncidents(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleStreamIncidents(w http.ResponseWriter, r *http.Request) (any, error) {
 	events, cancel, err := s.sys.TailIncidents()
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
+		return nil, err
 	}
 	defer cancel()
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	s.sseStreams.Add(1)
-	defer s.sseStreams.Add(-1)
-	rc := http.NewResponseController(w)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, open := <-events:
-			if !open {
-				return
-			}
-			raw, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, raw); err != nil {
-				return
-			}
-			flusher.Flush()
-		}
-	}
+	serveSSE(s, w, r, events, func(ev rootcause.StreamEvent) string { return ev.Type })
+	return nil, nil
 }

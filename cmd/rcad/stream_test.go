@@ -109,12 +109,19 @@ func TestStreamIngestCountsAndRejects(t *testing.T) {
 	var health struct {
 		Stream *rootcause.StreamStats `json:"stream"`
 	}
-	getJSON(t, srv.URL+"/api/health", &health)
-	if health.Stream == nil {
-		t.Fatal("health has no stream section on a live system")
-	}
-	if health.Stream.Ingested != 3 {
-		t.Fatalf("health stream ingested = %d, want 3", health.Stream.Ingested)
+	// The ingest response acknowledges the enqueue; the census counts a
+	// record once the pipeline worker has consumed it, so poll for it.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		getJSON(t, srv.URL+"/api/v1/health", &health)
+		if health.Stream == nil {
+			t.Fatal("health has no stream section on a live system")
+		}
+		if health.Stream.Ingested == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("health stream ingested = %d, want 3", health.Stream.Ingested)
+		}
 	}
 	if hs.sseStreams.Load() != 0 {
 		t.Fatalf("sse streams = %d, want 0", hs.sseStreams.Load())

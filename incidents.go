@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/alarmdb"
 	"repro/internal/incident"
-	"repro/internal/jobs"
 )
 
 // Incident-layer re-exports: the correlation vocabulary without internal
@@ -155,21 +154,15 @@ func (s *System) IncidentAlarms(id string) ([]AlarmEntry, error) {
 // extraction runs on: the representative member's identity, the union
 // of member intervals, and the deduplicated union of member meta-data.
 // Extracting this alarm synchronously (ExtractAlarm) produces exactly
-// the result ExtractIncident records — the parity the tests pin.
+// the result ExtractIncident records — the parity the tests pin. A
+// merged incident has no extraction of its own and fails like
+// ExtractIncident does.
 func (s *System) IncidentExtractionAlarm(id string) (Alarm, error) {
-	e, err := s.alarms.Incident(id)
+	a, err := s.incidentTarget(id).alarm()
 	if err != nil {
 		return Alarm{}, err
 	}
-	members, err := s.IncidentAlarms(id)
-	if err != nil {
-		return Alarm{}, err
-	}
-	alarms := make([]Alarm, len(members))
-	for i, m := range members {
-		alarms[i] = m.Alarm
-	}
-	return incident.ExtractionAlarm(&e.Incident, alarms)
+	return *a, nil
 }
 
 // ExtractIncident runs the one extraction of a correlated incident: the
@@ -180,76 +173,48 @@ func (s *System) IncidentExtractionAlarm(id string) (Alarm, error) {
 // analyzed; operator verdicts on members are left untouched. The same
 // per-call options as Extract apply.
 func (s *System) ExtractIncident(ctx context.Context, id string, opts ...Option) (*Result, error) {
-	o := resolveOptions(opts)
-	fn, err := s.extractFn(&o)
-	if err != nil {
-		return nil, err
-	}
-	return s.extractIncident(ctx, id, fn)
+	return s.extract(ctx, s.incidentTarget(id), opts)
 }
 
-// extractIncident is the shared incident path of ExtractIncident and
-// the incident job task.
-func (s *System) extractIncident(ctx context.Context, id string, fn func(ctx context.Context, a *Alarm) (*Result, error)) (*Result, error) {
-	e, err := s.alarms.Incident(id)
-	if err != nil {
-		return nil, err
-	}
-	if e.Status == alarmdb.IncidentMerged {
-		return nil, fmt.Errorf("rootcause: incident %s was merged (%s); extract the absorbing incident", id, e.Note)
-	}
-	members, err := s.IncidentAlarms(id)
-	if err != nil {
-		return nil, err
-	}
-	alarms := make([]Alarm, len(members))
-	for i, m := range members {
-		alarms[i] = m.Alarm
-	}
-	merged, err := incident.ExtractionAlarm(&e.Incident, alarms)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fn(ctx, &merged)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range members {
-		if m.Status != alarmdb.StatusNew {
-			continue
-		}
-		if err := s.alarms.SetStatus(m.Alarm.ID, alarmdb.StatusAnalyzed, "via incident "+id); err != nil {
-			return nil, err
-		}
-	}
-	note := fmt.Sprintf("%d itemsets", len(res.Itemsets))
-	if err := s.alarms.SetIncidentStatus(id, alarmdb.IncidentExtracted, note); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// incidentTask builds the job task for one per-incident extraction.
-func (s *System) incidentTask(incidentID string, o callOptions) jobs.Task {
-	return func(ctx context.Context, report func(JobProgress)) (any, error) {
-		ro := o
-		user := o.progress
-		ro.progress = func(p ExtractionProgress) {
-			report(JobProgress{
-				Phase:       p.Phase,
-				TuningRound: p.TuningRound,
-				Candidates:  p.CandidateFlows,
-				Itemsets:    p.Itemsets,
-			})
-			if user != nil {
-				user(p)
+// incidentTarget extracts a correlated incident: alarm merges the
+// members into the one alarm to mine, done records the outcome on the
+// incident and on the members that alarm call loaded.
+func (s *System) incidentTarget(id string) target {
+	var members []AlarmEntry
+	return target{
+		alarm: func() (*Alarm, error) {
+			e, err := s.alarms.Incident(id)
+			if err != nil {
+				return nil, err
 			}
-		}
-		fn, err := s.extractFn(&ro)
-		if err != nil {
-			return nil, err
-		}
-		return s.extractIncident(ctx, incidentID, fn)
+			if e.Status == alarmdb.IncidentMerged {
+				return nil, fmt.Errorf("rootcause: incident %s was merged (%s); extract the absorbing incident", id, e.Note)
+			}
+			if members, err = s.IncidentAlarms(id); err != nil {
+				return nil, err
+			}
+			alarms := make([]Alarm, len(members))
+			for i, m := range members {
+				alarms[i] = m.Alarm
+			}
+			merged, err := incident.ExtractionAlarm(&e.Incident, alarms)
+			if err != nil {
+				return nil, err
+			}
+			return &merged, nil
+		},
+		done: func(res *Result) error {
+			for _, m := range members {
+				if m.Status != alarmdb.StatusNew {
+					continue
+				}
+				if err := s.alarms.SetStatus(m.Alarm.ID, alarmdb.StatusAnalyzed, "via incident "+id); err != nil {
+					return err
+				}
+			}
+			note := fmt.Sprintf("%d itemsets", len(res.Itemsets))
+			return s.alarms.SetIncidentStatus(id, alarmdb.IncidentExtracted, note)
+		},
 	}
 }
 

@@ -10,7 +10,7 @@
 // generated once, alarm-sourced per configured detector (with
 // ground-truth synthesis as the SynthesizedSource pseudo-detector and as
 // fallback), and extracted per registered miner — all through the public
-// rootcause API, optionally via the job manager. Results are scored with
+// rootcause API, on the job manager (Submit → Wait). Results are scored with
 // ScoreTruth (itemset precision, anomaly recall, rank of the true cause)
 // and aggregated into a MatrixReport, the payload of BENCH_eval.json
 // that cmd/benchreport writes and CI tracks PR-over-PR (see

@@ -51,10 +51,6 @@ type PipelineConfig struct {
 	// WorkDir hosts the per-scenario stores ("" = temp dir, removed
 	// afterwards).
 	WorkDir string
-	// UseJobs routes every extraction through the system's job manager
-	// (Submit → Wait) instead of the synchronous Extract call,
-	// exercising the production path end to end.
-	UseJobs bool
 	// Incidents adds the incident-mode column: per scenario, a
 	// synthesized alarm storm is correlated into incidents and each
 	// incident extracted through ONE job, scored jointly against the
@@ -213,7 +209,7 @@ func RunMatrix(cfg PipelineConfig) (*MatrixReport, error) {
 		Version:    MatrixReportVersion,
 		Seed:       cfg.Seed,
 		SampleRate: cfg.SampleRate,
-		JobPath:    cfg.UseJobs,
+		JobPath:    true, // extractions always run Submit → Wait; kept so reports stay comparable
 		Scenarios:  scenarios,
 		Detectors:  detectors,
 		Miners:     miners,
@@ -290,7 +286,7 @@ func runScenarioMatrix(def gen.Def, cfg PipelineConfig, workDir string, detector
 				Scenario: def.Name, Kind: string(kind), ExpectFail: def.ExpectFail,
 				Detector: det, AlarmSource: source, DetectorError: detErr, Miner: m,
 			}
-			res, wall, err := extractCell(ctx, sys, alarmID, m, cfg.Ranking, cfg.UseJobs)
+			res, wall, err := extractCell(ctx, sys, alarmID, m, cfg.Ranking)
 			cell.WallMS = wall
 			if err != nil {
 				cell.Error = err.Error()
@@ -409,30 +405,19 @@ func synthesizedAlarm(truth *gen.Truth, anomalyIv flow.Interval, kind detector.K
 	}
 }
 
-// extractCell runs one extraction — synchronously or through the job
-// manager — and returns the result (nil when the interval held nothing to
-// mine) and the wall-clock in milliseconds.
-func extractCell(ctx context.Context, sys *rootcause.System, alarmID, minerName, ranking string, useJobs bool) (*rootcause.Result, float64, error) {
+// extractCell runs one extraction on the production path — the job
+// manager, Submit → Wait — and returns the result (nil when the interval
+// held nothing to mine) and the wall-clock in milliseconds.
+func extractCell(ctx context.Context, sys *rootcause.System, alarmID, minerName, ranking string) (*rootcause.Result, float64, error) {
 	t0 := time.Now()
-	opts := []rootcause.Option{rootcause.WithMiner(minerName)}
-	if ranking != "" {
-		opts = append(opts, rootcause.WithRanking(ranking))
-	}
 	var res *rootcause.Result
-	var err error
-	if useJobs {
-		var jobID string
-		jobID, err = sys.Submit(rootcause.JobRequest{AlarmID: alarmID},
-			append(opts, rootcause.WithTransientJob())...)
-		if err == nil {
-			var jr *rootcause.JobResult
-			jr, err = sys.Wait(ctx, jobID)
-			if jr != nil {
-				res = jr.Result
-			}
+	jobID, err := sys.Submit(rootcause.JobRequest{AlarmID: alarmID}, rootcause.WithMiner(minerName),
+		rootcause.WithRanking(ranking), rootcause.WithTransientJob()) // "" ranking = the default
+	if err == nil {
+		var jr *rootcause.JobResult
+		if jr, err = sys.Wait(ctx, jobID); err == nil {
+			res = jr.Result
 		}
-	} else {
-		res, err = sys.Extract(ctx, alarmID, opts...)
 	}
 	wall := float64(time.Since(t0).Microseconds()) / 1000
 	if errors.Is(err, core.ErrNoCandidates) {

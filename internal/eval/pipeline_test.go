@@ -69,41 +69,6 @@ func TestMatrixAprioriFloors(t *testing.T) {
 	}
 }
 
-// TestMatrixJobPathParity pins the job-manager extraction path to the
-// synchronous path: same scenario, same seed, same scores.
-func TestMatrixJobPathParity(t *testing.T) {
-	base := PipelineConfig{
-		Scenarios: []string{"dns-amplification", "link-outage"},
-		Detectors: []string{SynthesizedSource},
-		Miners:    []string{"apriori"},
-		Seed:      11,
-	}
-	sync := base
-	sync.WorkDir = t.TempDir()
-	async := base
-	async.WorkDir = t.TempDir()
-	async.UseJobs = true
-
-	syncRep, err := RunMatrix(sync)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asyncRep, err := RunMatrix(async)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(syncRep.Combos) != len(asyncRep.Combos) {
-		t.Fatalf("cell counts differ: %d vs %d", len(syncRep.Combos), len(asyncRep.Combos))
-	}
-	for i := range syncRep.Combos {
-		s, a := syncRep.Combos[i], asyncRep.Combos[i]
-		s.WallMS, a.WallMS = 0, 0
-		if s != a {
-			t.Errorf("cell %d differs between sync and job path:\nsync:  %+v\njobs:  %+v", i, s, a)
-		}
-	}
-}
-
 // TestMatrixDeterminism pins the determinism contract: two runs with the
 // same config produce identical reports (modulo wall-clock), for every
 // ranking mode — the ranking score must not introduce map-order or

@@ -12,8 +12,8 @@ import (
 func (r *MatrixReport) Markdown() string {
 	var b strings.Builder
 	b.WriteString("# Evaluation matrix\n\n")
-	fmt.Fprintf(&b, "Seed %d · sample rate %s · extraction via %s · %d scenarios × %d detectors × %d miners = %d cells · %.0f ms total\n\n",
-		r.Seed, sampleRateLabel(r.SampleRate), extractionPathLabel(r.JobPath),
+	fmt.Fprintf(&b, "Seed %d · sample rate %s · extraction via job manager · %d scenarios × %d detectors × %d miners = %d cells · %.0f ms total\n\n",
+		r.Seed, sampleRateLabel(r.SampleRate),
 		len(r.Scenarios), len(r.Detectors), len(r.Miners), len(r.Combos), r.WallMS)
 
 	b.WriteString("## Totals\n\n")
@@ -94,13 +94,6 @@ func sampleRateLabel(rate uint32) string {
 		return "unsampled"
 	}
 	return fmt.Sprintf("1/%d", rate)
-}
-
-func extractionPathLabel(jobPath bool) string {
-	if jobPath {
-		return "job manager"
-	}
-	return "synchronous API"
 }
 
 func mark(ok bool) string {

@@ -467,7 +467,7 @@ func Create(cfg Config, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(store, cfg, opts)
+	return assemble(store, cfg, &o)
 }
 
 // Open opens a system over an existing flow store: cfg.StoreDir (a
@@ -493,11 +493,12 @@ func Open(cfg Config, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(store, cfg, opts)
+	return assemble(store, cfg, &o)
 }
 
-func assemble(store nfstore.Engine, cfg Config, options []Option) (*System, error) {
-	o := resolveOptions(options)
+// assemble builds the system over an opened store from the already
+// resolved construction options.
+func assemble(store nfstore.Engine, cfg Config, o *callOptions) (*System, error) {
 	if o.queryParallelism > 0 {
 		store.SetParallelism(o.queryParallelism)
 	}
@@ -575,15 +576,6 @@ func (s *System) ShardStats() []ShardStat {
 	return nil
 }
 
-// ShardNames lists the shard names of a sharded or cluster-mode system
-// (directory names or peer URLs), nil for a single-store system.
-func (s *System) ShardNames() []string {
-	if st, ok := s.store.(*shardstore.ShardedStore); ok {
-		return st.ShardNames()
-	}
-	return nil
-}
-
 // QueryStats is a snapshot of the flow store's scan counters: segments
 // considered, pruned via zone-map sidecars, scanned, answered entirely
 // from sidecars, records decoded, and sidecars built.
@@ -657,16 +649,19 @@ func (s *System) Alarms(iv Interval) []AlarmEntry {
 // Alarm returns one stored alarm by ID.
 func (s *System) Alarm(id string) (AlarmEntry, error) { return s.alarms.Get(id) }
 
-// ErrNoUsefulItemsets is returned by Validate-style helpers; exported so
-// operators can branch on it.
-var ErrNoUsefulItemsets = errors.New("rootcause: extraction produced no itemsets")
+// extractFunc runs the extraction engine on one alarm.
+type extractFunc func(ctx context.Context, a *Alarm) (*Result, error)
 
-// extractor returns the engine for one call: the system default, or a
-// fresh one when WithExtractionOptions, WithMiner, WithRanking or
-// WithProgress override the configuration.
-func (s *System) extractor(o *callOptions) (*core.Extractor, error) {
-	if o.extraction == nil && o.miner == "" && o.ranking == "" && o.progress == nil {
-		return s.ex, nil
+// extractFn returns the extraction function for one call: the test
+// seam when set, the system's engine, or a fresh engine when
+// WithExtractionOptions, WithMiner, WithRanking or WithProgress override
+// the configuration (an unknown miner or ranking fails here).
+func (s *System) extractFn(o *callOptions) (extractFunc, error) {
+	switch {
+	case o.extractFn != nil:
+		return o.extractFn, nil
+	case o.extraction == nil && o.miner == "" && o.ranking == "" && o.progress == nil:
+		return s.ex.Extract, nil
 	}
 	opts := s.exOpts
 	if o.extraction != nil {
@@ -681,49 +676,67 @@ func (s *System) extractor(o *callOptions) (*core.Extractor, error) {
 	if o.progress != nil {
 		opts.Progress = o.progress
 	}
-	return core.New(s.store, opts)
-}
-
-// extractFn returns the extraction function for one call (the test seam
-// wins when set).
-func (s *System) extractFn(o *callOptions) (func(ctx context.Context, a *Alarm) (*Result, error), error) {
-	if o.extractFn != nil {
-		return o.extractFn, nil
-	}
-	ex, err := s.extractor(o)
+	ex, err := core.New(s.store, opts)
 	if err != nil {
 		return nil, err
 	}
 	return ex.Extract, nil
 }
 
-// Extract runs anomaly extraction for a stored alarm and marks it
-// analyzed. The result's Table() renders the operator view.
-func (s *System) Extract(ctx context.Context, alarmID string, opts ...Option) (*Result, error) {
+// target is one single-result extraction: where its alarm comes from
+// and how a finished result is recorded. A stored alarm (alarmTarget)
+// and a correlated incident (incidentTarget, incidents.go) are the two
+// targets; Extract, ExtractIncident, the ExtractAll workers and the
+// single-target job task all go through run.
+type target struct {
+	alarm func() (*Alarm, error)
+	done  func(*Result) error
+}
+
+// run resolves the target's alarm, extracts it and records the outcome.
+func (t target) run(ctx context.Context, fn extractFunc) (*Result, error) {
+	a, err := t.alarm()
+	if err != nil {
+		return nil, err
+	}
+	res, err := fn(ctx, a)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.done(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// extract runs one target synchronously under the caller's options.
+func (s *System) extract(ctx context.Context, t target, opts []Option) (*Result, error) {
 	o := resolveOptions(opts)
 	fn, err := s.extractFn(&o)
 	if err != nil {
 		return nil, err
 	}
-	return s.extractOne(ctx, alarmID, fn)
+	return t.run(ctx, fn)
 }
 
-// extractOne is the shared single-alarm path of Extract and ExtractAll:
-// look up the alarm, run extraction, record the workflow status.
-func (s *System) extractOne(ctx context.Context, alarmID string, fn func(ctx context.Context, a *Alarm) (*Result, error)) (*Result, error) {
-	entry, err := s.alarms.Get(alarmID)
-	if err != nil {
-		return nil, err
+// alarmTarget extracts a stored alarm and marks it analyzed.
+func (s *System) alarmTarget(alarmID string) target {
+	return target{
+		alarm: func() (*Alarm, error) {
+			entry, err := s.alarms.Get(alarmID)
+			return &entry.Alarm, err
+		},
+		done: func(res *Result) error {
+			note := fmt.Sprintf("%d itemsets", len(res.Itemsets))
+			return s.alarms.SetStatus(alarmID, alarmdb.StatusAnalyzed, note)
+		},
 	}
-	res, err := fn(ctx, &entry.Alarm)
-	if err != nil {
-		return nil, err
-	}
-	note := fmt.Sprintf("%d itemsets", len(res.Itemsets))
-	if err := s.alarms.SetStatus(alarmID, alarmdb.StatusAnalyzed, note); err != nil {
-		return nil, err
-	}
-	return res, nil
+}
+
+// Extract runs anomaly extraction for a stored alarm and marks it
+// analyzed. The result's Table() renders the operator view.
+func (s *System) Extract(ctx context.Context, alarmID string, opts ...Option) (*Result, error) {
+	return s.extract(ctx, s.alarmTarget(alarmID), opts)
 }
 
 // ExtractAlarm runs extraction for an ad-hoc alarm without storing it.
@@ -784,13 +797,9 @@ func (s *System) extractAll(ctx context.Context, alarmIDs []string, o *callOptio
 		go func() {
 			defer wg.Done()
 			for id := range jobs {
-				var r ExtractResult
-				switch {
-				case fnErr != nil:
-					r = ExtractResult{AlarmID: id, Err: fnErr}
-				default:
-					res, err := s.extractOne(ctx, id, fn)
-					r = ExtractResult{AlarmID: id, Result: res, Err: err}
+				r := ExtractResult{AlarmID: id, Err: fnErr}
+				if fnErr == nil {
+					r.Result, r.Err = s.alarmTarget(id).run(ctx, fn)
 				}
 				// Never block forever on a consumer that went away: the
 				// send races ctx so a cancelled batch always winds down.
@@ -871,10 +880,8 @@ func (s *System) Submit(req JobRequest, opts ...Option) (string, error) {
 	}
 	// Fail fast on configuration mistakes (unknown miner, invalid
 	// extraction options) while the caller is still on the line.
-	if o.extractFn == nil {
-		if _, err := s.extractor(&o); err != nil {
-			return "", err
-		}
+	if _, err := s.extractFn(&o); err != nil {
+		return "", err
 	}
 	submit := s.jobs.Submit
 	if o.transientJob {
@@ -882,21 +889,21 @@ func (s *System) Submit(req JobRequest, opts ...Option) (string, error) {
 	}
 	switch {
 	case req.AlarmID != "":
-		return submit(JobKindExtract, s.extractTask(req.AlarmID, o))
+		return submit(JobKindExtract, s.targetTask(s.alarmTarget(req.AlarmID), o))
 	case req.IncidentID != "":
-		return submit(JobKindExtractIncident, s.incidentTask(req.IncidentID, o))
+		return submit(JobKindExtractIncident, s.targetTask(s.incidentTarget(req.IncidentID), o))
 	}
 	return submit(JobKindExtractBatch, s.batchTask(req.AlarmIDs, o))
 }
 
-// extractTask builds the job task for one single-alarm extraction: the
-// engine's sampled progress feeds the job status (and the caller's
-// WithProgress observer, when set).
-func (s *System) extractTask(alarmID string, o callOptions) jobs.Task {
+// targetTask builds the job task for one single-target extraction. It
+// holds the one ExtractionProgress → JobProgress bridge: the engine's
+// sampled progress feeds the job status (and the caller's WithProgress
+// observer, when set).
+func (s *System) targetTask(t target, o callOptions) jobs.Task {
 	return func(ctx context.Context, report func(JobProgress)) (any, error) {
-		ro := o
 		user := o.progress
-		ro.progress = func(p ExtractionProgress) {
+		o.progress = func(p ExtractionProgress) {
 			report(JobProgress{
 				Phase:       p.Phase,
 				TuningRound: p.TuningRound,
@@ -907,11 +914,11 @@ func (s *System) extractTask(alarmID string, o callOptions) jobs.Task {
 				user(p)
 			}
 		}
-		fn, err := s.extractFn(&ro)
+		fn, err := s.extractFn(&o)
 		if err != nil {
 			return nil, err
 		}
-		return s.extractOne(ctx, alarmID, fn)
+		return t.run(ctx, fn)
 	}
 }
 
@@ -982,15 +989,15 @@ func (s *System) CancelJob(id string) error { return s.jobs.Cancel(id) }
 // read from the job record the waiter holds, so it cannot be lost to a
 // concurrent TTL/LRU eviction of the job's ID.
 func (s *System) Wait(ctx context.Context, id string) (*JobResult, error) {
-	val, st, err := s.jobs.WaitResult(ctx, id)
+	return toJobResult(s.jobs.WaitResult(ctx, id))
+}
+
+// toJobResult shapes a job's retained outcome — task value, final
+// status, error — into the public JobResult.
+func toJobResult(val any, st JobStatus, err error) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toJobResult(val, st), nil
-}
-
-// toJobResult shapes a retained task value into the public JobResult.
-func toJobResult(val any, st JobStatus) *JobResult {
 	jr := &JobResult{Status: st}
 	switch v := val.(type) {
 	case *Result:
@@ -998,7 +1005,7 @@ func toJobResult(val any, st JobStatus) *JobResult {
 	case []ExtractResult:
 		jr.Batch = v
 	}
-	return jr
+	return jr, nil
 }
 
 // JobResult fetches a finished job's outcome. Unfinished jobs return
@@ -1006,11 +1013,7 @@ func toJobResult(val any, st JobStatus) *JobResult {
 // failed or canceled jobs their stored error alongside the final status
 // in a nil JobResult.
 func (s *System) JobResult(id string) (*JobResult, error) {
-	val, st, err := s.jobs.Result(id)
-	if err != nil {
-		return nil, err
-	}
-	return toJobResult(val, st), nil
+	return toJobResult(s.jobs.Result(id))
 }
 
 // WatchJob subscribes to a job's status stream: the current snapshot
@@ -1030,6 +1033,10 @@ func (s *System) SetVerdict(alarmID string, validated bool, note string) error {
 	return s.alarms.SetStatus(alarmID, status, note)
 }
 
+// ErrBadFilter marks a drill-down filter expression that does not parse
+// — the caller's mistake, as opposed to a failed store scan.
+var ErrBadFilter = errors.New("rootcause: bad filter")
+
 // Flows returns the raw flow records of an interval matching an
 // nfdump-style filter expression ("src ip 10.0.0.1 and dst port 80");
 // empty filter returns everything. This is the GUI's drill-down: the
@@ -1040,7 +1047,7 @@ func (s *System) Flows(ctx context.Context, iv Interval, filterExpr string) ([]R
 		var err error
 		f, err = nffilter.Parse(filterExpr)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrBadFilter, err)
 		}
 	}
 	return s.store.Records(ctx, iv, f)
