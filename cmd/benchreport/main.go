@@ -2,9 +2,9 @@
 // paper's evaluation, prints paper-vs-measured side by side, and runs
 // the scenario-catalog evaluation matrix whose scores are the repo's
 // quality trajectory (BENCH_eval.json + markdown report, tracked
-// PR-over-PR; see docs/evaluation.md). This is the human-readable
-// companion of the bench_test.go benchmark suite; EXPERIMENTS.md records
-// a captured run.
+// PR-over-PR; see docs/evaluation.md). The paper's bands themselves are
+// a tier-1 gate (TestPaperBands in internal/eval); this prints the
+// numbers behind them.
 //
 // Usage:
 //
@@ -21,10 +21,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: all|e1|e2|e3|e4|e5|e6|scan|shard|stream|eval")
+		exp       = flag.String("exp", "all", "experiment: "+expNames())
 		seed      = flag.Uint64("seed", 1, "suite seed")
 		jsonPath  = flag.String("json", "BENCH_eval.json", "eval: machine-readable report path (\"\" = skip)")
 		mdPath    = flag.String("md", "BENCH_eval.md", "eval: markdown report path (\"\" = skip)")
@@ -47,10 +47,7 @@ func main() {
 			"eval: also run the incident-mode column (alarm storm -> dedup + correlation -> one job per incident)")
 		segFmt = flag.Int("segment-format", 0,
 			"eval: flow-store segment format (1 = fixed rows, 2 = column blocks, 0 = library default); scores are format-independent")
-		scanMD   = flag.String("scan-md", "BENCH_scan.md", "scan: markdown report path (\"\" = skip)")
-		shardMD  = flag.String("shard-md", "BENCH_shard.md", "shard: markdown report path (\"\" = skip)")
-		streamMD = flag.String("stream-md", "BENCH_stream.md", "stream: markdown report path (\"\" = skip)")
-		shards   = flag.Int("shards", 0,
+		shards = flag.Int("shards", 0,
 			"eval: partition every scenario store into N shards (0/1 = single store); scores are shard-independent")
 		httpPeers = flag.Bool("http-peers", false,
 			"eval: serve the shards over loopback HTTP and run the matrix through the remote-peer client (needs -shards >= 2)")
@@ -59,27 +56,19 @@ func main() {
 		fmt.Fprint(flag.CommandLine.Output(), `usage: benchreport [flags]
 
 Regenerate the tables and statistics of the paper's evaluation and
-print paper-vs-measured side by side (the human-readable companion of
-the bench_test.go suite). The eval experiment runs the scenario-catalog
+print paper-vs-measured side by side (TestPaperBands in internal/eval
+gates the same numbers). The eval experiment runs the scenario-catalog
 ground-truth matrix (docs/scenarios.md) through every configured
 detector and miner via the public API and writes BENCH_eval.json plus a
 markdown report — the quality trajectory compared PR-over-PR
 (docs/evaluation.md).
 
 Experiments (-exp, see DESIGN.md §6-§7):
-  e1    Table 1 itemsets for a NetReflex port-scan alarm
-  e2    GEANT 40-alarm useful-extraction fraction (paper: 94%)
-  e3    GEANT 40-alarm additional-evidence fraction (paper: 26-28%)
-  e4    SWITCH 31-anomaly extraction (paper: all 31)
-  e5    flow-only vs dual support across UDP flood sizes
-  e6    self-tuning vs fixed minimum support
-  scan  segment-format scan throughput, v1 fixed rows vs v2 column blocks
-  shard scatter-gather throughput at 1/2/4/8 shards + HTTP-peer overhead
-  stream live-pipeline ingest throughput + seal-to-incident latency
-  eval  scenario catalog x detectors x miners, scored against ground truth
-
-Flags:
 `)
+		for _, e := range experiments {
+			fmt.Fprintf(flag.CommandLine.Output(), "  %-5s %s\n", e.name, e.doc)
+		}
+		fmt.Fprint(flag.CommandLine.Output(), "\nFlags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -88,11 +77,13 @@ Flags:
 		scenarios: splitCSV(*scenarios), detectors: splitCSV(*detectors),
 		miners: splitCSV(*miners), quick: *quick,
 		incidents: *incidents, segmentFormat: uint16(*segFmt),
-		scanMD: *scanMD, shardMD: *shardMD, streamMD: *streamMD,
 		shards: *shards, httpPeers: *httpPeers,
 	}
 	if err := run(*exp, *seed, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)
+		if errors.Is(err, errUnknownExp) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -103,7 +94,6 @@ type evalFlags struct {
 	scenarios, detectors, miners []string
 	quick, incidents             bool
 	segmentFormat                uint16
-	scanMD, shardMD, streamMD    string
 	shards                       int
 	httpPeers                    bool
 }
@@ -122,56 +112,51 @@ func splitCSV(s string) []string {
 	return out
 }
 
+// experiments is the one list of -exp names: it feeds the usage text,
+// validates the flag and orders an "all" run.
+var experiments = []struct {
+	name, doc string
+	run       func(workDir string, seed uint64, cfg evalFlags) error
+}{
+	{"e1", "Table 1 itemsets for a NetReflex port-scan alarm", runE1},
+	{"e2", "GEANT 40-alarm useful-extraction fraction (paper: 94%)", runE2E3},
+	{"e3", "GEANT 40-alarm additional-evidence fraction (paper: 26-28%)", runE2E3},
+	{"e4", "SWITCH 31-anomaly extraction (paper: all 31)", runE4},
+	{"e5", "flow-only vs dual support across UDP flood sizes", runE5},
+	{"e6", "self-tuning vs fixed minimum support", runE6},
+	{"eval", "scenario catalog x detectors x miners, scored against ground truth", runEval},
+}
+
+// expNames is the -exp vocabulary, "all" first.
+func expNames() string {
+	names := "all"
+	for _, e := range experiments {
+		names += "|" + e.name
+	}
+	return names
+}
+
+// errUnknownExp marks a -exp value outside expNames: exit 2, not 1.
+var errUnknownExp = errors.New("unknown experiment")
+
 func run(exp string, seed uint64, cfg evalFlags) error {
+	var todo []func(string, uint64, evalFlags) error
+	for _, e := range experiments {
+		// e2 and e3 are two statistics of one run; "all" prints it once.
+		if exp == e.name || exp == "all" && e.name != "e3" {
+			todo = append(todo, e.run)
+		}
+	}
+	if len(todo) == 0 {
+		return fmt.Errorf("%w %q (valid: %s)", errUnknownExp, exp, expNames())
+	}
 	workDir, cleanup, err := eval.TempWorkDir()
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-
-	all := exp == "all"
-	if all || exp == "e1" {
-		if err := runE1(workDir); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e2" || exp == "e3" {
-		if err := runE2E3(workDir, seed); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e4" {
-		if err := runE4(workDir, seed); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e5" {
-		if err := runE5(workDir, seed); err != nil {
-			return err
-		}
-	}
-	if all || exp == "e6" {
-		if err := runE6(workDir, seed); err != nil {
-			return err
-		}
-	}
-	if all || exp == "scan" {
-		if err := runScan(workDir, seed, cfg); err != nil {
-			return err
-		}
-	}
-	if all || exp == "shard" {
-		if err := runShard(workDir, seed, cfg); err != nil {
-			return err
-		}
-	}
-	if all || exp == "stream" {
-		if err := runStream(workDir, seed, cfg); err != nil {
-			return err
-		}
-	}
-	if all || exp == "eval" {
-		if err := runEval(workDir, seed, cfg); err != nil {
+	for _, runExp := range todo {
+		if err := runExp(workDir, seed, cfg); err != nil {
 			return err
 		}
 	}
@@ -182,7 +167,7 @@ func header(id, title string) {
 	fmt.Printf("\n===== %s: %s =====\n", id, title)
 }
 
-func runE1(workDir string) error {
+func runE1(workDir string, _ uint64, _ evalFlags) error {
 	header("E1", "Table 1 — itemsets for a NetReflex port-scan alarm")
 	t0 := time.Now()
 	res, err := eval.RunTable1(workDir+"/table1", eval.DefaultTable1())
@@ -196,7 +181,7 @@ func runE1(workDir string) error {
 	return nil
 }
 
-func runE2E3(workDir string, seed uint64) error {
+func runE2E3(workDir string, seed uint64, _ evalFlags) error {
 	header("E2+E3", "GEANT 40-alarm evaluation (1/100 sampled)")
 	t0 := time.Now()
 	suite, err := eval.RunSuite("geant-40", eval.GEANTSpecs(seed), eval.SuiteConfig{
@@ -217,7 +202,7 @@ func runE2E3(workDir string, seed uint64) error {
 	return nil
 }
 
-func runE4(workDir string, seed uint64) error {
+func runE4(workDir string, seed uint64, _ evalFlags) error {
 	header("E4", "SWITCH 31-anomaly evaluation (unsampled, histogram/KL detector)")
 	t0 := time.Now()
 	suite, err := eval.RunSuite("switch-31", eval.SWITCHSpecs(seed+1), eval.SuiteConfig{
@@ -244,7 +229,7 @@ func runE4(workDir string, seed uint64) error {
 	return nil
 }
 
-func runE5(workDir string, seed uint64) error {
+func runE5(workDir string, seed uint64, _ evalFlags) error {
 	header("E5", "flow- vs packet-support on point-to-point UDP floods")
 	t0 := time.Now()
 	rows, err := eval.RunUDPFloodSweep(workDir+"/sweep", nil, 1_000_000, seed*3000)
@@ -270,7 +255,7 @@ func runE5(workDir string, seed uint64) error {
 	return nil
 }
 
-func runE6(workDir string, seed uint64) error {
+func runE6(workDir string, seed uint64, _ evalFlags) error {
 	header("E6", "self-tuning minimum support ablation")
 	t0 := time.Now()
 	rows, err := eval.RunTuningAblation(workDir+"/tuning", nil, seed*4000)
@@ -291,162 +276,6 @@ func runE6(workDir string, seed uint64) error {
 	fmt.Print(t.String())
 	fmt.Println("paper: the extended Apriori \"automatically self-adjust[s] some of its")
 	fmt.Println("configuration parameters to properly select meaningful itemsets\".")
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
-	return nil
-}
-
-func runScan(workDir string, seed uint64, cfg evalFlags) error {
-	header("SCAN", "segment-format scan throughput — v1 fixed rows vs v2 column blocks")
-	t0 := time.Now()
-	rows, err := eval.RunScanBench(workDir+"/scan", eval.ScanBenchConfig{Seed: int64(seed)})
-	if err != nil {
-		return err
-	}
-	t := report.New("", "op", "workload", "format", "matched", "Mrec/s", "speedup vs v1")
-	for _, r := range rows {
-		t.AddRow(r.Op, r.Workload, fmt.Sprintf("v%d", r.Format),
-			fmt.Sprintf("%d", r.Matched), fmt.Sprintf("%.1f", r.MrecPerS),
-			fmt.Sprintf("%.2fx", r.SpeedupV1))
-	}
-	fmt.Print(t.String())
-	fmt.Printf("filter: %q — the selective two-column extraction scan. The clustered\n"+
-		"workload is the paper's shape (one anomaly burst); uniform is v2's worst\n"+
-		"case, where no background block can be skipped.\n", eval.ScanFilter)
-	if cfg.scanMD != "" {
-		var b strings.Builder
-		b.WriteString("# BENCH_scan — segment-format scan throughput\n\n")
-		fmt.Fprintf(&b, "Filter `%s` over 200k records in 4 bins; v1 = fixed 42-byte rows,\n"+
-			"v2 = compressed column blocks with zone maps and vectorized filters.\n\n", eval.ScanFilter)
-		b.WriteString("| op | workload | format | matched | Mrec/s | speedup vs v1 |\n")
-		b.WriteString("|---|---|---|---|---|---|\n")
-		for _, r := range rows {
-			fmt.Fprintf(&b, "| %s | %s | v%d | %d | %.1f | %.2fx |\n",
-				r.Op, r.Workload, r.Format, r.Matched, r.MrecPerS, r.SpeedupV1)
-		}
-		if err := os.WriteFile(cfg.scanMD, []byte(b.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.scanMD)
-	}
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
-	return nil
-}
-
-func runShard(workDir string, seed uint64, cfg evalFlags) error {
-	header("SHARD", "scatter-gather scan throughput — 1/2/4/8 hash-partitioned shards")
-	t0 := time.Now()
-	rows, err := eval.RunShardBench(workDir+"/shard", eval.ScanBenchConfig{Seed: int64(seed)})
-	if err != nil {
-		return err
-	}
-	fmtCluster := func(v float64, suffix string) string {
-		if v == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1f%s", v, suffix)
-	}
-	fmtClusterX := func(v float64) string {
-		if v == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2fx", v)
-	}
-	t := report.New("", "op", "workload", "mode", "shards", "matched",
-		"Mrec/s", "speedup", "cluster Mrec/s", "cluster speedup")
-	for _, r := range rows {
-		t.AddRow(r.Op, r.Workload, r.Mode, fmt.Sprintf("%d", r.Shards),
-			fmt.Sprintf("%d", r.Matched), fmt.Sprintf("%.1f", r.MrecPerS),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmtCluster(r.ClusterMrecPerS, ""), fmtClusterX(r.ClusterSpeedup))
-	}
-	fmt.Print(t.String())
-	fmt.Printf("filter: %q over the scan-bench workloads, hash-partitioned by router.\n"+
-		"\"Mrec/s\" is measured end-to-end on this host (GOMAXPROCS %d); \"cluster\"\n"+
-		"charges each pass the slowest shard's standalone scan — the wall-clock an\n"+
-		"N-node cluster sees. http rows read the 4 shards through loopback HTTP\n"+
-		"peers (framed record streams), measuring the remote-client overhead.\n",
-		eval.ScanFilter, runtime.GOMAXPROCS(0))
-	if cfg.shardMD != "" {
-		var b strings.Builder
-		b.WriteString("# BENCH_shard — scatter-gather scan throughput\n\n")
-		fmt.Fprintf(&b, "Filter `%s` over the scan-bench workloads (200k records, 4 bins,\n"+
-			"v2 segments), hash-partitioned by router into 1/2/4/8 shards. `Mrec/s` is\n"+
-			"measured end-to-end on this host (GOMAXPROCS %d, so in-process fan-out\n"+
-			"cannot exceed the core count); `cluster Mrec/s` charges each pass the\n"+
-			"slowest shard's standalone scan time — the wall-clock an N-node cluster\n"+
-			"sees when every node scans its own shard concurrently. `http` rows read\n"+
-			"the 4-shard store through loopback HTTP peers (framed 42-byte record\n"+
-			"streams for query, JSON merges for count), measuring remote-client\n"+
-			"overhead against the in-process 4-shard rows. Matched-flow counts are\n"+
-			"asserted identical across all modes before any row is reported.\n\n",
-			eval.ScanFilter, runtime.GOMAXPROCS(0))
-		b.WriteString("| op | workload | mode | shards | matched | Mrec/s | speedup | cluster Mrec/s | cluster speedup |\n")
-		b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
-		for _, r := range rows {
-			fmt.Fprintf(&b, "| %s | %s | %s | %d | %d | %.1f | %.2fx | %s | %s |\n",
-				r.Op, r.Workload, r.Mode, r.Shards, r.Matched, r.MrecPerS,
-				r.Speedup, fmtCluster(r.ClusterMrecPerS, ""), fmtClusterX(r.ClusterSpeedup))
-		}
-		if err := os.WriteFile(cfg.shardMD, []byte(b.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.shardMD)
-	}
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
-	return nil
-}
-
-func runStream(workDir string, seed uint64, cfg evalFlags) error {
-	header("STREAM", "live-pipeline ingest throughput and seal-to-incident latency")
-	t0 := time.Now()
-	rows, err := eval.RunStreamBench(workDir+"/stream", eval.StreamBenchConfig{Seed: seed * 42})
-	if err != nil {
-		return err
-	}
-	fmtRank := func(r eval.StreamBenchRow) string {
-		if r.Mode != "auto-extract" {
-			return "-"
-		}
-		return fmt.Sprintf("%d", r.TruthRank)
-	}
-	t := report.New("", "mode", "records", "rec/s", "drain ms", "sealed bins",
-		"incidents", "extracted", "seal->incident ms (mean/max)", "seal->extracted ms", "truth rank")
-	for _, r := range rows {
-		t.AddRow(r.Mode, fmt.Sprintf("%d", r.Records), fmt.Sprintf("%.0f", r.RecsPerS),
-			fmt.Sprintf("%.0f", r.DrainMS), fmt.Sprintf("%d", r.SealedBins),
-			fmt.Sprintf("%d", r.Incidents), fmt.Sprintf("%d", r.Extracted),
-			fmt.Sprintf("%.1f / %.1f", r.MeanIncidentMS, r.MaxIncidentMS),
-			fmt.Sprintf("%.1f", r.MeanExtractMS), fmtRank(r))
-	}
-	fmt.Print(t.String())
-	fmt.Println("ddos-syn replayed flat out through the live ingest path. Latency runs")
-	fmt.Println("from the stream clock passing a bin's end (the moment it may seal) to")
-	fmt.Println("the watcher publishing the incident / finished extraction.")
-	if cfg.streamMD != "" {
-		var b strings.Builder
-		b.WriteString("# BENCH_stream — live-pipeline throughput and latency\n\n")
-		b.WriteString("The ddos-syn catalog scenario replayed flat out through the live ingest\n" +
-			"path (`rcad -live`'s machinery: bounded ingest buffer, online CUSUM +\n" +
-			"heavy-hitter detectors, self-sealing bins, incident watcher). Latency is\n" +
-			"measured from the stream clock passing a bin's end — the moment the\n" +
-			"pipeline may seal it — to the watcher publishing the incident (correlation\n" +
-			"+ job submission) or the finished extraction. `detect-only` disables\n" +
-			"auto-extraction; `auto-extract` is the full packets-to-root-cause loop,\n" +
-			"and its truth rank asserts the extracted itemset names the injected flood\n" +
-			"(1 = top-ranked).\n\n")
-		b.WriteString("| mode | records | rec/s | drain ms | sealed bins | incidents | extracted | seal→incident ms (mean/max) | seal→extracted ms | truth rank |\n")
-		b.WriteString("|---|---|---|---|---|---|---|---|---|---|\n")
-		for _, r := range rows {
-			fmt.Fprintf(&b, "| %s | %d | %.0f | %.0f | %d | %d | %d | %.1f / %.1f | %.1f | %s |\n",
-				r.Mode, r.Records, r.RecsPerS, r.DrainMS, r.SealedBins,
-				r.Incidents, r.Extracted, r.MeanIncidentMS, r.MaxIncidentMS,
-				r.MeanExtractMS, fmtRank(r))
-		}
-		if err := os.WriteFile(cfg.streamMD, []byte(b.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.streamMD)
-	}
 	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strings"
 	"syscall"
@@ -22,7 +21,7 @@ import (
 
 // TestIntegrationHTTP boots the real rcad binary against a generated
 // store and drives the job API over the wire: submit → poll → result →
-// cancel, plus the legacy synchronous wrapper, then a clean SIGTERM
+// cancel, plus the synchronous wrapper, then a clean SIGTERM
 // shutdown. This is the CI http-integration job's entry point (run
 // under -race).
 func TestIntegrationHTTP(t *testing.T) {
@@ -148,13 +147,6 @@ func TestIntegrationHTTP(t *testing.T) {
 	if health.Status != "ok" || !health.HasData {
 		t.Fatalf("health = %+v", health)
 	}
-	// Alias smoke: the pre-v1 path is the same handler (TestRouteAliases
-	// walks the whole table in-process).
-	var v1Health, aliasHealth map[string]any
-	get("/api/v1/health", &v1Health)
-	if code := get("/api/health", &aliasHealth); code != http.StatusOK || !reflect.DeepEqual(v1Health, aliasHealth) {
-		t.Fatalf("GET /api/health (%d) = %v, want the /api/v1/health answer %v", code, aliasHealth, v1Health)
-	}
 
 	// Submit → poll → result.
 	var submitted struct {
@@ -217,21 +209,21 @@ func TestIntegrationHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var legacy struct {
+	var direct struct {
 		Itemsets []struct {
 			Items string `json:"items"`
 		} `json:"itemsets"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&direct); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(legacy.Itemsets) == 0 {
-		t.Fatalf("legacy extract: status %d, %d itemsets", resp.StatusCode, len(legacy.Itemsets))
+	if resp.StatusCode != http.StatusOK || len(direct.Itemsets) == 0 {
+		t.Fatalf("sync extract: status %d, %d itemsets", resp.StatusCode, len(direct.Itemsets))
 	}
-	if legacy.Itemsets[0].Items != result.Result.Itemsets[0].Items {
-		t.Fatalf("legacy top itemset %q != job top itemset %q",
-			legacy.Itemsets[0].Items, result.Result.Itemsets[0].Items)
+	if direct.Itemsets[0].Items != result.Result.Itemsets[0].Items {
+		t.Fatalf("sync top itemset %q != job top itemset %q",
+			direct.Itemsets[0].Items, result.Result.Itemsets[0].Items)
 	}
 
 	// Submit a long batch and cancel it over the wire.

@@ -90,15 +90,10 @@ with nfdump-style filters, and recording verdicts. Extractions run as
 asynchronous jobs on a bounded worker pool; the synchronous endpoints
 submit to the same pool and wait.
 
-Endpoints, all under /api/v1 (docs/api.md has bodies and status codes;
-rows marked * also answer at the old /api/<path> until next release):
+Endpoints, all under /api/v1 (docs/api.md has bodies and status codes):
 `)
 		for _, rt := range routeTable {
-			alias := " "
-			if rt.legacy {
-				alias = "*"
-			}
-			fmt.Fprintf(out, "%s %-6s %-24s %s\n", alias, rt.method, rt.path, rt.doc)
+			fmt.Fprintf(out, "  %-6s %-24s %s\n", rt.method, rt.path, rt.doc)
 		}
 		fmt.Fprint(out, `
 Cluster mode:

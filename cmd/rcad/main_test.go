@@ -255,7 +255,7 @@ func TestDetectEndpoint(t *testing.T) {
 		t.Fatalf("registered detector missing from %v", listing.Detectors)
 	}
 
-	// ...and usable: POST /api/detect files its alarms.
+	// ...and usable: POST /api/v1/detect files its alarms.
 	resp, err := http.Post(srv.URL+"/api/v1/detect", "application/json",
 		strings.NewReader(`{"detector":"http-test-detector","from":1300000200,"to":1300001400}`))
 	if err != nil {
@@ -419,7 +419,7 @@ func TestExtractEndpointMinerSelection(t *testing.T) {
 	}
 }
 
-// TestExtractBatchMinerSelection drives /api/extract-batch with the
+// TestExtractBatchMinerSelection drives /api/v1/extract-batch with the
 // fpgrowth miner end-to-end.
 func TestExtractBatchMinerSelection(t *testing.T) {
 	srv, id := newTestServer(t)
@@ -556,37 +556,30 @@ func TestV1SubmitPollResult(t *testing.T) {
 	}
 }
 
-// TestV1LegacyEquivalence: the legacy synchronous endpoint (wrapped
-// over the job manager) returns exactly the payload the v1 job result
+// TestSyncExtractEqualsJobResult: the synchronous endpoint (submit +
+// wait on the job manager) returns exactly the payload the job result
 // carries — one code path, one answer.
-func TestV1LegacyEquivalence(t *testing.T) {
+func TestSyncExtractEqualsJobResult(t *testing.T) {
 	srv, id := newTestServer(t)
-	// Legacy payload.
-	resp, err := http.Post(srv.URL+"/api/alarms/"+id+"/extract", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	var direct extractResponse
+	if code := postJSON(t, srv.URL+"/api/v1/alarms/"+id+"/extract", "", &direct); code != http.StatusOK {
+		t.Fatalf("sync extract: status %d", code)
 	}
-	var legacy extractResponse
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
+	if len(direct.Itemsets) == 0 {
+		t.Fatal("sync extract returned no itemsets")
 	}
-	resp.Body.Close()
-	if len(legacy.Itemsets) == 0 {
-		t.Fatal("legacy extract returned no itemsets")
-	}
-	// v1 job result.
 	var env jobEnvelope
 	postJSON(t, srv.URL+"/api/v1/jobs", `{"alarm_id":"`+id+`"}`, &env)
 	pollJobState(t, srv.URL, env.Job.ID, "done")
-	var v1 struct {
+	var job struct {
 		Result extractResponse `json:"result"`
 	}
-	getJSON(t, srv.URL+"/api/v1/jobs/"+env.Job.ID+"/result", &v1)
+	getJSON(t, srv.URL+"/api/v1/jobs/"+env.Job.ID+"/result", &job)
 
-	lraw, _ := json.Marshal(legacy)
-	vraw, _ := json.Marshal(v1.Result)
-	if string(lraw) != string(vraw) {
-		t.Fatalf("legacy and v1 payloads diverge:\nlegacy %s\n    v1 %s", lraw, vraw)
+	sraw, _ := json.Marshal(direct)
+	jraw, _ := json.Marshal(job.Result)
+	if string(sraw) != string(jraw) {
+		t.Fatalf("sync and job payloads diverge:\nsync %s\n job %s", sraw, jraw)
 	}
 }
 
@@ -880,7 +873,7 @@ func TestV1EventsClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestHealthReportsJobs: /api/health counts jobs by state and open
+// TestHealthReportsJobs: /api/v1/health counts jobs by state and open
 // event streams.
 func TestHealthReportsJobs(t *testing.T) {
 	srv, id := newTestServer(t)

@@ -26,40 +26,39 @@ import (
 type route struct {
 	method string // "" matches any method (the shard sub-tree)
 	path   string // under /api/v1
-	legacy bool   // also answered at /api+path; the aliases are removed next round
 	handle func(*server, http.ResponseWriter, *http.Request) (any, error)
 	doc    string
 }
 
 var routeTable = []route{
-	{"GET", "/health", true, (*server).handleHealth, "status, store span, scan/job/incident census; with -live the stream census, sharded the per-shard rows"},
-	{"GET", "/detectors", true, (*server).handleDetectors, "registered detector names"},
-	{"GET", "/miners", true, (*server).handleMiners, "registered miner names"},
-	{"POST", "/detect", true, (*server).handleDetect, `run a detector, file its alarms: {"detector":"netreflex","from":U,"to":U}`},
-	{"GET", "/alarms", true, (*server).handleAlarms, "stored alarms overlapping ?from=U&to=U"},
-	{"GET", "/alarms/{id}", true, (*server).handleAlarm, "one stored alarm"},
-	{"POST", "/alarms/{id}/extract", true, (*server).handleExtract, `extract now (submit + wait): optional {"miner":"fpgrowth","ranking":"lift"}`},
-	{"POST", "/alarms/{id}/verdict", true, (*server).handleVerdict, `record the operator verdict: {"validated":true,"note":"..."}`},
-	{"POST", "/extract-batch", true, (*server).handleExtractBatch, `extract many, one NDJSON line per alarm as it completes: {"alarm_ids":["1","2"],"concurrency":4}`},
-	{"GET", "/flows", true, (*server).handleFlows, "drill-down to raw flows: ?from=U&to=U&filter=EXPR&limit=N"},
-	{"POST", "/jobs", false, (*server).handleJobSubmit, `queue an extraction (202, or 429 + Retry-After): {"alarm_id":"1"} | {"alarm_ids":[...]} | {"incident_id":"i1"}`},
-	{"GET", "/jobs", false, (*server).handleJobList, "queued, running and retained jobs"},
-	{"GET", "/jobs/{id}", false, (*server).handleJobGet, "status + live progress"},
-	{"DELETE", "/jobs/{id}", false, (*server).handleJobCancel, "cancel a queued or running job"},
-	{"GET", "/jobs/{id}/result", false, (*server).handleJobResult, "outcome of a finished job (409 while unfinished)"},
-	{"GET", "/jobs/{id}/events", false, (*server).handleJobEvents, "SSE stream of status/progress events"},
-	{"POST", "/correlate", false, (*server).handleCorrelate, `dedup + correlate stored alarms into incidents: optional {"from":U,"to":U,"dedup_window":300,"cluster_gap":600,"min_confidence":0.5}`},
-	{"GET", "/incidents", false, (*server).handleIncidents, "stored incidents overlapping ?from=U&to=U"},
-	{"GET", "/incidents/{id}", false, (*server).handleIncident, "one incident + member alarms + lead-lag chain"},
-	{"POST", "/incidents/{id}/extract", false, (*server).handleIncidentExtract, `queue the incident's ONE extraction job (202): optional {"miner":..,"ranking":..}`},
-	{"POST", "/stream/ingest", false, (*server).handleStreamIngest, "with -live: NDJSON flow records, ingested continuously under backpressure"},
-	{"GET", "/stream/incidents", false, (*server).handleStreamIncidents, "with -live: SSE tail of auto-correlated, auto-extracted incidents"},
-	{"", "/shard/", false, (*server).handleShard, "this node's store as one cluster shard, for coordinators started with -peers"},
+	{"GET", "/health", (*server).handleHealth, "status, store span, scan/job/incident census; with -live the stream census, sharded the per-shard rows"},
+	{"GET", "/detectors", (*server).handleDetectors, "registered detector names"},
+	{"GET", "/miners", (*server).handleMiners, "registered miner names"},
+	{"POST", "/detect", (*server).handleDetect, `run a detector, file its alarms: {"detector":"netreflex","from":U,"to":U}`},
+	{"GET", "/alarms", (*server).handleAlarms, "stored alarms overlapping ?from=U&to=U"},
+	{"GET", "/alarms/{id}", (*server).handleAlarm, "one stored alarm"},
+	{"POST", "/alarms/{id}/extract", (*server).handleExtract, `extract now (submit + wait): optional {"miner":"fpgrowth","ranking":"lift"}`},
+	{"POST", "/alarms/{id}/verdict", (*server).handleVerdict, `record the operator verdict: {"validated":true,"note":"..."}`},
+	{"POST", "/extract-batch", (*server).handleExtractBatch, `extract many, one NDJSON line per alarm as it completes: {"alarm_ids":["1","2"],"concurrency":4}`},
+	{"GET", "/flows", (*server).handleFlows, "drill-down to raw flows: ?from=U&to=U&filter=EXPR&limit=N"},
+	{"POST", "/jobs", (*server).handleJobSubmit, `queue an extraction (202, or 429 + Retry-After): {"alarm_id":"1"} | {"alarm_ids":[...]} | {"incident_id":"i1"}`},
+	{"GET", "/jobs", (*server).handleJobList, "queued, running and retained jobs"},
+	{"GET", "/jobs/{id}", (*server).handleJobGet, "status + live progress"},
+	{"DELETE", "/jobs/{id}", (*server).handleJobCancel, "cancel a queued or running job"},
+	{"GET", "/jobs/{id}/result", (*server).handleJobResult, "outcome of a finished job (409 while unfinished)"},
+	{"GET", "/jobs/{id}/events", (*server).handleJobEvents, "SSE stream of status/progress events"},
+	{"POST", "/correlate", (*server).handleCorrelate, `dedup + correlate stored alarms into incidents: optional {"from":U,"to":U,"dedup_window":300,"cluster_gap":600,"min_confidence":0.5}`},
+	{"GET", "/incidents", (*server).handleIncidents, "stored incidents overlapping ?from=U&to=U"},
+	{"GET", "/incidents/{id}", (*server).handleIncident, "one incident + member alarms + lead-lag chain"},
+	{"POST", "/incidents/{id}/extract", (*server).handleIncidentExtract, `queue the incident's ONE extraction job (202): optional {"miner":..,"ranking":..}`},
+	{"POST", "/stream/ingest", (*server).handleStreamIngest, "with -live: NDJSON flow records, ingested continuously under backpressure"},
+	{"GET", "/stream/incidents", (*server).handleStreamIncidents, "with -live: SSE tail of auto-correlated, auto-extracted incidents"},
+	{"", "/shard/", (*server).handleShard, "this node's store as one cluster shard, for coordinators started with -peers"},
 }
 
-// pattern is the route's ServeMux pattern under prefix.
-func (rt route) pattern(prefix string) string {
-	return strings.TrimSpace(rt.method + " " + prefix + rt.path)
+// pattern is the route's ServeMux pattern.
+func (rt route) pattern() string {
+	return strings.TrimSpace(rt.method + " /api/v1" + rt.path)
 }
 
 // server holds the handler state.
@@ -86,10 +85,7 @@ func (s *server) routes() http.Handler {
 				writeJSON(w, http.StatusOK, v)
 			}
 		})
-		mux.Handle(rt.pattern("/api/v1"), h)
-		if rt.legacy {
-			mux.Handle(rt.pattern("/api"), h)
-		}
+		mux.Handle(rt.pattern(), h)
 	}
 	return mux
 }

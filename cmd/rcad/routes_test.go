@@ -20,37 +20,44 @@ import (
 	"repro/internal/flow"
 )
 
-// aliasFixtures gives every legacy-aliased route a concrete request on
-// the seeded fixture of newTestServer ({id} = its one filed alarm).
-var aliasFixtures = map[string]struct{ path, body string }{
-	"GET /health":                {"/health", ""},
-	"GET /detectors":             {"/detectors", ""},
-	"GET /miners":                {"/miners", ""},
-	"POST /detect":               {"/detect", `{"detector":"histogram"}`},
-	"GET /alarms":                {"/alarms", ""},
-	"GET /alarms/{id}":           {"/alarms/{id}", ""},
-	"POST /alarms/{id}/extract":  {"/alarms/{id}/extract", `{"miner":"fpgrowth","ranking":"lift"}`},
-	"POST /alarms/{id}/verdict":  {"/alarms/{id}/verdict", `{"validated":true,"note":"seen"}`},
-	"POST /extract-batch":        {"/extract-batch", `{"alarm_ids":["{id}","404"],"concurrency":1}`},
-	"GET /flows":                 {"/flows?filter=src+ip+10.191.64.165&limit=3", ""},
-	"GET /flows (bad filter)":    {"/flows?filter=banana", ""},
-	"GET /alarms/{id} (unknown)": {"/alarms/404", ""},
+// routeFixtures gives each of the ten routes that predate /api/v1 a
+// concrete request on the seeded fixture of newTestServer ({id} = its
+// one filed alarm), plus one 400 and one 404 through the error map.
+var routeFixtures = []struct {
+	method, path, body string
+	status             int
+}{
+	{"GET", "/health", "", 200},
+	{"GET", "/detectors", "", 200},
+	{"GET", "/miners", "", 200},
+	{"POST", "/detect", `{"detector":"histogram"}`, 200},
+	{"GET", "/alarms", "", 200},
+	{"GET", "/alarms/{id}", "", 200},
+	{"POST", "/alarms/{id}/extract", `{"miner":"fpgrowth","ranking":"lift"}`, 200},
+	{"POST", "/alarms/{id}/verdict", `{"validated":true,"note":"seen"}`, 200},
+	{"POST", "/extract-batch", `{"alarm_ids":["{id}","404"],"concurrency":1}`, 200},
+	{"GET", "/flows?filter=src+ip+10.191.64.165&limit=3", "", 200},
+	{"GET", "/flows?filter=banana", "", 400},
+	{"GET", "/alarms/404", "", 404},
 }
 
-// TestRouteAliases: the legacy /api/<x> paths are the same handlers as
-// /api/v1/<x>, so they cannot drift. Two identical seeded servers run
-// the same request sequence, one through each prefix; status, content
-// type and body must match row by row. Every route-table row must also
-// be documented in docs/api.md.
-func TestRouteAliases(t *testing.T) {
-	legacySrv, id := newTestServer(t)
-	v1Srv, id2 := newTestServer(t)
-	if id != id2 {
-		t.Fatalf("fixture alarm IDs differ: %q vs %q", id, id2)
+// TestRoutesDocumented: every route-table row is documented in
+// docs/api.md, every fixture reaches its handler under /api/v1, and the
+// pre-v1 /api/<x> paths are gone — the mux's own 404, not a handler's.
+func TestRoutesDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "api.md"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	do := func(base, method, path, body string) (int, string, string) {
+	for _, rt := range routeTable {
+		if !strings.Contains(string(doc), rt.pattern()) {
+			t.Errorf("docs/api.md does not document %q", rt.pattern())
+		}
+	}
+	srv, id := newTestServer(t)
+	do := func(method, path, body string) (int, string) {
 		t.Helper()
-		req, err := http.NewRequest(method, base+strings.ReplaceAll(path, "{id}", id),
+		req, err := http.NewRequest(method, srv.URL+strings.ReplaceAll(path, "{id}", id),
 			strings.NewReader(strings.ReplaceAll(body, "{id}", id)))
 		if err != nil {
 			t.Fatal(err)
@@ -60,44 +67,17 @@ func TestRouteAliases(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, resp.Header.Get("Content-Type"), string(raw)
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, resp.Header.Get("Content-Type")
 	}
-	compare := func(method, key string) {
-		t.Helper()
-		fx, ok := aliasFixtures[key]
-		if !ok {
-			t.Errorf("route %q has a legacy alias but no fixture in aliasFixtures", key)
-			return
+	for _, fx := range routeFixtures {
+		if code, _ := do(fx.method, "/api/v1"+fx.path, fx.body); code != fx.status {
+			t.Errorf("%s /api/v1%s: status %d, want %d", fx.method, fx.path, code, fx.status)
 		}
-		lc, lt, lb := do(legacySrv.URL, method, "/api"+fx.path, fx.body)
-		vc, vt, vb := do(v1Srv.URL, method, "/api/v1"+fx.path, fx.body)
-		t.Logf("%-28s %d %s (%d bytes)", key, vc, vt, len(vb))
-		if lc != vc || lt != vt || lb != vb {
-			t.Errorf("%s diverges:\nlegacy %d %s %s\n    v1 %d %s %s", key, lc, lt, lb, vc, vt, vb)
-		}
-		if vc == http.StatusNotFound && !strings.Contains(key, "unknown") {
-			t.Errorf("%s answered 404: the fixture does not reach the handler", key)
+		if code, ct := do(fx.method, "/api"+fx.path, fx.body); code != http.StatusNotFound || strings.Contains(ct, "json") {
+			t.Errorf("%s /api%s: status %d (%s), want the mux's 404", fx.method, fx.path, code, ct)
 		}
 	}
-	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "api.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rt := range routeTable {
-		if !strings.Contains(string(doc), rt.pattern("/api/v1")) {
-			t.Errorf("docs/api.md does not document %q", rt.pattern("/api/v1"))
-		}
-		if rt.legacy {
-			compare(rt.method, rt.method+" "+rt.path)
-		}
-	}
-	// The error map is shared too: a 400 and a 404 through both prefixes.
-	compare("GET", "GET /flows (bad filter)")
-	compare("GET", "GET /alarms/{id} (unknown)")
 }
 
 // TestBodyLimits: the one decoder bounds the body and consumes it

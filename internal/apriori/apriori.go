@@ -117,16 +117,26 @@ func sortSets(sets []itemset.Set) {
 	})
 }
 
-// generateCandidates produces the level-k candidate map (keyed by Set.Key)
+// setKey is an itemset as a comparable map key: its items in order,
+// zero-padded. Every map holds sets of one length, so the padding is
+// unambiguous, and a key costs no allocation in the counting scan.
+type setKey [flow.NumFeatures]itemset.Item
+
+func keyOf(s itemset.Set) (k setKey) {
+	copy(k[:], s)
+	return k
+}
+
+// generateCandidates produces the level-k candidate map (keyed by keyOf)
 // from the lexicographically sorted frequent (k-1)-sets, using the classic
 // prefix join followed by the Apriori prune, plus the domain prune: items
 // of the same traffic feature never combine.
-func generateCandidates(level []itemset.Set, k int) map[string]itemset.Set {
-	candidates := make(map[string]itemset.Set)
+func generateCandidates(level []itemset.Set, k int) map[setKey]itemset.Set {
+	candidates := make(map[setKey]itemset.Set)
 	// Index of (k-1)-set keys for the prune step.
-	prev := make(map[string]bool, len(level))
+	prev := make(map[setKey]bool, len(level))
 	for _, s := range level {
-		prev[s.Key()] = true
+		prev[keyOf(s)] = true
 	}
 	for i := 0; i < len(level); i++ {
 		for j := i + 1; j < len(level); j++ {
@@ -150,7 +160,7 @@ func generateCandidates(level []itemset.Set, k int) map[string]itemset.Set {
 			if !allSubsetsFrequent(cand, prev) {
 				continue
 			}
-			candidates[cand.Key()] = cand
+			candidates[keyOf(cand)] = cand
 		}
 	}
 	return candidates
@@ -169,7 +179,7 @@ func samePrefix(a, b itemset.Set) bool {
 
 // allSubsetsFrequent applies the Apriori property: every (k-1)-subset of a
 // candidate must itself be frequent.
-func allSubsetsFrequent(cand itemset.Set, prev map[string]bool) bool {
+func allSubsetsFrequent(cand itemset.Set, prev map[setKey]bool) bool {
 	sub := make(itemset.Set, len(cand)-1)
 	for drop := range cand {
 		sub = sub[:0]
@@ -178,7 +188,7 @@ func allSubsetsFrequent(cand itemset.Set, prev map[string]bool) bool {
 				sub = append(sub, it)
 			}
 		}
-		if !prev[sub.Key()] {
+		if !prev[keyOf(sub)] {
 			return false
 		}
 	}
@@ -188,8 +198,8 @@ func allSubsetsFrequent(cand itemset.Set, prev map[string]bool) bool {
 // countCandidates scans the dataset once, enumerating each transaction's
 // k-subsets over frequent items and accumulating support for those that
 // are candidates.
-func countCandidates(ctx context.Context, ds *itemset.Dataset, candidates map[string]itemset.Set, frequentItem map[itemset.Item]bool, k int, byPackets bool) (map[string]uint64, error) {
-	supports := make(map[string]uint64, len(candidates))
+func countCandidates(ctx context.Context, ds *itemset.Dataset, candidates map[setKey]itemset.Set, frequentItem map[itemset.Item]bool, k int, byPackets bool) (map[setKey]uint64, error) {
+	supports := make(map[setKey]uint64, len(candidates))
 	var buf itemset.Set      // scratch subset
 	var items []itemset.Item // frequent items of the current transaction
 	for i := 0; i < ds.Len(); i++ {
@@ -210,7 +220,7 @@ func countCandidates(ctx context.Context, ds *itemset.Dataset, candidates map[st
 		}
 		w := tx.Weight(byPackets)
 		enumerateSubsets(items, k, &buf, func(sub itemset.Set) {
-			key := sub.Key()
+			key := keyOf(sub)
 			if _, ok := candidates[key]; ok {
 				supports[key] += w
 			}

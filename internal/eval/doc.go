@@ -3,7 +3,8 @@
 // evaluation suites (the 40-alarm GEANT evaluation with 1/100 sampling,
 // the 31-anomaly SWITCH evaluation with the histogram/KL detector, the
 // Table 1 scenario, the flow-vs-packet support sweep and the self-tuning
-// ablation). EXPERIMENTS.md records paper-vs-measured for each.
+// ablation). TestPaperBands gates each reproduced statistic on the
+// paper's band; cmd/benchreport prints paper-vs-measured.
 //
 // On top of the paper's suites, RunMatrix drives the reproducible
 // evaluation pipeline: every scenario-catalog entry (internal/gen) is

@@ -221,9 +221,10 @@ func TestRunSuiteSubset(t *testing.T) {
 func TestRunTable1SmallScale(t *testing.T) {
 	// The full Table 1 runs ~660K anomaly flows; tests use a scaled-down
 	// variant through the same code path by checking the real scenario's
-	// structure on the first rows only — the full-size run is executed by
-	// the benchmark suite. Here: verify the helper wiring end to end on
-	// the default config but trimmed via RunUDPFloodSweep-style smoke.
+	// structure on the first rows only — the full-size run is
+	// TestPaperBands/E1-table1. Here: verify the helper wiring end to
+	// end on the default config but trimmed via RunUDPFloodSweep-style
+	// smoke.
 	rows, err := RunUDPFloodSweep(t.TempDir(), []int{4}, 1_000_000, 5)
 	if err != nil {
 		t.Fatal(err)

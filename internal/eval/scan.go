@@ -1,63 +1,18 @@
 package eval
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
-	"os"
-	"time"
 
 	"repro/internal/flow"
-	"repro/internal/nffilter"
 	"repro/internal/nfstore"
 )
 
-// Scan-format benchmark: the same selective two-column filter the
-// root-cause loop issues ("proto udp and dst port 53"), timed against
-// identical traces stored as v1 fixed rows and v2 column blocks. Two
-// workloads bracket the formats: "clustered" places every matching flow
-// in one anomaly burst (the paper's extraction shape — v2 skips the
-// full decode of every background block), "uniform" spreads matches
-// evenly (v2's worst case: every block decodes the filter columns and
-// materializes survivors). bench_test.go's BenchmarkStoreScanFormats
-// and `benchreport -exp scan` both run on this workload.
+// The scan workload of bench/ (scan-clustered, scan-uniform and
+// scan-sharded fill their stores and take their filter from here).
 
-// ScanBenchConfig sizes the scan-format benchmark.
-type ScanBenchConfig struct {
-	Records int           // records per store (0 = 200 000)
-	Bins    int           // 300 s segments per store (0 = 4)
-	Seed    int64         // workload seed (0 = 1)
-	MinTime time.Duration // minimum measurement time per cell (0 = 500 ms)
-}
-
-func (c ScanBenchConfig) withDefaults() ScanBenchConfig {
-	if c.Records == 0 {
-		c.Records = 200_000
-	}
-	if c.Bins == 0 {
-		c.Bins = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.MinTime == 0 {
-		c.MinTime = 500 * time.Millisecond
-	}
-	return c
-}
-
-// ScanFilter is the selective two-column filter every scan cell runs.
+// ScanFilter is the selective two-column filter the root-cause loop
+// issues and every scan workload runs.
 const ScanFilter = "proto udp and dst port 53"
-
-// ScanRow is one measured cell of the scan-format benchmark.
-type ScanRow struct {
-	Op        string  `json:"op"`       // "query" or "count"
-	Workload  string  `json:"workload"` // "clustered" or "uniform"
-	Format    uint16  `json:"format"`
-	Matched   uint64  `json:"matched_flows"` // flows the filter selects per pass
-	MrecPerS  float64 `json:"mrec_per_s"`
-	SpeedupV1 float64 `json:"speedup_vs_v1"` // same op+workload, v1 = 1.0
-}
 
 // FillScanStore populates s with the benchmark trace: a background mix
 // across bins 300-second bins with ~4% UDP:53 traffic. clustered=true
@@ -118,95 +73,4 @@ func FillScanStore(s nfstore.Engine, clustered bool, records, bins int, seed int
 		}
 	}
 	return s.Flush()
-}
-
-// RunScanBench builds v1 and v2 stores for both workloads and times the
-// filtered Query and Count paths on each, returning one row per cell
-// with v1-relative speedups filled in.
-func RunScanBench(workDir string, cfg ScanBenchConfig) ([]ScanRow, error) {
-	cfg = cfg.withDefaults()
-	filter, err := nffilter.Parse(ScanFilter)
-	if err != nil {
-		return nil, err
-	}
-	iv := flow.Interval{Start: 0, End: uint32(cfg.Bins * 300)}
-	var rows []ScanRow
-	for _, workload := range []string{"clustered", "uniform"} {
-		base := make(map[string]float64) // op -> v1 Mrec/s
-		for _, format := range []uint16{nfstore.FormatV1, nfstore.FormatV2} {
-			dir := fmt.Sprintf("%s/scan-%s-v%d", workDir, workload, format)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, err
-			}
-			s, err := nfstore.CreateFormat(dir, 300, format)
-			if err != nil {
-				return nil, err
-			}
-			err = FillScanStore(s, workload == "clustered", cfg.Records, cfg.Bins, cfg.Seed)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			for _, op := range []string{"query", "count"} {
-				row, err := measureScan(s, op, filter, iv, cfg)
-				if err != nil {
-					s.Close()
-					return nil, err
-				}
-				row.Workload = workload
-				row.Format = format
-				if format == nfstore.FormatV1 {
-					base[op] = row.MrecPerS
-					row.SpeedupV1 = 1
-				} else if base[op] > 0 {
-					row.SpeedupV1 = row.MrecPerS / base[op]
-				}
-				rows = append(rows, row)
-			}
-			if err := s.Close(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return rows, nil
-}
-
-// measureScan times one op against one store until MinTime has elapsed
-// (always at least two passes: the first doubles as warmup for the OS
-// page cache and the zone-map cache).
-func measureScan(s nfstore.Engine, op string, filter *nffilter.Filter, iv flow.Interval, cfg ScanBenchConfig) (ScanRow, error) {
-	ctx := context.Background()
-	pass := func() (uint64, error) {
-		if op == "count" {
-			flows, _, _, err := s.Count(ctx, iv, filter)
-			return flows, err
-		}
-		var n uint64
-		err := s.Query(ctx, iv, filter, func(*flow.Record) error {
-			n++
-			return nil
-		})
-		return n, err
-	}
-	matched, err := pass()
-	if err != nil {
-		return ScanRow{}, err
-	}
-	if matched == 0 {
-		return ScanRow{}, fmt.Errorf("scan bench: %q matched nothing", ScanFilter)
-	}
-	var passes int
-	t0 := time.Now()
-	for elapsed := time.Duration(0); passes == 0 || elapsed < cfg.MinTime; elapsed = time.Since(t0) {
-		if _, err := pass(); err != nil {
-			return ScanRow{}, err
-		}
-		passes++
-	}
-	secs := time.Since(t0).Seconds()
-	return ScanRow{
-		Op:       op,
-		Matched:  matched,
-		MrecPerS: float64(cfg.Records) * float64(passes) / secs / 1e6,
-	}, nil
 }

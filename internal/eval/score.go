@@ -22,7 +22,8 @@ type ScoreOptions struct {
 	AdditionalFraction float64
 }
 
-// DefaultScoreOptions returns the scoring used by EXPERIMENTS.md.
+// DefaultScoreOptions returns the scoring the paper suites, the eval
+// matrix and the benchmark use.
 func DefaultScoreOptions() ScoreOptions {
 	return ScoreOptions{UsefulPurity: 0.8, AdditionalFraction: 0.5}
 }

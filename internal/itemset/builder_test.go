@@ -150,25 +150,3 @@ func TestMaximalOnlyMatchesAllPairs(t *testing.T) {
 		t.Fatalf("MaximalOnly(nil) = %v", got)
 	}
 }
-
-// BenchmarkMaximalOnly proves the length-bucketed pass beats the
-// all-pairs scan on a ~1k-itemset mining result.
-func BenchmarkMaximalOnly(b *testing.B) {
-	fs := randomFrequent(11, 1000)
-	b.Run("bucketed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := MaximalOnly(fs); len(got) == 0 {
-				b.Fatal("empty result")
-			}
-		}
-	})
-	b.Run("allpairs-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := maximalOnlyAllPairs(fs); len(got) == 0 {
-				b.Fatal("empty result")
-			}
-		}
-	})
-}

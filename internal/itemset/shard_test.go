@@ -1,7 +1,6 @@
 package itemset
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/flow"
@@ -148,65 +147,5 @@ func TestShardBoundsPartition(t *testing.T) {
 		if prev != tc.txs {
 			t.Fatalf("n=%d txs=%d: shards cover %d, want %d", tc.n, tc.txs, prev, tc.txs)
 		}
-	}
-}
-
-// benchDataset builds a >=100k-transaction dataset with distinct tuples
-// (ports spread wide so aggregation keeps them apart).
-func benchDataset(n int) (*Dataset, []Set) {
-	rng := stats.NewRNG(42)
-	txs := make([]Tx, n)
-	for i := range txs {
-		r := flow.Record{
-			SrcIP:   flow.IP(rng.Intn(1 << 16)),
-			DstIP:   flow.IP(rng.Intn(256)),
-			SrcPort: uint16(i),
-			DstPort: uint16(rng.Intn(1024)),
-			Proto:   flow.ProtoTCP,
-		}
-		txs[i] = Tx{Items: ItemsOf(&r), Flows: 1 + uint64(rng.Intn(5)), Packets: uint64(rng.Intn(500))}
-	}
-	ds := FromTxs(txs)
-	sets := randomSets(7, txs, 20)
-	return ds, sets
-}
-
-// BenchmarkSupportCounting compares the serial support pass against the
-// sharded parallel one on a 100k-transaction dataset — the tentpole's
-// claimed speedup. Run with -bench SupportCounting -benchtime to compare.
-func BenchmarkSupportCounting(b *testing.B) {
-	ds, sets := benchDataset(100_000)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"sharded", 0}} {
-		b.Run(fmt.Sprintf("%s/tx=100k/sets=%d", bc.name, len(sets)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				got := ds.SupportAll(sets, bc.workers)
-				if len(got) != len(sets) {
-					b.Fatal("wrong result size")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCoverage compares serial and sharded coverage on the same
-// dataset.
-func BenchmarkCoverage(b *testing.B) {
-	ds, sets := benchDataset(100_000)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"sharded", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if c := ds.Coverage(sets, true, bc.workers); c < 0 || c > 1 {
-					b.Fatalf("coverage %v out of range", c)
-				}
-			}
-		})
 	}
 }

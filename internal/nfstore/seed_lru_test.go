@@ -291,7 +291,7 @@ func TestStoreZoneMapCacheBound(t *testing.T) {
 // matches per-bin Counts, and per-bin planning goes through the shared
 // bin listing (the segments-considered counter grows by exactly the
 // overlapping bin count, as with Count, while ReadDir now happens once —
-// pinned by the benchmark, asserted here via correctness).
+// timed by bench/'s nfstore.summaries_ms, asserted here via correctness).
 func TestSummariesListsBinsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	s := randFilterStore(t, rng, 3000, 16)
@@ -316,38 +316,5 @@ func TestSummariesListsBinsOnce(t *testing.T) {
 	}
 	if total != 3000 {
 		t.Fatalf("summaries total %d flows, want 3000", total)
-	}
-}
-
-// BenchmarkSummariesWarmup measures the warm-up sweep the satellite
-// optimizes: Summaries over every bin of a store whose sidecars are all
-// cached (the directory listing is the remaining per-bin cost).
-func BenchmarkSummariesWarmup(b *testing.B) {
-	rng := rand.New(rand.NewSource(27))
-	s, err := Create(b.TempDir(), 300)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	const bins = 96
-	for i := 0; i < 4800; i++ {
-		r := randRecord(rng, bins*300)
-		if err := s.Add(&r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	span := flow.Interval{Start: 0, End: bins * 300}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sums, err := s.Summaries(context.Background(), span, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(sums) != bins {
-			b.Fatalf("%d summaries", len(sums))
-		}
 	}
 }

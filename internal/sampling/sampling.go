@@ -76,7 +76,7 @@ func (s *Sampler) ApplyAll(rs []flow.Record) []flow.Record {
 
 // SurvivalProb returns the probability that a flow with the given packet
 // count survives 1-in-N sampling: 1 - (1 - 1/N)^packets. Useful for
-// analytical assertions in tests and for the EXPERIMENTS.md narrative.
+// analytical assertions in tests.
 func (s *Sampler) SurvivalProb(packets uint64) float64 {
 	if s.rate == 1 {
 		return 1

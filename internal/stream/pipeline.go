@@ -44,7 +44,7 @@ type Config struct {
 }
 
 // Stats is a point-in-time census of the pipeline, surfaced through the
-// facade and rcad's /api/health.
+// facade and rcad's /api/v1/health.
 type Stats struct {
 	// Ingested counts records accepted and appended to the store.
 	Ingested uint64 `json:"ingested"`

@@ -82,7 +82,7 @@ type StreamEvent struct {
 
 // StreamStats is the live-mode census: the pipeline's ingest counters
 // plus the watcher's incident-automation counters. Surfaced by
-// System.StreamStats and rcad's /api/health.
+// System.StreamStats and rcad's /api/v1/health.
 type StreamStats struct {
 	stream.Stats
 	// WatcherBacklog is how many sealed-bin alarm batches wait for the
