@@ -63,8 +63,6 @@ func main() {
 			"submitted jobs that may wait beyond the running ones before 429 (0 = 64)")
 		resultTTL = flag.Duration("result-ttl", 0,
 			"how long finished job results stay fetchable (0 = 15m)")
-		zmCache = flag.Int("zonemap-cache", 0,
-			"decoded zone-map sidecars cached in memory, LRU beyond (0 = 4096)")
 		segFormat = flag.Int("segment-format", 0,
 			"on-disk format for newly created segments: 1 = fixed rows, 2 = column blocks (0 = store default)")
 		peers = flag.String("peers", "",
@@ -122,7 +120,6 @@ Flags:
 		rootcause.WithJobWorkers(*jobWorkers),
 		rootcause.WithJobQueueDepth(*jobQueue),
 		rootcause.WithResultTTL(*resultTTL),
-		rootcause.WithZoneMapCacheSize(*zmCache),
 		rootcause.WithSegmentFormat(uint16(*segFormat)),
 		rootcause.WithDegradedReads(*degraded),
 	}

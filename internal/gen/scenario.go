@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/flow"
-	"repro/internal/nfstore"
 	"repro/internal/sampling"
 	"repro/internal/stats"
 )
@@ -95,10 +94,19 @@ func (t *Truth) Entry(anno flow.Annotation) *TruthEntry {
 	return &t.Entries[i]
 }
 
-// Generate writes the scenario into store and returns the ground truth.
-// The store's bin width defines the measurement bin; StartTime is aligned
-// down to it.
-func (s *Scenario) Generate(store nfstore.Engine) (*Truth, error) {
+// sink is what Generate writes into: any nfstore.Engine, or a capture
+// such as stream.Collector.
+type sink interface {
+	BinSeconds() uint32
+	Add(r *flow.Record) error
+	Flush() error
+}
+
+// Generate writes the scenario into store — an nfstore.Engine or any
+// other sink with BinSeconds, Add and Flush — and returns the ground
+// truth. The store's bin width defines the measurement bin; StartTime is
+// aligned down to it.
+func (s *Scenario) Generate(store sink) (*Truth, error) {
 	if s.Bins <= 0 {
 		return nil, fmt.Errorf("gen: scenario needs Bins > 0")
 	}

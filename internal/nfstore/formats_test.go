@@ -3,6 +3,7 @@ package nfstore
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/flow"
@@ -39,13 +40,30 @@ func twinStores(t *testing.T, rng *rand.Rand, n, bins int) (v1, v2 *Store) {
 	return v1, v2
 }
 
+// bruteForce is the engine-independent reference: every record of the
+// span decoded unfiltered, then matched row by row with Filter.Match.
+func bruteForce(all []flow.Record, iv flow.Interval, f *nffilter.Filter) []flow.Record {
+	var out []flow.Record
+	for i := range all {
+		if iv.Contains(all[i].Start) && (f == nil || f.Match(&all[i])) {
+			out = append(out, all[i])
+		}
+	}
+	return out
+}
+
 // TestCrossFormatEquivalence is the tentpole's pin: across random filters
 // and spans, the v2 pruned parallel engine answers Query, Count, TopN and
 // Summaries exactly like the v1 serial unpruned engine over the same
-// records. Formats may never change what a query returns.
+// records, and both match row-by-row evaluation. Formats may never change
+// what a query returns.
 func TestCrossFormatEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	v1, v2 := twinStores(t, rng, 9000, 8)
+	all, err := v1.Records(t.Context(), flow.Interval{Start: 0, End: 8 * 300}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for trial := 0; trial < 100; trial++ {
 		var f *nffilter.Filter
@@ -57,6 +75,10 @@ func TestCrossFormatEquivalence(t *testing.T) {
 		iv := flow.Interval{Start: lo, End: hi}
 
 		want := collectSerialUnpruned(t, v1, iv, f)
+		if ref := bruteForce(all, iv, f); !slices.Equal(want, ref) {
+			t.Fatalf("trial %d filter %v iv %v: v1 returned %d records, row-by-row evaluation %d",
+				trial, f, iv, len(want), len(ref))
+		}
 
 		v2.SetParallelism(4)
 		got, err := v2.Records(t.Context(), iv, f)
@@ -155,11 +177,16 @@ func TestCrossFormatIter(t *testing.T) {
 
 // TestCrossFormatVectorFallback pins the per-row fallback: a filter the
 // vectorized evaluator does not support (an unknown counter field) must
-// flow through the scalar path and still match v1 exactly.
+// flow through the scalar path in both formats and still match row-by-row
+// evaluation exactly.
 func TestCrossFormatVectorFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	v1, v2 := twinStores(t, rng, 2000, 3)
 	iv := flow.Interval{Start: 0, End: 3 * 300}
+	all, err := v1.Records(t.Context(), iv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Unknown counter field: value() reads 0, so "?" >= 0 matches all and
 	// "?" > 0 matches none — both must agree across formats.
@@ -169,14 +196,19 @@ func TestCrossFormatVectorFallback(t *testing.T) {
 			&nffilter.CounterMatch{Field: nffilter.CounterField(99), Op: op},
 		}}
 		f := nffilter.FromNode(node)
-		want := collectSerialUnpruned(t, v1, iv, f)
-		got, err := v2.Records(t.Context(), iv, f)
-		if err != nil {
-			t.Fatal(err)
+		if vecSupported(node) {
+			t.Fatal("filter must exercise the per-row fallback")
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("op %v: fallback path diverges: v2 %d records, v1 %d",
-				op, len(got), len(want))
+		want := bruteForce(all, iv, f)
+		for _, s := range []*Store{v1, v2} {
+			got, err := s.Records(t.Context(), iv, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("op %v: v%d fallback path returned %d records, row-by-row evaluation %d",
+					op, s.SegmentFormat(), len(got), len(want))
+			}
 		}
 	}
 }

@@ -1,19 +1,16 @@
 package nfstore
 
 import (
-	"bufio"
 	"container/list"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
 
 	"repro/internal/flow"
-	"repro/internal/nffilter"
 )
 
 // idxSuffix is appended to a segment path to name its zone-map sidecar
@@ -26,10 +23,10 @@ func (s *Store) idxPath(binStart uint32) string {
 	return filepath.Join(s.dir, segPrefix+strconv.FormatUint(uint64(binStart), 10)+idxSuffix)
 }
 
-// defaultZoneMapCacheEntries bounds the zmCache when no explicit cap is
-// configured: 4096 decoded sidecars ≈ 9 MB — two weeks of 5-minute bins
-// stay hot, while a year-long sweep in a long-lived process no longer
-// pins one zone map per segment forever.
+// defaultZoneMapCacheEntries bounds the zmCache: 4096 decoded sidecars
+// ≈ 9 MB — two weeks of 5-minute bins stay hot, while a year-long sweep
+// in a long-lived process no longer pins one zone map per segment
+// forever.
 const defaultZoneMapCacheEntries = 4096
 
 // zmCache memoizes decoded sidecars by bin so repeated queries validate
@@ -39,7 +36,7 @@ const defaultZoneMapCacheEntries = 4096
 // sidecar file on the next query).
 type zmCache struct {
 	mu  sync.Mutex
-	cap int // 0 = defaultZoneMapCacheEntries
+	cap int // 0 = defaultZoneMapCacheEntries (tests set smaller caps)
 	m   map[uint32]*list.Element
 	ll  *list.List // front = most recently used
 }
@@ -48,18 +45,6 @@ type zmCache struct {
 type zmEntry struct {
 	bin uint32
 	z   *zoneMap
-}
-
-// setCap bounds the cache to n entries (n <= 0 restores the default)
-// and evicts down to the new cap immediately.
-func (c *zmCache) setCap(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n <= 0 {
-		n = 0
-	}
-	c.cap = n
-	c.evictLocked()
 }
 
 // limit resolves the effective entry cap. Caller holds c.mu.
@@ -175,94 +160,6 @@ func (s *Store) writeZoneMap(bin uint32, z *zoneMap) error {
 	return nil
 }
 
-// buildZoneMap scans one segment file from the start and returns its
-// zone map. Used by BuildIndexes and (prefix-limited, on a background
-// goroutine) to seed a writer reopening a pre-index segment.
-func (s *Store) buildZoneMap(ctx context.Context, bin uint32) (*zoneMap, error) {
-	return s.buildZoneMapPrefix(ctx, bin, -1)
-}
-
-// buildZoneMapPrefix is buildZoneMap over the first limit bytes of the
-// segment file (limit < 0 scans everything). The async seed scan passes
-// the file size observed at open time, so it never reads bytes a
-// concurrent append may still be writing.
-func (s *Store) buildZoneMapPrefix(ctx context.Context, bin uint32, limit int64) (*zoneMap, error) {
-	f, err := os.Open(s.segPath(bin))
-	if err != nil {
-		return nil, fmt.Errorf("nfstore: open segment %d: %w", bin, err)
-	}
-	defer f.Close()
-	var src io.Reader = f
-	if limit >= 0 {
-		src = io.LimitReader(f, limit)
-	}
-	br := bufio.NewReaderSize(src, 1<<16)
-	hdr := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("nfstore: segment %d header: %w", bin, err)
-	}
-	gotBin, gotBinSec, version, err := decodeSegHeader(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("nfstore: segment %d: %w", bin, err)
-	}
-	if gotBin != bin || gotBinSec != s.binSeconds {
-		// Same validation as a query scan: a file whose header disagrees
-		// with its name must never be summarized under that name.
-		return nil, fmt.Errorf("nfstore: segment %d header mismatch (bin %d, width %d)", bin, gotBin, gotBinSec)
-	}
-	z := newZoneMap()
-	if version == FormatV2 {
-		var (
-			batch    colBatch
-			rec      flow.Record
-			consumed = int64(segHeaderSize)
-		)
-		rd := blockReader{br: br}
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			count, payload, err := rd.next()
-			if err == io.EOF {
-				z.coveredSize = consumed
-				z.format = FormatV2
-				return z, nil
-			}
-			if err != nil {
-				return nil, fmt.Errorf("nfstore: segment %d: %w", bin, err)
-			}
-			consumed += blockHeaderSize + int64(len(payload))
-			if err := decodeBlockColumns(payload[blockMetaSize:], count, nffilter.AllColumns, &batch); err != nil {
-				return nil, fmt.Errorf("nfstore: segment %d: %w", bin, err)
-			}
-			for i := 0; i < count; i++ {
-				batch.fill(&rec, i, nffilter.AllColumns)
-				z.add(&rec)
-			}
-		}
-	}
-	buf := make([]byte, RecordSize)
-	var rec flow.Record
-	for n := 0; ; n++ {
-		if n%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if err == io.EOF {
-				// add() maintained coveredSize via the fixed-row formula,
-				// which at a clean EOF equals the bytes consumed.
-				z.format = FormatV1
-				return z, nil
-			}
-			return nil, fmt.Errorf("nfstore: segment %d read: %w", bin, err)
-		}
-		decodeRecord(buf, &rec)
-		z.add(&rec)
-	}
-}
-
 // BuildIndexes eagerly builds (or refreshes) the zone-map sidecar of every
 // segment whose sidecar is missing or stale, returning how many it wrote.
 // Stores predating the sidecar format work without this call — queries
@@ -280,14 +177,15 @@ func (s *Store) BuildIndexes(ctx context.Context) (built int, err error) {
 		if s.loadZoneMap(bin) != nil {
 			continue
 		}
-		z, err := s.buildZoneMap(ctx, bin)
-		if err != nil {
+		// A whole-segment scan with the rebuild on writes the sidecar;
+		// bins with an open writer are skipped until they seal.
+		p := segPlan{bin: bin, buildIdx: true}
+		if err := s.scanSegment(ctx, p, scanOpts{all: true}, func(*flow.Record) error { return nil }); err != nil {
 			return built, err
 		}
-		if err := s.writeZoneMap(bin, z); err != nil {
-			return built, err
+		if s.loadZoneMap(bin) != nil {
+			built++
 		}
-		built++
 	}
 	return built, nil
 }

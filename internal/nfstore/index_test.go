@@ -19,6 +19,7 @@ func TestZoneMapCodecRoundTrip(t *testing.T) {
 		r := randRecord(rng, 300)
 		z.add(&r)
 	}
+	z.coveredSize = segHeaderSize + 500*RecordSize // a v1 segment's size
 	buf := encodeZoneMap(z, 1200, 300)
 	got, err := decodeZoneMap(buf, 1200, 300)
 	if err != nil {

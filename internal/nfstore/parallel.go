@@ -124,12 +124,6 @@ func (s *Store) queryParallelism() int {
 	return min(runtime.GOMAXPROCS(0), maxAutoParallelism)
 }
 
-// SetZoneMapCacheSize bounds the in-memory cache of decoded zone-map
-// sidecars to n entries (LRU eviction, ~2.2 KB each; n <= 0 restores
-// the default of 4096). Evicted entries only cost a sidecar re-read on
-// their next query — correctness is unaffected.
-func (s *Store) SetZoneMapCacheSize(n int) { s.zmc.setCap(n) }
-
 // SetPruning toggles zone-map segment pruning and lazy sidecar builds
 // (enabled by default). Disabling it forces every overlapping segment to
 // be scanned — the pre-index behavior, kept reachable for benchmarks and

@@ -19,11 +19,10 @@ type scanOpts struct {
 	filter *nffilter.Filter
 	// proj is the set of columns emitted records must carry (the filter's
 	// own columns are added internally; Start is decoded for the interval
-	// mask except in blocks provably inside iv). v1 segments ignore it —
-	// fixed rows decode whole.
+	// mask except in blocks provably inside iv).
 	proj nffilter.ColumnSet
 	// all disables the interval mask: every record of the segment is
-	// emitted (Migrate's raw rewrite path).
+	// emitted (Migrate's raw rewrite path, BuildIndexes).
 	all bool
 	// agg, when non-nil, consumes whole-block totals for v2 blocks whose
 	// zone map proves them fully inside iv and fully matching, instead of
@@ -33,176 +32,73 @@ type scanOpts struct {
 	agg func(flows, packets, bytes uint64)
 }
 
-// scanSegment opens one planned segment, dispatches on the format version
-// in its header and streams matching records to emit in file order. When
-// the plan asks for it (buildIdx), a zone map of the whole segment is
-// rebuilt as a side effect and persisted best-effort.
+// testScanReader, when set by a test, wraps the byte source of every
+// segment scan (after the committed-length limit is applied).
+var testScanReader func(io.Reader) io.Reader
+
+// scanSegment opens one planned segment and streams its matching records
+// to emit in file order, unit by unit (see unitReader), for either body
+// format. When the plan asks for it (buildIdx), a zone map of the whole
+// segment is rebuilt as a side effect and persisted best-effort.
 //
-// A segment with a live writer may end mid-row or mid-block on disk —
-// buffered appends reach the file in bufio-sized slices, not record
-// units — so scans of open bins treat a short tail as the end of the
-// flushed prefix instead of corruption: live-mode readers always observe
-// a consistent prefix of the stream. The open check is repeated at error
-// time because a writer can reopen a sealed bin while the scan is in
-// flight; segments without a writer at either point keep the strict
-// errors (a short closed segment really is corrupt).
+// A segment with a live writer may end mid-unit on disk — buffered
+// appends reach the file in bufio-sized slices — so the scan takes one
+// snapshot, under the store lock every segment write happens under:
+// whether the bin has an open writer, and the file's committed length.
+// It never reads past that length. A short tail is the end of the
+// flushed prefix when the bin was open at the snapshot (live readers see
+// a consistent prefix) and corruption otherwise: a closed segment ends
+// at a unit boundary, and whatever a writer that reopens the bin later
+// appends lies beyond the snapshot. Sidecars are never persisted from an
+// open bin's prefix.
 func (s *Store) scanSegment(ctx context.Context, p segPlan, opts scanOpts, emit func(*flow.Record) error) error {
 	s.stats.segmentsScanned.Add(1)
-	openAtStart := s.binIsOpen(p.bin)
-	lenient := func() bool { return openAtStart || s.binIsOpen(p.bin) }
 	f, err := os.Open(s.segPath(p.bin))
 	if err != nil {
 		return fmt.Errorf("nfstore: open segment %d: %w", p.bin, err)
 	}
 	defer f.Close()
-	br := segReaders.Get().(*bufio.Reader)
-	br.Reset(f)
-	defer segReaders.Put(br)
-	hdr := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		if (err == io.EOF || err == io.ErrUnexpectedEOF) && lenient() {
-			return nil // header still in the writer's buffer: empty prefix
-		}
-		return fmt.Errorf("nfstore: segment %d header: %w", p.bin, err)
-	}
-	gotBin, gotBinSec, version, err := decodeSegHeader(hdr)
+	s.mu.RLock()
+	open := s.open[p.bin] != nil
+	st, err := f.Stat()
+	s.mu.RUnlock()
 	if err != nil {
-		return fmt.Errorf("nfstore: segment %d: %w", p.bin, err)
+		return fmt.Errorf("nfstore: stat segment %d: %w", p.bin, err)
 	}
-	if gotBin != p.bin || gotBinSec != s.binSeconds {
-		return fmt.Errorf("nfstore: segment %d header mismatch (bin %d, width %d)", p.bin, gotBin, gotBinSec)
+	var src io.Reader = io.LimitReader(f, st.Size())
+	if testScanReader != nil {
+		src = testScanReader(src)
 	}
+	br := segReaders.Get().(*bufio.Reader)
+	br.Reset(src)
+	defer segReaders.Put(br)
 	var zb *zoneMap
-	if p.buildIdx && !openAtStart {
-		// Never persist a sidecar built from a mid-write prefix: partial
-		// coverage would only be invalidated and rebuilt again anyway.
+	if p.buildIdx && !open {
 		zb = newZoneMap()
 	}
-	if version == FormatV2 {
-		return s.scanV2(ctx, br, p.bin, zb, opts, lenient, emit)
-	}
-	return s.scanV1(ctx, br, p.bin, zb, opts, lenient, emit)
-}
-
-// scanV1 streams a fixed-row segment body: decode every record, apply the
-// interval mask and the filter per row. The context is checked every
-// ctxCheckStride records.
-func (s *Store) scanV1(ctx context.Context, br *bufio.Reader, bin uint32, zb *zoneMap, opts scanOpts, lenient func() bool, emit func(*flow.Record) error) error {
-	var scanned uint64
-	defer func() { s.stats.recordsScanned.Add(scanned) }()
-	var rec flow.Record
-	buf := make([]byte, RecordSize)
-	for n := 0; ; n++ {
-		if n%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if err == io.EOF {
-				if zb != nil {
-					// add() maintains the v1 covered-size formula, which at
-					// a clean EOF equals the bytes consumed. Persisting the
-					// rebuilt sidecar is an accelerator, not a correctness
-					// requirement; a failed write only means the next query
-					// scans again.
-					zb.format = FormatV1
-					_ = s.writeZoneMap(bin, zb)
-				}
-				return nil
-			}
-			if err == io.ErrUnexpectedEOF {
-				if lenient() {
-					return nil // partial tail row mid-append: end of the flushed prefix
-				}
-				return fmt.Errorf("nfstore: segment %d truncated", bin)
-			}
-			return fmt.Errorf("nfstore: segment %d read: %w", bin, err)
-		}
-		decodeRecord(buf, &rec)
-		scanned++
-		if zb != nil {
-			zb.add(&rec)
-		}
-		if !opts.all && !opts.iv.Contains(rec.Start) {
-			continue
-		}
-		if opts.filter != nil && !opts.filter.Match(&rec) {
-			continue
-		}
-		if err := emit(&rec); err != nil {
-			return err
-		}
-	}
+	rd := &unitReader{blocks: blockReader{br: br}, bin: p.bin, binSeconds: s.binSeconds}
+	return s.scanUnits(ctx, rd, open, zb, opts, emit)
 }
 
 // segReaders pools the buffered readers used for segment scans so
 // concurrent queries do not re-allocate (and re-zero) a large buffer per
-// segment. The buffer is sized to hold any block the writer emits, which
-// keeps blockReader on its zero-copy path for well-formed segments.
+// segment. The buffer is sized to hold any unit the writer emits, which
+// keeps unitReader on its zero-copy path for well-formed segments.
 var segReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<19) }}
 
-// blockReader reads consecutive v2 column blocks from a buffered segment
-// reader, validating each header and checksum. When a whole block fits
-// in the reader's buffer, the payload is returned as a slice into that
-// buffer, so the common path never copies block bytes; blocks larger
-// than the buffer fall back to an owned scratch copy.
-type blockReader struct {
-	br      *bufio.Reader
-	scratch []byte
-}
-
-// errBlockTruncated marks a segment that ends partway through a block —
-// either corruption (closed segment) or a writer's in-flight buffered
-// append (open segment); scanV2 tells the two apart.
-var errBlockTruncated = errors.New("truncated block")
-
-// next returns the next block's record count and payload. A clean end of
-// the segment returns io.EOF; anything short or mangled is an error. The
-// payload is valid only until the following next call — callers must
-// finish decoding a block before advancing.
-func (r *blockReader) next() (count int, payload []byte, err error) {
-	hdr, err := r.br.Peek(blockHeaderSize)
-	if err != nil {
-		if len(hdr) == 0 && err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("%w header", errBlockTruncated)
-	}
-	count, plen, sum, err := decodeBlockHeader(hdr)
-	if err != nil {
-		return 0, nil, err
-	}
-	if full, perr := r.br.Peek(blockHeaderSize + plen); perr == nil {
-		payload = full[blockHeaderSize:]
-		if blockChecksum(payload) != sum {
-			return 0, nil, fmt.Errorf("block checksum mismatch")
-		}
-		_, _ = r.br.Discard(blockHeaderSize + plen)
-		return count, payload, nil
-	} else if perr != bufio.ErrBufferFull {
-		return 0, nil, fmt.Errorf("%w payload", errBlockTruncated)
-	}
-	_, _ = r.br.Discard(blockHeaderSize)
-	r.scratch = growBytes(r.scratch, plen)
-	if _, err := io.ReadFull(r.br, r.scratch); err != nil {
-		return 0, nil, fmt.Errorf("%w payload", errBlockTruncated)
-	}
-	if blockChecksum(r.scratch) != sum {
-		return 0, nil, fmt.Errorf("block checksum mismatch")
-	}
-	return count, r.scratch, nil
-}
-
-// scanV2 streams a columnar segment body block by block. Per block it
-// first consults the block zone map: provably irrelevant blocks are
-// skipped without decoding a single column, and (for aggregations) fully
-// covered, fully matching blocks are consumed as totals. Surviving blocks
+// scanUnits streams a segment unit by unit. Per v2 block it first
+// consults the block zone map: provably irrelevant blocks are skipped
+// without decoding a single column, and (for aggregations) fully
+// covered, fully matching blocks are consumed as totals. Surviving units
 // decode only the columns the filter and the projection need, the filter
 // runs vectorized over the column batch, and only the selected rows are
-// materialized. Cancellation lands within one block header or one
-// ctxCheckStride of emitted records, whichever is sooner.
-func (s *Store) scanV2(ctx context.Context, br *bufio.Reader, bin uint32, zb *zoneMap, opts scanOpts, lenient func() bool, emit func(*flow.Record) error) error {
+// materialized. A short tail ends the scan cleanly only in a bin that
+// was open at the snapshot. When zb is non-nil every record also folds
+// into it, and a clean end persists it as the segment's sidecar.
+// Cancellation lands within one unit or one ctxCheckStride of emitted
+// records, whichever is sooner.
+func (s *Store) scanUnits(ctx context.Context, rd *unitReader, open bool, zb *zoneMap, opts scanOpts, emit func(*flow.Record) error) error {
+	bin := rd.bin
 	var root nffilter.Node
 	if opts.filter != nil {
 		root = opts.filter.Root()
@@ -225,63 +121,58 @@ func (s *Store) scanV2(ctx context.Context, br *bufio.Reader, bin uint32, zb *zo
 	var scanned uint64
 	defer func() { s.stats.recordsScanned.Add(scanned) }()
 	var (
-		rec      flow.Record
-		batch    colBatch
-		meta     zoneMap
-		consumed = int64(segHeaderSize)
-		emitted  int
+		rec     flow.Record
+		batch   colBatch
+		emitted int
 	)
-	rd := blockReader{br: br}
 	ev := vecEvaluator{b: &batch}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		count, payload, err := rd.next()
+		count, meta, err := rd.next()
 		if err == io.EOF {
 			if zb != nil {
-				zb.coveredSize = consumed
-				zb.format = FormatV2
+				zb.coveredSize = rd.consumed
+				zb.format = rd.format
 				_ = s.writeZoneMap(bin, zb)
 			}
 			return nil
 		}
 		if err != nil {
-			if errors.Is(err, errBlockTruncated) && lenient() {
-				return nil // partial tail block mid-append: end of the flushed prefix
+			if open && errors.Is(err, errTruncated) {
+				return nil // header or tail unit mid-append: end of the flushed prefix
 			}
 			return fmt.Errorf("nfstore: segment %d: %w", bin, err)
 		}
-		consumed += blockHeaderSize + int64(len(payload))
-		if err := decodeBlockMeta(payload, count, &meta); err != nil {
-			return fmt.Errorf("nfstore: segment %d: %w", bin, err)
-		}
-		if pruning && !opts.all {
-			if opts.agg != nil && meta.coversStarts(opts.iv) && (root == nil || meta.matchesAll(root)) {
-				opts.agg(uint64(count), meta.packets, meta.bytes)
-				s.stats.blocksAggregated.Add(1)
-				continue
+		covered := false
+		if meta != nil {
+			if pruning && !opts.all {
+				if opts.agg != nil && meta.coversStarts(opts.iv) && (root == nil || meta.matchesAll(root)) {
+					opts.agg(uint64(count), meta.packets, meta.bytes)
+					s.stats.blocksAggregated.Add(1)
+					continue
+				}
+				if !meta.overlapsStart(opts.iv) || (root != nil && !meta.canMatch(root)) {
+					s.stats.blocksPruned.Add(1)
+					continue
+				}
 			}
-			if !meta.overlapsStart(opts.iv) || (root != nil && !meta.canMatch(root)) {
-				s.stats.blocksPruned.Add(1)
-				continue
-			}
+			s.stats.blocksScanned.Add(1)
+			covered = !opts.all && meta.coversStarts(opts.iv)
 		}
-		s.stats.blocksScanned.Add(1)
-		covered := !opts.all && meta.coversStarts(opts.iv)
 		bdec := dec
 		if covered {
 			bdec = decCovered
 		}
-		sections := payload[blockMetaSize:]
 		var sel []bool
 		if vec && root != nil && zb == nil {
 			// Two-phase decode: only the filter's columns first, then the
 			// rest of the projection — and only when the mask selected
-			// anything. Blocks the filter rejects wholesale (the common
+			// anything. Units the filter rejects wholesale (the common
 			// case for a selective filter over background traffic) never
 			// pay for their timestamp, counter and address columns.
-			if err := decodeBlockColumns(sections, count, filterCols, &batch); err != nil {
+			if err := rd.decode(filterCols, &batch); err != nil {
 				return fmt.Errorf("nfstore: segment %d: %w", bin, err)
 			}
 			sel = ev.eval(root)
@@ -298,13 +189,13 @@ func (s *Store) scanV2(ctx context.Context, br *bufio.Reader, bin uint32, zb *zo
 				continue
 			}
 			if rest := bdec &^ filterCols; rest != 0 {
-				if err := decodeBlockColumns(sections, count, rest, &batch); err != nil {
+				if err := rd.decode(rest, &batch); err != nil {
 					ev.release(sel)
 					return fmt.Errorf("nfstore: segment %d: %w", bin, err)
 				}
 			}
 		} else {
-			if err := decodeBlockColumns(sections, count, bdec, &batch); err != nil {
+			if err := rd.decode(bdec, &batch); err != nil {
 				return fmt.Errorf("nfstore: segment %d: %w", bin, err)
 			}
 			scanned += uint64(count)
@@ -351,20 +242,17 @@ func (s *Store) scanV2(ctx context.Context, br *bufio.Reader, bin uint32, zb *zo
 	}
 }
 
-// segmentVersion reads one segment's format version from its header.
+// segmentVersion reads one segment's format version from its header,
+// validated the way a scan validates it.
 func (s *Store) segmentVersion(bin uint32) (uint16, error) {
 	f, err := os.Open(s.segPath(bin))
 	if err != nil {
 		return 0, fmt.Errorf("nfstore: open segment %d: %w", bin, err)
 	}
 	defer f.Close()
-	hdr := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, fmt.Errorf("nfstore: segment %d header: %w", bin, err)
-	}
-	_, _, version, err := decodeSegHeader(hdr)
-	if err != nil {
+	u := unitReader{blocks: blockReader{br: bufio.NewReaderSize(f, segHeaderSize)}, bin: bin, binSeconds: s.binSeconds}
+	if err := u.header(); err != nil {
 		return 0, fmt.Errorf("nfstore: segment %d: %w", bin, err)
 	}
-	return version, nil
+	return u.format, nil
 }

@@ -5,7 +5,7 @@ import "fmt"
 // Sealer is the optional streaming interface over a flow store: engines
 // that can finalize one bin at a time implement it, and the live ingest
 // pipeline type-asserts for it instead of widening Engine (the idiom the
-// facade already uses for SetZoneMapCacheSize and SetSegmentFormat).
+// facade already uses for SetSegmentFormat).
 //
 // Seal finalizes the segment of the bin containing t: pending rows are
 // encoded and flushed, the zone-map sidecar is written, the file handle
@@ -28,16 +28,6 @@ func (s *Store) OnSeal(fn func(bin uint32)) {
 	s.mu.Lock()
 	s.onSeal = fn
 	s.mu.Unlock()
-}
-
-// binIsOpen reports whether the bin currently has an open writer. Scans
-// consult it to tell a mid-append short tail (tolerated: readers see the
-// flushed prefix) from genuine corruption of a closed segment.
-func (s *Store) binIsOpen(bin uint32) bool {
-	s.mu.RLock()
-	_, ok := s.open[bin]
-	s.mu.RUnlock()
-	return ok
 }
 
 // Seal finalizes the open segment of the bin containing t: the pending

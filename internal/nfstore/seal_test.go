@@ -2,6 +2,8 @@ package nfstore
 
 import (
 	"context"
+	"io"
+	"os"
 	"testing"
 
 	"repro/internal/flow"
@@ -97,5 +99,94 @@ func TestSealThenAppend(t *testing.T) {
 	}
 	if len(recs) != 2 {
 		t.Fatalf("bin holds %d records after seal+append+seal, want 2", len(recs))
+	}
+}
+
+// hookReader runs onFirst before its first Read and onEOF once, when the
+// wrapped reader first reports io.EOF.
+type hookReader struct {
+	r              io.Reader
+	onFirst, onEOF func()
+}
+
+func (h *hookReader) Read(p []byte) (int, error) {
+	if h.onFirst != nil {
+		h.onFirst()
+		h.onFirst = nil
+	}
+	n, err := h.r.Read(p)
+	if err == io.EOF && h.onEOF != nil {
+		h.onEOF()
+		h.onEOF = nil
+	}
+	return n, err
+}
+
+// TestScanAcrossReseal is the deterministic reproducer of the open-segment
+// read race: inside one scan of a sealed bin, late records reopen the bin
+// and leave a partial block on disk, and the bin re-seals before the scan
+// decides what its tail means. The scan must return the sealed records
+// without error, and the next scan every record.
+func TestScanAcrossReseal(t *testing.T) {
+	s, err := CreateFormat(t.TempDir(), 300, FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			r := testRecord(uint32(i%300), byte(i), 80, 2)
+			if err := s.Add(&r); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	const sealed = 1000
+	add(sealed)
+	if err := s.Seal(0); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(s.segPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealedSize := fi.Size()
+
+	testScanReader = func(r io.Reader) io.Reader {
+		return &hookReader{
+			r: r,
+			onFirst: func() {
+				// Two ~48 KiB blocks through the writer's 64 KiB buffer: the
+				// first block and the head of the second reach the file.
+				add(2 * blockRecords)
+				if fi, err := os.Stat(s.segPath(0)); err != nil || fi.Size() <= sealedSize {
+					t.Errorf("late appends left no partial block on disk (%v, %v)", fi, err)
+				}
+			},
+			onEOF: func() {
+				if err := s.Seal(0); err != nil {
+					t.Error(err)
+				}
+			},
+		}
+	}
+	n := 0
+	err = s.Query(t.Context(), flow.Interval{Start: 0, End: 300}, nil, func(*flow.Record) error {
+		n++
+		return nil
+	})
+	testScanReader = nil
+	if err != nil {
+		t.Fatalf("scan across a reseal: %v", err)
+	}
+	if n != sealed {
+		t.Fatalf("scan across a reseal saw %d records, want the %d sealed before it", n, sealed)
+	}
+	recs, err := s.Records(t.Context(), flow.Interval{Start: 0, End: 300}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != sealed+2*blockRecords {
+		t.Fatalf("after the reseal the bin holds %d records, want %d", len(recs), sealed+2*blockRecords)
 	}
 }

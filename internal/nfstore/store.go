@@ -66,24 +66,11 @@ type Store struct {
 	zmc       zmCache       // decoded sidecars by bin (bounded LRU)
 	stats     storeStats    // scan counters
 	segFormat atomic.Uint32 // format for newly created segments
-
-	// bgCtx cancels background work (async zone-map seed scans) at
-	// Close; seedWG tracks the outstanding goroutines.
-	bgCtx    context.Context
-	bgCancel context.CancelFunc
-	seedWG   sync.WaitGroup
 }
 
-// newStore assembles a Store with its background-work context.
+// newStore assembles a Store.
 func newStore(dir string, binSeconds uint32, format uint16) *Store {
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Store{
-		dir:        dir,
-		binSeconds: binSeconds,
-		open:       map[uint32]*segWriter{},
-		bgCtx:      ctx,
-		bgCancel:   cancel,
-	}
+	s := &Store{dir: dir, binSeconds: binSeconds, open: map[uint32]*segWriter{}}
 	s.segFormat.Store(uint32(format))
 	return s
 }
@@ -94,57 +81,29 @@ type segWriter struct {
 	buf    *bufio.Writer
 	format uint16   // body format of this segment (fixed at segment creation)
 	off    int64    // bytes the segment will hold once sealed and flushed
-	n      int      // records written
-	zm     *zoneMap // live zone map (nil while a seed is pending or after it failed)
+	zm     *zoneMap // live zone map (nil for a reopened segment without a current sidecar)
 
-	// pend holds records of the current unsealed column block (FormatV2
-	// only); enc is the reusable block encode buffer.
+	// pend holds the records of the current unsealed unit; enc is the
+	// reusable unit encode buffer.
 	pend []flow.Record
 	enc  []byte
-
-	// seed delivers the async prefix scan of a reopened pre-index
-	// segment (nil value = the scan failed or was canceled); delta
-	// accumulates appends made while the seed is pending, to be merged
-	// once it lands. Both are nil when no seed is in flight.
-	seed  chan *zoneMap
-	delta *zoneMap
 }
 
-// seal encodes the pending records as one column block and appends it to
-// the segment's write buffer. Called when a block fills and before every
-// flush, so on-disk bytes always end at a block boundary and sidecars
-// never summarize unwritten rows. No-op for fixed-row segments.
+// seal encodes the pending records as one unit (appendUnit) and appends
+// it to the segment's write buffer. Called when a unit fills and before
+// every flush, so on-disk bytes always end at a unit boundary and
+// sidecars never summarize unwritten rows.
 func (w *segWriter) seal() error {
 	if len(w.pend) == 0 {
 		return nil
 	}
-	w.enc = appendBlock(w.enc[:0], w.pend)
+	w.enc = appendUnit(w.format, w.enc[:0], w.pend)
 	if _, err := w.buf.Write(w.enc); err != nil {
 		return err
 	}
 	w.off += int64(len(w.enc))
 	w.pend = w.pend[:0]
 	return nil
-}
-
-// resolveSeed folds a completed async seed into the live zone map
-// without ever blocking: if the seed scan is still running the writer
-// simply stays sidecar-less for now (the next flush retries). Caller
-// holds the store's mu.
-func (w *segWriter) resolveSeed() {
-	if w.seed == nil {
-		return
-	}
-	select {
-	case z := <-w.seed:
-		w.seed = nil
-		if z != nil {
-			z.merge(w.delta)
-			w.zm = z
-		}
-		w.delta = nil
-	default:
-	}
 }
 
 // Create initializes a new store in dir (created if missing; must not
@@ -257,29 +216,14 @@ func (s *Store) Add(r *flow.Record) error {
 		}
 		s.open[bin] = w
 	}
-	if w.format == FormatV2 {
-		w.pend = append(w.pend, *r)
-		if len(w.pend) >= blockRecords {
-			if err := w.seal(); err != nil {
-				return fmt.Errorf("nfstore: append to bin %d: %w", bin, err)
-			}
-		}
-	} else {
-		var buf [RecordSize]byte
-		encodeRecord(buf[:], r)
-		if _, err := w.buf.Write(buf[:]); err != nil {
+	w.pend = append(w.pend, *r)
+	if len(w.pend) >= blockRecords {
+		if err := w.seal(); err != nil {
 			return fmt.Errorf("nfstore: append to bin %d: %w", bin, err)
 		}
-		w.off += RecordSize
 	}
-	w.n++
-	switch {
-	case w.zm != nil:
+	if w.zm != nil {
 		w.zm.add(r)
-	case w.delta != nil:
-		// A seed scan is still running: track the new appends separately
-		// and merge once it lands.
-		w.delta.add(r)
 	}
 	return nil
 }
@@ -330,33 +274,14 @@ func (s *Store) openSegment(bin uint32) (*segWriter, error) {
 	}
 	w.format = version
 	w.off = st.Size()
-	// Appending to an existing segment: seed the live zone map from the
-	// sidecar if it is current, else by scanning — asynchronously, so the
-	// first append to a big pre-index archive segment is not an
-	// uncancellable ingest stall under s.mu. While the seed scan runs,
-	// new appends accumulate in a delta map that merges with the scanned
-	// prefix when it lands (at the next flush); the store's Close cancels
-	// a still-running scan. A failed seed only disables incremental
-	// sidecar upkeep for this writer — readers rebuild lazily and a stale
-	// sidecar is ignored by its size check.
+	// Appending to an existing segment: continue the sidecar's zone map if
+	// it is current. Without one the writer keeps no zone map at all — a
+	// scan of the segment once it is sealed or closed rebuilds the sidecar
+	// lazily, the same path read-only opens of pre-index stores take.
 	if z := s.loadZoneMap(bin); z != nil {
 		cp := *z // private copy: the cached one is shared with readers
 		w.zm = &cp
-		return w, nil
 	}
-	w.seed = make(chan *zoneMap, 1)
-	w.delta = newZoneMap()
-	size := st.Size()
-	bg := s.bgCtx // captured under s.mu: Close re-arms the field
-	s.seedWG.Add(1)
-	go func() {
-		defer s.seedWG.Done()
-		z, err := s.buildZoneMapPrefix(bg, bin, size)
-		if err != nil {
-			z = nil
-		}
-		w.seed <- z
-	}()
 	return w, nil
 }
 
@@ -380,41 +305,25 @@ func (s *Store) Flush() error {
 
 // writeSidecar persists the writer's zone map for a flushed segment. The
 // writer keeps mutating its map on later appends, so a private snapshot
-// goes to disk and cache. A pending async seed is folded in first (non-
-// blocking; a segment whose seed is still scanning stays sidecar-less
-// until a later flush). Sidecars are accelerators: a write failure is
-// deliberately swallowed (the segment merely stays scan-only until the
-// next flush or a lazy rebuild succeeds).
+// goes to disk and cache, stamped with the bytes the writer has flushed
+// and the segment's format. Sidecars are accelerators: a write failure
+// is deliberately swallowed (the segment merely stays scan-only until
+// the next flush or a lazy rebuild succeeds).
 func (s *Store) writeSidecar(bin uint32, w *segWriter) {
-	w.resolveSeed()
 	if w.zm == nil {
 		return
 	}
 	cp := *w.zm
-	// add()/merge() maintain the fixed-row covered-size formula; the
-	// writer knows the real flushed byte count for either format, so it
-	// stamps that (plus the segment's format) over the formula here.
 	cp.coveredSize = w.off
 	cp.format = w.format
 	_ = s.writeZoneMap(bin, &cp)
 }
 
-// Close flushes and closes all open segments and cancels any background
-// zone-map seed scans. The store remains usable for queries and further
-// appends (segments reopen on demand).
+// Close flushes and closes all open segments. The store remains usable
+// for queries and further appends (segments reopen on demand).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Cancel background seed scans and wait them out under the lock —
-	// the only seedWG.Add site (openSegment) also runs under s.mu, so
-	// Add can never race the Wait, and the seed goroutines themselves
-	// never take the lock (their results land in buffered channels).
-	// The flush below picks up whichever seeds completed in time.
-	s.bgCancel()
-	s.seedWG.Wait()
-	// Re-arm the background context: the store stays usable after Close
-	// (segments reopen on demand), and so must future seed scans.
-	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
 	var firstErr error
 	for bin, w := range s.open {
 		err := w.seal()
@@ -758,24 +667,11 @@ func (s *Store) tryMigrateSegment(ctx context.Context, bin uint32, target uint16
 	encodeSegHeader(hdr[:], target, bin, s.binSeconds)
 	off := int64(segHeaderSize)
 	_, err = bw.Write(hdr[:])
-	z := newZoneMap()
-	if target == FormatV2 {
-		var enc []byte
-		for i := 0; i < len(recs) && err == nil; i += blockRecords {
-			end := min(i+blockRecords, len(recs))
-			enc = appendBlock(enc[:0], recs[i:end])
-			_, err = bw.Write(enc)
-			off += int64(len(enc))
-		}
-	} else {
-		var buf [RecordSize]byte
-		for i := range recs {
-			encodeRecord(buf[:], &recs[i])
-			if _, err = bw.Write(buf[:]); err != nil {
-				break
-			}
-			off += RecordSize
-		}
+	var enc []byte
+	for i := 0; i < len(recs) && err == nil; i += blockRecords {
+		enc = appendUnit(target, enc[:0], recs[i:min(i+blockRecords, len(recs))])
+		_, err = bw.Write(enc)
+		off += int64(len(enc))
 	}
 	if err == nil {
 		err = bw.Flush()
@@ -789,6 +685,7 @@ func (s *Store) tryMigrateSegment(ctx context.Context, bin uint32, target uint16
 	if err != nil {
 		return false, false, fmt.Errorf("nfstore: migrate bin %d: write: %w", bin, err)
 	}
+	z := newZoneMap()
 	for i := range recs {
 		z.add(&recs[i])
 	}

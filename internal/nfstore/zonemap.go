@@ -82,7 +82,7 @@ func bloomHash(v uint32) (h1, h2 uint64) {
 // noBloom set, of one v2 column block's embedded zone map (blocks carry
 // no Blooms; their IP pruning uses range bounds only).
 type zoneMap struct {
-	coveredSize int64  // segment bytes summarized (header + body)
+	coveredSize int64  // segment bytes summarized (header + body), as written or read
 	format      uint16 // segment body format the summary describes (0 = v1)
 	noBloom     bool   // Blooms absent (block metas): IP pruning skips them
 
@@ -152,53 +152,6 @@ func (z *zoneMap) add(r *flow.Record) {
 	z.flagsOr |= r.Flags
 	z.bloomSrc.add(uint32(r.SrcIP))
 	z.bloomDst.add(uint32(r.DstIP))
-	z.coveredSize = segHeaderSize + int64(z.count)*RecordSize
-}
-
-// merge folds another zone map's summaries into z — the two must
-// summarize disjoint byte ranges of the same segment (the async seed
-// scan's prefix and the writer's live delta). Bounds widen, totals add,
-// bitmaps and Blooms union, and the covered size is recomputed from the
-// combined record count.
-func (z *zoneMap) merge(o *zoneMap) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if z.count == 0 {
-		*z = *o
-		return
-	}
-	z.minStart = min(z.minStart, o.minStart)
-	z.maxStart = max(z.maxStart, o.maxStart)
-	z.minSrcIP = min(z.minSrcIP, o.minSrcIP)
-	z.maxSrcIP = max(z.maxSrcIP, o.maxSrcIP)
-	z.minDstIP = min(z.minDstIP, o.minDstIP)
-	z.maxDstIP = max(z.maxDstIP, o.maxDstIP)
-	z.minSrcPort = min(z.minSrcPort, o.minSrcPort)
-	z.maxSrcPort = max(z.maxSrcPort, o.maxSrcPort)
-	z.minDstPort = min(z.minDstPort, o.minDstPort)
-	z.maxDstPort = max(z.maxDstPort, o.maxDstPort)
-	z.minRouter = min(z.minRouter, o.minRouter)
-	z.maxRouter = max(z.maxRouter, o.maxRouter)
-	z.minPackets = min(z.minPackets, o.minPackets)
-	z.maxPackets = max(z.maxPackets, o.maxPackets)
-	z.minBytes = min(z.minBytes, o.minBytes)
-	z.maxBytes = max(z.maxBytes, o.maxBytes)
-	z.minDur = min(z.minDur, o.minDur)
-	z.maxDur = max(z.maxDur, o.maxDur)
-	z.count += o.count
-	z.packets += o.packets
-	z.bytes += o.bytes
-	for i := range z.protoBitmap {
-		z.protoBitmap[i] |= o.protoBitmap[i]
-	}
-	z.flagsOr |= o.flagsOr
-	z.flagsAnd &= o.flagsAnd
-	for i := range z.bloomSrc {
-		z.bloomSrc[i] |= o.bloomSrc[i]
-		z.bloomDst[i] |= o.bloomDst[i]
-	}
-	z.coveredSize = segHeaderSize + int64(z.count)*RecordSize
 }
 
 // overlapsStart reports whether any summarized record start time can fall

@@ -602,22 +602,6 @@ func (st *ShardedStore) Seal(t uint32) error {
 	return nil
 }
 
-// SetZoneMapCacheSize bounds each local shard's zone-map cache. The
-// per-shard cap is n split evenly (minimum 1 entry each), keeping total
-// sidecar memory at the single-store budget.
-func (st *ShardedStore) SetZoneMapCacheSize(n int) {
-	if st.locals == nil || n <= 0 {
-		for _, s := range st.locals {
-			s.SetZoneMapCacheSize(n)
-		}
-		return
-	}
-	per := max(n/len(st.locals), 1)
-	for _, s := range st.locals {
-		s.SetZoneMapCacheSize(per)
-	}
-}
-
 // SegmentFormats sums the per-format segment census over all shards.
 func (st *ShardedStore) SegmentFormats() (map[uint16]int, error) {
 	per := make([]map[uint16]int, len(st.shards))

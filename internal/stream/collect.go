@@ -1,28 +1,16 @@
 package stream
 
 import (
-	"context"
-	"errors"
-	"iter"
 	"sort"
 
 	"repro/internal/flow"
-	"repro/internal/nffilter"
-	"repro/internal/nfstore"
 )
 
-// errCollectorWriteOnly rejects reads on a Collector — it captures a
-// record stream, it does not serve queries.
-var errCollectorWriteOnly = errors.New("stream: collector is write-only")
-
-// Compile-time check: the collector is a full (write-only) Engine.
-var _ nfstore.Engine = (*Collector)(nil)
-
-// Collector is a minimal write-only nfstore.Engine that captures every
-// added record in memory. It adapts the scenario generator — which
-// writes into a store — into a record stream for live replay: generate
-// into a Collector, then feed Sorted() through Ingest in clock order.
-// Used by the live-mode tests, flowgen -live, and the streaming bench.
+// Collector captures every added record in memory. It adapts the
+// scenario generator — which writes into a store-like sink — into a
+// record stream for live replay: generate into a Collector, then feed
+// Sorted() through Ingest in clock order. Used by the live-mode tests,
+// flowgen -live, and the streaming bench.
 type Collector struct {
 	binSeconds uint32
 	// Captured holds the captured records in Add order.
@@ -48,97 +36,14 @@ func (c *Collector) Sorted() []flow.Record {
 	return out
 }
 
-// BinSeconds implements nfstore.Engine.
+// BinSeconds returns the bin width the generator aligns its clock to.
 func (c *Collector) BinSeconds() uint32 { return c.binSeconds }
 
-// Bin implements nfstore.Engine.
-func (c *Collector) Bin(t uint32) flow.Interval {
-	start := t - t%c.binSeconds
-	return flow.Interval{Start: start, End: start + c.binSeconds}
-}
-
-// Bins implements nfstore.Engine.
-func (c *Collector) Bins() ([]uint32, error) { return nil, errCollectorWriteOnly }
-
-// Span returns the captured extent.
-func (c *Collector) Span() (flow.Interval, bool, error) {
-	if len(c.Captured) == 0 {
-		return flow.Interval{}, false, nil
-	}
-	iv := flow.Interval{Start: c.Captured[0].Start, End: c.Captured[0].Start}
-	for i := range c.Captured {
-		iv.Start = min(iv.Start, c.Captured[i].Start)
-		iv.End = max(iv.End, c.Captured[i].Start)
-	}
-	iv.End = iv.End - iv.End%c.binSeconds + c.binSeconds
-	return iv, true, nil
-}
-
-// Add implements nfstore.Engine.
+// Add captures a copy of r.
 func (c *Collector) Add(r *flow.Record) error {
 	c.Captured = append(c.Captured, *r)
 	return nil
 }
 
-// AddAll implements nfstore.Engine.
-func (c *Collector) AddAll(rs []flow.Record) error {
-	c.Captured = append(c.Captured, rs...)
-	return nil
-}
-
-// Flush implements nfstore.Engine (a no-op: capture is in memory).
+// Flush is a no-op: capture is in memory.
 func (c *Collector) Flush() error { return nil }
-
-// Close implements nfstore.Engine.
-func (c *Collector) Close() error { return nil }
-
-// Query implements nfstore.Engine (unsupported).
-func (c *Collector) Query(context.Context, flow.Interval, *nffilter.Filter, func(*flow.Record) error) error {
-	return errCollectorWriteOnly
-}
-
-// Iter implements nfstore.Engine (unsupported).
-func (c *Collector) Iter(context.Context, flow.Interval, *nffilter.Filter) iter.Seq2[*flow.Record, error] {
-	return func(yield func(*flow.Record, error) bool) {
-		yield(nil, errCollectorWriteOnly)
-	}
-}
-
-// Records implements nfstore.Engine (unsupported; the captured slice is
-// the exported Captured field).
-func (c *Collector) Records(context.Context, flow.Interval, *nffilter.Filter) ([]flow.Record, error) {
-	return nil, errCollectorWriteOnly
-}
-
-// Count implements nfstore.Engine (unsupported).
-func (c *Collector) Count(context.Context, flow.Interval, *nffilter.Filter) (uint64, uint64, uint64, error) {
-	return 0, 0, 0, errCollectorWriteOnly
-}
-
-// Summaries implements nfstore.Engine (unsupported).
-func (c *Collector) Summaries(context.Context, flow.Interval, *nffilter.Filter) ([]nfstore.BinSummary, error) {
-	return nil, errCollectorWriteOnly
-}
-
-// TopN implements nfstore.Engine (unsupported).
-func (c *Collector) TopN(context.Context, flow.Interval, *nffilter.Filter, flow.Feature, nfstore.Weight, int) ([]nfstore.KeyCount, error) {
-	return nil, errCollectorWriteOnly
-}
-
-// Stats implements nfstore.Engine.
-func (c *Collector) Stats() nfstore.Stats { return nfstore.Stats{} }
-
-// ResetStats implements nfstore.Engine.
-func (c *Collector) ResetStats() {}
-
-// SetParallelism implements nfstore.Engine.
-func (c *Collector) SetParallelism(int) {}
-
-// Parallelism implements nfstore.Engine.
-func (c *Collector) Parallelism() int { return 1 }
-
-// SegmentFormat implements nfstore.Engine.
-func (c *Collector) SegmentFormat() uint16 { return 0 }
-
-// SegmentFormats implements nfstore.Engine.
-func (c *Collector) SegmentFormats() (map[uint16]int, error) { return nil, errCollectorWriteOnly }

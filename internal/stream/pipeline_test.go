@@ -165,8 +165,8 @@ func TestPipelineSealLag(t *testing.T) {
 	}
 }
 
-// blockingStore wraps an Engine so Add blocks until released — the lever
-// for making backpressure deterministic.
+// blockingStore wraps a real store so Add blocks until released — the
+// lever for making backpressure deterministic.
 type blockingStore struct {
 	nfstore.Engine
 	entered chan struct{} // closed when the first Add is reached
@@ -184,8 +184,13 @@ func (b *blockingStore) Add(r *flow.Record) error {
 // buffer: TryIngest drops and counts, Ingest blocks until its context
 // cancels.
 func TestPipelineBackpressure(t *testing.T) {
+	store, err := nfstore.Create(t.TempDir(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	bs := &blockingStore{
-		Engine:  NewCollector(300),
+		Engine:  store,
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}

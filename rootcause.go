@@ -223,7 +223,6 @@ type callOptions struct {
 	jobWorkers       int
 	jobQueueDepth    int
 	resultTTL        time.Duration
-	zmCacheEntries   int
 	segmentFormat    uint16
 	// Sharding / cluster-mode construction options (see WithShards,
 	// WithPeers).
@@ -297,13 +296,6 @@ func WithConcurrency(k int) Option {
 // drill-down and detector sweep then uses that bound.
 func WithQueryParallelism(k int) Option {
 	return func(o *callOptions) { o.queryParallelism = k }
-}
-
-// WithZoneMapCacheSize bounds the flow store's in-memory zone-map cache
-// to n decoded sidecars (LRU eviction; 0 keeps the default). It is a
-// construction option — pass it to Create or Open.
-func WithZoneMapCacheSize(n int) Option {
-	return func(o *callOptions) { o.zmCacheEntries = n }
 }
 
 // WithSegmentFormat selects the on-disk format for segments the store
@@ -504,11 +496,6 @@ func assemble(store nfstore.Engine, cfg Config, o *callOptions) (*System, error)
 	}
 	// Store-type-specific tuning goes through optional interfaces: a
 	// sharded store fans these out, a remote cluster rejects writes.
-	if o.zmCacheEntries > 0 {
-		if zc, ok := store.(interface{ SetZoneMapCacheSize(int) }); ok {
-			zc.SetZoneMapCacheSize(o.zmCacheEntries)
-		}
-	}
 	if o.segmentFormat != 0 {
 		if sf, ok := store.(interface{ SetSegmentFormat(uint16) error }); ok {
 			if err := sf.SetSegmentFormat(o.segmentFormat); err != nil {
