@@ -55,7 +55,9 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 		tx := ds.Tx(i)
 		w := tx.Weight(opts.ByPackets)
 		for _, it := range tx.Items {
-			counts[it] += w
+			if !it.Absent() {
+				counts[it] += w
+			}
 		}
 	}
 	frequent := make(map[itemset.Item]bool, len(counts))

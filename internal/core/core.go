@@ -421,12 +421,14 @@ func (e *Extractor) Extract(ctx context.Context, alarm *detector.Alarm) (*Result
 
 // candidates streams the alarm interval's records into a dataset builder:
 // the meta pre-filtered pass first (when enabled), with full-interval
-// fallback when it aggregates fewer than MinCandidates flows.
+// fallback when it aggregates fewer than MinCandidates flows. The result
+// is projected at SupportFloor: no tuning round mines below the floor, so
+// every round sees the same supports over folded rows.
 func (e *Extractor) candidates(ctx context.Context, alarm *detector.Alarm) (ds *itemset.Dataset, prefiltered bool, err error) {
 	b := itemset.NewBuilder()
 	if e.opts.UsePrefilter {
 		if mf := alarm.MetaFilter(); mf != nil {
-			if err := e.fill(ctx, b, alarm.Interval, mf, PhaseCandidates); err != nil {
+			if err := e.fill(ctx, alarm.Interval, mf, PhaseCandidates, b.Add); err != nil {
 				return nil, false, err
 			}
 			prefiltered = true
@@ -434,26 +436,26 @@ func (e *Extractor) candidates(ctx context.Context, alarm *detector.Alarm) (ds *
 	}
 	if b.Flows() < uint64(e.opts.MinCandidates) {
 		b.Reset()
-		if err := e.fill(ctx, b, alarm.Interval, nil, PhaseCandidates); err != nil {
+		if err := e.fill(ctx, alarm.Interval, nil, PhaseCandidates, b.Add); err != nil {
 			return nil, false, err
 		}
 		prefiltered = false
 	}
-	return b.Dataset(), prefiltered, nil
+	return b.Dataset().Project(e.opts.SupportFloor), prefiltered, nil
 }
 
-// fill streams one interval scan into the builder, sampling progress
-// every progressStride records (the nil check is all the hot loop pays
-// when no observer is attached).
-func (e *Extractor) fill(ctx context.Context, b *itemset.Builder, iv flow.Interval, f *nffilter.Filter, phase string) error {
-	n := 0
+// fill streams one interval scan into add, sampling progress every
+// progressStride records (the nil check is all the hot loop pays when no
+// observer is attached).
+func (e *Extractor) fill(ctx context.Context, iv flow.Interval, f *nffilter.Filter, phase string, add func(*flow.Record)) error {
+	var n uint64
 	for r, err := range e.store.Iter(ctx, iv, f) {
 		if err != nil {
 			return err
 		}
-		b.Add(r)
+		add(r)
 		if n++; e.opts.Progress != nil && n%progressStride == 0 {
-			e.opts.Progress(Progress{Phase: phase, CandidateFlows: b.Flows()})
+			e.opts.Progress(Progress{Phase: phase, CandidateFlows: n})
 		}
 	}
 	return nil
@@ -640,37 +642,48 @@ func addAll(merged map[string]*ItemsetReport, order *[]*ItemsetReport, sets []it
 // baselineFilter drops itemsets whose traffic share in the preceding
 // (baseline) bin is comparable to their share in the alarm bin: such
 // itemsets describe normal traffic structure (popular servers, busy
-// services), not the anomaly. The baseline records stream into a builder
-// exactly like the candidate scan, and the per-itemset baseline supports
-// come from one sharded SupportAll pass.
+// services), not the anomaly. The baseline records stream through once,
+// and each is matched against the reported itemsets in place: only the
+// K supports and the two totals are kept, never a baseline dataset.
 func (e *Extractor) baselineFilter(ctx context.Context, iv flow.Interval, ds *itemset.Dataset, list []*ItemsetReport) (kept []*ItemsetReport, dropped int, err error) {
 	span := iv.End - iv.Start
 	if span == 0 || iv.Start < span {
 		return list, 0, nil
 	}
 	baseIv := flow.Interval{Start: iv.Start - span, End: iv.Start}
-	b := itemset.NewBuilder()
-	if err := e.fill(ctx, b, baseIv, nil, PhaseBaseline); err != nil {
+	sets := reportSets(list)
+	baseSups := make([]itemset.DualSupport, len(sets))
+	var base itemset.DualSupport // the baseline bin's totals
+	err = e.fill(ctx, baseIv, nil, PhaseBaseline, func(r *flow.Record) {
+		items := itemset.ItemsOf(r)
+		for i, s := range sets {
+			if itemset.Match(&items, s) {
+				baseSups[i].Flows++
+				baseSups[i].Packets += r.Packets
+			}
+		}
+		base.Flows++
+		base.Packets += r.Packets
+	})
+	if err != nil {
 		return nil, 0, err
 	}
-	baseDs := b.Dataset()
-	if baseDs.TotalFlows() == 0 {
+	if base.Flows == 0 {
 		return list, 0, nil
 	}
-	baseSups := baseDs.SupportAll(reportSets(list), 0)
-	// The packet dimension only gets a vote when both datasets carry
-	// packet weight: with a zero total on either side its shares are
-	// trivially 0 >= ratio×0 and would exempt every itemset from the
-	// flow-dimension verdict.
-	packetsVote := ds.TotalPackets() > 0 && baseDs.TotalPackets() > 0
+	// The packet dimension only gets a vote when both sides carry packet
+	// weight: with a zero total on either side its shares are trivially
+	// 0 >= ratio×0 and would exempt every itemset from the flow-dimension
+	// verdict.
+	packetsVote := ds.TotalPackets() > 0 && base.Packets > 0
 	for i, r := range list {
 		alarmShare := share(r.FlowSupport, ds.TotalFlows())
-		baseShare := share(baseSups[i].Flows, baseDs.TotalFlows())
+		baseShare := share(baseSups[i].Flows, base.Flows)
 		// Keep when EITHER dimension shows a genuine surge.
 		keep := alarmShare >= e.opts.BaselineRatio*baseShare
 		if !keep && packetsVote {
 			pAlarmShare := share(r.PacketSupport, ds.TotalPackets())
-			pBaseShare := share(baseSups[i].Packets, baseDs.TotalPackets())
+			pBaseShare := share(baseSups[i].Packets, base.Packets)
 			keep = pAlarmShare >= e.opts.BaselineRatio*pBaseShare
 		}
 		if keep {

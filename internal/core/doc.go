@@ -30,6 +30,7 @@
 // the same FP-growth engine with its significance pre-filter on), the
 // candidate dataset is built by streaming the store's record iterator
 // through an itemset.Builder (the raw candidate records are never
-// materialized as a slice), and support counting plus the coverage loop
-// fan out over the dataset's sharded worker pool.
+// materialized as a slice) and projected once at SupportFloor, so every
+// tuning round mines folded rows, and support counting plus the coverage
+// loop fan out over the dataset's sharded worker pool.
 package core

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"context"
+	"iter"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/detector"
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/itemset"
+	"repro/internal/nffilter"
+	"repro/internal/nfstore"
 	"repro/internal/stats"
 )
 
@@ -220,6 +225,182 @@ func TestExtractMinerEquivalence(t *testing.T) {
 		if !a.Items.Equal(f.Items) || a.FlowSupport != f.FlowSupport ||
 			a.PacketSupport != f.PacketSupport || a.Score != f.Score {
 			t.Fatalf("row %d differs: %v vs %v", i, a, f)
+		}
+	}
+}
+
+// oracleBaseline is the dataset-building baseline filter: the baseline
+// bin aggregated into an itemset.Dataset, its supports read with one
+// SupportAll pass, and the same keep rule applied.
+func oracleBaseline(t *testing.T, ex *Extractor, iv flow.Interval, ds *itemset.Dataset, list []*ItemsetReport) (kept []*ItemsetReport, dropped int) {
+	t.Helper()
+	span := iv.End - iv.Start
+	if span == 0 || iv.Start < span {
+		return list, 0
+	}
+	var recs []flow.Record
+	for r, err := range ex.store.Iter(t.Context(), flow.Interval{Start: iv.Start - span, End: iv.Start}, nil) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, *r)
+	}
+	base := itemset.FromRecords(recs)
+	if base.TotalFlows() == 0 {
+		return list, 0
+	}
+	sups := base.SupportAll(reportSets(list), 1)
+	ratio := ex.opts.BaselineRatio
+	for i, r := range list {
+		keep := share(r.FlowSupport, ds.TotalFlows()) >= ratio*share(sups[i].Flows, base.TotalFlows())
+		if !keep && ds.TotalPackets() > 0 && base.TotalPackets() > 0 {
+			keep = share(r.PacketSupport, ds.TotalPackets()) >= ratio*share(sups[i].Packets, base.TotalPackets())
+		}
+		if keep {
+			kept = append(kept, r)
+		} else {
+			dropped++
+		}
+	}
+	return kept, dropped
+}
+
+// TestBaselineFilterMatchesOracle: counting the baseline bin in place
+// keeps and drops exactly what aggregating it into a dataset did — on a
+// scan over background, with an empty baseline bin, with an alarm that
+// starts before one span has elapsed, and with a zero-packet baseline
+// that must not get a packet vote.
+func TestBaselineFilterMatchesOracle(t *testing.T) {
+	scanner := flow.MustParseIP("10.9.9.9")
+	victim := flow.MustParseIP("198.19.0.9")
+	store, truth := buildScenario(t, gen.Scenario{
+		Background: gen.Background{NumPoPs: 2, FlowsPerBin: 400},
+		Bins:       4, StartTime: coreBase, Seed: 9,
+		Placements: []gen.Placement{
+			{Anomaly: gen.PortScan{Scanner: scanner, Victim: victim, SrcPort: 55548,
+				Ports: 600, FlowsPerPort: 1, Router: 0}, Bin: 2},
+		},
+	})
+
+	// Zero-packet baseline: dstPort 80 and 443 carry the same flow share
+	// in both bins, so only a (wrong) packet vote could keep them. The
+	// store rejects zero-packet records, so an engine wrapper zeroes the
+	// baseline bin's packets on the way out.
+	twoBins, err := nfstore.Create(t.TempDir(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { twoBins.Close() })
+	var alarmRecs []flow.Record
+	for i := range 400 {
+		r := flow.Record{Start: coreBase + uint32(300*(i%2)), SrcIP: flow.IP(1000 + i), DstIP: victim,
+			SrcPort: uint16(2000 + i), DstPort: uint16(80 + 363*(i/2%2)), Proto: flow.ProtoTCP, Packets: 10, Bytes: 400}
+		if err := twoBins.Add(&r); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			alarmRecs = append(alarmRecs, r)
+		}
+	}
+	if err := twoBins.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	zeroStore := zeroPacketsBefore{Engine: twoBins, before: coreBase + 300}
+	zeroDs := itemset.FromRecords(alarmRecs)
+	var zeroList []*ItemsetReport
+	for _, port := range []uint32{80, 443} {
+		s := itemset.Set{itemset.NewItem(flow.FeatDstPort, port)}
+		sup := zeroDs.SupportAll([]itemset.Set{s}, 1)[0]
+		zeroList = append(zeroList, &ItemsetReport{Items: s, FlowSupport: sup.Flows, PacketSupport: sup.Packets})
+	}
+
+	binIv := func(bin uint32) flow.Interval {
+		return flow.Interval{Start: truth.Span.Start + 300*bin, End: truth.Span.Start + 300*(bin+1)}
+	}
+	cases := []struct {
+		name        string
+		store       nfstore.Engine
+		iv          flow.Interval
+		list        []*ItemsetReport // nil: mine the interval unfiltered
+		ds          *itemset.Dataset
+		wantDropped bool
+	}{
+		{name: "scan over background", store: store, iv: binIv(2), wantDropped: true},
+		{name: "quiet bin", store: store, iv: binIv(1), wantDropped: true},
+		{name: "empty baseline bin", store: store, iv: binIv(0)},
+		{name: "starts before one span", store: store, iv: flow.Interval{Start: 100, End: 400},
+			list: zeroList, ds: zeroDs},
+		{name: "zero-packet baseline", store: zeroStore, iv: flow.Interval{Start: coreBase + 300, End: coreBase + 600},
+			list: zeroList, ds: zeroDs, wantDropped: true},
+	}
+	for _, tc := range cases {
+		opts := DefaultOptions()
+		opts.BaselineFilter = false
+		// No ranking cut: the unfiltered report is the full list the
+		// filter sees inside Extract.
+		opts.MaxItemsets = 1000
+		ex, err := New(tc.store, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list, ds := tc.list, tc.ds
+		var alarm *detector.Alarm
+		if list == nil {
+			alarm = &detector.Alarm{Interval: tc.iv}
+			res, err := ex.Extract(t.Context(), alarm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range res.Itemsets {
+				list = append(list, &res.Itemsets[i])
+			}
+			if ds, _, err = ex.candidates(t.Context(), alarm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ex.opts.BaselineFilter = true
+		kept, dropped, err := ex.baselineFilter(t.Context(), tc.iv, ds, list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantKept, wantDropped := oracleBaseline(t, ex, tc.iv, ds, list)
+		if dropped != wantDropped || !reflect.DeepEqual(kept, wantKept) {
+			t.Fatalf("%s: kept %v dropped %d, oracle kept %v dropped %d", tc.name, kept, dropped, wantKept, wantDropped)
+		}
+		if tc.wantDropped != (dropped > 0) || len(kept)+dropped != len(list) {
+			t.Fatalf("%s: dropped %d of %d itemsets (want some dropped: %v)", tc.name, dropped, len(list), tc.wantDropped)
+		}
+		if alarm != nil {
+			res, err := ex.Extract(t.Context(), alarm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BaselineDropped != wantDropped || len(res.Itemsets) != len(wantKept) {
+				t.Fatalf("%s: Extract dropped %d and kept %d, oracle %d and %d",
+					tc.name, res.BaselineDropped, len(res.Itemsets), wantDropped, len(wantKept))
+			}
+		}
+	}
+}
+
+// zeroPacketsBefore serves its engine's records with the packet count of
+// every record starting before the cut set to zero.
+type zeroPacketsBefore struct {
+	nfstore.Engine
+	before uint32
+}
+
+func (z zeroPacketsBefore) Iter(ctx context.Context, iv flow.Interval, f *nffilter.Filter) iter.Seq2[*flow.Record, error] {
+	return func(yield func(*flow.Record, error) bool) {
+		for r, err := range z.Engine.Iter(ctx, iv, f) {
+			if err == nil && r.Start < z.before {
+				c := *r
+				c.Packets = 0
+				r = &c
+			}
+			if !yield(r, err) {
+				return
+			}
 		}
 	}
 }

@@ -117,7 +117,9 @@ func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]i
 		tx := ds.Tx(i)
 		w := tx.Weight(opts.ByPackets)
 		for _, it := range tx.Items {
-			support[it] += w
+			if !it.Absent() {
+				support[it] += w
+			}
 		}
 	}
 	total := ds.Total(opts.ByPackets)
@@ -128,7 +130,7 @@ func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]i
 	// mines a sub-tree of the unfiltered one.
 	kept := support
 	if prefilter {
-		kept = significantItems(support, total, opts.Significance)
+		kept = significantItems(support, ds.Dropped, total, opts.Significance)
 	}
 	order := make(map[itemset.Item]int, len(kept))
 	{
@@ -149,9 +151,12 @@ func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]i
 		}
 	}
 
-	// Pass 2: build the tree over the ordered items only.
+	// Pass 2: build the tree over the ordered items only. Each row's
+	// ranks are read once and its at most NumFeatures items
+	// insertion-sorted in place.
 	t := newTree()
-	var path []itemset.Item
+	var path [flow.NumFeatures]itemset.Item
+	var ranks [flow.NumFeatures]int
 	for i := 0; i < ds.Len(); i++ {
 		if i%1024 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -159,17 +164,23 @@ func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]i
 			}
 		}
 		tx := ds.Tx(i)
-		path = path[:0]
+		n := 0
 		for _, it := range tx.Items {
-			if _, ok := order[it]; ok {
-				path = append(path, it)
+			r, ok := order[it]
+			if !ok {
+				continue
 			}
+			j := n
+			for ; j > 0 && ranks[j-1] > r; j-- {
+				ranks[j], path[j] = ranks[j-1], path[j-1]
+			}
+			ranks[j], path[j] = r, it
+			n++
 		}
-		if len(path) == 0 {
+		if n == 0 {
 			continue
 		}
-		sort.Slice(path, func(a, b int) bool { return order[path[a]] < order[path[b]] })
-		t.insert(path, tx.Weight(opts.ByPackets))
+		t.insert(path[:n], tx.Weight(opts.ByPackets))
 	}
 
 	result, err := mineTop(ctx, t, opts.MinSupport, maxLen)
@@ -190,9 +201,11 @@ func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]i
 //
 //	z = (w − total·p0) / sqrt(total·p0·(1−p0)) >= sig
 //
-// Features with a single observed value carry nothing to test and always
-// survive, as does everything when the dataset has no weight at all.
-func significantItems(support map[itemset.Item]uint64, total uint64, sig float64) map[itemset.Item]uint64 {
+// k counts the values a projected dataset folded away (dropped) as well
+// as those in support, so projection never changes the null. Features
+// with a single observed value carry nothing to test and always survive,
+// as does everything when the dataset has no weight at all.
+func significantItems(support map[itemset.Item]uint64, dropped func(flow.Feature) int, total uint64, sig float64) map[itemset.Item]uint64 {
 	if total == 0 {
 		return support
 	}
@@ -202,7 +215,7 @@ func significantItems(support map[itemset.Item]uint64, total uint64, sig float64
 	}
 	kept := make(map[itemset.Item]uint64, len(support))
 	for it, w := range support {
-		k := valuesPerFeature[it.Feature()]
+		k := valuesPerFeature[it.Feature()] + dropped(it.Feature())
 		if k <= 1 {
 			kept[it] = w
 			continue

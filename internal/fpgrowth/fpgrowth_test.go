@@ -287,18 +287,27 @@ func TestSignificantItems(t *testing.T) {
 	// 60 sits exactly two standard deviations above the null.
 	support := map[itemset.Item]uint64{a: 60, b: 40, tcp: 5}
 	cases := []struct {
-		name  string
-		total uint64
-		sig   float64
-		want  []itemset.Item
+		name    string
+		total   uint64
+		sig     float64
+		dropped int // srcIP values a projection folded away
+		want    []itemset.Item
 	}{
-		{"total zero keeps everything", 0, 2, []itemset.Item{a, b, tcp}},
-		{"single-valued feature always survives", 100, 1e9, []itemset.Item{tcp}},
-		{"exactly at the threshold survives", 100, 2, []itemset.Item{a, tcp}},
-		{"just above the threshold is dropped", 100, 2.000001, []itemset.Item{tcp}},
+		{"total zero keeps everything", 0, 2, 0, []itemset.Item{a, b, tcp}},
+		{"single-valued feature always survives", 100, 1e9, 0, []itemset.Item{tcp}},
+		{"exactly at the threshold survives", 100, 2, 0, []itemset.Item{a, tcp}},
+		{"just above the threshold is dropped", 100, 2.000001, 0, []itemset.Item{tcp}},
+		// k = 2 kept + 1 folded away: p0 = 1/3, so 60 clears z ≈ 5.7.
+		{"folded-away values count toward k", 100, 2.000001, 1, []itemset.Item{a, tcp}},
 	}
 	for _, tc := range cases {
-		kept := significantItems(support, tc.total, tc.sig)
+		dropped := func(f flow.Feature) int {
+			if f == flow.FeatSrcIP {
+				return tc.dropped
+			}
+			return 0
+		}
+		kept := significantItems(support, dropped, tc.total, tc.sig)
 		if len(kept) != len(tc.want) {
 			t.Errorf("%s: kept %v, want %v", tc.name, kept, tc.want)
 			continue

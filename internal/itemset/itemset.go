@@ -25,6 +25,15 @@ func (it Item) Feature() flow.Feature { return flow.Feature(it >> 32) }
 // Value returns the item's raw 32-bit value.
 func (it Item) Value() uint32 { return uint32(it) }
 
+// absentBit marks a transaction slot whose value Dataset.Project folded
+// away. No (feature, value) pair sets it, so an absent marker never equals
+// a real item and never matches an itemset.
+const absentBit Item = 1 << 63
+
+// Absent reports whether the item is the absent marker Project leaves in a
+// slot whose value fell below the projection floor. Miners skip it.
+func (it Item) Absent() bool { return it&absentBit != 0 }
+
 // String renders the item as "feature=value" with operator-friendly value
 // formatting ("srcIP=10.191.64.165", "dstPort=80", "proto=tcp").
 func (it Item) String() string {
@@ -194,11 +203,13 @@ func ItemsOf(r *flow.Record) TxItems {
 }
 
 // Dataset is a transaction database built from flow records, with
-// identical 5-tuples aggregated. It is immutable once built.
+// identical 5-tuples (after Project, identical projected rows)
+// aggregated. It is immutable once built.
 type Dataset struct {
 	txs          []Tx
 	totalFlows   uint64
 	totalPackets uint64
+	dropped      [flow.NumFeatures]int // distinct values per feature Project folded away
 }
 
 // FromRecords aggregates flow records into a Dataset. Each distinct
@@ -302,6 +313,62 @@ func (ds *Dataset) Total(byPackets bool) uint64 {
 		return ds.totalPackets
 	}
 	return ds.totalFlows
+}
+
+// Dropped returns how many distinct values of feature f Project folded
+// into the absent marker: the kept values of f plus Dropped(f) are the
+// distinct values of f before projection.
+func (ds *Dataset) Dropped(f flow.Feature) int { return ds.dropped[f] }
+
+// Project returns ds with every item whose flow and packet supports are
+// both below floor replaced by its slot's absent marker, and with the rows
+// that become identical merged (weights summed). Totals carry over and
+// Dropped counts the folded-away values per feature.
+//
+// An itemset with support >= floor in either dimension contains only kept
+// items, and a row contains it after projection exactly when it did
+// before, so both of its supports are unchanged: mining at MinSupport >=
+// floor, SupportAll and Coverage over such itemsets answer as on ds, over
+// far fewer rows when most of a 5-tuple is noise (a scan's ephemeral
+// ports, a flood's spoofed sources).
+func (ds *Dataset) Project(floor uint64) *Dataset {
+	sup := make(map[Item]DualSupport)
+	for i := range ds.txs {
+		tx := &ds.txs[i]
+		for _, it := range tx.Items {
+			s := sup[it]
+			s.Flows += tx.Flows
+			s.Packets += tx.Packets
+			sup[it] = s
+		}
+	}
+	below := func(it Item) bool {
+		s := sup[it]
+		return s.Flows < floor && s.Packets < floor
+	}
+	out := &Dataset{totalFlows: ds.totalFlows, totalPackets: ds.totalPackets, dropped: ds.dropped}
+	for it := range sup {
+		if !it.Absent() && below(it) {
+			out.dropped[it.Feature()]++
+		}
+	}
+	idx := make(map[TxItems]int)
+	for i := range ds.txs {
+		tx := ds.txs[i]
+		for j, it := range tx.Items {
+			if below(it) {
+				tx.Items[j] = absentBit | NewItem(it.Feature(), 0)
+			}
+		}
+		if k, ok := idx[tx.Items]; ok {
+			out.txs[k].Flows += tx.Flows
+			out.txs[k].Packets += tx.Packets
+			continue
+		}
+		idx[tx.Items] = len(out.txs)
+		out.txs = append(out.txs, tx)
+	}
+	return out
 }
 
 // Support computes the support of an itemset by a full scan, in the given

@@ -239,3 +239,49 @@ func TestFromTxs(t *testing.T) {
 		t.Fatalf("FromTxs totals wrong: %d %d", ds.TotalFlows(), ds.TotalPackets())
 	}
 }
+
+// TestProjectFoldsRows: a scan's one-flow destination ports fold into
+// the absent marker and its rows merge into one, while a one-flow flood
+// row survives on packet support alone.
+func TestProjectFoldsRows(t *testing.T) {
+	const ports = 40
+	var recs []flow.Record
+	for p := range ports {
+		recs = append(recs, mkRecord(1, 1, 55548, uint16(1000+p), flow.ProtoTCP, 1))
+	}
+	recs = append(recs, mkRecord(2, 9, 4000, 53, flow.ProtoUDP, 5000))
+	ds := FromRecords(recs)
+	proj := ds.Project(5)
+
+	if proj.Len() != 2 || proj.TotalFlows() != ds.TotalFlows() || proj.TotalPackets() != ds.TotalPackets() {
+		t.Fatalf("projected %d rows, totals %d/%d; want 2 rows, totals %d/%d",
+			proj.Len(), proj.TotalFlows(), proj.TotalPackets(), ds.TotalFlows(), ds.TotalPackets())
+	}
+	for _, f := range flow.Features() {
+		want := 0
+		if f == flow.FeatDstPort {
+			want = ports
+		}
+		if got := proj.Dropped(f); got != want {
+			t.Fatalf("Dropped(%v) = %d, want %d", f, got, want)
+		}
+	}
+	scan := proj.Tx(0)
+	if !scan.Items[flow.FeatDstPort].Absent() || scan.Items[flow.FeatSrcIP].Absent() || scan.Flows != ports {
+		t.Fatalf("scan row = %+v, want %d flows with only dstPort absent", scan, ports)
+	}
+	port := NewSet(NewItem(flow.FeatDstPort, 1000))
+	if Match(&scan.Items, port) || proj.Support(port, false) != 0 {
+		t.Fatal("a folded-away item must match no row")
+	}
+	flood := NewSet(NewItem(flow.FeatSrcIP, uint32(recs[ports].SrcIP)), NewItem(flow.FeatDstPort, 53))
+	if got := proj.Support(flood, true); got != 5000 {
+		t.Fatalf("packet-only itemset support = %d, want 5000", got)
+	}
+
+	// Projecting again at the same floor changes nothing.
+	again := proj.Project(5)
+	if again.Len() != proj.Len() || again.Dropped(flow.FeatDstPort) != ports || again.Tx(0).Flows != ports {
+		t.Fatalf("re-projection moved: %d rows, Dropped(dstPort) %d", again.Len(), again.Dropped(flow.FeatDstPort))
+	}
+}

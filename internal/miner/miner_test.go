@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -181,6 +182,184 @@ func TestCrossMinerProperty(t *testing.T) {
 			assertIdentical(t, fmt.Sprintf("%s vs %s MineMaximal (%s)", names[0], names[i], label), refMax, gotMax)
 		}
 	}
+}
+
+// TestProjectionExact pins Dataset.Project on the cross-miner battery's
+// 120 datasets, plus scan-shaped ones whose one-off source ports fold
+// into an absent marker heavy enough to be frequent: at every MinSupport
+// >= the projection floor, every miner (fda with and without its
+// pre-filter) mines the projected rows to exactly what it mines from the
+// raw ones, in both dimensions, and the mined sets keep their supports
+// and coverage.
+func TestProjectionExact(t *testing.T) {
+	var datasets []*itemset.Dataset
+	for seed := uint64(1); seed <= 120; seed++ {
+		rng := stats.NewRNG(seed * 7919)
+		datasets = append(datasets, randomWeightedDataset(seed, 5+rng.Intn(120)))
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		datasets = append(datasets, scanShapedDataset(seed, 150))
+	}
+	// Non-vacuity: cases that exercised each rule.
+	var folded, packetOnly, heavyAbsent int
+	for d, ds := range datasets {
+		single := itemSupports(ds)
+		for _, floor := range []uint64{1, 2, 5, 10} {
+			proj := ds.Project(floor)
+			label := fmt.Sprintf("dataset=%d floor=%d", d, floor)
+			if proj.TotalFlows() != ds.TotalFlows() || proj.TotalPackets() != ds.TotalPackets() {
+				t.Fatalf("%s: totals %d/%d, want %d/%d", label,
+					proj.TotalFlows(), proj.TotalPackets(), ds.TotalFlows(), ds.TotalPackets())
+			}
+			if proj.Len() < ds.Len() {
+				folded++
+			}
+			kept := itemSupports(proj)
+			for _, f := range flow.Features() {
+				if got, want := distinctValues(kept, f)+proj.Dropped(f), distinctValues(single, f); got != want {
+					t.Fatalf("%s: %v has %d kept + dropped values, want %d", label, f, got, want)
+				}
+			}
+			// An item frequent in either dimension survives with both
+			// supports; anything else is folded away.
+			for it, sup := range single {
+				frequent := sup.Flows >= floor || sup.Packets >= floor
+				if got, ok := kept[it]; ok != frequent || (ok && got != sup) {
+					t.Fatalf("%s: item %v projected to %+v (kept=%v), raw %+v", label, it, got, ok, sup)
+				}
+				if sup.Flows < floor && sup.Packets >= floor {
+					packetOnly++
+				}
+			}
+			absent := absentSupports(proj)
+			for _, mult := range []uint64{1, 2, 7} {
+				for _, byPackets := range []bool{false, true} {
+					opts := miner.Options{MinSupport: mult * floor, ByPackets: byPackets}
+					assertProjectionExact(t, fmt.Sprintf("%s opts=%+v", label, opts), ds, proj, opts)
+					for _, sup := range absent {
+						if byPackets && sup.Packets >= opts.MinSupport || !byPackets && sup.Flows >= opts.MinSupport {
+							heavyAbsent++
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	if folded == 0 || packetOnly == 0 || heavyAbsent == 0 {
+		t.Fatalf("no case folded a row (%d), kept a packet-only item (%d) or had a frequent absent marker (%d)",
+			folded, packetOnly, heavyAbsent)
+	}
+}
+
+// assertProjectionExact mines ds and proj with every miner, fda with
+// and without its pre-filter (the only miner that reads it), and compares
+// the results; the unfiltered result holds every other one, so its sets
+// check SupportAll and Coverage for all of them.
+func assertProjectionExact(t *testing.T, label string, ds, proj *itemset.Dataset, opts miner.Options) {
+	t.Helper()
+	var all []itemset.Set
+	for _, name := range miner.Names() {
+		m, err := miner.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefilters := []bool{false}
+		if name == "fda" {
+			prefilters = append(prefilters, true)
+		}
+		for _, prefilter := range prefilters {
+			opts.Prefilter = prefilter
+			want, err := m.Mine(t.Context(), ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Mine(t.Context(), proj, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s prefilter=%v: projected mined %v, raw %v", label, name, prefilter, got, want)
+			}
+			if all == nil {
+				for i := range want {
+					all = append(all, want[i].Items)
+				}
+			}
+		}
+	}
+	if g, w := proj.SupportAll(all, 0), ds.SupportAll(all, 0); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: projected SupportAll %v, raw %v", label, g, w)
+	}
+	for _, byPackets := range []bool{false, true} {
+		if g, w := proj.Coverage(all, byPackets, 0), ds.Coverage(all, byPackets, 0); g != w {
+			t.Fatalf("%s: projected coverage(byPackets=%v) %v, raw %v", label, byPackets, g, w)
+		}
+	}
+}
+
+// scanShapedDataset is n rows from a few hosts, each on its own source
+// port with one flow and a handful of packets: at floors above that
+// weight the whole srcPort column folds into one absent marker.
+func scanShapedDataset(seed uint64, n int) *itemset.Dataset {
+	rng := stats.NewRNG(seed)
+	txs := make([]itemset.Tx, n)
+	for i := range txs {
+		r := flow.Record{
+			SrcIP:   flow.IP(rng.Intn(3)),
+			DstIP:   flow.IP(rng.Intn(3)),
+			SrcPort: uint16(1024 + i),
+			DstPort: uint16(rng.Intn(4)),
+			Proto:   flow.ProtoTCP,
+		}
+		txs[i] = itemset.Tx{Items: itemset.ItemsOf(&r), Flows: 1, Packets: 1 + uint64(rng.Intn(4))}
+	}
+	return itemset.FromTxs(txs)
+}
+
+// absentSupports returns both supports of every absent marker in ds.
+func absentSupports(ds *itemset.Dataset) map[itemset.Item]itemset.DualSupport {
+	sup := make(map[itemset.Item]itemset.DualSupport)
+	for i := 0; i < ds.Len(); i++ {
+		tx := ds.Tx(i)
+		for _, it := range tx.Items {
+			if it.Absent() {
+				s := sup[it]
+				s.Flows += tx.Flows
+				s.Packets += tx.Packets
+				sup[it] = s
+			}
+		}
+	}
+	return sup
+}
+
+// itemSupports returns both supports of every real (non-absent) item.
+func itemSupports(ds *itemset.Dataset) map[itemset.Item]itemset.DualSupport {
+	sup := make(map[itemset.Item]itemset.DualSupport)
+	for i := 0; i < ds.Len(); i++ {
+		tx := ds.Tx(i)
+		for _, it := range tx.Items {
+			if !it.Absent() {
+				s := sup[it]
+				s.Flows += tx.Flows
+				s.Packets += tx.Packets
+				sup[it] = s
+			}
+		}
+	}
+	return sup
+}
+
+// distinctValues counts the items of feature f in sup.
+func distinctValues(sup map[itemset.Item]itemset.DualSupport, f flow.Feature) int {
+	n := 0
+	for it := range sup {
+		if it.Feature() == f {
+			n++
+		}
+	}
+	return n
 }
 
 // TestOptionsValidate is the table-driven contract test for the shared
