@@ -332,8 +332,8 @@ var ErrNoCandidates = errors.New("core: alarm interval contains no flows")
 // engine: the meta pre-filter is exactly the kind of selective filter
 // whose zone-map pruning skips every segment outside the anomaly, so the
 // prefiltered pass typically opens only the alarm interval's own bins.
-// Records stream straight into the dataset builder — the candidate set is
-// aggregated incrementally, never held as a raw record slice.
+// Records stream straight into the dataset builder's value columns — the
+// candidate set is never held as a raw record slice.
 func (e *Extractor) Extract(ctx context.Context, alarm *detector.Alarm) (*Result, error) {
 	res := &Result{Alarm: *alarm}
 
@@ -419,10 +419,10 @@ func (e *Extractor) Extract(ctx context.Context, alarm *detector.Alarm) (*Result
 	return res, nil
 }
 
-// candidates streams the alarm interval's records into a dataset builder:
+// candidates streams the alarm interval's records into a column buffer:
 // the meta pre-filtered pass first (when enabled), with full-interval
-// fallback when it aggregates fewer than MinCandidates flows. The result
-// is projected at SupportFloor: no tuning round mines below the floor, so
+// fallback when it buffers fewer than MinCandidates flows. The buffer is
+// folded once, at SupportFloor: no tuning round mines below the floor, so
 // every round sees the same supports over folded rows.
 func (e *Extractor) candidates(ctx context.Context, alarm *detector.Alarm) (ds *itemset.Dataset, prefiltered bool, err error) {
 	b := itemset.NewBuilder()
@@ -441,7 +441,7 @@ func (e *Extractor) candidates(ctx context.Context, alarm *detector.Alarm) (ds *
 		}
 		prefiltered = false
 	}
-	return b.Dataset().Project(e.opts.SupportFloor), prefiltered, nil
+	return b.Project(e.opts.SupportFloor), prefiltered, nil
 }
 
 // fill streams one interval scan into add, sampling progress every

@@ -77,6 +77,56 @@ func TestPrefilterFallbackOnThinMeta(t *testing.T) {
 	}
 }
 
+// TestPrefilterFallbackOnThinNonEmptyMeta: a meta filter matching
+// 1 <= n < MinCandidates flows falls back to the full interval, and the
+// candidate set is exactly the interval's — none of the n prefiltered
+// rows survive the buffer's Reset.
+func TestPrefilterFallbackOnThinNonEmptyMeta(t *testing.T) {
+	s := gen.Scenario{
+		Background: gen.Background{NumPoPs: 2, FlowsPerBin: 300},
+		Bins:       4, StartTime: coreBase, Seed: 22,
+		Placements: []gen.Placement{
+			{Anomaly: gen.PortScan{Scanner: flow.MustParseIP("10.9.9.9"), Victim: flow.MustParseIP("198.19.0.9"),
+				SrcPort: 55548, Ports: 1500, FlowsPerPort: 1, Router: 0}, Bin: 2},
+		},
+	}
+	store, truth := buildScenario(t, s)
+	iv := truth.Entries[0].Interval
+	recs, err := store.Records(t.Context(), iv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows, packets uint64
+	perSrc := make(map[flow.IP]int)
+	for i := range recs {
+		flows++
+		packets += recs[i].Packets
+		perSrc[recs[i].SrcIP]++
+	}
+	opts := DefaultOptions()
+	thin, n := flow.IP(0), 0
+	for ip, c := range perSrc {
+		if c > n && c < opts.MinCandidates {
+			thin, n = ip, c
+		}
+	}
+	if n == 0 {
+		t.Fatal("scenario has no source with 1..MinCandidates-1 flows")
+	}
+	alarm := &detector.Alarm{Interval: iv, Meta: []detector.MetaItem{{Feature: flow.FeatSrcIP, Value: uint32(thin)}}}
+	res, err := MustNew(store, opts).Extract(t.Context(), alarm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Prefiltered {
+		t.Fatalf("meta matching %d flows (< %d) must fall back to the full interval", n, opts.MinCandidates)
+	}
+	if res.CandidateFlows != flows || res.CandidatePackets != packets {
+		t.Fatalf("candidates %d flows / %d packets, want the interval's %d / %d (meta matched %d flows)",
+			res.CandidateFlows, res.CandidatePackets, flows, packets, n)
+	}
+}
+
 func TestDimensionsRecorded(t *testing.T) {
 	// A scan frequent in both dimensions should carry both markers after
 	// the dual pass.

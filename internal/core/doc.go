@@ -28,9 +28,9 @@
 // internal/miner registry; "apriori" is the default, "fpgrowth" the
 // built-in alternative emitting identical canonical results, and "fda"
 // the same FP-growth engine with its significance pre-filter on), the
-// candidate dataset is built by streaming the store's record iterator
-// through an itemset.Builder (the raw candidate records are never
-// materialized as a slice) and projected once at SupportFloor, so every
-// tuning round mines folded rows, and support counting plus the coverage
-// loop fan out over the dataset's sharded worker pool.
+// store's record iterator streams candidate flows into the value columns
+// of an itemset.Builder (no record slice, no per-record map), which folds
+// them once at SupportFloor (Builder.Project), so every tuning round
+// mines folded rows, and support counting plus the coverage loop fan out
+// over the dataset's sharded worker pool.
 package core

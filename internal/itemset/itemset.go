@@ -2,6 +2,7 @@ package itemset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -223,65 +224,148 @@ func FromRecords(records []flow.Record) *Dataset {
 	return b.Dataset()
 }
 
-// Builder aggregates streamed flow records into a Dataset incrementally,
-// so candidate selection can ride a record iterator without ever
-// materializing the raw []flow.Record. Identical 5-tuples fold into one
-// weighted transaction as they arrive; the builder's memory is
-// proportional to the number of distinct 5-tuples, not to the number of
-// records. The zero value is not usable; start from NewBuilder.
+// Builder buffers streamed flow records as five flat feature-value
+// columns plus a packet column (28 B per record, no map), so candidate
+// selection can ride a record iterator without materializing the raw
+// []flow.Record, and folds them once, at the projection floor (Project).
+// The zero value is ready to use.
 type Builder struct {
-	idx map[TxItems]int
-	ds  Dataset
+	vals    [flow.NumFeatures][]uint32
+	packets []uint64
 }
 
 // NewBuilder returns an empty streaming dataset builder.
-func NewBuilder() *Builder {
-	return &Builder{idx: make(map[TxItems]int)}
-}
+func NewBuilder() *Builder { return &Builder{} }
 
-// Add folds one flow record into the dataset under construction. The
-// record is only read, never retained.
+// Add appends one flow record to the buffer. The record is only read,
+// never retained.
 func (b *Builder) Add(r *flow.Record) {
-	items := ItemsOf(r)
-	j, ok := b.idx[items]
-	if !ok {
-		j = len(b.ds.txs)
-		b.idx[items] = j
-		b.ds.txs = append(b.ds.txs, Tx{Items: items})
-	}
-	b.ds.txs[j].Flows++
-	b.ds.txs[j].Packets += r.Packets
-	b.ds.totalFlows++
-	b.ds.totalPackets += r.Packets
+	b.vals[flow.FeatSrcIP] = append(b.vals[flow.FeatSrcIP], uint32(r.SrcIP))
+	b.vals[flow.FeatDstIP] = append(b.vals[flow.FeatDstIP], uint32(r.DstIP))
+	b.vals[flow.FeatSrcPort] = append(b.vals[flow.FeatSrcPort], uint32(r.SrcPort))
+	b.vals[flow.FeatDstPort] = append(b.vals[flow.FeatDstPort], uint32(r.DstPort))
+	b.vals[flow.FeatProto] = append(b.vals[flow.FeatProto], uint32(r.Proto))
+	b.packets = append(b.packets, r.Packets)
 }
 
 // Flows returns the number of records added so far (the flow total of the
 // dataset under construction) — the candidate-count the engine checks
 // against MinCandidates before committing to a prefiltered dataset.
-func (b *Builder) Flows() uint64 { return b.ds.totalFlows }
+func (b *Builder) Flows() uint64 { return uint64(len(b.packets)) }
 
-// Len returns the number of distinct transactions aggregated so far.
-func (b *Builder) Len() int { return len(b.ds.txs) }
+// Len returns the number of distinct 5-tuples added so far. It folds the
+// buffer (Project(1)) to answer.
+func (b *Builder) Len() int { return b.Project(1).Len() }
 
-// Reset discards everything added so far, keeping the builder usable —
+// Reset discards everything added so far, keeping the buffer's capacity —
 // the full-interval fallback path reuses one builder after an
 // insufficient prefiltered pass.
 func (b *Builder) Reset() {
-	clear(b.idx)
-	b.ds.txs = b.ds.txs[:0]
-	b.ds.totalFlows = 0
-	b.ds.totalPackets = 0
+	for f := range b.vals {
+		b.vals[f] = b.vals[f][:0]
+	}
+	b.packets = b.packets[:0]
 }
 
-// Dataset finalizes the builder and returns the aggregated dataset. The
-// builder must not be used afterwards (the dataset takes ownership of the
-// transaction storage); call Reset before Dataset to reuse a builder
-// across passes instead.
-func (b *Builder) Dataset() *Dataset {
-	ds := b.ds
-	b.ds = Dataset{}
-	b.idx = nil
-	return &ds
+// Dataset returns the records aggregated by 5-tuple: Project(1), which
+// keeps every item. The builder stays usable.
+func (b *Builder) Dataset() *Dataset { return b.Project(1) }
+
+// Project returns the buffered records folded at floor: exactly
+// Dataset.Project(floor) of their 5-tuple aggregation (same rows in
+// first-seen order, same weights, totals and Dropped), in two passes and
+// without the aggregation. Pass 1 dictionary-codes each column in
+// first-seen order and sums every code's dual support. Pass 2 maps each
+// code below floor in both dimensions to its column's absent code and
+// folds the rows on their five codes.
+func (b *Builder) Project(floor uint64) *Dataset {
+	ds := &Dataset{totalFlows: b.Flows()}
+	for _, p := range b.packets {
+		ds.totalPackets += p
+	}
+	var codes [flow.NumFeatures][]uint32 // per row
+	var items [flow.NumFeatures][]Item   // per code: kept item or the slot's absent marker
+	for f := range b.vals {
+		codes[f] = make([]uint32, len(b.packets))
+		vals := encode(b.vals[f], codes[f], flow.Feature(f))
+		sups := make([]DualSupport, len(vals))
+		for i, c := range codes[f] {
+			sups[c].Flows++
+			sups[c].Packets += b.packets[i]
+		}
+		absent := uint32(len(vals))
+		remap := make([]uint32, len(vals))
+		items[f] = make([]Item, len(vals)+1)
+		items[f][absent] = absentBit | NewItem(flow.Feature(f), 0)
+		for c, v := range vals {
+			if sups[c].Flows < floor && sups[c].Packets < floor {
+				remap[c] = absent
+				ds.dropped[f]++
+				continue
+			}
+			remap[c] = uint32(c)
+			items[f][c] = NewItem(flow.Feature(f), v)
+		}
+		for i, c := range codes[f] {
+			codes[f][i] = remap[c]
+		}
+	}
+	// Presize for the rows the kept codes can form, at most one per record.
+	bound := 1
+	for f := range items {
+		bound = min(bound*(len(items[f])-ds.dropped[f]), len(b.packets))
+	}
+	idx := make(map[[flow.NumFeatures]uint32]int32, bound)
+	ds.txs = slices.Grow(ds.txs, bound)
+	for i, p := range b.packets {
+		var key [flow.NumFeatures]uint32
+		for f := range key {
+			key[f] = codes[f][i]
+		}
+		if j, ok := idx[key]; ok {
+			ds.txs[j].Flows++
+			ds.txs[j].Packets += p
+			continue
+		}
+		idx[key] = int32(len(ds.txs))
+		tx := Tx{Flows: 1, Packets: p}
+		for f, c := range key {
+			tx.Items[f] = items[f][c]
+		}
+		ds.txs = append(ds.txs, tx)
+	}
+	return ds
+}
+
+// encode writes the dictionary code of every value of col to codes, codes
+// numbered in first-seen order, and returns the value of each code. Port
+// and protocol values index a flat table; addresses go through a hash
+// dictionary.
+func encode(col, codes []uint32, f flow.Feature) (vals []uint32) {
+	if f == flow.FeatSrcIP || f == flow.FeatDstIP {
+		dict := make(map[uint32]uint32, len(col))
+		for i, v := range col {
+			c, ok := dict[v]
+			if !ok {
+				c = uint32(len(vals))
+				dict[v] = c
+				vals = append(vals, v)
+			}
+			codes[i] = c
+		}
+		return vals
+	}
+	table := make([]uint32, 1<<16) // code+1, 0 = unseen
+	for i, v := range col {
+		c := table[v]
+		if c == 0 {
+			vals = append(vals, v)
+			c = uint32(len(vals))
+			table[v] = c
+		}
+		codes[i] = c - 1
+	}
+	return vals
 }
 
 // FromTxs builds a Dataset directly from prepared transactions (used by
@@ -323,7 +407,9 @@ func (ds *Dataset) Dropped(f flow.Feature) int { return ds.dropped[f] }
 // Project returns ds with every item whose flow and packet supports are
 // both below floor replaced by its slot's absent marker, and with the rows
 // that become identical merged (weights summed). Totals carry over and
-// Dropped counts the folded-away values per feature.
+// Dropped counts the folded-away values per feature. The engine folds
+// through Builder.Project instead; this map pass over weighted rows is
+// the reference the tests hold it to.
 //
 // An itemset with support >= floor in either dimension contains only kept
 // items, and a row contains it after projection exactly when it did

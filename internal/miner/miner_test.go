@@ -184,16 +184,16 @@ func TestCrossMinerProperty(t *testing.T) {
 	}
 }
 
-// TestProjectionExact pins Dataset.Project on the cross-miner battery's
-// 120 datasets, plus scan-shaped ones whose one-off source ports fold
-// into an absent marker heavy enough to be frequent: at every MinSupport
-// >= the projection floor, every miner (fda with and without its
-// pre-filter) mines the projected rows to exactly what it mines from the
-// raw ones, in both dimensions, and the mined sets keep their supports
-// and coverage.
+// TestProjectionExact pins Dataset.Project on every fourth of the
+// cross-miner battery's 120 datasets, plus scan-shaped ones whose one-off
+// source ports fold into an absent marker heavy enough to be frequent: at
+// MinSupport >= the projection floor, every miner (fda with and without
+// its pre-filter) mines the projected rows to exactly what it mines from
+// the raw ones, in both dimensions, and the mined sets keep their
+// supports and coverage.
 func TestProjectionExact(t *testing.T) {
 	var datasets []*itemset.Dataset
-	for seed := uint64(1); seed <= 120; seed++ {
+	for seed := uint64(1); seed <= 120; seed += 4 {
 		rng := stats.NewRNG(seed * 7919)
 		datasets = append(datasets, randomWeightedDataset(seed, 5+rng.Intn(120)))
 	}
@@ -204,7 +204,7 @@ func TestProjectionExact(t *testing.T) {
 	var folded, packetOnly, heavyAbsent int
 	for d, ds := range datasets {
 		single := itemSupports(ds)
-		for _, floor := range []uint64{1, 2, 5, 10} {
+		for _, floor := range []uint64{1, 5, 10} {
 			proj := ds.Project(floor)
 			label := fmt.Sprintf("dataset=%d floor=%d", d, floor)
 			if proj.TotalFlows() != ds.TotalFlows() || proj.TotalPackets() != ds.TotalPackets() {
@@ -232,7 +232,7 @@ func TestProjectionExact(t *testing.T) {
 				}
 			}
 			absent := absentSupports(proj)
-			for _, mult := range []uint64{1, 2, 7} {
+			for _, mult := range []uint64{1, 7} {
 				for _, byPackets := range []bool{false, true} {
 					opts := miner.Options{MinSupport: mult * floor, ByPackets: byPackets}
 					assertProjectionExact(t, fmt.Sprintf("%s opts=%+v", label, opts), ds, proj, opts)
