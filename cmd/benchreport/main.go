@@ -3,8 +3,8 @@
 // the scenario-catalog evaluation matrix whose scores are the repo's
 // quality trajectory (BENCH_eval.json + markdown report, tracked
 // PR-over-PR; see docs/evaluation.md). The paper's bands themselves are
-// a tier-1 gate (TestPaperBands in internal/eval); this prints the
-// numbers behind them.
+// a tier-1 gate (TestPaperBands in internal/eval); at the default -seed 1
+// this prints the numbers of exactly the runs it gates.
 //
 // Usage:
 //
@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -36,7 +37,7 @@ import (
 func main() {
 	var (
 		exp       = flag.String("exp", "all", "experiment: "+expNames())
-		seed      = flag.Uint64("seed", 1, "suite seed")
+		seed      = flag.Uint64("seed", 1, "run seed (1 = the paper runs TestPaperBands gates)")
 		jsonPath  = flag.String("json", "BENCH_eval.json", "eval: machine-readable report path (\"\" = skip)")
 		mdPath    = flag.String("md", "BENCH_eval.md", "eval: markdown report path (\"\" = skip)")
 		scenarios = flag.String("scenarios", "", "eval: comma-separated catalog scenarios (default: whole catalog)")
@@ -56,12 +57,12 @@ func main() {
 		fmt.Fprint(flag.CommandLine.Output(), `usage: benchreport [flags]
 
 Regenerate the tables and statistics of the paper's evaluation and
-print paper-vs-measured side by side (TestPaperBands in internal/eval
-gates the same numbers). The eval experiment runs the scenario-catalog
-ground-truth matrix (docs/scenarios.md) through every configured
-detector and miner via the public API and writes BENCH_eval.json plus a
-markdown report — the quality trajectory compared PR-over-PR
-(docs/evaluation.md).
+print paper-vs-measured side by side (at the default -seed 1 these are
+the runs TestPaperBands in internal/eval gates). The eval experiment
+runs the scenario-catalog ground-truth matrix (docs/scenarios.md)
+through every configured detector and miner via the public API and
+writes BENCH_eval.json plus a markdown report — the quality trajectory
+compared PR-over-PR (docs/evaluation.md).
 
 Experiments (-exp, see DESIGN.md §6-§7):
 `)
@@ -79,7 +80,7 @@ Experiments (-exp, see DESIGN.md §6-§7):
 		incidents: *incidents, segmentFormat: uint16(*segFmt),
 		shards: *shards, httpPeers: *httpPeers,
 	}
-	if err := run(*exp, *seed, cfg); err != nil {
+	if err := run(os.Stdout, *exp, *seed, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)
 		if errors.Is(err, errUnknownExp) {
 			os.Exit(2)
@@ -116,7 +117,7 @@ func splitCSV(s string) []string {
 // validates the flag and orders an "all" run.
 var experiments = []struct {
 	name, doc string
-	run       func(workDir string, seed uint64, cfg evalFlags) error
+	run       func(w io.Writer, workDir string, seed uint64, cfg evalFlags) error
 }{
 	{"e1", "Table 1 itemsets for a NetReflex port-scan alarm", runE1},
 	{"e2", "GEANT 40-alarm useful-extraction fraction (paper: 94%)", runE2E3},
@@ -139,8 +140,8 @@ func expNames() string {
 // errUnknownExp marks a -exp value outside expNames: exit 2, not 1.
 var errUnknownExp = errors.New("unknown experiment")
 
-func run(exp string, seed uint64, cfg evalFlags) error {
-	var todo []func(string, uint64, evalFlags) error
+func run(w io.Writer, exp string, seed uint64, cfg evalFlags) error {
+	var todo []func(io.Writer, string, uint64, evalFlags) error
 	for _, e := range experiments {
 		// e2 and e3 are two statistics of one run; "all" prints it once.
 		if exp == e.name || exp == "all" && e.name != "e3" {
@@ -156,37 +157,35 @@ func run(exp string, seed uint64, cfg evalFlags) error {
 	}
 	defer cleanup()
 	for _, runExp := range todo {
-		if err := runExp(workDir, seed, cfg); err != nil {
+		if err := runExp(w, workDir, seed, cfg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func header(id, title string) {
-	fmt.Printf("\n===== %s: %s =====\n", id, title)
+func header(w io.Writer, id, title string) {
+	fmt.Fprintf(w, "\n===== %s: %s =====\n", id, title)
 }
 
-func runE1(workDir string, _ uint64, _ evalFlags) error {
-	header("E1", "Table 1 — itemsets for a NetReflex port-scan alarm")
+func runE1(w io.Writer, workDir string, _ uint64, _ evalFlags) error {
+	header(w, "E1", "Table 1 — itemsets for a NetReflex port-scan alarm")
 	t0 := time.Now()
 	res, err := eval.RunTable1(workDir+"/table1", eval.DefaultTable1())
 	if err != nil {
 		return err
 	}
-	fmt.Print(res.Table().String())
-	fmt.Printf("\npaper Table 1 (anonymized): rows 312.59K / 270.74K flows for the two\n" +
+	fmt.Fprint(w, res.Table().String())
+	fmt.Fprintf(w, "\npaper Table 1 (anonymized): rows 312.59K / 270.74K flows for the two\n"+
 		"scanners, 37.19K / 37.28K flows for the two port-80 DDoS itemsets.\n")
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(w, "elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
 	return nil
 }
 
-func runE2E3(workDir string, seed uint64, _ evalFlags) error {
-	header("E2+E3", "GEANT 40-alarm evaluation (1/100 sampled)")
+func runE2E3(w io.Writer, workDir string, seed uint64, _ evalFlags) error {
+	header(w, "E2+E3", "GEANT 40-alarm evaluation (1/100 sampled)")
 	t0 := time.Now()
-	suite, err := eval.RunSuite("geant-40", eval.GEANTSpecs(seed), eval.SuiteConfig{
-		SeedBase: seed * 1000, SampleRate: 100, WorkDir: workDir + "/geant",
-	})
+	suite, err := eval.PaperGEANT40(workDir+"/geant", seed)
 	if err != nil {
 		return err
 	}
@@ -197,18 +196,15 @@ func runE2E3(workDir string, seed uint64, _ evalFlags) error {
 	t.AddRow("no meaningful flows", "6%", fmt.Sprintf("%.1f%%", 100*(1-suite.UsefulFraction())))
 	t.AddRow("additional flows found", "26-28%", fmt.Sprintf("%.1f%% (%d/%d useful)",
 		100*suite.AdditionalFraction(), suite.Additional(), suite.Useful()))
-	fmt.Print(t.String())
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Fprint(w, t.String())
+	fmt.Fprintf(w, "elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
 	return nil
 }
 
-func runE4(workDir string, seed uint64, _ evalFlags) error {
-	header("E4", "SWITCH 31-anomaly evaluation (unsampled, histogram/KL detector)")
+func runE4(w io.Writer, workDir string, seed uint64, _ evalFlags) error {
+	header(w, "E4", "SWITCH 31-anomaly evaluation (unsampled, histogram/KL detector)")
 	t0 := time.Now()
-	suite, err := eval.RunSuite("switch-31", eval.SWITCHSpecs(seed+1), eval.SuiteConfig{
-		SeedBase: seed*2000 + 1, SampleRate: 1, WorkDir: workDir + "/switch",
-		UseDetector: true, Detector: "histogram",
-	})
+	suite, err := eval.PaperSWITCH31(workDir+"/switch", seed)
 	if err != nil {
 		return err
 	}
@@ -224,60 +220,65 @@ func runE4(workDir string, seed uint64, _ evalFlags) error {
 		suite.Useful(), 100*suite.UsefulFraction()))
 	t.AddRow("alarms from detector", "all", fmt.Sprintf("%d/%d (rest synthesized)",
 		fromDetector, len(suite.Evals)))
-	fmt.Print(t.String())
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Fprint(w, t.String())
+	fmt.Fprintf(w, "elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
 	return nil
 }
 
-func runE5(workDir string, seed uint64, _ evalFlags) error {
-	header("E5", "flow- vs packet-support on point-to-point UDP floods")
+func runE5(w io.Writer, workDir string, seed uint64, _ evalFlags) error {
+	header(w, "E5", "flow- vs packet-support on point-to-point UDP floods")
 	t0 := time.Now()
-	rows, err := eval.RunUDPFloodSweep(workDir+"/sweep", nil, 1_000_000, seed*3000)
+	rows, err := eval.PaperUDPFloodSweep(workDir+"/sweep", seed)
 	if err != nil {
 		return err
 	}
-	t := report.New("", "flood flows", "packets/flow", "flow-only Apriori", "extended Apriori")
-	found := func(b bool) string {
-		if b {
-			return "extracted"
-		}
-		return "MISSED"
+	fmt.Fprint(w, sweepTable(rows))
+	fmt.Fprintln(w, "paper: \"if an anomaly is not characterized by a significant volume of")
+	fmt.Fprintln(w, "flows, Apriori cannot extract it ... for this reason we extended Apriori")
+	fmt.Fprintln(w, "to also compute the support of an itemset in terms of packets\".")
+	fmt.Fprintf(w, "elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
+	return nil
+}
+
+func runE6(w io.Writer, workDir string, seed uint64, _ evalFlags) error {
+	header(w, "E6", "self-tuning minimum support ablation")
+	t0 := time.Now()
+	rows, err := eval.PaperTuningAblation(workDir+"/tuning", seed)
+	if err != nil {
+		return err
 	}
+	fmt.Fprint(w, tuningTable(rows))
+	fmt.Fprintln(w, "paper: the extended Apriori \"automatically self-adjust[s] some of its")
+	fmt.Fprintln(w, "configuration parameters to properly select meaningful itemsets\".")
+	fmt.Fprintf(w, "elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
+	return nil
+}
+
+func found(b bool) string {
+	if b {
+		return "extracted"
+	}
+	return "MISSED"
+}
+
+// sweepTable renders the E5 rows.
+func sweepTable(rows []eval.SweepRow) string {
+	t := report.New("", "flood flows", "packets/flow", "flow-only Apriori", "extended Apriori")
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%d", r.FloodFlows), fmt.Sprintf("%d", r.PacketsPerFlow),
 			found(r.FlowOnlyFound), found(r.DualFound))
 	}
-	fmt.Print(t.String())
-	fmt.Println("paper: \"if an anomaly is not characterized by a significant volume of")
-	fmt.Println("flows, Apriori cannot extract it ... for this reason we extended Apriori")
-	fmt.Println("to also compute the support of an itemset in terms of packets\".")
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
-	return nil
+	return t.String()
 }
 
-func runE6(workDir string, seed uint64, _ evalFlags) error {
-	header("E6", "self-tuning minimum support ablation")
-	t0 := time.Now()
-	rows, err := eval.RunTuningAblation(workDir+"/tuning", nil, seed*4000)
-	if err != nil {
-		return err
-	}
+// tuningTable renders the E6 rows.
+func tuningTable(rows []eval.TuningRow) string {
 	t := report.New("", "intensity", "scan flows", "fixed support", "self-tuned", "tuning rounds")
-	found := func(b bool) string {
-		if b {
-			return "extracted"
-		}
-		return "MISSED"
-	}
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%.2f", r.Intensity), fmt.Sprintf("%d", r.ScanFlows),
 			found(r.FixedUseful), found(r.SelfTunedUseful), fmt.Sprintf("%d", r.SelfTunedRounds))
 	}
-	fmt.Print(t.String())
-	fmt.Println("paper: the extended Apriori \"automatically self-adjust[s] some of its")
-	fmt.Println("configuration parameters to properly select meaningful itemsets\".")
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
-	return nil
+	return t.String()
 }
 
 // quickScenarios is the reduced -quick matrix: one representative of each
@@ -288,8 +289,8 @@ var quickScenarios = []string{
 	"trace-ddos", "trace-portscan",
 }
 
-func runEval(workDir string, seed uint64, cfg evalFlags) error {
-	header("EVAL", "scenario catalog x detectors x miners, scored against ground truth")
+func runEval(w io.Writer, workDir string, seed uint64, cfg evalFlags) error {
+	header(w, "EVAL", "scenario catalog x detectors x miners, scored against ground truth")
 	pipeCfg := eval.PipelineConfig{
 		Scenarios:     cfg.scenarios,
 		Detectors:     cfg.detectors,
@@ -315,7 +316,7 @@ func runEval(workDir string, seed uint64, cfg evalFlags) error {
 		return err
 	}
 
-	fmt.Printf("catalog: %s\n", strings.Join(gen.Names(), ", "))
+	fmt.Fprintf(w, "catalog: %s\n", strings.Join(gen.Names(), ", "))
 	t := report.New("", "miner", "cells", "pass", "precision", "recall", "MRR", "peak itemsets")
 	for _, m := range rep.PerMiner {
 		t.AddRow(m.Miner, fmt.Sprintf("%d", m.Combos), fmt.Sprintf("%d", m.Pass),
@@ -325,18 +326,18 @@ func runEval(workDir string, seed uint64, cfg evalFlags) error {
 	t.AddRow("TOTAL", fmt.Sprintf("%d", rep.Totals.Combos), fmt.Sprintf("%d", rep.Totals.Pass),
 		fmt.Sprintf("%.3f", rep.Totals.MeanPrecision), fmt.Sprintf("%.3f", rep.Totals.MeanRecall),
 		fmt.Sprintf("%.3f", rep.Totals.MeanReciprocalRank), fmt.Sprintf("%d", rep.Totals.PeakItemsets))
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 	for _, c := range rep.Combos {
 		if c.Error != "" {
-			fmt.Printf("ERROR %s/%s/%s: %s\n", c.Scenario, c.Detector, c.Miner, c.Error)
+			fmt.Fprintf(w, "ERROR %s/%s/%s: %s\n", c.Scenario, c.Detector, c.Miner, c.Error)
 		} else if !c.Pass {
-			fmt.Printf("FAIL  %s/%s/%s: useful=%v rank=%d\n",
+			fmt.Fprintf(w, "FAIL  %s/%s/%s: useful=%v rank=%d\n",
 				c.Scenario, c.Detector, c.Miner, c.Useful, c.RankOfTrueCause)
 		}
 	}
 
 	if len(rep.Incidents) > 0 {
-		fmt.Println("\nincident mode (storm -> dedup + correlation -> one job per incident):")
+		fmt.Fprintln(w, "\nincident mode (storm -> dedup + correlation -> one job per incident):")
 		it := report.New("", "scenario", "alarms", "incidents", "reduction", "jobs", "recall", "worst rank", "chain", "pass")
 		for _, s := range rep.Incidents {
 			chain := "-"
@@ -348,10 +349,10 @@ func runEval(workDir string, seed uint64, cfg evalFlags) error {
 				fmt.Sprintf("%.2f", s.Recall), fmt.Sprintf("%d", s.WorstRank),
 				chain, fmt.Sprintf("%v", s.Pass))
 		}
-		fmt.Print(it.String())
+		fmt.Fprint(w, it.String())
 		for _, s := range rep.Incidents {
 			if s.Error != "" {
-				fmt.Printf("ERROR %s (incident mode): %s\n", s.Scenario, s.Error)
+				fmt.Fprintf(w, "ERROR %s (incident mode): %s\n", s.Scenario, s.Error)
 			}
 		}
 	}
@@ -364,14 +365,14 @@ func runEval(workDir string, seed uint64, cfg evalFlags) error {
 		if err := os.WriteFile(cfg.jsonPath, append(buf, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", cfg.jsonPath)
+		fmt.Fprintf(w, "wrote %s\n", cfg.jsonPath)
 	}
 	if cfg.mdPath != "" {
 		if err := os.WriteFile(cfg.mdPath, []byte(rep.Markdown()), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", cfg.mdPath)
+		fmt.Fprintf(w, "wrote %s\n", cfg.mdPath)
 	}
-	fmt.Printf("elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(w, "elapsed: %v\n", time.Since(t0).Round(time.Millisecond))
 	return nil
 }

@@ -148,7 +148,7 @@ func TestGEANTSpecsShape(t *testing.T) {
 		if s.ExpectFail {
 			fails++
 		}
-		if s.FalsePositive {
+		if len(s.Placements) == 0 {
 			fps++
 		}
 		if len(s.Placements) > 1 {
@@ -161,6 +161,19 @@ func TestGEANTSpecsShape(t *testing.T) {
 	if secondaries != 10 {
 		t.Fatalf("secondary-anomaly scenarios = %d, want 10", secondaries)
 	}
+	// The geometry the suite runs: 6 bins, every anomaly at bin 3 (the
+	// quiet middle bin of the false positive).
+	for i, s := range specs {
+		sc := s.scenario(i, SuiteConfig{})
+		if sc.Bins != 6 {
+			t.Errorf("%s: %d bins, want 6", s.Name, sc.Bins)
+		}
+		for _, p := range sc.Placements {
+			if p.Bin != 3 {
+				t.Errorf("%s: anomaly at bin %d, want 3", s.Name, p.Bin)
+			}
+		}
+	}
 }
 
 func TestSWITCHSpecsShape(t *testing.T) {
@@ -168,9 +181,20 @@ func TestSWITCHSpecsShape(t *testing.T) {
 	if len(specs) != 31 {
 		t.Fatalf("SWITCH suite has %d scenarios, want 31", len(specs))
 	}
-	for _, s := range specs {
-		if s.ExpectFail || s.FalsePositive {
+	for i, s := range specs {
+		if s.ExpectFail || len(s.Placements) == 0 {
 			t.Fatalf("SWITCH suite must not contain expected failures: %+v", s)
+		}
+		// The geometry the suite runs: 18 bins (enough baseline for the
+		// detector in the loop), every anomaly at bin 15.
+		sc := s.scenario(i, SuiteConfig{})
+		if sc.Bins != 18 {
+			t.Errorf("%s: %d bins, want 18", s.Name, sc.Bins)
+		}
+		for _, p := range sc.Placements {
+			if p.Bin != 15 {
+				t.Errorf("%s: anomaly at bin %d, want 15", s.Name, p.Bin)
+			}
 		}
 	}
 }
@@ -181,7 +205,7 @@ func TestRunSuiteSubset(t *testing.T) {
 	// runner without the full 40-scenario cost.
 	all := GEANTSpecs(1)
 	subset := []ScenarioSpec{all[0], all[27], all[38], all[39]}
-	if !subset[2].ExpectFail || !subset[3].FalsePositive {
+	if !subset[2].ExpectFail || len(subset[3].Placements) != 0 {
 		t.Fatalf("subset selection wrong: %+v", subset[2:])
 	}
 	res, err := RunSuite("geant-subset", subset, SuiteConfig{
@@ -196,21 +220,21 @@ func TestRunSuiteSubset(t *testing.T) {
 		t.Fatalf("%d evals", len(res.Evals))
 	}
 	// Scan with secondary: useful + additional.
-	if !res.Evals[0].Score.Useful {
+	if !res.Evals[0].Useful {
 		t.Errorf("scan scenario not useful: %+v", res.Evals[0])
 	}
-	if !res.Evals[0].Score.Additional {
+	if !res.Evals[0].Additional {
 		t.Errorf("scan scenario with secondary must show additional evidence")
 	}
 	// UDP flood: useful under sampling thanks to packet support.
-	if !res.Evals[1].Score.Useful {
+	if !res.Evals[1].Useful {
 		t.Errorf("udp flood scenario not useful: %+v", res.Evals[1])
 	}
 	// Stealthy and FP: not useful.
-	if res.Evals[2].Score.Useful {
+	if res.Evals[2].Useful {
 		t.Errorf("stealthy scenario must fail extraction")
 	}
-	if res.Evals[3].Score.Useful {
+	if res.Evals[3].Useful {
 		t.Errorf("false-positive scenario must fail extraction")
 	}
 	if res.Useful() != 2 || res.UsefulFraction() != 0.5 {

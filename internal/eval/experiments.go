@@ -5,13 +5,44 @@ import (
 	"fmt"
 	"os"
 
+	rootcause "repro"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/itemset"
-	"repro/internal/nfstore"
 )
+
+// The paper runs: one definition per experiment of DESIGN §6, gated by
+// TestPaperBands at seed 1 and printed by cmd/benchreport at its -seed
+// (default 1). E1 is RunTable1 with DefaultTable1.
+
+// PaperGEANT40 is E2/E3: the 40 GEANT alarms, 1/100 sampled, on
+// synthesized alarms.
+func PaperGEANT40(workDir string, seed uint64) (*SuiteResult, error) {
+	return RunSuite("geant-40", GEANTSpecs(seed), SuiteConfig{
+		WorkDir: workDir, SeedBase: seed * 1000, SampleRate: 100,
+	})
+}
+
+// PaperSWITCH31 is E4: the 31 SWITCH anomalies, unsampled, with the
+// histogram/KL detector in the loop.
+func PaperSWITCH31(workDir string, seed uint64) (*SuiteResult, error) {
+	return RunSuite("switch-31", SWITCHSpecs(seed+1), SuiteConfig{
+		WorkDir: workDir, SeedBase: seed * 2000, SampleRate: 1, Detector: "histogram",
+	})
+}
+
+// PaperUDPFloodSweep is E5 over the default flood sizes at 10^6 packets
+// per flow.
+func PaperUDPFloodSweep(workDir string, seed uint64) ([]SweepRow, error) {
+	return RunUDPFloodSweep(workDir, nil, 1_000_000, seed*3000)
+}
+
+// PaperTuningAblation is E6 over the default intensities.
+func PaperTuningAblation(workDir string, seed uint64) ([]TuningRow, error) {
+	return RunTuningAblation(workDir, nil, seed*40)
+}
 
 // Table1Scenario reproduces the exact situation behind the paper's
 // Table 1: a port-scan alarm flagged by NetReflex naming only scanner A,
@@ -37,17 +68,11 @@ func DefaultTable1() Table1Scenario {
 	}
 }
 
-// RunTable1 generates the Table 1 trace into dir, runs extraction with
-// the NetReflex-style narrow alarm (scanner A only) and returns the
-// result whose Table() reproduces the paper's Table 1.
+// RunTable1 generates the Table 1 trace into dir, files the
+// NetReflex-style narrow alarm (scanner A only) and extracts it through
+// the job manager; the result's Table() reproduces the paper's Table 1.
 func RunTable1(dir string, cfg Table1Scenario) (*core.Result, error) {
-	store, err := nfstore.Create(dir, nfstore.DefaultBinSeconds)
-	if err != nil {
-		return nil, err
-	}
-	defer store.Close()
-
-	scenario := gen.Scenario{
+	scenario := &gen.Scenario{
 		Background: gen.Background{NumPoPs: 3, FlowsPerBin: 400, Hosts: 2000, Servers: 300},
 		Bins:       4,
 		StartTime:  1_300_000_200,
@@ -69,16 +94,11 @@ func RunTable1(dir string, cfg Table1Scenario) (*core.Result, error) {
 				SrcPort: 1024, SourceNet: flow.MustParsePrefix("172.16.0.0/12"), Router: 1}, Bin: 2},
 		},
 	}
-	truth, err := scenario.Generate(store)
-	if err != nil {
-		return nil, err
-	}
 
 	// The NetReflex meta-data of the paper's example: scanner A's srcIP,
 	// the victim's dstIP and srcPort 55548, dstPort wildcarded.
 	alarm := detector.Alarm{
 		Detector: "netreflex",
-		Interval: truth.Entries[0].Interval,
 		Kind:     detector.KindPortScan,
 		Score:    1,
 		Meta: []detector.MetaItem{
@@ -95,11 +115,35 @@ func RunTable1(dir string, cfg Table1Scenario) (*core.Result, error) {
 	// of one merged (dstIP, dstPort 80) itemset.
 	opts.MinItemsets = 4
 	opts.MaxItemsets = 6
-	ex, err := core.New(store, opts)
+	res, err := extractPrimary(dir, scenario, alarm, opts)
 	if err != nil {
 		return nil, err
 	}
-	return ex.Extract(context.Background(), &alarm)
+	if res[0] == nil {
+		return nil, core.ErrNoCandidates
+	}
+	return res[0], nil
+}
+
+// extractPrimary generates sc into a fresh system under dir, files alarm
+// on the primary anomaly's interval and extracts it through the job
+// manager once per option set, returning the results in order (nil
+// where the interval held nothing to mine).
+func extractPrimary(dir string, sc *gen.Scenario, alarm detector.Alarm, opts ...core.Options) ([]*core.Result, error) {
+	sys, truth, cleanup, err := buildScenarioSystem(sc, PipelineConfig{}, dir)
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	alarm.Interval = truth.Entries[0].Interval
+	id := sys.FileAlarm(alarm)
+	results := make([]*core.Result, len(opts))
+	for i, o := range opts {
+		if results[i], _, err = extractCell(context.Background(), sys, id, rootcause.WithExtractionOptions(o)); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // SweepRow is one row of the flow-vs-packet support sweep (E5).
@@ -121,14 +165,12 @@ func RunUDPFloodSweep(workDir string, floodFlows []int, packetsPerFlow uint64, s
 	}
 	src := flow.MustParseIP("10.55.55.55")
 	dst := flow.MustParseIP("198.19.0.77")
+	srcItem := itemset.NewItem(flow.FeatSrcIP, uint32(src))
+	flowOnly := core.DefaultOptions()
+	flowOnly.PacketCoverageMin = 0 // classic Apriori: no packet pass
 	var rows []SweepRow
 	for i, nf := range floodFlows {
-		dir := fmt.Sprintf("%s/sweep-%03d", workDir, i)
-		store, err := nfstore.Create(dir, nfstore.DefaultBinSeconds)
-		if err != nil {
-			return nil, err
-		}
-		scenario := gen.Scenario{
+		scenario := &gen.Scenario{
 			Background: gen.Background{NumPoPs: 2, FlowsPerBin: 400},
 			Bins:       4, StartTime: 1_300_000_200, Seed: seed + uint64(i),
 			Placements: []gen.Placement{
@@ -136,49 +178,26 @@ func RunUDPFloodSweep(workDir string, floodFlows []int, packetsPerFlow uint64, s
 					Flows: nf, PacketsPerFlow: packetsPerFlow, Router: 1}, Bin: 2},
 			},
 		}
-		truth, err := scenario.Generate(store)
+		res, err := extractPrimary(fmt.Sprintf("%s/sweep-%03d", workDir, i), scenario,
+			detector.Alarm{}, flowOnly, core.DefaultOptions())
 		if err != nil {
-			store.Close()
 			return nil, err
 		}
-		alarm := &detector.Alarm{Interval: truth.Entries[0].Interval}
-
-		row := SweepRow{FloodFlows: nf, PacketsPerFlow: packetsPerFlow}
-		srcItem := itemset.NewItem(flow.FeatSrcIP, uint32(src))
-
-		flowOnly := core.DefaultOptions()
-		flowOnly.PacketCoverageMin = 0 // classic Apriori: no packet pass
-		exFlow, err := core.New(store, flowOnly)
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-		if res, err := exFlow.Extract(context.Background(), alarm); err == nil {
-			row.FlowOnlyFound = containsItem(res, srcItem)
-		} else if err != core.ErrNoCandidates {
-			store.Close()
-			return nil, err
-		}
-
-		exDual, err := core.New(store, core.DefaultOptions())
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-		if res, err := exDual.Extract(context.Background(), alarm); err == nil {
-			row.DualFound = containsItem(res, srcItem)
-		} else if err != core.ErrNoCandidates {
-			store.Close()
-			return nil, err
-		}
-		store.Close()
-		rows = append(rows, row)
+		rows = append(rows, SweepRow{
+			FloodFlows: nf, PacketsPerFlow: packetsPerFlow,
+			FlowOnlyFound: containsItem(res[0], srcItem),
+			DualFound:     containsItem(res[1], srcItem),
+		})
 	}
 	return rows, nil
 }
 
-// containsItem reports whether any reported itemset contains the item.
+// containsItem reports whether any reported itemset contains the item
+// (false for a nil result: nothing to mine).
 func containsItem(res *core.Result, it itemset.Item) bool {
+	if res == nil {
+		return false
+	}
 	for _, r := range res.Itemsets {
 		if r.Items.Contains(it) {
 			return true
@@ -210,18 +229,18 @@ func RunTuningAblation(workDir string, intensities []float64, seed uint64) ([]Tu
 	}
 	scanner := flow.MustParseIP("10.9.9.9")
 	victim := flow.MustParseIP("198.19.0.50")
+	srcItem := itemset.NewItem(flow.FeatSrcIP, uint32(scanner))
+	tuned := core.DefaultOptions()
+	tuned.UsePrefilter = false
+	fixed := tuned
+	fixed.MaxTuningRounds = 1 // no halving: the initial support is final
 	var rows []TuningRow
 	for i, m := range intensities {
 		ports := int(4000 * m)
 		if ports < 10 {
 			ports = 10
 		}
-		dir := fmt.Sprintf("%s/tuning-%03d", workDir, i)
-		store, err := nfstore.Create(dir, nfstore.DefaultBinSeconds)
-		if err != nil {
-			return nil, err
-		}
-		scenario := gen.Scenario{
+		scenario := &gen.Scenario{
 			Background: gen.Background{NumPoPs: 2, FlowsPerBin: 400},
 			Bins:       4, StartTime: 1_300_000_200, Seed: seed + uint64(i),
 			Placements: []gen.Placement{
@@ -229,48 +248,20 @@ func RunTuningAblation(workDir string, intensities []float64, seed uint64) ([]Tu
 					Ports: ports, FlowsPerPort: 1, Router: 0}, Bin: 2},
 			},
 		}
-		truth, err := scenario.Generate(store)
+		res, err := extractPrimary(fmt.Sprintf("%s/tuning-%03d", workDir, i), scenario,
+			detector.Alarm{}, tuned, fixed)
 		if err != nil {
-			store.Close()
 			return nil, err
 		}
-		alarm := &detector.Alarm{Interval: truth.Entries[0].Interval}
-		row := TuningRow{Intensity: m, ScanFlows: ports}
-		srcItem := itemset.NewItem(flow.FeatSrcIP, uint32(scanner))
-
-		tuned := core.DefaultOptions()
-		tuned.UsePrefilter = false
-		exTuned, err := core.New(store, tuned)
-		if err != nil {
-			store.Close()
-			return nil, err
+		row := TuningRow{Intensity: m, ScanFlows: ports,
+			SelfTunedUseful: containsItem(res[0], srcItem),
+			FixedUseful:     containsItem(res[1], srcItem),
 		}
-		if res, err := exTuned.Extract(context.Background(), alarm); err == nil {
-			row.SelfTunedUseful = containsItem(res, srcItem)
-			for _, tr := range res.Tuning {
-				if tr.Rounds > row.SelfTunedRounds {
-					row.SelfTunedRounds = tr.Rounds
-				}
+		if res[0] != nil {
+			for _, tr := range res[0].Tuning {
+				row.SelfTunedRounds = max(row.SelfTunedRounds, tr.Rounds)
 			}
-		} else if err != core.ErrNoCandidates {
-			store.Close()
-			return nil, err
 		}
-
-		fixed := tuned
-		fixed.MaxTuningRounds = 1 // no halving: the initial support is final
-		exFixed, err := core.New(store, fixed)
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-		if res, err := exFixed.Extract(context.Background(), alarm); err == nil {
-			row.FixedUseful = containsItem(res, srcItem)
-		} else if err != core.ErrNoCandidates {
-			store.Close()
-			return nil, err
-		}
-		store.Close()
 		rows = append(rows, row)
 	}
 	return rows, nil

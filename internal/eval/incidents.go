@@ -57,10 +57,10 @@ type IncidentScore struct {
 // every truth entry stormJitters times) is correlated and each incident
 // extracted through one job, then the combined ranked lists are scored
 // jointly against the full ground truth.
-func runScenarioIncidents(def gen.Def, sys *rootcause.System, truth *gen.Truth) IncidentScore {
+func runScenarioIncidents(name string, expectFail bool, sys *rootcause.System, truth *gen.Truth) IncidentScore {
 	t0 := time.Now()
 	ctx := context.Background()
-	score := IncidentScore{Scenario: def.Name, Composite: truth.Composite, ExpectFail: def.ExpectFail}
+	score := IncidentScore{Scenario: name, Composite: truth.Composite, ExpectFail: expectFail}
 	fail := func(err error) IncidentScore {
 		score.Error = err.Error()
 		score.WallMS = float64(time.Since(t0).Microseconds()) / 1000
@@ -149,7 +149,7 @@ func runScenarioIncidents(def gen.Def, sys *rootcause.System, truth *gen.Truth) 
 	score.ChainOK = chainOK
 
 	switch {
-	case def.ExpectFail:
+	case expectFail:
 		// A stealthy or quiet scenario must not produce attributed causes.
 		score.Pass = correct == 0
 	case truth.Composite:

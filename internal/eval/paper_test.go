@@ -3,9 +3,9 @@ package eval
 import "testing"
 
 // TestPaperBands pins the paper's five claims (experiments E1–E6 of
-// DESIGN.md §6) at full size, with fixed seeds: a change that moves a
-// reproduced statistic out of its band fails tier-1. `benchreport -exp
-// eN` prints the numbers behind each band.
+// DESIGN.md §6) at full size, on the paper runs at seed 1: a change that
+// moves a reproduced statistic out of its band fails tier-1. `benchreport
+// -exp eN` prints the numbers behind each band (its default -seed is 1).
 func TestPaperBands(t *testing.T) {
 	for _, band := range []struct {
 		name  string
@@ -24,9 +24,7 @@ func TestPaperBands(t *testing.T) {
 		// 40 GEANT alarms, 1/100 sampled: ~94% useful, 26-28% of those with
 		// flows the detector did not provide.
 		{"E2E3-geant40", func(t *testing.T, dir string) {
-			suite, err := RunSuite("geant-40", GEANTSpecs(1), SuiteConfig{
-				SeedBase: 1000, SampleRate: 100, WorkDir: dir,
-			})
+			suite, err := PaperGEANT40(dir, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,10 +38,7 @@ func TestPaperBands(t *testing.T) {
 		// 31 SWITCH anomalies, unsampled, histogram/KL detector in the loop:
 		// the paper extracted all of them.
 		{"E4-switch31", func(t *testing.T, dir string) {
-			suite, err := RunSuite("switch-31", SWITCHSpecs(2), SuiteConfig{
-				SeedBase: 2000, SampleRate: 1, WorkDir: dir,
-				UseDetector: true, Detector: "histogram",
-			})
+			suite, err := PaperSWITCH31(dir, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +49,7 @@ func TestPaperBands(t *testing.T) {
 		// Point-to-point UDP floods: packet support finds what flow support
 		// misses.
 		{"E5-udpflood", func(t *testing.T, dir string) {
-			rows, err := RunUDPFloodSweep(dir, nil, 1_000_000, 3000)
+			rows, err := PaperUDPFloodSweep(dir, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +69,7 @@ func TestPaperBands(t *testing.T) {
 		// Self-adjusting minimum support against a fixed threshold, across
 		// anomaly intensities.
 		{"E6-selftuning", func(t *testing.T, dir string) {
-			rows, err := RunTuningAblation(dir, nil, 40)
+			rows, err := PaperTuningAblation(dir, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -195,15 +194,12 @@ func RunMatrix(cfg PipelineConfig) (*MatrixReport, error) {
 	if len(miners) == 0 {
 		miners = miner.Names()
 	}
-	workDir := cfg.WorkDir
-	if workDir == "" {
-		dir, err := os.MkdirTemp("", "eval-matrix-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		workDir = dir
+	cfg.Detectors, cfg.Miners = detectors, miners
+	workDir, cleanup, err := workDirOr(cfg.WorkDir)
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 
 	report := &MatrixReport{
 		Version:    MatrixReportVersion,
@@ -220,7 +216,9 @@ func RunMatrix(cfg PipelineConfig) (*MatrixReport, error) {
 			return nil, fmt.Errorf("eval: unknown scenario %q (catalog: %s)",
 				name, strings.Join(gen.Names(), ", "))
 		}
-		cells, incScore, err := runScenarioMatrix(def, cfg, workDir, detectors, miners)
+		sc := def.Scenario(scenarioSeed(cfg.Seed, def.Name))
+		sc.SampleRate = cfg.SampleRate
+		cells, incScore, err := runScenario(sc, cfg, filepath.Join(workDir, "scenario-"+def.Name), def.Name, def.ExpectFail)
 		if err != nil {
 			return nil, fmt.Errorf("eval: scenario %s: %w", name, err)
 		}
@@ -243,12 +241,24 @@ func RunMatrix(cfg PipelineConfig) (*MatrixReport, error) {
 	return report, nil
 }
 
-// runScenarioMatrix generates one scenario into a fresh system and runs
-// its detector × miner cells (plus the incident-mode column when
-// configured).
-func runScenarioMatrix(def gen.Def, cfg PipelineConfig, workDir string, detectors, miners []string) ([]ComboScore, *IncidentScore, error) {
+// workDirOr returns dir, or a fresh temp directory that the returned
+// cleanup removes when dir is "".
+func workDirOr(dir string) (string, func(), error) {
+	if dir != "" {
+		return dir, func() {}, nil
+	}
+	return TempWorkDir()
+}
+
+// runScenario is the one scenario-run path of the matrix and the paper
+// suites: it generates sc into a fresh system under storeDir, then per
+// detector column sources an alarm on the anomaly bin, and per miner
+// extracts it through the job manager and scores the result against
+// ground truth (plus the incident-mode column when configured).
+// Extraction and detection errors are recorded in their cells.
+func runScenario(sc *gen.Scenario, cfg PipelineConfig, storeDir, name string, expectFail bool) ([]ComboScore, *IncidentScore, error) {
 	ctx := context.Background()
-	sys, truth, cleanup, err := buildScenarioSystem(def, cfg, workDir)
+	sys, truth, cleanup, err := buildScenarioSystem(sc, cfg, storeDir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -259,14 +269,12 @@ func runScenarioMatrix(def gen.Def, cfg PipelineConfig, workDir string, detector
 	// the detector columns file below.
 	var incScore *IncidentScore
 	if cfg.Incidents {
-		s := runScenarioIncidents(def, sys, truth)
+		s := runScenarioIncidents(name, expectFail, sys, truth)
 		incScore = &s
 	}
 
 	// The bin a detector must flag to count as the alarm source: the
-	// primary anomaly's interval, or the placement bin for quiet traces
-	// (re-deriving the scenario is deterministic and cheap).
-	sc := def.Scenario(scenarioSeed(cfg.Seed, def.Name))
+	// primary anomaly's interval, or the middle bin for quiet traces.
 	anomalyIv := quietAlarmInterval(sc, sys.Store().BinSeconds())
 	kind := detector.KindUnknown
 	if len(truth.Entries) > 0 {
@@ -275,18 +283,19 @@ func runScenarioMatrix(def gen.Def, cfg PipelineConfig, workDir string, detector
 	}
 
 	var cells []ComboScore
-	for _, det := range detectors {
+	for _, det := range cfg.Detectors {
 		alarmID, source, detErr := sourceAlarm(ctx, sys, det, truth, anomalyIv, kind)
 		entry, err := sys.Alarm(alarmID)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, m := range miners {
+		for _, m := range cfg.Miners {
 			cell := ComboScore{
-				Scenario: def.Name, Kind: string(kind), ExpectFail: def.ExpectFail,
+				Scenario: name, Kind: string(kind), ExpectFail: expectFail,
 				Detector: det, AlarmSource: source, DetectorError: detErr, Miner: m,
 			}
-			res, wall, err := extractCell(ctx, sys, alarmID, m, cfg.Ranking)
+			res, wall, err := extractCell(ctx, sys, alarmID,
+				rootcause.WithMiner(m), rootcause.WithRanking(cfg.Ranking)) // "" ranking = the default
 			cell.WallMS = wall
 			if err != nil {
 				cell.Error = err.Error()
@@ -302,12 +311,13 @@ func runScenarioMatrix(def gen.Def, cfg PipelineConfig, workDir string, detector
 	return cells, incScore, nil
 }
 
-// buildScenarioSystem creates the scenario's system, generates the trace
+// buildScenarioSystem creates a system under storeDir, generates sc
 // into it, and — in HTTP-peer mode — republishes the freshly written
 // shards behind loopback HTTP servers and reopens the system through the
 // remote-peer client, so the matrix exercises the full cluster read
-// path. The returned cleanup closes everything in either mode.
-func buildScenarioSystem(def gen.Def, cfg PipelineConfig, workDir string) (*rootcause.System, *gen.Truth, func(), error) {
+// path. The zero PipelineConfig builds a plain single-directory store.
+// The returned cleanup closes everything in either mode.
+func buildScenarioSystem(sc *gen.Scenario, cfg PipelineConfig, storeDir string) (*rootcause.System, *gen.Truth, func(), error) {
 	if cfg.HTTPPeers && cfg.Shards < 2 {
 		return nil, nil, nil, fmt.Errorf("eval: HTTPPeers requires Shards >= 2 (got %d)", cfg.Shards)
 	}
@@ -318,14 +328,11 @@ func buildScenarioSystem(def gen.Def, cfg PipelineConfig, workDir string) (*root
 	if cfg.Shards > 1 {
 		sysOpts = append(sysOpts, rootcause.WithShards(cfg.Shards))
 	}
-	storeDir := filepath.Join(workDir, "scenario-"+def.Name)
 	sys, err := rootcause.Create(rootcause.Config{StoreDir: storeDir}, sysOpts...)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
-	sc := def.Scenario(scenarioSeed(cfg.Seed, def.Name))
-	sc.SampleRate = cfg.SampleRate
 	truth, err := sc.Generate(sys.Store())
 	if err != nil {
 		sys.Close()
@@ -352,8 +359,8 @@ func buildScenarioSystem(def gen.Def, cfg PipelineConfig, workDir string) (*root
 	return remote, truth, func() { remote.Close(); stopPeers() }, nil
 }
 
-// quietAlarmInterval is the placement-bin interval of a scenario with no
-// placements (the quiet / false-positive case).
+// quietAlarmInterval is the middle-bin interval a scenario with no
+// placements is alarmed on (the quiet / false-positive case).
 func quietAlarmInterval(sc *gen.Scenario, binSec uint32) flow.Interval {
 	start := sc.StartTime - sc.StartTime%binSec
 	bin := uint32(sc.Bins / 2)
@@ -406,13 +413,13 @@ func synthesizedAlarm(truth *gen.Truth, anomalyIv flow.Interval, kind detector.K
 }
 
 // extractCell runs one extraction on the production path — the job
-// manager, Submit → Wait — and returns the result (nil when the interval
+// manager, Submit → Wait, under the per-call options (miner, ranking,
+// ablation settings) — and returns the result (nil when the interval
 // held nothing to mine) and the wall-clock in milliseconds.
-func extractCell(ctx context.Context, sys *rootcause.System, alarmID, minerName, ranking string) (*rootcause.Result, float64, error) {
+func extractCell(ctx context.Context, sys *rootcause.System, alarmID string, opts ...rootcause.Option) (*rootcause.Result, float64, error) {
 	t0 := time.Now()
 	var res *rootcause.Result
-	jobID, err := sys.Submit(rootcause.JobRequest{AlarmID: alarmID}, rootcause.WithMiner(minerName),
-		rootcause.WithRanking(ranking), rootcause.WithTransientJob()) // "" ranking = the default
+	jobID, err := sys.Submit(rootcause.JobRequest{AlarmID: alarmID}, append(opts, rootcause.WithTransientJob())...)
 	if err == nil {
 		var jr *rootcause.JobResult
 		if jr, err = sys.Wait(ctx, jobID); err == nil {

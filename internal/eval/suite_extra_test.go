@@ -17,15 +17,14 @@ func TestRunSWITCHSubsetWithDetector(t *testing.T) {
 	all := SWITCHSpecs(2)
 	subset := []ScenarioSpec{all[0], all[20], all[29]}
 	res, err := RunSuite("switch-subset", subset, SuiteConfig{
-		SeedBase: 501, SampleRate: 1, WorkDir: t.TempDir(),
-		UseDetector: true, Detector: "histogram",
+		SeedBase: 501, SampleRate: 1, WorkDir: t.TempDir(), Detector: "histogram",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range res.Evals {
-		if !e.Score.Useful {
-			t.Errorf("scenario %d (%s) not useful: %+v", i, e.Name, e)
+		if !e.Useful {
+			t.Errorf("scenario %d (%s) not useful: %+v", i, e.Scenario, e)
 		}
 	}
 	// At least the scan must come from the detector itself (the flood may

@@ -1,58 +1,43 @@
 package eval
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 
-	"repro/internal/core"
-	"repro/internal/detector"
 	"repro/internal/flow"
 	"repro/internal/gen"
-	// Built-in detectors register themselves for detectAlarm's lookup.
-	_ "repro/internal/histogram"
 	"repro/internal/miner"
-	_ "repro/internal/netreflex"
-	"repro/internal/nfstore"
 	"repro/internal/stats"
 )
 
-// ScenarioSpec is one suite scenario: its placements (the first placement
-// is the primary anomaly the alarm points at), and whether extraction is
-// expected to fail (stealthy anomalies and detector false positives — the
-// paper's 6%).
+// ScenarioSpec is one suite scenario: its geometry, its placements (the
+// first placement is the primary anomaly the alarm points at; a spec
+// without placements is a detector false positive, alarmed on the quiet
+// middle bin), and whether extraction is expected to fail (stealthy
+// anomalies and detector false positives — the paper's 6%).
 type ScenarioSpec struct {
-	Name       string
+	Name string
+	// Bins is the trace length; each placement names its own bin.
+	Bins       int
 	Placements []gen.Placement
 	// ExpectFail marks scenarios whose alarm should yield no useful
 	// itemsets.
 	ExpectFail bool
-	// FalsePositive marks a detector false positive: an alarm on a quiet
-	// bin with no injected anomaly at all.
-	FalsePositive bool
-	// Catalog, when non-empty, names a gen catalog entry: the scenario is
-	// instantiated from the Def's own geometry, background and (for the
-	// trace-* entries) replayed flow trace instead of Placements, so the
-	// suite runs the exact scenarios operators get from flowgen.
-	Catalog string
 }
 
-// CatalogSpecs returns one spec per registered gen catalog entry — the
-// full scenario catalog, including the replayed-trace entries, as a
-// suite. Quiet defs (ExpectFail without placements) become detector
-// false positives.
-func CatalogSpecs() []ScenarioSpec {
-	var specs []ScenarioSpec
-	for _, d := range gen.Catalog() {
-		specs = append(specs, ScenarioSpec{
-			Name:          d.Name,
-			Catalog:       d.Name,
-			ExpectFail:    d.ExpectFail,
-			FalsePositive: d.ExpectFail && d.Place == nil,
-		})
+// scenario instantiates the spec as the i-th scenario of a suite run.
+func (s ScenarioSpec) scenario(i int, cfg SuiteConfig) *gen.Scenario {
+	background := gen.DefaultBackground()
+	background.NumPoPs = 3
+	background.FlowsPerBin = 300
+	return &gen.Scenario{
+		Background: background,
+		Bins:       s.Bins,
+		StartTime:  1_300_000_200,
+		Seed:       cfg.SeedBase + uint64(i)*7919,
+		SampleRate: cfg.SampleRate,
+		Placements: s.Placements,
 	}
-	return specs
 }
 
 // SuiteConfig parameterizes a suite run.
@@ -60,56 +45,31 @@ type SuiteConfig struct {
 	// WorkDir hosts the per-scenario stores; "" uses a temp directory
 	// that is removed afterwards.
 	WorkDir string
-	// SeedBase seeds scenario generation (scenario i uses SeedBase+i).
+	// SeedBase seeds scenario generation (scenario i uses
+	// SeedBase+i*7919).
 	SeedBase uint64
 	// SampleRate applies 1-in-N packet sampling (GEANT: 100; SWITCH: 1).
 	SampleRate uint32
-	// UseDetector runs the suite's detector for alarms, falling back to
-	// synthesized ground-truth alarms for missed bins. When false, all
-	// alarms are synthesized (the paper's evaluations also start from a
+	// Detector names the registered detector whose alarm on the anomaly
+	// bin each scenario extracts, falling back to the synthesized
+	// ground-truth alarm when it misses (ComboScore.AlarmSource). ""
+	// synthesizes every alarm (the paper's evaluations also start from a
 	// given alarm set, not from detector recall).
-	UseDetector bool
-	// Detector selects "netreflex" or "histogram" when UseDetector.
 	Detector string
-	// Bins / AnomalyBin override the scenario geometry (0 = defaults).
-	Bins       int
-	AnomalyBin int
-	// Background overrides the default background model (nil = default).
-	Background *gen.Background
-	// Extraction overrides core.DefaultOptions (nil = default).
-	Extraction *core.Options
-	// Miner selects the frequent-itemset miner by registry name; it wins
-	// over Extraction.Miner ("" keeps it).
-	Miner string
 }
 
-// ScenarioEval is the outcome of one suite scenario.
-type ScenarioEval struct {
-	Index       int
-	Name        string
-	Kind        detector.Kind
-	ExpectFail  bool
-	AlarmSource string // "detector" or "synthesized"
-	Score       AlarmScore
-	// ItemsetCount is the number of reported itemsets.
-	ItemsetCount int
-	// Truth scores the ranked result against the generator's ground
-	// truth (itemset precision, anomaly recall, true-cause rank); nil
-	// for false-positive scenarios, which have no injected anomalies.
-	Truth *TruthScore
-}
-
-// SuiteResult aggregates a suite run.
+// SuiteResult aggregates a suite run: one cell per scenario, scored as
+// the evaluation matrix scores its cells.
 type SuiteResult struct {
 	Name  string
-	Evals []ScenarioEval
+	Evals []ComboScore
 }
 
 // Useful counts scenarios whose extraction produced useful itemsets.
 func (s *SuiteResult) Useful() int {
 	n := 0
 	for _, e := range s.Evals {
-		if e.Score.Useful {
+		if e.Useful {
 			n++
 		}
 	}
@@ -121,7 +81,7 @@ func (s *SuiteResult) Useful() int {
 func (s *SuiteResult) Additional() int {
 	n := 0
 	for _, e := range s.Evals {
-		if e.Score.Additional {
+		if e.Additional {
 			n++
 		}
 	}
@@ -153,6 +113,7 @@ func (s *SuiteResult) AdditionalFraction() float64 {
 // feeding the 26-28% additional-evidence statistic), one stealthy anomaly
 // and one detector false positive (the 6% failures).
 func GEANTSpecs(seed uint64) []ScenarioSpec {
+	const bins, anomalyBin = 6, 3
 	rng := stats.NewRNG(seed)
 	var specs []ScenarioSpec
 	victim := func(i int) flow.IP { return flow.IPFromOctets(198, 19, byte(i), byte(rng.Intn(250))) }
@@ -168,18 +129,18 @@ func GEANTSpecs(seed uint64) []ScenarioSpec {
 			Ports: 8000 + rng.Intn(4000), FlowsPerPort: 3, Router: uint16(rng.Intn(3)),
 		}
 		spec := ScenarioSpec{Name: fmt.Sprintf("port-scan-%d", i),
-			Placements: []gen.Placement{{Anomaly: primary, Bin: 3}}}
+			Placements: []gen.Placement{{Anomaly: primary, Bin: anomalyBin}}}
 		switch {
 		case i < 3:
 			spec.Placements = append(spec.Placements, gen.Placement{Anomaly: gen.PortScan{
 				Scanner: scanner(100 + i), Victim: v, SrcPort: sp,
 				Ports: 7000 + rng.Intn(3000), FlowsPerPort: 3, Router: uint16(rng.Intn(3)),
-			}, Bin: 3})
+			}, Bin: anomalyBin})
 		case i < 5:
 			spec.Placements = append(spec.Placements, gen.Placement{Anomaly: gen.SYNFlood{
 				Victim: v, DstPort: 80, Sources: 3000, FlowsPerSource: 4,
 				SourceNet: flow.MustParsePrefix("172.16.0.0/12"), Router: uint16(rng.Intn(3)),
-			}, Bin: 3})
+			}, Bin: anomalyBin})
 		}
 		specs = append(specs, spec)
 	}
@@ -192,12 +153,12 @@ func GEANTSpecs(seed uint64) []ScenarioSpec {
 			Hosts: 8000 + rng.Intn(4000), DstPort: port, Router: uint16(rng.Intn(3)),
 		}
 		spec := ScenarioSpec{Name: fmt.Sprintf("net-scan-%d", i),
-			Placements: []gen.Placement{{Anomaly: primary, Bin: 3}}}
+			Placements: []gen.Placement{{Anomaly: primary, Bin: anomalyBin}}}
 		if i == 0 {
 			spec.Placements = append(spec.Placements, gen.Placement{Anomaly: gen.NetworkScan{
 				Scanner: scanner(120), Prefix: flow.MustParsePrefix("198.19.128.0/18"),
 				Hosts: 6000, DstPort: port, Router: uint16(rng.Intn(3)),
-			}, Bin: 3})
+			}, Bin: anomalyBin})
 		}
 		specs = append(specs, spec)
 	}
@@ -211,12 +172,12 @@ func GEANTSpecs(seed uint64) []ScenarioSpec {
 			SourceNet: flow.MustParsePrefix("172.16.0.0/12"), Router: uint16(rng.Intn(3)),
 		}
 		spec := ScenarioSpec{Name: fmt.Sprintf("ddos-%d", i),
-			Placements: []gen.Placement{{Anomaly: primary, Bin: 3}}}
+			Placements: []gen.Placement{{Anomaly: primary, Bin: anomalyBin}}}
 		if i < 3 {
 			spec.Placements = append(spec.Placements, gen.Placement{Anomaly: gen.SYNFlood{
 				Victim: v, DstPort: 443, Sources: 3000, FlowsPerSource: 4,
 				SourceNet: flow.MustParsePrefix("172.16.0.0/12"), Router: uint16(rng.Intn(3)),
-			}, Bin: 3})
+			}, Bin: anomalyBin})
 		}
 		specs = append(specs, spec)
 	}
@@ -231,12 +192,12 @@ func GEANTSpecs(seed uint64) []ScenarioSpec {
 			Router: uint16(rng.Intn(3)),
 		}
 		spec := ScenarioSpec{Name: fmt.Sprintf("udp-flood-%d", i),
-			Placements: []gen.Placement{{Anomaly: primary, Bin: 3}}}
+			Placements: []gen.Placement{{Anomaly: primary, Bin: anomalyBin}}}
 		if i == 0 {
 			spec.Placements = append(spec.Placements, gen.Placement{Anomaly: gen.UDPFlood{
 				Src: scanner(160), Dst: dst, DstPort: primary.DstPort,
 				Flows: 3, PacketsPerFlow: 2_000_000, Router: uint16(rng.Intn(3)),
-			}, Bin: 3})
+			}, Bin: anomalyBin})
 		}
 		specs = append(specs, spec)
 	}
@@ -248,7 +209,7 @@ func GEANTSpecs(seed uint64) []ScenarioSpec {
 			Placements: []gen.Placement{{Anomaly: gen.FlashCrowd{
 				Server: victim(80 + i), Port: 80, Clients: 3000, FlowsPerClient: 4,
 				Router: uint16(rng.Intn(3)),
-			}, Bin: 3}}})
+			}, Bin: anomalyBin}}})
 	}
 
 	// 1 stealthy anomaly: too few flows to mine (paper: "stealthy anomaly
@@ -256,11 +217,14 @@ func GEANTSpecs(seed uint64) []ScenarioSpec {
 	specs = append(specs, ScenarioSpec{Name: "stealthy", ExpectFail: true,
 		Placements: []gen.Placement{{Anomaly: gen.Stealthy{
 			Scanner: scanner(90), Victim: victim(90), Flows: 25, Router: 0,
-		}, Bin: 3}}})
+		}, Bin: anomalyBin}}})
 
 	// 1 detector false positive: an alarm with nothing behind it.
-	specs = append(specs, ScenarioSpec{Name: "false-positive", ExpectFail: true, FalsePositive: true})
+	specs = append(specs, ScenarioSpec{Name: "false-positive", ExpectFail: true})
 
+	for i := range specs {
+		specs[i].Bins = bins
+	}
 	return specs
 }
 
@@ -269,6 +233,7 @@ func GEANTSpecs(seed uint64) []ScenarioSpec {
 // floods, no stealthy cases (the IMC'09 labeled set was extractable in
 // all 31 cases).
 func SWITCHSpecs(seed uint64) []ScenarioSpec {
+	const bins, anomalyBin = 18, 15
 	rng := stats.NewRNG(seed)
 	var specs []ScenarioSpec
 	victim := func(i int) flow.IP { return flow.IPFromOctets(198, 19, byte(i), byte(rng.Intn(250))) }
@@ -279,7 +244,7 @@ func SWITCHSpecs(seed uint64) []ScenarioSpec {
 			Placements: []gen.Placement{{Anomaly: gen.PortScan{
 				Scanner: scanner(i), Victim: victim(i), SrcPort: uint16(40000 + rng.Intn(20000)),
 				Ports: 1500 + rng.Intn(2500), FlowsPerPort: 1, Router: uint16(rng.Intn(2)),
-			}, Bin: 14}}})
+			}, Bin: anomalyBin}}})
 	}
 	for i := 0; i < 8; i++ {
 		specs = append(specs, ScenarioSpec{Name: fmt.Sprintf("net-scan-%d", i),
@@ -287,249 +252,66 @@ func SWITCHSpecs(seed uint64) []ScenarioSpec {
 				Scanner: scanner(20 + i), Prefix: flow.MustParsePrefix("198.19.64.0/18"),
 				Hosts: 1500 + rng.Intn(2500), DstPort: []uint16{445, 22, 135, 23, 1433, 3389, 5900, 8080}[i],
 				Router: uint16(rng.Intn(2)),
-			}, Bin: 14}}})
+			}, Bin: anomalyBin}}})
 	}
 	for i := 0; i < 6; i++ {
 		specs = append(specs, ScenarioSpec{Name: fmt.Sprintf("ddos-%d", i),
 			Placements: []gen.Placement{{Anomaly: gen.SYNFlood{
 				Victim: victim(40 + i), DstPort: 80, Sources: 600 + rng.Intn(600), FlowsPerSource: 3,
 				SourceNet: flow.MustParsePrefix("172.16.0.0/12"), Router: uint16(rng.Intn(2)),
-			}, Bin: 14}}})
+			}, Bin: anomalyBin}}})
 	}
 	for i := 0; i < 3; i++ {
 		specs = append(specs, ScenarioSpec{Name: fmt.Sprintf("dos-%d", i),
 			Placements: []gen.Placement{{Anomaly: gen.SYNFlood{
 				Victim: victim(50 + i), DstPort: 80, Sources: 1, FlowsPerSource: 3000,
 				SourceNet: flow.MustParsePrefix("172.20.0.0/16"), Router: uint16(rng.Intn(2)),
-			}, Bin: 14}}})
+			}, Bin: anomalyBin}}})
 	}
 	for i := 0; i < 2; i++ {
 		specs = append(specs, ScenarioSpec{Name: fmt.Sprintf("udp-flood-%d", i),
 			Placements: []gen.Placement{{Anomaly: gen.UDPFlood{
 				Src: scanner(60 + i), Dst: victim(60 + i), DstPort: uint16(1024 + rng.Intn(60000)),
 				Flows: 3 + rng.Intn(4), PacketsPerFlow: 2_000_000, Router: uint16(rng.Intn(2)),
-			}, Bin: 14}}})
+			}, Bin: anomalyBin}}})
+	}
+	for i := range specs {
+		specs[i].Bins = bins
 	}
 	return specs
 }
 
-// RunSuite evaluates every scenario of a suite and aggregates the result.
+// RunSuite evaluates every scenario of a suite on the matrix's path —
+// generated into a fresh rootcause.System, alarm-sourced, extracted
+// through the job manager with the default miner, scored against ground
+// truth — and aggregates the result. A detection or extraction error
+// aborts the run.
 func RunSuite(name string, specs []ScenarioSpec, cfg SuiteConfig) (*SuiteResult, error) {
-	workDir := cfg.WorkDir
-	if workDir == "" {
-		dir, err := os.MkdirTemp("", "eval-suite-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		workDir = dir
+	workDir, cleanup, err := workDirOr(cfg.WorkDir)
+	if err != nil {
+		return nil, err
 	}
-	bins := cfg.Bins
-	if bins <= 0 {
-		bins = 6
-		if cfg.UseDetector {
-			bins = 18
-		}
+	defer cleanup()
+	det := cfg.Detector
+	if det == "" {
+		det = SynthesizedSource
 	}
-	anomalyBin := cfg.AnomalyBin
-	if anomalyBin <= 0 || anomalyBin >= bins {
-		anomalyBin = bins - 3
-	}
-	background := gen.DefaultBackground()
-	background.NumPoPs = 3
-	background.FlowsPerBin = 300
-	if cfg.Background != nil {
-		background = *cfg.Background
-	}
-	exOpts := core.DefaultOptions()
-	if cfg.Extraction != nil {
-		exOpts = *cfg.Extraction
-	}
-	if cfg.Miner != "" {
-		exOpts.Miner = cfg.Miner
-	}
-
+	// One detector column and the default miner: each scenario is one cell.
+	cellCfg := PipelineConfig{Detectors: []string{det}, Miners: []string{miner.DefaultName}}
 	result := &SuiteResult{Name: name}
 	for i, spec := range specs {
-		eval, err := runScenario(i, spec, cfg, workDir, bins, anomalyBin, background, exOpts)
+		dir := filepath.Join(workDir, fmt.Sprintf("scenario-%03d", i))
+		cells, _, err := runScenario(spec.scenario(i, cfg), cellCfg, dir, spec.Name, spec.ExpectFail)
+		if err == nil && cells[0].Error != "" {
+			err = fmt.Errorf("extraction: %s", cells[0].Error)
+		}
+		if err == nil && cells[0].DetectorError != "" {
+			err = fmt.Errorf("detector %s: %s", det, cells[0].DetectorError)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("eval: scenario %d (%s): %w", i, spec.Name, err)
 		}
-		result.Evals = append(result.Evals, *eval)
+		result.Evals = append(result.Evals, cells[0])
 	}
 	return result, nil
-}
-
-// MinerRun is one miner's outcome of a head-to-head suite comparison.
-type MinerRun struct {
-	Miner  string
-	Result *SuiteResult
-}
-
-// RunMinerComparison runs the same suite once per miner (defaulting to
-// every registered miner) with identical scenario seeds, so the runs are
-// directly comparable row by row: registered miners are pinned to
-// identical canonical mining results, so per-scenario usefulness and
-// itemset counts must agree — the eval-level cross-check of the
-// miner-registry property tests, and the harness for timing miners
-// head-to-head on realistic extraction workloads.
-func RunMinerComparison(name string, specs []ScenarioSpec, cfg SuiteConfig, miners []string) ([]MinerRun, error) {
-	if len(miners) == 0 {
-		miners = miner.Names()
-	}
-	runs := make([]MinerRun, 0, len(miners))
-	for _, m := range miners {
-		mcfg := cfg
-		mcfg.Miner = m
-		if cfg.WorkDir != "" {
-			// Per-miner store directories: scenario stores must not collide
-			// across runs.
-			mcfg.WorkDir = filepath.Join(cfg.WorkDir, m)
-		}
-		res, err := RunSuite(fmt.Sprintf("%s[%s]", name, m), specs, mcfg)
-		if err != nil {
-			return nil, fmt.Errorf("eval: miner %s: %w", m, err)
-		}
-		runs = append(runs, MinerRun{Miner: m, Result: res})
-	}
-	return runs, nil
-}
-
-// runScenario generates, detects (optionally), extracts and scores one
-// scenario.
-func runScenario(i int, spec ScenarioSpec, cfg SuiteConfig, workDir string, bins, anomalyBin int, background gen.Background, exOpts core.Options) (*ScenarioEval, error) {
-	dir := filepath.Join(workDir, fmt.Sprintf("scenario-%03d", i))
-	store, err := nfstore.Create(dir, nfstore.DefaultBinSeconds)
-	if err != nil {
-		return nil, err
-	}
-	defer store.Close()
-
-	seed := cfg.SeedBase + uint64(i)*7919
-	var scenario *gen.Scenario
-	if spec.Catalog != "" {
-		def, ok := gen.Lookup(spec.Catalog)
-		if !ok {
-			return nil, fmt.Errorf("eval: unknown catalog scenario %q", spec.Catalog)
-		}
-		scenario = def.Scenario(seed)
-		scenario.SampleRate = cfg.SampleRate
-		bins = scenario.Bins
-		anomalyBin = bins / 2
-		if len(scenario.Placements) > 0 {
-			anomalyBin = scenario.Placements[0].Bin
-		}
-	} else {
-		placements := make([]gen.Placement, len(spec.Placements))
-		for j, p := range spec.Placements {
-			placements[j] = gen.Placement{Anomaly: p.Anomaly, Bin: anomalyBin}
-		}
-		scenario = &gen.Scenario{
-			Background: background,
-			Bins:       bins,
-			StartTime:  1_300_000_200,
-			Seed:       seed,
-			SampleRate: cfg.SampleRate,
-			Placements: placements,
-		}
-	}
-	truth, err := scenario.Generate(store)
-	if err != nil {
-		return nil, err
-	}
-
-	// Alarm sourcing.
-	alarmBin := flow.Interval{
-		Start: truth.Span.Start + uint32(anomalyBin)*store.BinSeconds(),
-		End:   truth.Span.Start + uint32(anomalyBin+1)*store.BinSeconds(),
-	}
-	if len(truth.Entries) > 0 {
-		alarmBin = truth.Entries[0].Interval
-	}
-	var alarm detector.Alarm
-	source := "synthesized"
-	if spec.FalsePositive {
-		// A detector false positive: plausible-looking meta on a quiet bin.
-		alarm = detector.Alarm{
-			Detector: "netreflex", Interval: alarmBin, Kind: detector.KindDDoS, Score: 1.1,
-			Meta: []detector.MetaItem{
-				{Feature: flow.FeatDstIP, Value: uint32(flow.IPFromOctets(198, 18, 0, 0))},
-				{Feature: flow.FeatDstPort, Value: 80},
-			},
-		}
-	} else {
-		if cfg.UseDetector {
-			if a, ok, err := detectAlarm(cfg.Detector, store, truth.Span, alarmBin); err != nil {
-				return nil, err
-			} else if ok {
-				alarm = a
-				source = "detector"
-			}
-		}
-		if source == "synthesized" {
-			alarm = SynthesizeAlarm(truth.Entry(1))
-		}
-	}
-
-	ex, err := core.New(store, exOpts)
-	if err != nil {
-		return nil, err
-	}
-	var score *AlarmScore
-	res, err := ex.Extract(context.Background(), &alarm)
-	switch {
-	case err == core.ErrNoCandidates:
-		score = &AlarmScore{}
-		res = nil
-	case err != nil:
-		return nil, err
-	default:
-		score, err = ScoreResult(store, &alarm, res, DefaultScoreOptions())
-		if err != nil {
-			return nil, err
-		}
-	}
-	var truthScore *TruthScore
-	if len(truth.Entries) > 0 {
-		truthScore, err = ScoreTruth(store, alarm.Interval, res, truth, DefaultScoreOptions())
-		if err != nil {
-			return nil, err
-		}
-	}
-	itemsets := 0
-	if res != nil {
-		itemsets = len(res.Itemsets)
-	}
-	kind := detector.KindUnknown
-	if len(scenario.Placements) > 0 {
-		kind = scenario.Placements[0].Anomaly.Kind()
-	}
-	return &ScenarioEval{
-		Index: i, Name: spec.Name, Kind: kind,
-		ExpectFail: spec.ExpectFail, AlarmSource: source,
-		Score: *score, ItemsetCount: itemsets, Truth: truthScore,
-	}, nil
-}
-
-// detectAlarm runs the named detector (from the registry, with default
-// configuration; "" selects netreflex) and returns the alarm overlapping
-// the anomaly bin, if any.
-func detectAlarm(name string, store nfstore.Engine, span, alarmBin flow.Interval) (detector.Alarm, bool, error) {
-	if name == "" {
-		name = "netreflex"
-	}
-	det, err := detector.New(name, nil)
-	if err != nil {
-		return detector.Alarm{}, false, err
-	}
-	alarms, err := det.Detect(context.Background(), store, span)
-	if err != nil {
-		return detector.Alarm{}, false, err
-	}
-	for _, a := range alarms {
-		if a.Interval.Overlaps(alarmBin) {
-			return a, true, nil
-		}
-	}
-	return detector.Alarm{}, false, nil
 }

@@ -17,7 +17,7 @@
 // when miner.Options.Prefilter is set, items whose weight is
 // statistically indistinguishable from a uniform spread over their
 // feature are dropped before the tree is built (significantItems), and
-// mined itemsets whose lift falls below Options.MinLift are dropped after
+// mined itemsets whose lift falls below miner.MinLift are dropped after
 // (liftCut). The output is then a subset of the canonical result with
 // identical supports and the same order; with Prefilter unset "fda" is
 // the "fpgrowth" code path exactly. Only the registry name selects the

@@ -130,7 +130,7 @@ func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]i
 	// mines a sub-tree of the unfiltered one.
 	kept := support
 	if prefilter {
-		kept = significantItems(support, ds.Dropped, total, opts.Significance)
+		kept = significantItems(support, ds.Dropped, total)
 	}
 	order := make(map[itemset.Item]int, len(kept))
 	{
@@ -188,7 +188,7 @@ func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]i
 		return nil, err
 	}
 	if prefilter {
-		result = liftCut(result, support, total, opts.MinLift)
+		result = liftCut(result, support, total)
 	}
 	itemset.SortFrequent(result)
 	return result, nil
@@ -199,13 +199,13 @@ func (m Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]i
 // p0 = 1/k); an item survives when its observed weight w clears the
 // one-sided z-test against the Binomial(total, p0) null:
 //
-//	z = (w − total·p0) / sqrt(total·p0·(1−p0)) >= sig
+//	z = (w − total·p0) / sqrt(total·p0·(1−p0)) >= miner.Significance
 //
 // k counts the values a projected dataset folded away (dropped) as well
 // as those in support, so projection never changes the null. Features
 // with a single observed value carry nothing to test and always survive,
 // as does everything when the dataset has no weight at all.
-func significantItems(support map[itemset.Item]uint64, dropped func(flow.Feature) int, total uint64, sig float64) map[itemset.Item]uint64 {
+func significantItems(support map[itemset.Item]uint64, dropped func(flow.Feature) int, total uint64) map[itemset.Item]uint64 {
 	if total == 0 {
 		return support
 	}
@@ -223,7 +223,7 @@ func significantItems(support map[itemset.Item]uint64, dropped func(flow.Feature
 		p0 := 1 / float64(k)
 		mean := float64(total) * p0
 		sd := math.Sqrt(float64(total) * p0 * (1 - p0))
-		if (float64(w)-mean)/sd >= sig {
+		if (float64(w)-mean)/sd >= miner.Significance {
 			kept[it] = w
 		}
 	}
@@ -232,9 +232,9 @@ func significantItems(support map[itemset.Item]uint64, dropped func(flow.Feature
 
 // liftCut drops mined itemsets whose lift — observed support share over
 // the independence expectation of their items' shares — falls below
-// minLift. A single item's lift is exactly 1 (its observation is its own
-// expectation), so level-1 sets survive any minLift <= 1.
-func liftCut(sets []itemset.Frequent, support map[itemset.Item]uint64, total uint64, minLift float64) []itemset.Frequent {
+// miner.MinLift. A single item's lift is exactly 1 (its observation is
+// its own expectation), so level-1 sets always survive.
+func liftCut(sets []itemset.Frequent, support map[itemset.Item]uint64, total uint64) []itemset.Frequent {
 	if total == 0 {
 		return sets
 	}
@@ -247,7 +247,7 @@ func liftCut(sets []itemset.Frequent, support map[itemset.Item]uint64, total uin
 			// expectation is always positive.
 			expect *= float64(support[it]) / float64(total)
 		}
-		if obs/expect >= minLift {
+		if obs/expect >= miner.MinLift {
 			out = append(out, fr)
 		}
 	}

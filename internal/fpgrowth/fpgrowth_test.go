@@ -284,21 +284,23 @@ func TestSignificantItems(t *testing.T) {
 	a, b := itemset.NewItem(flow.FeatSrcIP, 1), itemset.NewItem(flow.FeatSrcIP, 2)
 	tcp := itemset.NewItem(flow.FeatProto, uint32(flow.ProtoTCP))
 	// Two srcIP values over total 100: p0 = 1/2, mean 50, sd 5, so weight
-	// 60 sits exactly two standard deviations above the null.
-	support := map[itemset.Item]uint64{a: 60, b: 40, tcp: 5}
+	// 60 sits exactly miner.Significance = 2 standard deviations above
+	// the null and 59 just below it.
+	at := map[itemset.Item]uint64{a: 60, b: 40, tcp: 5}
+	below := map[itemset.Item]uint64{a: 59, b: 41, tcp: 5}
 	cases := []struct {
 		name    string
+		support map[itemset.Item]uint64
 		total   uint64
-		sig     float64
 		dropped int // srcIP values a projection folded away
 		want    []itemset.Item
 	}{
-		{"total zero keeps everything", 0, 2, 0, []itemset.Item{a, b, tcp}},
-		{"single-valued feature always survives", 100, 1e9, 0, []itemset.Item{tcp}},
-		{"exactly at the threshold survives", 100, 2, 0, []itemset.Item{a, tcp}},
-		{"just above the threshold is dropped", 100, 2.000001, 0, []itemset.Item{tcp}},
-		// k = 2 kept + 1 folded away: p0 = 1/3, so 60 clears z ≈ 5.7.
-		{"folded-away values count toward k", 100, 2.000001, 1, []itemset.Item{a, tcp}},
+		{"total zero keeps everything", below, 0, 0, []itemset.Item{a, b, tcp}},
+		{"exactly at the threshold survives", at, 100, 0, []itemset.Item{a, tcp}},
+		// tcp is its feature's only value: nothing to test, it survives.
+		{"just below the threshold is dropped", below, 100, 0, []itemset.Item{tcp}},
+		// k = 2 kept + 1 folded away: p0 = 1/3, so 59 clears z ≈ 5.5.
+		{"folded-away values count toward k", below, 100, 1, []itemset.Item{a, tcp}},
 	}
 	for _, tc := range cases {
 		dropped := func(f flow.Feature) int {
@@ -307,14 +309,14 @@ func TestSignificantItems(t *testing.T) {
 			}
 			return 0
 		}
-		kept := significantItems(support, dropped, tc.total, tc.sig)
+		kept := significantItems(tc.support, dropped, tc.total)
 		if len(kept) != len(tc.want) {
 			t.Errorf("%s: kept %v, want %v", tc.name, kept, tc.want)
 			continue
 		}
 		for _, it := range tc.want {
-			if kept[it] != support[it] {
-				t.Errorf("%s: kept[%v] = %d, want %d", tc.name, it, kept[it], support[it])
+			if kept[it] != tc.support[it] {
+				t.Errorf("%s: kept[%v] = %d, want %d", tc.name, it, kept[it], tc.support[it])
 			}
 		}
 	}
@@ -324,23 +326,24 @@ func TestLiftCut(t *testing.T) {
 	a, b := itemset.NewItem(flow.FeatSrcIP, 1), itemset.NewItem(flow.FeatDstPort, 80)
 	support := map[itemset.Item]uint64{a: 50, b: 50}
 	single := itemset.Frequent{Items: itemset.Set{a}, Support: 50}
-	// Shares 0.5 × 0.5 against an observed 0.5: lift exactly 2.
-	pair := itemset.Frequent{Items: itemset.NewSet(a, b), Support: 50}
+	// Shares 0.5 × 0.5 against an observed 0.25: lift exactly
+	// miner.MinLift = 1; observed 0.24 falls just below it.
+	atLift := itemset.Frequent{Items: itemset.NewSet(a, b), Support: 25}
+	belowLift := itemset.Frequent{Items: itemset.NewSet(a, b), Support: 24}
 	cases := []struct {
-		name    string
-		total   uint64
-		minLift float64
-		want    []itemset.Frequent
+		name  string
+		sets  []itemset.Frequent
+		total uint64
+		want  []itemset.Frequent
 	}{
-		{"total zero keeps everything", 0, 1e9, []itemset.Frequent{single, pair}},
-		{"level-1 lift is exactly 1", 100, 1, []itemset.Frequent{single, pair}},
-		{"level-1 dropped above 1", 100, 1.000001, []itemset.Frequent{pair}},
-		{"exactly at MinLift survives", 100, 2, []itemset.Frequent{pair}},
-		{"just above MinLift is dropped", 100, 2.000001, nil},
+		{"total zero keeps everything", []itemset.Frequent{single, belowLift}, 0, []itemset.Frequent{single, belowLift}},
+		{"level-1 lift is exactly 1", []itemset.Frequent{single}, 100, []itemset.Frequent{single}},
+		{"exactly at MinLift survives", []itemset.Frequent{single, atLift}, 100, []itemset.Frequent{single, atLift}},
+		{"just below MinLift is dropped", []itemset.Frequent{single, belowLift}, 100, []itemset.Frequent{single}},
 	}
 	for _, tc := range cases {
-		got := liftCut([]itemset.Frequent{single, pair}, support, tc.total, tc.minLift)
-		if len(got) != len(tc.want) || (len(got) > 0 && !reflect.DeepEqual(got, tc.want)) {
+		got := liftCut(tc.sets, support, tc.total)
+		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}

@@ -10,16 +10,16 @@ import (
 	"repro/internal/itemset"
 )
 
-// Defaults inherited by the zero values of the statistical pre-filter
-// knobs (see Options.Significance and Options.MinLift).
+// The fda pre-filter's fixed thresholds (see Options.Prefilter and
+// docs/mining.md).
 const (
-	// DefaultSignificance is the one-sided z-score an item must clear
-	// against the uniform null to survive the fda pre-filter: two standard
+	// Significance is the one-sided z-score an item must clear against
+	// the uniform null to survive the pre-filter: two standard
 	// deviations, the conventional ~97.7% one-sided confidence cut.
-	DefaultSignificance = 2.0
-	// DefaultMinLift keeps itemsets at least as frequent as independence
+	Significance = 2.0
+	// MinLift keeps mined itemsets at least as frequent as independence
 	// of their items would predict (lift >= 1).
-	DefaultMinLift = 1.0
+	MinLift = 1.0
 )
 
 // Options configures one mining run. It is the shared configuration
@@ -36,44 +36,29 @@ type Options struct {
 	// flow.NumFeatures).
 	MaxLen int
 	// Prefilter enables per-item statistical pruning, honoured only by the
-	// miner registered as "fda" (it drops items whose weight is
-	// indistinguishable from a uniform spread over their feature before
-	// enumerating itemsets, then cuts mined sets below MinLift). "apriori"
+	// miner registered as "fda" (it drops items whose weight does not
+	// clear the Significance z-score against a uniform spread over their
+	// feature before enumerating itemsets, then cuts mined sets below
+	// MinLift). "apriori"
 	// and "fpgrowth" ignore it — the latter is the same engine as "fda",
 	// so the registry name alone decides. With Prefilter false every
 	// registered miner produces identical canonical output for equal
 	// inputs; with it true the fda output is a subset with equal supports.
 	Prefilter bool
-	// Significance is the pre-filter's one-sided z-score threshold: an
-	// item survives when its observed weight exceeds the uniform
-	// expectation over its feature by at least Significance standard
-	// deviations. Zero inherits DefaultSignificance; negative or NaN
-	// values are rejected. Ignored unless Prefilter is set.
-	Significance float64
-	// MinLift is the minimum lift (observed support over the independence
-	// expectation of the itemset's items) a mined itemset must reach.
-	// Zero inherits DefaultMinLift; negative or NaN values are rejected.
-	// Ignored unless Prefilter is set.
-	MinLift float64
 }
 
 // ErrZeroSupport is returned when Options.MinSupport is 0, which would
 // declare every possible itemset frequent.
 var ErrZeroSupport = errors.New("miner: MinSupport must be >= 1")
 
-// Validate normalizes o under the zero-inherits-default contract and
-// rejects explicitly invalid values. Every registered miner calls it at
-// the top of Mine, so the contract holds no matter which surface built
-// the options.
+// Validate rejects options no miner can run. Every registered miner
+// calls it at the top of Mine, so the contract holds no matter which
+// surface built the options.
 func (o *Options) Validate() error {
 	if o.MinSupport == 0 {
 		return ErrZeroSupport
 	}
-	positive := func(v float64) bool { return v > 0 }
-	if err := FloatOption("miner", "Significance", &o.Significance, DefaultSignificance, positive, "> 0"); err != nil {
-		return err
-	}
-	return FloatOption("miner", "MinLift", &o.MinLift, DefaultMinLift, positive, "> 0")
+	return nil
 }
 
 // IntOption normalizes one non-negative integer option under the shared

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/flow"
@@ -362,50 +361,27 @@ func distinctValues(sup map[itemset.Item]itemset.DualSupport, f flow.Feature) in
 	return n
 }
 
-// TestOptionsValidate is the table-driven contract test for the shared
-// option validator: zero inherits the default, explicit invalid values
-// (negative, NaN) error, explicit valid values are kept untouched.
+// TestOptionsValidate is the contract test for the option validator:
+// zero support is the one invalid value, and valid options pass through
+// unchanged (zero MaxLen stays "no bound", zero ByPackets counts flows).
 func TestOptionsValidate(t *testing.T) {
-	nan := math.NaN()
 	cases := []struct {
 		name    string
 		opts    miner.Options
-		wantErr string  // substring; empty = must validate
-		sig     float64 // expected normalized Significance
-		lift    float64 // expected normalized MinLift
+		wantErr error
 	}{
-		{name: "zero support", opts: miner.Options{}, wantErr: "MinSupport"},
-		{name: "zeros inherit defaults", opts: miner.Options{MinSupport: 1},
-			sig: miner.DefaultSignificance, lift: miner.DefaultMinLift},
-		{name: "explicit values kept", opts: miner.Options{MinSupport: 1, Significance: 3.5, MinLift: 1.2},
-			sig: 3.5, lift: 1.2},
-		{name: "negative significance", opts: miner.Options{MinSupport: 1, Significance: -1},
-			wantErr: "Significance"},
-		{name: "NaN significance", opts: miner.Options{MinSupport: 1, Significance: nan},
-			wantErr: "Significance"},
-		{name: "negative lift", opts: miner.Options{MinSupport: 1, MinLift: -0.5},
-			wantErr: "MinLift"},
-		{name: "NaN lift", opts: miner.Options{MinSupport: 1, MinLift: nan},
-			wantErr: "MinLift"},
-		{name: "tiny positive lift valid", opts: miner.Options{MinSupport: 1, MinLift: 0.01},
-			sig: miner.DefaultSignificance, lift: 0.01},
+		{name: "zero support", opts: miner.Options{}, wantErr: miner.ErrZeroSupport},
+		{name: "zeros inherit defaults", opts: miner.Options{MinSupport: 1}},
+		{name: "explicit values kept", opts: miner.Options{MinSupport: 3, ByPackets: true, MaxLen: 2, Prefilter: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
-			err := opts.Validate()
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("Validate() = %v, want error mentioning %q", err, tc.wantErr)
-				}
-				return
+			if err := opts.Validate(); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Validate() = %v, want %v", err, tc.wantErr)
 			}
-			if err != nil {
-				t.Fatalf("Validate() = %v, want nil", err)
-			}
-			if opts.Significance != tc.sig || opts.MinLift != tc.lift {
-				t.Fatalf("normalized to Significance=%v MinLift=%v, want %v/%v",
-					opts.Significance, opts.MinLift, tc.sig, tc.lift)
+			if opts != tc.opts {
+				t.Fatalf("Validate() changed the options: %+v, want %+v", opts, tc.opts)
 			}
 		})
 	}
@@ -467,8 +443,6 @@ func TestPrefilterSubset(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Prefilter = true
-		opts.Significance = 0.5 + rng.Float64()*3
-		opts.MinLift = 0.5 + rng.Float64()
 		filtered, err := m.Mine(t.Context(), ds, opts)
 		if err != nil {
 			t.Fatal(err)
