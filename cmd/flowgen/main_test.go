@@ -68,8 +68,8 @@ func TestRunSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	if sh.NumShards() != 3 {
-		t.Fatalf("NumShards = %d, want 3", sh.NumShards())
+	if sh.Manifest().Shards != 3 {
+		t.Fatalf("Manifest().Shards = %d, want 3", sh.Manifest().Shards)
 	}
 	flows, _, _, err := sh.Count(context.Background(), flow.Interval{Start: 0, End: ^uint32(0)}, nil)
 	if err != nil {

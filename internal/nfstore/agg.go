@@ -113,6 +113,14 @@ func (s *Store) TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Fil
 	if err != nil {
 		return nil, err
 	}
+	return RankCounts(acc, k), nil
+}
+
+// RankCounts turns accumulated per-value weights into TopN rows: count
+// descending, value ascending on ties, cut at k (k <= 0 keeps every
+// row). Single-store and scatter-gather TopN rank through it, so a merged
+// ranking matches a single store's exactly.
+func RankCounts(acc map[uint32]uint64, k int) []KeyCount {
 	rows := make([]KeyCount, 0, len(acc))
 	for v, c := range acc {
 		rows = append(rows, KeyCount{Value: v, Count: c})
@@ -126,7 +134,7 @@ func (s *Store) TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Fil
 	if k > 0 && len(rows) > k {
 		rows = rows[:k]
 	}
-	return rows, nil
+	return rows
 }
 
 // BinSummary is the per-bin traffic volume triple used by detectors that

@@ -23,7 +23,6 @@ import (
 type Engine interface {
 	// Bin geometry and on-disk extent.
 	BinSeconds() uint32
-	Bin(t uint32) flow.Interval
 	Bins() ([]uint32, error)
 	Span() (iv flow.Interval, ok bool, err error)
 
@@ -52,6 +51,38 @@ type Engine interface {
 
 // Compile-time check: the single-directory store is an Engine.
 var _ Engine = (*Store)(nil)
+
+// Iter returns a range-over-func iterator over eng's matching records —
+// the streaming counterpart of Records for callers (like the extraction
+// engine's dataset builder) that aggregate incrementally and never need
+// the materialized slice. The yielded *flow.Record is reused between
+// iterations, per the Query contract; the terminal iteration yields
+// (nil, err) if the underlying scan failed or ctx was cancelled.
+// Breaking out of the loop stops the scan early.
+func Iter(ctx context.Context, eng Engine, iv flow.Interval, filter *nffilter.Filter) iter.Seq2[*flow.Record, error] {
+	return func(yield func(*flow.Record, error) bool) {
+		err := eng.Query(ctx, iv, filter, func(r *flow.Record) error {
+			if !yield(r, nil) {
+				return ErrStopIteration
+			}
+			return nil
+		})
+		if err != nil {
+			yield(nil, err)
+		}
+	}
+}
+
+// Records collects eng's matching records into a slice, for callers
+// (like the miner) that need random access.
+func Records(ctx context.Context, eng Engine, iv flow.Interval, filter *nffilter.Filter) ([]flow.Record, error) {
+	var out []flow.Record
+	err := eng.Query(ctx, iv, filter, func(r *flow.Record) error {
+		out = append(out, *r)
+		return nil
+	})
+	return out, err
+}
 
 // EncodeRecord packs r into buf (at least RecordSize bytes) in the fixed
 // little-endian v1 row layout — the wire format remote shards stream

@@ -12,12 +12,12 @@ import (
 // The query engine plans a span scan in three steps: list the segments
 // overlapping the interval, prune the ones whose zone map proves the
 // filter cannot match, then scan the survivors — serially below the
-// parallelism threshold, otherwise on a bounded worker pool whose results
-// are merged back in deterministic bin order. The callback contract is
-// identical to a serial scan: records arrive in bin order, file order
-// within a bin, through a reused *flow.Record.
+// parallelism threshold, otherwise on ScanOrdered's bounded worker pool,
+// whose results are merged back in deterministic bin order. The callback
+// contract is identical to a serial scan: records arrive in bin order,
+// file order within a bin, through a reused *flow.Record.
 
-// queryBatchSize is how many matched records a parallel segment worker
+// queryBatchSize is how many matched records a ScanOrdered worker
 // accumulates before handing them to the merger. It is kept below
 // ctxCheckStride so cancellation observed between batches still lands
 // within the documented one-stride bound.
@@ -182,79 +182,115 @@ func (s *Store) planSegmentsIn(bins []uint32, iv flow.Interval, filter *nffilter
 	return plan
 }
 
-// execPlan scans the planned segments and streams matches to fn in bin
-// order, choosing serial or parallel execution by the configured worker
-// bound. Span and filter matching happen inside scanSegment (where the
-// columnar path can prune blocks and evaluate vectorized); fn only
+// execPlan streams the planned segments' matches to fn in bin order on
+// ScanOrdered. Span and filter matching happen inside scanSegment (where
+// the columnar path can prune blocks and evaluate vectorized); fn only
 // consumes survivors.
 func (s *Store) execPlan(ctx context.Context, plan []segPlan, opts scanOpts, fn func(*flow.Record) error) error {
-	if len(plan) == 0 {
+	scan := func(ctx context.Context, i int, emit func(*flow.Record) error) error {
+		return s.scanSegment(ctx, plan[i], opts, emit)
+	}
+	return ScanOrdered(ctx, len(plan), s.queryParallelism(), scan, fn, nil)
+}
+
+// ScanOrdered runs n scan units (a store's segments, a sharded store's
+// (bin, shard) cells) with at most k in flight and streams their records
+// to fn in unit order, so fn sees the serial sequence at any k; k <= 1
+// scans on the caller's goroutine. Above that, workers hand records over
+// in batches of queryBatchSize and start lazily, at most k ahead of the
+// merge cursor, so goroutines and buffered memory scale with k, not n (a
+// warm-up sweep can plan tens of thousands of segments). The
+// *flow.Record passed to fn is reused.
+//
+// scan(ctx, i, emit) runs unit i and stops when emit fails, returning
+// emit's error, wrapped or not. An fn error ends the scan verbatim. A
+// unit's own error reaches fail(i, err) after every record the unit
+// emitted before it has reached fn; fail returns nil to skip the unit
+// (degraded reads) or the error to end the scan with, and a nil fail
+// ends it with the unit's error. Cancelling ctx ends the scan with
+// ctx.Err() within one batch.
+func ScanOrdered(ctx context.Context, n, k int, scan func(ctx context.Context, i int, emit func(*flow.Record) error) error, fn func(*flow.Record) error, fail func(i int, err error) error) error {
+	if k = min(k, n); k <= 1 {
+		// fail must see only the units' own errors, so fn's are caught on
+		// the way out.
+		var fnErr error
+		emit := func(r *flow.Record) error {
+			fnErr = fn(r)
+			return fnErr
+		}
+		for i := range n {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			err := scan(ctx, i, emit)
+			if fnErr != nil {
+				return fnErr
+			}
+			if err != nil && fail != nil {
+				err = fail(i, err)
+			}
+			if err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	k := s.queryParallelism()
-	if k > len(plan) {
-		k = len(plan)
-	}
-	if k <= 1 {
-		return s.execSerial(ctx, plan, opts, fn)
-	}
-	return s.execParallel(ctx, k, plan, opts, fn)
-}
 
-// execSerial scans the plan one segment at a time on the caller's
-// goroutine.
-func (s *Store) execSerial(ctx context.Context, plan []segPlan, opts scanOpts, fn func(*flow.Record) error) error {
-	for _, p := range plan {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := s.scanSegment(ctx, p, opts, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// segResult carries one worker's output: batches of matched records, then
-// (after the channel closes) the scan error, if any.
-type segResult struct {
-	batches chan []flow.Record
-	err     error
-}
-
-// execParallel scans up to k segments concurrently. Workers push matched
-// records in fixed-size batches; the merger drains workers strictly in bin
-// order, so fn observes the exact serial-scan sequence. Workers launch
-// lazily, at most k ahead of the merge cursor, so goroutine count and
-// buffered-batch memory stay proportional to k rather than to the plan
-// length (a warm-up sweep can plan tens of thousands of segments). An fn
-// error or a context cancellation tears the pool down promptly: every
-// worker send selects on ctx.
-func (s *Store) execParallel(ctx context.Context, k int, plan []segPlan, opts scanOpts, fn func(*flow.Record) error) error {
+	// This cancel fires only on return, to stop the units still scanning.
+	// No unit is cancelled because another failed, so the first error
+	// met in merge order is that unit's own.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make([]*segResult, len(plan))
+	type unit struct {
+		batches chan []flow.Record
+		err     error // set before batches closes
+	}
+	units := make([]*unit, n)
 	start := func(i int) {
-		res := &segResult{batches: make(chan []flow.Record, 4)}
-		results[i] = res
-		go func(p segPlan) {
-			defer close(res.batches)
-			res.err = s.scanSegmentBatches(ctx, p, opts, res.batches)
-		}(plan[i])
+		// Four batches of slack let a worker keep decoding while the
+		// merger drains the units ahead of it.
+		u := &unit{batches: make(chan []flow.Record, 4)}
+		units[i] = u
+		go func() {
+			defer close(u.batches)
+			batch := make([]flow.Record, 0, queryBatchSize)
+			send := func() error {
+				select {
+				case u.batches <- batch:
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+				batch = make([]flow.Record, 0, queryBatchSize)
+				return nil
+			}
+			err := scan(ctx, i, func(r *flow.Record) error {
+				batch = append(batch, *r)
+				if len(batch) == queryBatchSize {
+					return send()
+				}
+				return nil
+			})
+			// The rows a failing unit emitted before its error still
+			// reach the merge, exactly as they reach fn when serial.
+			if len(batch) > 0 {
+				if serr := send(); err == nil {
+					err = serr
+				}
+			}
+			u.err = err
+		}()
 	}
 	next := 0
-	for ; next < len(plan) && next < k; next++ {
+	for ; next < k; next++ {
 		start(next)
 	}
 
-	// Merge in plan (= bin) order; each finished segment admits the next
-	// worker, keeping exactly k scans in flight. The record passed to fn
-	// is reused, per the Query contract.
+	// Merge in unit order; each finished unit admits the next worker,
+	// keeping exactly k scans in flight.
 	var rec flow.Record
-	for j := range plan {
-		res := results[j]
-		for batch := range res.batches {
+	for j, u := range units {
+		for batch := range u.batches {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -265,42 +301,18 @@ func (s *Store) execParallel(ctx context.Context, k int, plan []segPlan, opts sc
 				}
 			}
 		}
-		if res.err != nil {
-			return res.err
+		if err := u.err; err != nil {
+			if fail != nil {
+				err = fail(j, err)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		if next < len(plan) {
+		if next < n {
 			start(next)
 			next++
 		}
 	}
 	return nil
-}
-
-// scanSegmentBatches scans one segment and sends matched records to out in
-// batches of queryBatchSize.
-func (s *Store) scanSegmentBatches(ctx context.Context, p segPlan, opts scanOpts, out chan<- []flow.Record) error {
-	batch := make([]flow.Record, 0, queryBatchSize)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		select {
-		case out <- batch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		batch = make([]flow.Record, 0, queryBatchSize)
-		return nil
-	}
-	err := s.scanSegment(ctx, p, opts, func(r *flow.Record) error {
-		batch = append(batch, *r)
-		if len(batch) == queryBatchSize {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return flush()
 }

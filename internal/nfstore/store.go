@@ -187,12 +187,6 @@ func (s *Store) Dir() string { return s.dir }
 // binStart returns the start of the bin containing t.
 func (s *Store) binStart(t uint32) uint32 { return t - t%s.binSeconds }
 
-// Bin returns the interval of the measurement bin containing t.
-func (s *Store) Bin(t uint32) flow.Interval {
-	start := s.binStart(t)
-	return flow.Interval{Start: start, End: start + s.binSeconds}
-}
-
 // segPath returns the segment file path for a bin start.
 func (s *Store) segPath(binStart uint32) string {
 	return filepath.Join(s.dir, segPrefix+strconv.FormatUint(uint64(binStart), 10))
@@ -414,36 +408,16 @@ func (s *Store) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Fi
 	return nil
 }
 
-// Iter returns a range-over-func iterator over the matching records of an
-// interval — the streaming counterpart of Records for callers (like the
-// extraction engine's dataset builder) that aggregate incrementally and
-// never need the materialized slice. The yielded *flow.Record is reused
-// between iterations, per the Query contract; the terminal iteration
-// yields (nil, err) if the underlying scan failed or ctx was cancelled.
-// Breaking out of the loop stops the scan early.
+// Iter returns a range-over-func iterator over the matching records of
+// an interval; see the package-level Iter.
 func (s *Store) Iter(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) iter.Seq2[*flow.Record, error] {
-	return func(yield func(*flow.Record, error) bool) {
-		err := s.Query(ctx, iv, filter, func(r *flow.Record) error {
-			if !yield(r, nil) {
-				return ErrStopIteration
-			}
-			return nil
-		})
-		if err != nil {
-			yield(nil, err)
-		}
-	}
+	return Iter(ctx, s, iv, filter)
 }
 
-// Records collects matching records into a slice. Convenience wrapper over
-// Query for callers (like the miner) that need random access.
+// Records collects the matching records into a slice; see the
+// package-level Records.
 func (s *Store) Records(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) ([]flow.Record, error) {
-	var out []flow.Record
-	err := s.Query(ctx, iv, filter, func(r *flow.Record) error {
-		out = append(out, *r)
-		return nil
-	})
-	return out, err
+	return Records(ctx, s, iv, filter)
 }
 
 // Count returns the number of matching flow records and their packet and

@@ -203,18 +203,6 @@ var _ nfstore.Engine = (*ShardedStore)(nil)
 // Manifest returns the store's shard map.
 func (st *ShardedStore) Manifest() Manifest { return st.manifest }
 
-// NumShards returns the shard count.
-func (st *ShardedStore) NumShards() int { return len(st.shards) }
-
-// ShardNames lists the shard names in shard order.
-func (st *ShardedStore) ShardNames() []string {
-	names := make([]string, len(st.shards))
-	for i, sh := range st.shards {
-		names[i] = sh.Name()
-	}
-	return names
-}
-
 // LocalStores returns the in-process stores behind the shards, in shard
 // order, or nil when the shards are remote. Benchmarks use it to pin
 // per-shard parallelism; tools use it for maintenance (migration).
@@ -226,17 +214,8 @@ func (st *ShardedStore) LocalStores() []*nfstore.Store { return st.locals }
 // contract is fail-loud with the dead shard named in the error.
 func (st *ShardedStore) SetDegraded(on bool) { st.degraded.Store(on) }
 
-// Degraded reports whether degraded reads are enabled.
-func (st *ShardedStore) Degraded() bool { return st.degraded.Load() }
-
 // BinSeconds returns the measurement bin width shared by every shard.
 func (st *ShardedStore) BinSeconds() uint32 { return st.manifest.BinSeconds }
-
-// Bin returns the interval of the measurement bin containing t.
-func (st *ShardedStore) Bin(t uint32) flow.Interval {
-	start := t - t%st.manifest.BinSeconds
-	return flow.Interval{Start: start, End: start + st.manifest.BinSeconds}
-}
 
 // fanout resolves the configured fan-out bound (SetParallelism) to a
 // worker count.
@@ -482,8 +461,8 @@ func (st *ShardedStore) Summaries(ctx context.Context, iv flow.Interval, filter 
 }
 
 // TopN fans the aggregation out with k=0 (every key, exact counts),
-// sums per-key weights across shards, then re-sorts and truncates with
-// the single-store comparator — the same merge shape SupportAll uses
+// sums per-key weights across shards, then ranks them with the single
+// store's nfstore.RankCounts — the same merge shape SupportAll uses
 // for itemset supports, so ranks match a single merged store exactly.
 func (st *ShardedStore) TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, feat flow.Feature, weight nfstore.Weight, k int) ([]nfstore.KeyCount, error) {
 	per := make([][]nfstore.KeyCount, len(st.shards))
@@ -501,47 +480,19 @@ func (st *ShardedStore) TopN(ctx context.Context, iv flow.Interval, filter *nffi
 			acc[r.Value] += r.Count
 		}
 	}
-	out := make([]nfstore.KeyCount, 0, len(acc))
-	for v, c := range acc {
-		out = append(out, nfstore.KeyCount{Value: v, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Value < out[j].Value
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
+	return nfstore.RankCounts(acc, k), nil
 }
 
 // Iter returns a range-over-func iterator over the merged matching
-// records, with the same reuse and early-stop contract as
-// nfstore.Store.Iter.
+// records; see nfstore.Iter.
 func (st *ShardedStore) Iter(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) iter.Seq2[*flow.Record, error] {
-	return func(yield func(*flow.Record, error) bool) {
-		err := st.Query(ctx, iv, filter, func(r *flow.Record) error {
-			if !yield(r, nil) {
-				return nfstore.ErrStopIteration
-			}
-			return nil
-		})
-		if err != nil {
-			yield(nil, err)
-		}
-	}
+	return nfstore.Iter(ctx, st, iv, filter)
 }
 
-// Records collects the merged matching records into a slice.
+// Records collects the merged matching records into a slice; see
+// nfstore.Records.
 func (st *ShardedStore) Records(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) ([]flow.Record, error) {
-	var out []flow.Record
-	err := st.Query(ctx, iv, filter, func(r *flow.Record) error {
-		out = append(out, *r)
-		return nil
-	})
-	return out, err
+	return nfstore.Records(ctx, st, iv, filter)
 }
 
 // SegmentFormat returns the format new segments are written in (the
@@ -658,31 +609,22 @@ type ShardStat struct {
 
 // ShardStats returns the per-shard scan counters and segment census, in
 // shard order. Failures (an unreachable peer) land in the row's Err
-// instead of failing the call, so health stays observable through a
-// partial outage.
+// instead of failing the call (so fanShards has no error to report),
+// and health stays observable through a partial outage.
 func (st *ShardedStore) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(st.shards))
-	k := min(st.fanout(), len(st.shards))
-	sem := make(chan struct{}, k)
-	var wg sync.WaitGroup
-	for i, sh := range st.shards {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			row := ShardStat{Shard: sh.Name()}
-			stats, err := sh.Stats()
-			if err == nil {
-				row.Stats = stats
-				row.Formats, err = sh.SegmentFormats()
-			}
-			if err != nil {
-				row.Err = err.Error()
-			}
-			out[i] = row
-		}(i, sh)
-	}
-	wg.Wait()
+	_, _ = st.fanShards(context.Background(), func(_ context.Context, i int, sh Shard) error {
+		row := ShardStat{Shard: sh.Name()}
+		stats, err := sh.Stats()
+		if err == nil {
+			row.Stats = stats
+			row.Formats, err = sh.SegmentFormats()
+		}
+		if err != nil {
+			row.Err = err.Error()
+		}
+		out[i] = row
+		return nil
+	})
 	return out
 }

@@ -288,7 +288,7 @@ func TestShardedOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh2.Close()
-	if sh2.Manifest().Partition != PartitionHash || sh2.NumShards() != 3 {
+	if sh2.Manifest().Partition != PartitionHash || sh2.Manifest().Shards != 3 {
 		t.Fatalf("manifest round-trip = %+v", sh2.Manifest())
 	}
 	flows, _, _, err := sh2.Count(context.Background(), flow.Interval{Start: 0, End: ^uint32(0)}, nil)
@@ -512,5 +512,59 @@ func TestFailureAttribution(t *testing.T) {
 	err = st.Query(context.Background(), iv, nil, func(*flow.Record) error { return nil })
 	if !errors.As(err, &se) || se.Shard != "dead" || !errors.Is(err, boom) {
 		t.Fatalf("Query = %v, want ShardError naming dead with boom", err)
+	}
+}
+
+// rowShard is a Shard whose Query emits rows records (SrcPort 0..rows-1,
+// Router naming the shard) and then returns err.
+type rowShard struct {
+	Shard
+	name   string
+	router uint16
+	rows   int
+	err    error
+}
+
+func (f rowShard) Name() string            { return f.name }
+func (f rowShard) Bins() ([]uint32, error) { return []uint32{0}, nil }
+func (f rowShard) Query(_ context.Context, _ flow.Interval, _ *nffilter.Filter, fn func(*flow.Record) error) error {
+	for i := range f.rows {
+		r := flow.Record{Router: f.router, SrcPort: uint16(i)}
+		if err := fn(&r); err != nil {
+			return errQueryStop{err}
+		}
+	}
+	return f.err
+}
+
+// TestDegradedPartialFailureSameRowsAtAnyFanout pins degraded reads to
+// one answer: a shard that dies mid-stream keeps every row it emitted
+// before failing, whether its cell ran serially or on a parallel worker
+// whose last batch was still partial.
+func TestDegradedPartialFailureSameRowsAtAnyFanout(t *testing.T) {
+	shards := []Shard{
+		rowShard{name: "healthy-0", router: 0, rows: 300},
+		rowShard{name: "dead", router: 1, rows: 700, err: errors.New("peer died")},
+		rowShard{name: "healthy-2", router: 2, rows: 300},
+	}
+	st, err := NewFromShards(Manifest{Partition: PartitionHash, Shards: 3, BinSeconds: testBinSec}, shards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetDegraded(true)
+	var runs [][]flow.Record
+	for _, k := range []int{1, 3} {
+		st.SetParallelism(k)
+		got, err := st.Records(context.Background(), flow.Interval{Start: 0, End: testBinSec}, nil)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if len(got) != 1300 {
+			t.Errorf("k=%d: %d rows, want 300+700+300", k, len(got))
+		}
+		runs = append(runs, got)
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("degraded rows differ between fan-out 1 (%d rows) and 3 (%d rows)", len(runs[0]), len(runs[1]))
 	}
 }

@@ -226,11 +226,10 @@ type callOptions struct {
 	segmentFormat    uint16
 	// Sharding / cluster-mode construction options (see WithShards,
 	// WithPeers).
-	shards         int
-	shardPartition string
-	peers          []string
-	peerTimeout    time.Duration
-	degradedReads  bool
+	shards        int
+	peers         []string
+	peerTimeout   time.Duration
+	degradedReads bool
 	// Correlation tuning (see incidents.go).
 	dedupWindow       uint32
 	clusterGap        uint32
@@ -361,20 +360,14 @@ func WithResultTTL(d time.Duration) Option {
 
 // WithShards makes Create build a horizontally sharded store of n child
 // stores under Config.StoreDir instead of a single directory (n <= 1
-// keeps the single store). The sharded store answers the same query
-// surface by scatter-gather and Open re-detects it from its manifest.
-// Construction option.
+// keeps the single store). Whole bins go round-robin to the shards
+// (shardstore.PartitionTime), so queries keep a single store's byte
+// order; Open also accepts a hash-partitioned store built with
+// `flowgen -shard-partition hash`. The sharded store answers the same
+// query surface by scatter-gather and Open re-detects it from its
+// manifest. Construction option.
 func WithShards(n int) Option {
 	return func(o *callOptions) { o.shards = n }
-}
-
-// WithShardPartition selects the sharding scheme for WithShards:
-// shardstore.PartitionTime (the default — whole bins round-robin,
-// byte-identical query order to a single store) or
-// shardstore.PartitionHash (records spread by router ID, so one hot bin
-// scans with full shard parallelism). Construction option for Create.
-func WithShardPartition(p string) Option {
-	return func(o *callOptions) { o.shardPartition = p }
 }
 
 // WithPeers makes Open assemble a read-only cluster-mode system whose
@@ -452,7 +445,7 @@ func Create(cfg Config, opts ...Option) (*System, error) {
 		err   error
 	)
 	if o.shards > 1 {
-		store, err = shardstore.Create(cfg.StoreDir, cfg.BinSeconds, o.shards, o.shardPartition, format)
+		store, err = shardstore.Create(cfg.StoreDir, cfg.BinSeconds, o.shards, shardstore.PartitionTime, format)
 	} else {
 		store, err = nfstore.CreateFormat(cfg.StoreDir, cfg.BinSeconds, format)
 	}
