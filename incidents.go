@@ -21,10 +21,6 @@ type (
 	IncidentEntry = alarmdb.IncidentEntry
 	// IncidentStatus is an incident lifecycle state.
 	IncidentStatus = alarmdb.IncidentStatus
-	// CorrelationOptions tunes the dedup + correlation pipeline directly;
-	// most callers use WithDedupWindow/WithClusterGap/WithLeadLagConfidence
-	// instead.
-	CorrelationOptions = incident.Options
 )
 
 // Incident lifecycle states: open → extracted, or open → merged when a
@@ -75,7 +71,7 @@ type CorrelationSummary struct {
 	// AlarmsConsidered counts the stored alarms fed to the correlator
 	// (the storm size).
 	AlarmsConsidered int `json:"alarms_considered"`
-	// AlarmsKept counts the alarms surviving stable-Bloom dedup.
+	// AlarmsKept counts the alarms surviving dedup.
 	AlarmsKept int `json:"alarms_kept"`
 	// IncidentIDs are the stored incidents, in time order. Re-correlating
 	// the same span returns the same IDs — reconciliation is idempotent.
@@ -83,7 +79,7 @@ type CorrelationSummary struct {
 }
 
 // Correlate collapses the stored alarms of a span into incidents:
-// stable-Bloom dedup, temporal clustering, and per-incident lead-lag
+// exact dedup, temporal clustering, and per-incident lead-lag
 // chains (see the incident package). Rejected alarms are excluded —
 // an operator's false-positive verdict silences the event. The
 // resulting incidents are reconciled into the alarm database: an

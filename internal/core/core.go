@@ -116,22 +116,12 @@ type Options struct {
 	// addition to flows"); 0 disables the packet pass entirely and
 	// reproduces classic flow-only Apriori for ablations.
 	PacketCoverageMin float64
-	// CoverageTarget drives the self-tuning loop beyond the MinItemsets
-	// band: as long as the mined itemsets cover (in the mining dimension)
-	// less than this fraction of the candidate traffic and fewer than
-	// MaxItemsets were found, the minimum support keeps halving. This is
-	// what lets extraction surface co-occurring anomalies weaker than the
-	// dominant one (the paper's Table 1 DDoS rows). Must be in (0,1];
-	// zero inherits the default.
-	CoverageTarget float64
 	// BaselineFilter drops itemsets that are (proportionally) just as
 	// frequent in the preceding baseline bin — the "popular port / popular
-	// server" false positives the paper says operators filter trivially.
-	// BaselineRatio is the share ratio below which an itemset is dropped:
-	// an itemset is kept only if share(alarm) >= BaselineRatio ×
-	// share(baseline). Must be >= 1; zero inherits the default.
+	// server" false positives the paper says operators filter trivially:
+	// an itemset is kept only if share(alarm) >= baselineRatio ×
+	// share(baseline).
 	BaselineFilter bool
-	BaselineRatio  float64
 	// MaxLen bounds itemset length (0 = up to all five features).
 	MaxLen int
 	// Ranking selects how the final itemset list is scored: RankSupport
@@ -143,6 +133,18 @@ type Options struct {
 	// exempt from validation; nil disables reporting entirely.
 	Progress ProgressFunc
 }
+
+// coverageTarget drives the self-tuning loop beyond the MinItemsets band:
+// as long as the mined itemsets cover (in the mining dimension) less than
+// this fraction of the candidate traffic and fewer than MaxItemsets were
+// found, the minimum support keeps halving. This is what lets extraction
+// surface co-occurring anomalies weaker than the dominant one (the
+// paper's Table 1 DDoS rows). baselineRatio is the BaselineFilter's
+// alarm-to-baseline share ratio.
+const (
+	coverageTarget = 0.9
+	baselineRatio  = 3
+)
 
 // DefaultOptions returns the configuration used by the paper-reproduction
 // experiments.
@@ -157,9 +159,7 @@ func DefaultOptions() Options {
 		UsePrefilter:           true,
 		MinCandidates:          50,
 		PacketCoverageMin:      1,
-		CoverageTarget:         0.9,
 		BaselineFilter:         true,
-		BaselineRatio:          3,
 		MaxLen:                 0,
 		Ranking:                RankSupport,
 	}
@@ -176,7 +176,6 @@ func DefaultOptions() Options {
 // the shared float validator applies.)
 func (o *Options) validate() error {
 	in01 := func(v float64) bool { return v > 0 && v <= 1 }
-	geOne := func(v float64) bool { return v >= 1 }
 	if err := miner.IntOption("core", "MinItemsets", &o.MinItemsets, 2); err != nil {
 		return err
 	}
@@ -200,12 +199,6 @@ func (o *Options) validate() error {
 	}
 	if !(o.PacketCoverageMin >= 0 && o.PacketCoverageMin <= 1) {
 		return fmt.Errorf("core: PacketCoverageMin must be in [0,1], got %v", o.PacketCoverageMin)
-	}
-	if err := miner.FloatOption("core", "CoverageTarget", &o.CoverageTarget, 0.9, in01, "in (0,1]"); err != nil {
-		return err
-	}
-	if err := miner.FloatOption("core", "BaselineRatio", &o.BaselineRatio, 3, geOne, ">= 1"); err != nil {
-		return err
 	}
 	if o.MaxLen < 0 {
 		return fmt.Errorf("core: MaxLen must be >= 0, got %d", o.MaxLen)
@@ -588,7 +581,7 @@ func (e *Extractor) mineTuned(ctx context.Context, ds *itemset.Dataset, byPacket
 			break
 		}
 		enough := len(result) >= e.opts.MinItemsets
-		explained := ds.Coverage(setsOf(result), byPackets, 0) >= e.opts.CoverageTarget ||
+		explained := ds.Coverage(setsOf(result), byPackets, 0) >= coverageTarget ||
 			len(result) >= e.opts.MaxItemsets
 		if enough && explained {
 			break
@@ -680,11 +673,11 @@ func (e *Extractor) baselineFilter(ctx context.Context, iv flow.Interval, ds *it
 		alarmShare := share(r.FlowSupport, ds.TotalFlows())
 		baseShare := share(baseSups[i].Flows, base.Flows)
 		// Keep when EITHER dimension shows a genuine surge.
-		keep := alarmShare >= e.opts.BaselineRatio*baseShare
+		keep := alarmShare >= baselineRatio*baseShare
 		if !keep && packetsVote {
 			pAlarmShare := share(r.PacketSupport, ds.TotalPackets())
 			pBaseShare := share(baseSups[i].Packets, base.Packets)
-			keep = pAlarmShare >= e.opts.BaselineRatio*pBaseShare
+			keep = pAlarmShare >= baselineRatio*pBaseShare
 		}
 		if keep {
 			kept = append(kept, r)

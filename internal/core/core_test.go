@@ -54,15 +54,10 @@ func TestOptionsValidation(t *testing.T) {
 		{MaxItemsets: -1},
 		{MaxTuningRounds: -1},
 		{MinCandidates: -3},
-		{CoverageTarget: 1.5},
-		{CoverageTarget: -0.1},
-		{BaselineRatio: 0.5},
 		{MaxLen: -1},
 		{Miner: "no-such-miner"},
 		{InitialSupportFraction: math.NaN()},
-		{CoverageTarget: math.NaN()},
 		{PacketCoverageMin: math.NaN()},
-		{BaselineRatio: math.NaN()},
 	}
 	for i, o := range bad {
 		if _, err := New(store, o); err == nil {
@@ -99,24 +94,6 @@ func TestOptionsZeroValuesInheritDefaults(t *testing.T) {
 	}
 	if o.MinCandidates != def.MinCandidates {
 		t.Errorf("MinCandidates = %d, want %d", o.MinCandidates, def.MinCandidates)
-	}
-	if o.CoverageTarget != def.CoverageTarget {
-		t.Errorf("CoverageTarget = %v, want %v", o.CoverageTarget, def.CoverageTarget)
-	}
-	if o.BaselineRatio != def.BaselineRatio {
-		t.Errorf("BaselineRatio = %v, want %v", o.BaselineRatio, def.BaselineRatio)
-	}
-
-	// Explicit valid boundary values survive untouched (the old validate
-	// silently rewrote BaselineRatio <= 1 and out-of-range CoverageTarget).
-	o = DefaultOptions()
-	o.BaselineRatio = 1
-	o.CoverageTarget = 1
-	if err := o.validate(); err != nil {
-		t.Fatalf("boundary values must validate: %v", err)
-	}
-	if o.BaselineRatio != 1 || o.CoverageTarget != 1 {
-		t.Errorf("boundary values rewritten: ratio=%v target=%v", o.BaselineRatio, o.CoverageTarget)
 	}
 }
 

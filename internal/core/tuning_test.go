@@ -80,7 +80,7 @@ func TestTuningFloorReachedRoundOne(t *testing.T) {
 }
 
 // TestTuningCoverageSatisfiedButBandNot: one dominant itemset covers all
-// traffic (CoverageTarget satisfied from round 1) but the MinItemsets
+// traffic (coverageTarget satisfied from round 1) but the MinItemsets
 // band is not — the loop must keep halving all the way to the floor
 // rather than stop at "coverage explained".
 func TestTuningCoverageSatisfiedButBandNot(t *testing.T) {
@@ -96,8 +96,8 @@ func TestTuningCoverageSatisfiedButBandNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ds.Coverage([]itemset.Set{res[0].Items}, false, 0); got < opts.CoverageTarget {
-		t.Fatalf("test premise broken: coverage %v < target %v", got, opts.CoverageTarget)
+	if got := ds.Coverage([]itemset.Set{res[0].Items}, false, 0); got < coverageTarget {
+		t.Fatalf("test premise broken: coverage %v < target %v", got, coverageTarget)
 	}
 	if tuning.ItemsetsSeen >= opts.MinItemsets {
 		t.Fatalf("test premise broken: %d itemsets reached the band", tuning.ItemsetsSeen)
@@ -250,7 +250,7 @@ func oracleBaseline(t *testing.T, ex *Extractor, iv flow.Interval, ds *itemset.D
 		return list, 0
 	}
 	sups := base.SupportAll(reportSets(list), 1)
-	ratio := ex.opts.BaselineRatio
+	const ratio = baselineRatio
 	for i, r := range list {
 		keep := share(r.FlowSupport, ds.TotalFlows()) >= ratio*share(sups[i].Flows, base.TotalFlows())
 		if !keep && ds.TotalPackets() > 0 && base.TotalPackets() > 0 {

@@ -25,27 +25,25 @@ type Options struct {
 	// (default 600, two bins — recon one bin before the attack still
 	// correlates).
 	ClusterGap uint32
-	// LagBucket quantizes lead-lag histograms, in seconds (default
-	// 300: lags are measured in bins).
-	LagBucket uint32
-	// MaxLagBuckets bounds the lag considered for one pair (default 8
-	// buckets; larger separations are clustering's job, not causality).
-	MaxLagBuckets int
 	// MinConfidence is the lead-lag confidence floor: a link is
 	// reported only when its modal lag bucket holds at least this
 	// fraction of the pair's observations (default 0.5).
 	MinConfidence float64
-	// Dedup sizes the stable Bloom deduper.
-	Dedup DedupConfig
 }
 
 // Defaults for Options zero values.
 const (
 	DefaultDedupWindow   = 300
 	DefaultClusterGap    = 600
-	DefaultLagBucket     = 300
-	DefaultMaxLagBuckets = 8
 	DefaultMinConfidence = 0.5
+)
+
+// Lead-lag histogram shape: lags are quantized to lagBucket seconds
+// (one bin) and bounded by maxLag (eight buckets) — larger separations
+// are clustering's job, not causality.
+const (
+	lagBucket = 300
+	maxLag    = 8 * lagBucket
 )
 
 func (o *Options) fill() error {
@@ -54,12 +52,6 @@ func (o *Options) fill() error {
 	}
 	if o.ClusterGap == 0 {
 		o.ClusterGap = DefaultClusterGap
-	}
-	if o.LagBucket == 0 {
-		o.LagBucket = DefaultLagBucket
-	}
-	if o.MaxLagBuckets == 0 {
-		o.MaxLagBuckets = DefaultMaxLagBuckets
 	}
 	if o.MinConfidence == 0 {
 		o.MinConfidence = DefaultMinConfidence
@@ -75,7 +67,7 @@ func (o *Options) fill() error {
 type Link struct {
 	From detector.Kind `json:"from"`
 	To   detector.Kind `json:"to"`
-	// LagSeconds is the modal lead, quantized to Options.LagBucket.
+	// LagSeconds is the modal lead, quantized to one 300 s lag bucket.
 	LagSeconds uint32 `json:"lag_seconds"`
 	// Confidence is the fraction of (From, To) alarm pairs in the modal
 	// lag bucket.
@@ -109,7 +101,7 @@ type Incident struct {
 	Representative string `json:"representative"`
 	// Score is the maximum member score.
 	Score float64 `json:"score"`
-	// Suppressed counts member alarms the deduper collapsed.
+	// Suppressed counts member alarms dedup collapsed onto a survivor.
 	Suppressed int `json:"suppressed"`
 	// Chain is the lead-lag chain over the member kinds, strongest
 	// links first.
@@ -130,15 +122,15 @@ func (inc *Incident) Leads(a, b detector.Kind) bool {
 type Correlation struct {
 	// AlarmsIn counts the alarms considered (the storm size).
 	AlarmsIn int
-	// Survivors counts alarms left after stable-Bloom dedup — the
-	// inputs to clustering.
+	// Survivors counts alarms left after dedup — one per distinct
+	// DedupKey, the inputs to clustering.
 	Survivors int
 	// Incidents are the correlated events, in time order.
 	Incidents []Incident
 }
 
-// Correlate collapses an alarm storm into incidents: stable-Bloom dedup
-// over (detector, kind, signature, time bucket), TimeCluster grouping
+// Correlate collapses an alarm storm into incidents: exact dedup over
+// (detector, kind, signature, time bucket), TimeCluster grouping
 // of the survivors, and a per-incident lead-lag chain. Alarms must
 // carry their database IDs. The result is deterministic for fixed
 // (alarms, opts): input order does not matter, alarms are sorted
@@ -164,26 +156,17 @@ func Correlate(alarms []detector.Alarm, opts Options) (*Correlation, error) {
 		return a.ID < b.ID
 	})
 
-	// Layer 1.5: dedup. Survivors drive clustering; duplicates stay
-	// linked to their survivor so incident membership is complete.
-	ded, err := NewDeduper(opts.Dedup)
-	if err != nil {
-		return nil, err
-	}
+	// Layer 1.5: dedup. The first alarm of each key survives and drives
+	// clustering; later alarms with that key stay linked to it as
+	// duplicates so incident membership is complete.
 	var survivors []*member
-	// bySurvivorKey attributes duplicates exactly within this batch;
-	// the Bloom filter remains the bounded-memory membership gate.
 	bySurvivorKey := make(map[string]*member)
 	out := &Correlation{AlarmsIn: len(sorted)}
 	for _, a := range sorted {
 		key := DedupKey(a, opts.DedupWindow)
-		if ded.Seen(key) {
-			if m, ok := bySurvivorKey[key]; ok {
-				m.duplicates = append(m.duplicates, a)
-				continue
-			}
-			// Bloom false positive with no exact owner: keep the alarm
-			// as a survivor rather than dropping a unique signal.
+		if m, ok := bySurvivorKey[key]; ok {
+			m.duplicates = append(m.duplicates, a)
+			continue
 		}
 		m := &member{alarm: a}
 		survivors = append(survivors, m)
@@ -277,7 +260,7 @@ type member struct {
 
 // leadLag builds the lead-lag chain over one incident's surviving
 // alarms: for every unordered pair of distinct kinds it histograms the
-// signed start-time lags (quantized to LagBucket), and the modal bucket
+// signed start-time lags (quantized to lagBucket), and the modal bucket
 // — when strictly leading and confident enough — becomes a Link.
 func leadLag(alarms []*detector.Alarm, opts Options) []Link {
 	byKind := map[detector.Kind][]*detector.Alarm{}
@@ -316,7 +299,6 @@ func leadLag(alarms []*detector.Alarm, opts Options) []Link {
 func pairLink(a, b detector.Kind, as, bs []*detector.Alarm, opts Options) (Link, bool) {
 	hist := map[int]int{}
 	pairs := 0
-	maxLag := int64(opts.MaxLagBuckets) * int64(opts.LagBucket)
 	for _, x := range as {
 		for _, y := range bs {
 			lag := int64(y.Interval.Start) - int64(x.Interval.Start)
@@ -325,7 +307,7 @@ func pairLink(a, b detector.Kind, as, bs []*detector.Alarm, opts Options) (Link,
 			}
 			// Round to the nearest bucket so jitter within half a
 			// bucket does not split the mode.
-			bucket := int(math.Round(float64(lag) / float64(opts.LagBucket)))
+			bucket := int(math.Round(float64(lag) / lagBucket))
 			hist[bucket]++
 			pairs++
 		}
@@ -349,10 +331,10 @@ func pairLink(a, b detector.Kind, as, bs []*detector.Alarm, opts Options) (Link,
 	if conf < opts.MinConfidence {
 		return Link{}, false
 	}
-	l := Link{From: a, To: b, LagSeconds: uint32(mode) * opts.LagBucket, Confidence: conf, Pairs: pairs}
+	l := Link{From: a, To: b, LagSeconds: uint32(mode) * lagBucket, Confidence: conf, Pairs: pairs}
 	if mode < 0 {
 		l.From, l.To = b, a
-		l.LagSeconds = uint32(-mode) * opts.LagBucket
+		l.LagSeconds = uint32(-mode) * lagBucket
 	}
 	return l, true
 }

@@ -86,7 +86,7 @@ func TestCorrelateStorm(t *testing.T) {
 	}
 }
 
-// TestCorrelateDeterministic pins the seeded-determinism contract: the
+// TestCorrelateDeterministic pins the determinism contract: the
 // same alarms, in any order, always produce identical incidents.
 func TestCorrelateDeterministic(t *testing.T) {
 	alarms := storm(1_300_000_200)

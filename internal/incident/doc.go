@@ -4,21 +4,21 @@
 //
 // At production alert volume one event — a DDoS, a link outage — raises
 // alarms across many measurement bins and detectors, and the bottleneck
-// shifts from mining speed to alarm volume. The package follows the
-// observer shape (CUSUM → stable-Bloom dedup → temporal correlators):
+// shifts from mining speed to alarm volume. Correlate runs three steps
+// over one batch of stored alarms:
 //
-//	alarms ──▶ Deduper (stable Bloom) ──▶ TimeCluster ──▶ Incidents
+//	alarms ──▶ exact dedup (DedupKey) ──▶ TimeCluster ──▶ Incidents
 //	                                          │
 //	                                      LeadLag chain
 //
-// Deduper is a stable Bloom filter keyed on (detector, kind,
-// signature-ish meta fields, time bucket): repeated alarms from the
-// same event collapse probabilistically in bounded memory, with old
-// entries decaying so the filter never saturates on an unbounded
-// stream. Correlate then clusters the survivors by temporal proximity
-// (alarms within ClusterGap of each other join one Incident) and builds
-// per-incident lead-lag chains from lag histograms over detector-kind
-// pairs ("port scan leads ddos by ~1 bin, confidence 0.9").
+// Dedup keys each alarm on (detector, kind, signature-ish meta fields,
+// time bucket): the first alarm of a key survives and later alarms with
+// the same key attach to it as duplicates, so repeated reports of one
+// event collapse without dropping any member. Correlate then clusters
+// the survivors by temporal proximity (alarms within ClusterGap of each
+// other join one Incident) and builds per-incident lead-lag chains from
+// lag histograms over detector-kind pairs ("port scan leads ddos by ~1
+// bin, confidence 0.9").
 //
 // ExtractionAlarm merges an incident's member alarms into the single
 // alarm its one extraction job runs on: the representative member's
@@ -26,8 +26,7 @@
 // meta-data — so a composite event (the catalog's portscan-ddos bin)
 // is mined once and both causes surface in one ranked list.
 //
-// Everything is deterministic for a fixed Options: the deduper's decay
-// uses a seeded xorshift generator and correlation sorts its input, so
-// the same alarms always produce the same incidents (the contract the
-// correlator tests pin).
+// Everything is deterministic for a fixed Options: correlation sorts its
+// input and dedups by exact key, so the same alarms always produce the
+// same incidents (the contract the correlator tests pin).
 package incident
