@@ -540,8 +540,9 @@ func liftOf(observed float64, s itemset.Set, itemShare map[itemset.Item]float64)
 	return observed / expected
 }
 
-// mineTuned runs the self-tuning mining loop in one dimension: start at
-// InitialSupportFraction of the total, halve until the maximal-itemset
+// mineTuned runs the self-tuning mining loop in one dimension: prepare
+// the dataset once at SupportFloor, then mine it from
+// InitialSupportFraction of the total, halving until the maximal-itemset
 // count reaches MinItemsets (or the floor / round bound stops us).
 func (e *Extractor) mineTuned(ctx context.Context, ds *itemset.Dataset, byPackets bool) ([]itemset.Frequent, DimensionTuning, error) {
 	total := ds.Total(byPackets)
@@ -560,23 +561,31 @@ func (e *Extractor) mineTuned(ctx context.Context, ds *itemset.Dataset, byPacket
 	}
 	tuning.InitialMin = minSup
 
+	// Round 1 is reported before Prepare so the preparation counts toward
+	// this dimension's phase. Prefilter is always on: only the miner
+	// registered as "fda" honours it, so the registry name decides, at
+	// the miner defaults for significance and lift.
+	e.report(Progress{Phase: phase, TuningRound: 1})
+	prep, err := miner.Prepare(ctx, e.m, ds, miner.Options{
+		MinSupport: e.opts.SupportFloor,
+		ByPackets:  byPackets,
+		MaxLen:     e.opts.MaxLen,
+		Prefilter:  true,
+	})
+	if err != nil {
+		return nil, tuning, err
+	}
 	var result []itemset.Frequent
 	for round := 0; round < e.opts.MaxTuningRounds; round++ {
 		tuning.Rounds = round + 1
-		e.report(Progress{Phase: phase, TuningRound: round + 1, Itemsets: len(result)})
-		var err error
-		// Prefilter is always on: only the miner registered as "fda"
-		// honours it, so the registry name decides, at the miner defaults
-		// for significance and lift.
-		result, err = miner.MineMaximal(ctx, e.m, ds, miner.Options{
-			MinSupport: minSup,
-			ByPackets:  byPackets,
-			MaxLen:     e.opts.MaxLen,
-			Prefilter:  true,
-		})
+		if round > 0 {
+			e.report(Progress{Phase: phase, TuningRound: round + 1, Itemsets: len(result)})
+		}
+		all, err := prep.MineAt(ctx, minSup)
 		if err != nil {
 			return nil, tuning, err
 		}
+		result = itemset.MaximalOnly(all)
 		if minSup <= e.opts.SupportFloor {
 			break
 		}

@@ -31,6 +31,8 @@
 // store's record iterator streams candidate flows into the value columns
 // of an itemset.Builder (no record slice, no per-record map), which folds
 // them once at SupportFloor (Builder.Project), so every tuning round
-// mines folded rows, and support counting plus the coverage loop fan out
-// over the dataset's sharded worker pool.
+// mines folded rows. Each dimension is prepared for mining once
+// (miner.Prepare; the FP-growth engine ranks and path-sorts the rows
+// there) and mined every round, and support counting plus the coverage
+// loop fan out over the dataset's sharded worker pool.
 package core

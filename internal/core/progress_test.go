@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/detector"
 	"repro/internal/flow"
 	"repro/internal/gen"
+	"repro/internal/itemset"
+	"repro/internal/miner"
 )
 
 // TestExtractReportsProgress: a full extraction with an observer
@@ -115,6 +119,96 @@ func TestFillSamplesEveryStride(t *testing.T) {
 	for i := 1; i < len(streamed); i++ {
 		if streamed[i] < streamed[i-1] {
 			t.Fatalf("candidate counts must be non-decreasing: %v", streamed)
+		}
+	}
+}
+
+// countingPreparer wraps a Preparer miner and records, per Prepare call,
+// the progress sample the engine reported last, and counts MineAt calls.
+type countingPreparer struct {
+	inner    miner.Miner // implements miner.Preparer
+	last     *Progress
+	prepares []Progress
+	mineAts  int
+}
+
+func (c *countingPreparer) Mine(ctx context.Context, ds *itemset.Dataset, opts miner.Options) ([]itemset.Frequent, error) {
+	return c.inner.Mine(ctx, ds, opts)
+}
+
+func (c *countingPreparer) Prepare(ctx context.Context, ds *itemset.Dataset, opts miner.Options) (miner.Prepared, error) {
+	c.prepares = append(c.prepares, *c.last)
+	p, err := c.inner.(miner.Preparer).Prepare(ctx, ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	return countingPrepared{p, c}, nil
+}
+
+type countingPrepared struct {
+	miner.Prepared
+	c *countingPreparer
+}
+
+func (p countingPrepared) MineAt(ctx context.Context, minSup uint64) ([]itemset.Frequent, error) {
+	p.c.mineAts++
+	return p.Prepared.MineAt(ctx, minSup)
+}
+
+// plainMiner hides a miner's Prepare method: only Mine is promoted.
+type plainMiner struct{ miner.Miner }
+
+// TestPrepareOncePerDimension: the tuning loop prepares each dimension
+// once, after reporting that dimension's round 1 (so the preparation
+// counts toward its own phase), mines every round from the Prepared, and
+// tunes exactly as when the same engine is only a plain Miner.
+func TestPrepareOncePerDimension(t *testing.T) {
+	victim := flow.MustParseIP("198.18.137.129")
+	store, truth := buildScenario(t, gen.Scenario{
+		Background: gen.Background{NumPoPs: 2, FlowsPerBin: 300},
+		Bins:       4, StartTime: coreBase, Seed: 44,
+		Placements: []gen.Placement{
+			{Anomaly: gen.PortScan{Scanner: flow.MustParseIP("10.191.64.165"), Victim: victim, SrcPort: 55548,
+				Ports: 1500, FlowsPerPort: 2, Router: 1}, Bin: 2},
+			{Anomaly: gen.SYNFlood{Victim: victim, DstPort: 80, Sources: 400,
+				SourceNet: flow.MustParsePrefix("172.16.0.0/12"), FlowsPerSource: 2, Router: 0}, Bin: 2},
+		},
+	})
+	alarm := &detector.Alarm{Interval: truth.Entries[0].Interval}
+	for _, name := range []string{"fpgrowth", "fda"} {
+		opts := DefaultOptions()
+		opts.Miner = name
+		var last Progress
+		opts.Progress = func(p Progress) { last = p }
+		ex := MustNew(store, opts)
+		counting := &countingPreparer{inner: ex.m, last: &last}
+		ex.m = counting
+		res, err := ex.Extract(t.Context(), alarm)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		want := []Progress{{Phase: PhaseMineFlows, TuningRound: 1}, {Phase: PhaseMinePackets, TuningRound: 1}}
+		if !reflect.DeepEqual(counting.prepares, want) {
+			t.Fatalf("%s: Prepare ran after progress %+v, want %+v", name, counting.prepares, want)
+		}
+		rounds := 0
+		for _, dt := range res.Tuning {
+			rounds += dt.Rounds
+		}
+		if counting.mineAts != rounds || rounds <= len(want) {
+			t.Fatalf("%s: %d MineAt calls for %d tuning rounds (want equal, and more rounds than dimensions)",
+				name, counting.mineAts, rounds)
+		}
+
+		plain := MustNew(store, opts)
+		plain.m = plainMiner{plain.m}
+		ref, err := plain.Extract(t.Context(), alarm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Tuning, ref.Tuning) || !reflect.DeepEqual(res.Itemsets, ref.Itemsets) {
+			t.Fatalf("%s: prepared tuning %+v, plain Miner %+v (or the itemsets differ)", name, res.Tuning, ref.Tuning)
 		}
 	}
 }

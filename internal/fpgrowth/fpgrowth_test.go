@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -224,10 +225,12 @@ func TestMineCancelled(t *testing.T) {
 	}
 
 	// Cancel while the top-level workers are running. The number of ctx
-	// polls in a run is fixed by the input (one per 1024-transaction stride
-	// of each dataset pass — two here — then one per top-level item and
-	// one per conditional tree), so count them in a clean run and cancel
-	// at a spread of later polls: each lands in mineTop's workers or below.
+	// polls in a run is fixed by the input (one on entering Prepare, one
+	// per 1024-row stride of each of its passes — two here — one on
+	// entering MineAt, then one per top-level item and one per
+	// conditional tree), so count them in a clean run and cancel at a
+	// spread of later polls: each lands in Prepare's second pass, in
+	// MineAt, or in mineTop's workers or below.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	opts := Options{MinSupport: 1, Prefilter: true}
 	for _, m := range []Miner{{}, {fda: true}} {
@@ -254,10 +257,13 @@ func TestMineCancelled(t *testing.T) {
 }
 
 // TestWorkerCountDeterminism pins the output of both registry names to be
-// byte-equal whether the top level runs on one worker or four.
+// byte-equal whether the top level runs on one worker or four, and
+// whether the rounds of one Prepared run one after another or all at
+// once (MineAt only reads the prepared rank paths).
 func TestWorkerCountDeterminism(t *testing.T) {
 	ds := scanDataset(77, 200)
 	opts := Options{MinSupport: 3, Prefilter: true}
+	supports := []uint64{3, 6, 12, 24, 48}
 	for _, name := range []string{"fpgrowth", "fda"} {
 		m, err := miner.New(name)
 		if err != nil {
@@ -276,6 +282,37 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		if len(runs[0]) == 0 || !reflect.DeepEqual(runs[0], runs[1]) {
 			t.Fatalf("%s: GOMAXPROCS 1 mined %d itemsets, GOMAXPROCS 4 mined %d, or rows differ",
 				name, len(runs[0]), len(runs[1]))
+		}
+
+		p, err := miner.Prepare(t.Context(), m, ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		concurrent := make([][]itemset.Frequent, len(supports))
+		errs := make([]error, len(supports))
+		var wg sync.WaitGroup
+		for i, minSup := range supports {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				concurrent[i], errs[i] = p.MineAt(t.Context(), minSup)
+			}()
+		}
+		wg.Wait()
+		for i, minSup := range supports {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			at := opts
+			at.MinSupport = minSup
+			want, err := m.Mine(t.Context(), ds, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(concurrent[i], want) {
+				t.Fatalf("%s: concurrent MineAt(%d) mined %d itemsets, Mine %d, or rows differ",
+					name, minSup, len(concurrent[i]), len(want))
+			}
 		}
 	}
 }
@@ -309,15 +346,19 @@ func TestSignificantItems(t *testing.T) {
 			}
 			return 0
 		}
-		kept := significantItems(tc.support, dropped, tc.total)
-		if len(kept) != len(tc.want) {
-			t.Errorf("%s: kept %v, want %v", tc.name, kept, tc.want)
-			continue
+		items := []itemset.Item{a, b, tcp}
+		support := make([]uint64, len(items))
+		for i, it := range items {
+			support[i] = tc.support[it]
 		}
-		for _, it := range tc.want {
-			if kept[it] != tc.support[it] {
-				t.Errorf("%s: kept[%v] = %d, want %d", tc.name, it, kept[it], tc.support[it])
+		var kept []itemset.Item
+		for i, keep := range significantItems(items, support, dropped, tc.total) {
+			if keep {
+				kept = append(kept, items[i])
 			}
+		}
+		if !reflect.DeepEqual(kept, tc.want) {
+			t.Errorf("%s: kept %v, want %v", tc.name, kept, tc.want)
 		}
 	}
 }
@@ -345,6 +386,38 @@ func TestLiftCut(t *testing.T) {
 		got := liftCut(tc.sets, support, tc.total)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestTreeSharesPrefixes pins the FP-tree compression MineAt relies on:
+// at every k, the tree built from the prepared paths has exactly one node
+// per distinct prefix of ranks below k, and its header supports are the
+// prepared ones.
+func TestTreeSharesPrefixes(t *testing.T) {
+	for _, m := range []Miner{{}, {fda: true}} {
+		prep, err := m.Prepare(t.Context(), scanDataset(5, 300), Options{MinSupport: 2, Prefilter: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := prep.(*prepared)
+		for k := range len(p.sups) + 1 {
+			prefixes := map[[flow.NumFeatures]int32]bool{}
+			for _, pa := range p.paths {
+				var prefix [flow.NumFeatures]int32
+				for j := 0; j < int(pa.n) && pa.ranks[j] < int32(k); j++ {
+					prefix[j] = pa.ranks[j] + 1
+					prefixes[prefix] = true
+				}
+			}
+			tr := newTree(k)
+			tr.build(p.paths, int32(k))
+			if got := len(tr.nodes) - 1; got != len(prefixes) {
+				t.Fatalf("fda=%v k=%d: %d nodes for %d distinct prefixes", m.fda, k, got, len(prefixes))
+			}
+			if !reflect.DeepEqual(tr.sup, p.sups[:k]) {
+				t.Fatalf("fda=%v k=%d: header supports %v, prepared %v", m.fda, k, tr.sup, p.sups[:k])
+			}
 		}
 	}
 }

@@ -14,4 +14,10 @@
 // Register and become selectable everywhere a miner name is accepted:
 // core.Options, rootcause.WithMiner, the -miner CLI flags, and rcad's
 // HTTP API.
+//
+// A miner may also implement Preparer, splitting its work into a Prepare
+// step run once per dataset and dimension and a MineAt step run per
+// support. Prepare is the one entry point for callers mining at several
+// supports: it returns the miner's own Prepared, or for a plain Miner an
+// adapter that calls Mine at each support.
 package miner

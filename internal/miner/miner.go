@@ -103,6 +103,71 @@ type Miner interface {
 	Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error)
 }
 
+// Preparer is the optional extension of a Miner whose work splits into a
+// part independent of the minimum support and a part that is not. The
+// self-tuning loop mines one dataset and dimension at a falling support,
+// so it prepares once and mines every round.
+type Preparer interface {
+	// Prepare does the support-independent work for ds in the dimension
+	// and under the bounds of opts; opts.MinSupport is the floor no round
+	// will mine below. Cancelling ctx aborts it with ctx.Err().
+	Prepare(ctx context.Context, ds *itemset.Dataset, opts Options) (Prepared, error)
+}
+
+// Prepared is a dataset prepared for mining at any support at or above
+// its floor.
+type Prepared interface {
+	// MineAt returns what Mine returns for the prepared dataset and
+	// options with MinSupport set to minSup. A minSup below the floor is
+	// an ErrBelowFloor error; cancelling ctx aborts with ctx.Err().
+	MineAt(ctx context.Context, minSup uint64) ([]itemset.Frequent, error)
+}
+
+// ErrBelowFloor is returned by Prepared.MineAt for a support below the
+// floor the dataset was prepared at.
+var ErrBelowFloor = errors.New("miner: MinSupport below the prepared floor")
+
+// Prepare returns m's own Prepared when m implements Preparer, and
+// otherwise one that calls m.Mine at each support, so a caller mining at
+// several supports has one path for every miner.
+func Prepare(ctx context.Context, m Miner, ds *itemset.Dataset, opts Options) (Prepared, error) {
+	if p, ok := m.(Preparer); ok {
+		return p.Prepare(ctx, ds, opts)
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return &perRound{m: m, ds: ds, opts: opts}, nil
+}
+
+// perRound is the Prepared of a miner without a Prepare step.
+type perRound struct {
+	m    Miner
+	ds   *itemset.Dataset
+	opts Options
+}
+
+func (p *perRound) MineAt(ctx context.Context, minSup uint64) ([]itemset.Frequent, error) {
+	if err := CheckFloor(minSup, p.opts.MinSupport); err != nil {
+		return nil, err
+	}
+	opts := p.opts
+	opts.MinSupport = minSup
+	return p.m.Mine(ctx, p.ds, opts)
+}
+
+// CheckFloor returns an ErrBelowFloor error when minSup is below the
+// floor a Prepared was made at, and nil otherwise.
+func CheckFloor(minSup, floor uint64) error {
+	if minSup < floor {
+		return fmt.Errorf("%w: %d < %d", ErrBelowFloor, minSup, floor)
+	}
+	return nil
+}
+
 // MineMaximal mines with m and reduces the result to maximal itemsets, the
 // form the paper reports to operators.
 func MineMaximal(ctx context.Context, m Miner, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {

@@ -467,18 +467,113 @@ func TestPrefilterSubset(t *testing.T) {
 }
 
 // TestCrossMinerCancellation pins every miner to prompt ctx.Err()
-// propagation.
+// propagation, through Mine and through miner.Prepare: Prepare on a
+// cancelled context, and MineAt of a Prepared on one.
 func TestCrossMinerCancellation(t *testing.T) {
 	ds := randomWeightedDataset(99, 400)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	opts := miner.Options{MinSupport: 1}
 	for _, name := range miner.Names() {
 		m, err := miner.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := miner.MineMaximal(ctx, m, ds, miner.Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
+		if _, err := miner.MineMaximal(ctx, m, ds, opts); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: got %v, want context.Canceled", name, err)
 		}
+		if _, err := miner.Prepare(ctx, m, ds, opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Prepare got %v, want context.Canceled", name, err)
+		}
+		p, err := miner.Prepare(t.Context(), m, ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.MineAt(ctx, opts.MinSupport); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: MineAt got %v, want context.Canceled", name, err)
+		}
 	}
+}
+
+// TestPreparedMatchesMine pins miner.Prepare to Mine on the cross-miner
+// battery's 120 datasets. For the FP-growth engine (under "fda", whose
+// pre-filter off is the "fpgrowth" path), one Prepared per dimension,
+// MaxLen in {0, 2} and pre-filter off/on, mined along the self-tuning
+// loop's halving sequence from 20% of the total down to the floor, equals
+// a fresh Mine at each support and, with the pre-filter off, apriori's —
+// which also runs through the adapter miner.Prepare gives a miner without
+// a Prepare step. MineAt below the floor is an ErrBelowFloor error.
+func TestPreparedMatchesMine(t *testing.T) {
+	m, err := miner.New("fda")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := miner.New("apriori")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ref.(miner.Preparer); ok {
+		t.Fatal("apriori implements miner.Preparer; the adapter would go untested")
+	}
+	for seed := uint64(1); seed <= 120; seed++ {
+		rng := stats.NewRNG(seed * 7919)
+		ds := randomWeightedDataset(seed, 5+rng.Intn(120))
+		for _, byPackets := range []bool{false, true} {
+			floor := uint64(10) // core.DefaultOptions().SupportFloor
+			if byPackets {
+				floor *= 25 // the battery's packet scale
+			}
+			for _, maxLen := range []int{0, 2} {
+				for _, prefilter := range []bool{false, true} {
+					opts := miner.Options{MinSupport: floor, ByPackets: byPackets, MaxLen: maxLen, Prefilter: prefilter}
+					label := fmt.Sprintf("seed=%d opts=%+v", seed, opts)
+					p, err := miner.Prepare(t.Context(), m, ds, opts)
+					if err != nil {
+						t.Fatalf("%s: Prepare: %v", label, err)
+					}
+					refP, err := miner.Prepare(t.Context(), ref, ds, opts)
+					if err != nil {
+						t.Fatalf("%s: apriori Prepare: %v", label, err)
+					}
+					for _, prep := range []miner.Prepared{p, refP} {
+						if _, err := prep.MineAt(t.Context(), floor-1); !errors.Is(err, miner.ErrBelowFloor) {
+							t.Fatalf("%s: MineAt below the floor: got %v, want ErrBelowFloor", label, err)
+						}
+					}
+					for _, minSup := range halvings(ds.Total(byPackets), floor) {
+						got, err := p.MineAt(t.Context(), minSup)
+						if err != nil {
+							t.Fatalf("%s: MineAt(%d): %v", label, minSup, err)
+						}
+						at := opts
+						at.MinSupport = minSup
+						want, err := m.Mine(t.Context(), ds, at)
+						if err != nil {
+							t.Fatalf("%s: Mine(%d): %v", label, minSup, err)
+						}
+						assertIdentical(t, fmt.Sprintf("%s MineAt(%d) vs Mine", label, minSup), want, got)
+						if prefilter {
+							continue
+						}
+						if want, err = refP.MineAt(t.Context(), minSup); err != nil {
+							t.Fatal(err)
+						}
+						assertIdentical(t, fmt.Sprintf("%s MineAt(%d) vs apriori", label, minSup), want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// halvings is the self-tuning loop's support sequence over a dataset
+// total: 20% of it (at least floor), halved and clamped until the floor.
+func halvings(total, floor uint64) []uint64 {
+	minSup := max(total/5, floor)
+	seq := []uint64{minSup}
+	for minSup > floor {
+		minSup = max(minSup/2, floor)
+		seq = append(seq, minSup)
+	}
+	return seq
 }
