@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -74,7 +75,7 @@ func TestRegisterDetectorExternal(t *testing.T) {
 			{Detector: "external-test-ids", Interval: iv, Kind: detector.KindDoS},
 		},
 	}
-	if err := rootcause.RegisterDetector(det.name, func(cfg any) (rootcause.Detector, error) {
+	if err := rootcause.RegisterDetector(det.name, func() (rootcause.Detector, error) {
 		return det, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -108,7 +109,7 @@ func TestRegisterDetectorExternal(t *testing.T) {
 }
 
 func TestRegisterDetectorDuplicateAndInvalid(t *testing.T) {
-	factory := func(cfg any) (rootcause.Detector, error) {
+	factory := func() (rootcause.Detector, error) {
 		return &fakeDetector{name: "dup-test"}, nil
 	}
 	if err := rootcause.RegisterDetector("dup-test", factory); err != nil {
@@ -133,15 +134,6 @@ func TestDetectUnknownName(t *testing.T) {
 	}
 }
 
-func TestWithDetectorConfigRejectsWrongType(t *testing.T) {
-	sys := newEmptySystem(t)
-	_, err := sys.Detect(t.Context(), "histogram", rootcause.Interval{Start: 0, End: 300},
-		rootcause.WithDetectorConfig(42))
-	if err == nil || !strings.Contains(err.Error(), "bad config type") {
-		t.Fatalf("err = %v, want bad-config-type error", err)
-	}
-}
-
 // fileAlarms stores n trivial alarms and returns their IDs.
 func fileAlarms(sys *rootcause.System, n int) []string {
 	ids := make([]string, n)
@@ -154,139 +146,112 @@ func fileAlarms(sys *rootcause.System, n int) []string {
 	return ids
 }
 
-func TestExtractAllBoundedConcurrency(t *testing.T) {
-	sys := newEmptySystem(t)
-	const n, k = 12, 3
-	ids := fileAlarms(sys, n)
+// TestBatchWidthBoundedByJobWorkers: a batch job runs at most as many
+// extractions at once as the system has job workers, whatever the
+// batch size — nothing in the call widens it.
+func TestBatchWidthBoundedByJobWorkers(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sys := newEmptySystem(t, rootcause.WithJobWorkers(workers))
+			ids := slices.Repeat(fileAlarms(sys, 1), 8)
 
-	var cur, peak, calls atomic.Int32
-	fn := func(ctx context.Context, a *rootcause.Alarm) (*rootcause.Result, error) {
-		c := cur.Add(1)
-		defer cur.Add(-1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
+			var cur, peak, calls atomic.Int32
+			fn := func(ctx context.Context, a *rootcause.Alarm) (*rootcause.Result, error) {
+				c := cur.Add(1)
+				defer cur.Add(-1)
+				for {
+					p := peak.Load()
+					if c <= p || peak.CompareAndSwap(p, c) {
+						break
+					}
+				}
+				calls.Add(1)
+				time.Sleep(5 * time.Millisecond) // let the fan-out fill up
+				return &rootcause.Result{Alarm: *a}, nil
 			}
-		}
-		calls.Add(1)
-		time.Sleep(5 * time.Millisecond) // let the pool fill up
-		return &rootcause.Result{Alarm: *a}, nil
-	}
-
-	got := 0
-	for r := range sys.ExtractAll(t.Context(), ids, rootcause.WithConcurrency(k), rootcause.WithExtractFunc(fn)) {
-		if r.Err != nil {
-			t.Fatalf("alarm %s: %v", r.AlarmID, r.Err)
-		}
-		got++
-	}
-	if got != n {
-		t.Fatalf("streamed %d results, want %d", got, n)
-	}
-	if calls.Load() != n {
-		t.Fatalf("extract ran %d times, want %d", calls.Load(), n)
-	}
-	if p := peak.Load(); p > k {
-		t.Fatalf("peak concurrency %d exceeds pool size %d", p, k)
-	}
-	// Successful batch extraction updates the workflow status like Extract.
-	for _, id := range ids {
-		entry, err := sys.Alarm(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if entry.Status != "analyzed" {
-			t.Fatalf("alarm %s status = %q after batch, want analyzed", id, entry.Status)
-		}
+			id, err := sys.Submit(rootcause.JobRequest{AlarmIDs: ids}, rootcause.WithExtractFunc(fn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jr, err := sys.Wait(t.Context(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(jr.Batch) != len(ids) {
+				t.Fatalf("%d outcomes, want %d", len(jr.Batch), len(ids))
+			}
+			for _, r := range jr.Batch {
+				if r.Err != nil {
+					t.Fatalf("alarm %s: %v", r.AlarmID, r.Err)
+				}
+			}
+			if calls.Load() != int32(len(ids)) {
+				t.Fatalf("extract ran %d times, want %d", calls.Load(), len(ids))
+			}
+			if p := peak.Load(); p > int32(workers) {
+				t.Fatalf("peak concurrency %d exceeds %d job workers", p, workers)
+			}
+			// Successful batch extraction updates the workflow status like Extract.
+			if entry, err := sys.Alarm(ids[0]); err != nil || entry.Status != "analyzed" {
+				t.Fatalf("alarm %s = (%+v, %v) after batch, want analyzed", ids[0], entry, err)
+			}
+		})
 	}
 }
 
-func TestExtractAllCancellation(t *testing.T) {
-	sys := newEmptySystem(t)
-	const n, k = 8, 2
-	ids := fileAlarms(sys, n)
+// TestBatchJobCancellation: CancelJob mid-batch cancels the job and
+// every fan-out goroutine exits.
+func TestBatchJobCancellation(t *testing.T) {
+	sys := newEmptySystem(t, rootcause.WithJobWorkers(2))
+	ids := fileAlarms(sys, 8)
 
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{}, n)
+	started := make(chan struct{}, len(ids))
 	fn := func(ctx context.Context, a *rootcause.Alarm) (*rootcause.Result, error) {
 		started <- struct{}{}
 		<-ctx.Done() // a slow extraction that only ends by cancellation
 		return nil, ctx.Err()
 	}
-
-	out := sys.ExtractAll(ctx, ids, rootcause.WithConcurrency(k), rootcause.WithExtractFunc(fn))
-	// Wait until the pool is saturated, then cancel mid-batch.
+	id, err := sys.Submit(rootcause.JobRequest{AlarmIDs: ids}, rootcause.WithExtractFunc(fn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the fan-out is saturated, then cancel mid-batch.
 	<-started
 	<-started
-	cancel()
-
-	deadline := time.After(5 * time.Second)
-	got := 0
-	for {
-		select {
-		case r, ok := <-out:
-			if !ok {
-				// A cancelled batch may discard pending results, but never
-				// invents them, and the channel must close promptly.
-				if got > n {
-					t.Fatalf("streamed %d results for %d alarms", got, n)
-				}
-				// All workers must have exited: no goroutine leak.
-				for i := 0; ; i++ {
-					if runtime.NumGoroutine() <= before {
-						return
-					}
-					if i > 100 {
-						t.Fatalf("goroutines %d > %d before ExtractAll", runtime.NumGoroutine(), before)
-					}
-					time.Sleep(10 * time.Millisecond)
-				}
-			}
-			if !errors.Is(r.Err, context.Canceled) {
-				t.Fatalf("alarm %s err = %v, want context.Canceled", r.AlarmID, r.Err)
-			}
-			got++
-		case <-deadline:
-			t.Fatalf("batch did not wind down after cancellation (%d/%d results)", got, n)
-		}
+	if err := sys.CancelJob(id); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestExtractAllAbandonedConsumer pins the leak-freedom contract: a
-// consumer that stops reading and cancels the context releases the
-// pool even though results were never drained.
-func TestExtractAllAbandonedConsumer(t *testing.T) {
-	sys := newEmptySystem(t)
-	ids := fileAlarms(sys, 16)
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	fn := func(ctx context.Context, a *rootcause.Alarm) (*rootcause.Result, error) {
-		return &rootcause.Result{Alarm: *a}, nil
+	if _, err := sys.Wait(t.Context(), id); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait err = %v, want context.Canceled", err)
 	}
-	out := sys.ExtractAll(ctx, ids, rootcause.WithConcurrency(4), rootcause.WithExtractFunc(fn))
-	<-out // read one result, then walk away without draining
-	cancel()
-	for i := 0; ; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		if i > 200 {
-			t.Fatalf("goroutines %d > %d: pool leaked after abandoned consumer", runtime.NumGoroutine(), before)
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i > 100 {
+			t.Fatalf("goroutines %d > %d before the batch", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
+// TestExtractAllUnknownAlarm: an unknown ID in a batch fails only its
+// own outcome; the rest of the batch still extracts.
 func TestExtractAllUnknownAlarm(t *testing.T) {
 	sys := newEmptySystem(t)
 	ids := fileAlarms(sys, 1)
 	fn := func(ctx context.Context, a *rootcause.Alarm) (*rootcause.Result, error) {
 		return &rootcause.Result{Alarm: *a}, nil
 	}
+	id, err := sys.Submit(rootcause.JobRequest{AlarmIDs: append(ids, "does-not-exist")},
+		rootcause.WithExtractFunc(fn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := sys.Wait(t.Context(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var okCount, errCount int
-	for r := range sys.ExtractAll(t.Context(), append(ids, "does-not-exist"), rootcause.WithExtractFunc(fn)) {
+	for _, r := range jr.Batch {
 		if r.Err != nil {
 			errCount++
 		} else {
@@ -298,26 +263,25 @@ func TestExtractAllUnknownAlarm(t *testing.T) {
 	}
 }
 
+// TestExtractAllEmpty: an empty batch is rejected at submission and
+// admits no job.
 func TestExtractAllEmpty(t *testing.T) {
 	sys := newEmptySystem(t)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range sys.ExtractAll(t.Context(), nil) {
-			t.Error("result from empty batch")
+	for _, ids := range [][]string{nil, {}} {
+		if _, err := sys.Submit(rootcause.JobRequest{AlarmIDs: ids}); err == nil {
+			t.Fatalf("empty batch %#v must be rejected", ids)
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("empty batch did not close its channel")
+	}
+	if len(sys.Jobs()) != 0 {
+		t.Fatalf("empty batches created jobs: %v", sys.Jobs())
 	}
 }
 
 // TestExtractAllStreamsInCompletionOrder pins the streaming contract:
-// a fast extraction is delivered before a slow one that started first.
+// a fast extraction reaches the WithBatchResults sink before a slow one
+// that started first.
 func TestExtractAllStreamsInCompletionOrder(t *testing.T) {
-	sys := newEmptySystem(t)
+	sys := newEmptySystem(t, rootcause.WithJobWorkers(2))
 	ids := fileAlarms(sys, 2)
 	slow, fast := ids[0], ids[1]
 
@@ -328,18 +292,41 @@ func TestExtractAllStreamsInCompletionOrder(t *testing.T) {
 		}
 		return &rootcause.Result{Alarm: *a}, nil
 	}
-	out := sys.ExtractAll(t.Context(), ids, rootcause.WithConcurrency(2), rootcause.WithExtractFunc(fn))
-	first := <-out
-	if first.AlarmID != fast {
+	out := make(chan rootcause.ExtractResult, len(ids))
+	id, err := sys.Submit(rootcause.JobRequest{AlarmIDs: ids},
+		rootcause.WithBatchResults(func(r rootcause.ExtractResult) { out <- r }),
+		rootcause.WithExtractFunc(fn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func() rootcause.ExtractResult {
+		t.Helper()
+		select {
+		case r := <-out:
+			return r
+		case <-time.After(5 * time.Second):
+			t.Fatal("no streamed result within 5s")
+			return rootcause.ExtractResult{}
+		}
+	}
+	if first := next(); first.AlarmID != fast {
 		t.Fatalf("first streamed result = %s, want the fast alarm %s", first.AlarmID, fast)
 	}
 	close(release)
-	second := <-out
-	if second.AlarmID != slow {
+	if second := next(); second.AlarmID != slow {
 		t.Fatalf("second streamed result = %s, want %s", second.AlarmID, slow)
 	}
-	if _, ok := <-out; ok {
-		t.Fatal("channel not closed after all results")
+	jr, err := sys.Wait(t.Context(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jr.Batch) != len(ids) {
+		t.Fatalf("%d outcomes, want %d", len(jr.Batch), len(ids))
+	}
+	select {
+	case r := <-out:
+		t.Fatalf("extra streamed result %s after all alarms", r.AlarmID)
+	default:
 	}
 }
 
@@ -384,6 +371,6 @@ func TestExtractCancelledContext(t *testing.T) {
 
 // Compile-time check that the exported factory type matches the
 // registry's, so third-party registration code can use either name.
-var _ rootcause.DetectorFactory = func(cfg any) (detector.Detector, error) {
+var _ rootcause.DetectorFactory = func() (detector.Detector, error) {
 	return nil, fmt.Errorf("unused")
 }

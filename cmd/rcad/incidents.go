@@ -8,32 +8,18 @@ import (
 
 // handleCorrelate runs alarm dedup + temporal correlation over the
 // stored alarms of a span and stores the resulting incidents. The body
-// is optional; zero fields inherit the incident-layer defaults.
-// Correlation is idempotent — re-posting the same span returns the same
-// incident IDs.
+// is optional and names only the span; correlation runs the incident
+// layer's one policy, the same as the live watcher's. Correlation is
+// idempotent — re-posting the same span returns the same incident IDs.
 func (s *server) handleCorrelate(w http.ResponseWriter, r *http.Request) (any, error) {
 	var body struct {
-		From          uint32  `json:"from"`
-		To            uint32  `json:"to"`
-		DedupWindow   uint32  `json:"dedup_window"`
-		ClusterGap    uint32  `json:"cluster_gap"`
-		MinConfidence float64 `json:"min_confidence"`
+		From uint32 `json:"from"`
+		To   uint32 `json:"to"`
 	}
 	if err := decodeBody(w, r, &body, true); err != nil {
 		return nil, err
 	}
-	// Zero means "incident-layer default" on both sides, so the fields
-	// pass straight through.
-	sum, err := s.sys.Correlate(r.Context(), bodySpan(body.From, body.To),
-		rootcause.WithDedupWindow(body.DedupWindow),
-		rootcause.WithClusterGap(body.ClusterGap),
-		rootcause.WithLeadLagConfidence(body.MinConfidence))
-	if err != nil {
-		// Correlation reads only the alarm database: what it rejects is an
-		// out-of-range tuning value.
-		return nil, badRequest{err}
-	}
-	return sum, nil
+	return s.sys.Correlate(r.Context(), bodySpan(body.From, body.To))
 }
 
 // handleIncidents lists stored incidents overlapping ?from&to (defaults

@@ -72,7 +72,7 @@ func TestIntegrationHTTP(t *testing.T) {
 	// its log line.
 	cmd := exec.Command(bin,
 		"-store", storeDir, "-alarmdb", dbPath,
-		"-listen", "127.0.0.1:0", "-job-workers", "2", "-drain", "5s")
+		"-listen", "127.0.0.1:0", "-job-workers", "1", "-drain", "5s")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestIntegrationHTTP(t *testing.T) {
 	for i := range ids {
 		ids[i] = alarmID
 	}
-	raw, _ := json.Marshal(map[string]any{"alarm_ids": ids, "concurrency": 1})
+	raw, _ := json.Marshal(map[string]any{"alarm_ids": ids})
 	resp, err = http.Post(base+"/api/v1/jobs", "application/json", strings.NewReader(string(raw)))
 	if err != nil {
 		t.Fatal(err)

@@ -448,14 +448,14 @@ func toBatchLine(res rootcause.ExtractResult) batchLine {
 
 // extractRequest is the one body every extraction endpoint decodes: a
 // target (exactly one of alarm_id, alarm_ids, incident_id — or none
-// where the path names it) plus the optional tuning.
+// where the path names it) plus the optional miner and ranking. A batch
+// runs as wide as -job-workers; nothing in the body changes that.
 type extractRequest struct {
-	AlarmID     string   `json:"alarm_id"`
-	AlarmIDs    []string `json:"alarm_ids"`
-	IncidentID  string   `json:"incident_id"`
-	Miner       string   `json:"miner"`
-	Ranking     string   `json:"ranking"`
-	Concurrency int      `json:"concurrency"`
+	AlarmID    string   `json:"alarm_id"`
+	AlarmIDs   []string `json:"alarm_ids"`
+	IncidentID string   `json:"incident_id"`
+	Miner      string   `json:"miner"`
+	Ranking    string   `json:"ranking"`
 }
 
 // decodeExtract decodes an extractRequest into the façade's vocabulary.
@@ -469,7 +469,6 @@ func decodeExtract(w http.ResponseWriter, r *http.Request, optional bool) (rootc
 		[]rootcause.Option{
 			rootcause.WithMiner(q.Miner),
 			rootcause.WithRanking(q.Ranking),
-			rootcause.WithConcurrency(q.Concurrency),
 		}, err
 }
 

@@ -2,21 +2,27 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	rootcause "repro"
+	"repro/internal/apriori"
 	"repro/internal/detector"
 	"repro/internal/flow"
 	"repro/internal/gen"
+	"repro/internal/itemset"
+	"repro/internal/miner"
 	"repro/internal/nfstore"
 )
 
@@ -241,7 +247,7 @@ func (httpDetector) Detect(ctx context.Context, _ nfstore.Engine, span flow.Inte
 
 func TestDetectEndpoint(t *testing.T) {
 	if err := rootcause.RegisterDetector("http-test-detector",
-		func(cfg any) (rootcause.Detector, error) { return httpDetector{}, nil }); err != nil {
+		func() (rootcause.Detector, error) { return httpDetector{}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	srv, _ := newTestServer(t)
@@ -291,7 +297,7 @@ func TestDetectEndpoint(t *testing.T) {
 func TestExtractBatchEndpoint(t *testing.T) {
 	srv, id := newTestServer(t)
 	resp, err := http.Post(srv.URL+"/api/v1/extract-batch", "application/json",
-		strings.NewReader(`{"alarm_ids":["`+id+`","404"],"concurrency":2}`))
+		strings.NewReader(`{"alarm_ids":["`+id+`","404"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,15 +494,15 @@ func postJSON(t *testing.T, url, payload string, out any) int {
 }
 
 // batchPayload builds a batch submission body repeating one alarm ID n
-// times with concurrency 1 (a deliberately slow job for cancel/saturation
-// tests).
+// times (with one job worker, a deliberately slow job for
+// cancel/saturation tests).
 func batchPayload(t *testing.T, id string, n int) string {
 	t.Helper()
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = id
 	}
-	raw, err := json.Marshal(map[string]any{"alarm_ids": ids, "concurrency": 1})
+	raw, err := json.Marshal(map[string]any{"alarm_ids": ids})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +595,7 @@ func TestV1BatchJob(t *testing.T) {
 	srv, id := newTestServer(t)
 	var env jobEnvelope
 	code := postJSON(t, srv.URL+"/api/v1/jobs",
-		`{"alarm_ids":["`+id+`","404"],"concurrency":2}`, &env)
+		`{"alarm_ids":["`+id+`","404"]}`, &env)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
@@ -889,5 +895,69 @@ func TestHealthReportsJobs(t *testing.T) {
 	}
 	if body.Jobs["done"] == 0 {
 		t.Fatalf("health jobs = %v, want a done job", body.Jobs)
+	}
+}
+
+// peakMiner is apriori that records the most Mine calls in flight at
+// once. One extraction mines sequentially, so the peak is the most
+// extractions a batch ran at once.
+type peakMiner struct{ cur, peak atomic.Int32 }
+
+func (m *peakMiner) Mine(ctx context.Context, ds *itemset.Dataset, opts miner.Options) ([]itemset.Frequent, error) {
+	c := m.cur.Add(1)
+	defer m.cur.Add(-1)
+	for p := m.peak.Load(); c > p && !m.peak.CompareAndSwap(p, c); p = m.peak.Load() {
+	}
+	time.Sleep(time.Millisecond) // let the batch fan-out overlap
+	return apriori.Miner{}.Mine(ctx, ds, opts)
+}
+
+var widthProbe = &peakMiner{}
+
+func init() {
+	if err := rootcause.RegisterMiner("width-probe", func() rootcause.Miner { return widthProbe }); err != nil {
+		panic(err)
+	}
+}
+
+// TestBatchWidthBoundedByJobWorkersHTTP: a batch body still carrying
+// the retired "concurrency" field is accepted (unknown fields are
+// ignored) and runs no wider than the server's job workers.
+func TestBatchWidthBoundedByJobWorkersHTTP(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			srv, _, id := newTestServerFull(t, rootcause.WithJobWorkers(workers))
+			widthProbe.peak.Store(0)
+			body, err := json.Marshal(map[string]any{
+				"alarm_ids": slices.Repeat([]string{id}, 8), "concurrency": 8, "miner": "width-probe",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(srv.URL+"/api/v1/extract-batch", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			lines := 0
+			for dec := json.NewDecoder(resp.Body); dec.More(); lines++ {
+				var line batchLine
+				if err := dec.Decode(&line); err != nil {
+					t.Fatal(err)
+				}
+				if line.Error != "" {
+					t.Fatalf("alarm %s: %s", line.AlarmID, line.Error)
+				}
+			}
+			if lines != 8 {
+				t.Fatalf("%d NDJSON lines, want 8", lines)
+			}
+			if p := widthProbe.peak.Load(); p < 1 || p > int32(workers) {
+				t.Fatalf("peak concurrent extractions %d, want 1..%d (-job-workers)", p, workers)
+			}
+		})
 	}
 }

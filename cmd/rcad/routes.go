@@ -39,7 +39,7 @@ var routeTable = []route{
 	{"GET", "/alarms/{id}", (*server).handleAlarm, "one stored alarm"},
 	{"POST", "/alarms/{id}/extract", (*server).handleExtract, `extract now (submit + wait): optional {"miner":"fpgrowth","ranking":"lift"}`},
 	{"POST", "/alarms/{id}/verdict", (*server).handleVerdict, `record the operator verdict: {"validated":true,"note":"..."}`},
-	{"POST", "/extract-batch", (*server).handleExtractBatch, `extract many, one NDJSON line per alarm as it completes: {"alarm_ids":["1","2"],"concurrency":4}`},
+	{"POST", "/extract-batch", (*server).handleExtractBatch, `extract many as wide as -job-workers, one NDJSON line per alarm as it completes: {"alarm_ids":["1","2"]}`},
 	{"GET", "/flows", (*server).handleFlows, "drill-down to raw flows: ?from=U&to=U&filter=EXPR&limit=N"},
 	{"POST", "/jobs", (*server).handleJobSubmit, `queue an extraction (202, or 429 + Retry-After): {"alarm_id":"1"} | {"alarm_ids":[...]} | {"incident_id":"i1"}`},
 	{"GET", "/jobs", (*server).handleJobList, "queued, running and retained jobs"},
@@ -47,7 +47,7 @@ var routeTable = []route{
 	{"DELETE", "/jobs/{id}", (*server).handleJobCancel, "cancel a queued or running job"},
 	{"GET", "/jobs/{id}/result", (*server).handleJobResult, "outcome of a finished job (409 while unfinished)"},
 	{"GET", "/jobs/{id}/events", (*server).handleJobEvents, "SSE stream of status/progress events"},
-	{"POST", "/correlate", (*server).handleCorrelate, `dedup + correlate stored alarms into incidents: optional {"from":U,"to":U,"dedup_window":300,"cluster_gap":600,"min_confidence":0.5}`},
+	{"POST", "/correlate", (*server).handleCorrelate, `dedup + correlate stored alarms into incidents (the live watcher's one policy): optional {"from":U,"to":U}`},
 	{"GET", "/incidents", (*server).handleIncidents, "stored incidents overlapping ?from=U&to=U"},
 	{"GET", "/incidents/{id}", (*server).handleIncident, "one incident + member alarms + lead-lag chain"},
 	{"POST", "/incidents/{id}/extract", (*server).handleIncidentExtract, `queue the incident's ONE extraction job (202): optional {"miner":..,"ranking":..}`},

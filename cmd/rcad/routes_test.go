@@ -35,7 +35,7 @@ var routeFixtures = []struct {
 	{"GET", "/alarms/{id}", "", 200},
 	{"POST", "/alarms/{id}/extract", `{"miner":"fpgrowth","ranking":"lift"}`, 200},
 	{"POST", "/alarms/{id}/verdict", `{"validated":true,"note":"seen"}`, 200},
-	{"POST", "/extract-batch", `{"alarm_ids":["{id}","404"],"concurrency":1}`, 200},
+	{"POST", "/extract-batch", `{"alarm_ids":["{id}","404"]}`, 200},
 	{"GET", "/flows?filter=src+ip+10.191.64.165&limit=3", "", 200},
 	{"GET", "/flows?filter=banana", "", 400},
 	{"GET", "/alarms/404", "", 404},

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -229,4 +231,139 @@ func TestStreamLiveEndToEndHTTP(t *testing.T) {
 	if !strings.Contains(top, "198.19.7.7") {
 		t.Fatalf("top itemset %q does not name the flood victim", top)
 	}
+}
+
+// TestCorrelateManualPassKeepsLivePolicy: a manual correlation pass
+// midway through a live replay — the façade call and POST
+// /api/v1/correlate carrying the retired tuning fields — runs the live
+// watcher's one policy, so it leaves every incident ID and status as
+// the watcher made them, and every incident the watcher opens still
+// gets exactly one auto-extraction.
+func TestCorrelateManualPassKeepsLivePolicy(t *testing.T) {
+	// CUSUM alone stays quiet between the floods on this small background.
+	srv, hs := newLiveServer(t, rootcause.LiveConfig{Detectors: []string{stream.CUSUMName}})
+	sys := hs.sys
+	events, cancel, err := sys.TailIncidents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	var collected []rootcause.StreamEvent
+	tailDone := make(chan struct{})
+	go func() {
+		defer close(tailDone)
+		for ev := range events {
+			collected = append(collected, ev)
+		}
+	}()
+
+	// Two floods 35 minutes apart: past the 600 s cluster gap, so two
+	// incidents that a 3000 s gap would merge into one.
+	const t0, bins = 1_300_000_200, 16
+	ddos, _ := gen.Lookup("ddos-syn")
+	udp, _ := gen.Lookup("udpflood")
+	col := stream.NewCollector(300)
+	scenario := gen.Scenario{
+		Background: gen.Background{NumPoPs: 2, FlowsPerBin: 150, Hosts: 500, Servers: 80},
+		Bins:       bins, StartTime: t0, Seed: 42,
+		Placements: append(ddos.Placements(42, 2), udp.Placements(42, 10)...),
+	}
+	if _, err := scenario.Generate(col); err != nil {
+		t.Fatal(err)
+	}
+	recs := col.Sorted()
+	ctx := context.Background()
+	ingest := func(from, to uint32) {
+		for i := range recs {
+			if recs[i].Start >= from && recs[i].Start < to {
+				if err := sys.Ingest(ctx, &recs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	// First part: bins 0-12 seal once bin 13's first record arrives.
+	const mid = t0 + 13*300 + 1
+	ingest(0, mid)
+	before := waitLiveIdle(t, sys)
+	// The manual passes, with the retired tuning fields in the body.
+	sum, err := sys.Correlate(ctx, bodySpan(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var httpSum rootcause.CorrelationSummary
+	body := `{"dedup_window":60,"cluster_gap":3000,"min_confidence":0.9}`
+	if code := postJSON(t, srv.URL+"/api/v1/correlate", body, &httpSum); code != http.StatusOK {
+		t.Fatalf("correlate status %d", code)
+	}
+	if !slices.Equal(httpSum.IncidentIDs, sum.IncidentIDs) {
+		t.Fatalf("POST /correlate returned %v, the façade pass %v", httpSum.IncidentIDs, sum.IncidentIDs)
+	}
+	if after := incidentStatuses(sys); !maps.Equal(after, before) {
+		t.Fatalf("manual passes changed the incidents:\nbefore %v\nafter  %v", before, after)
+	}
+
+	// Second half, then drain: the watcher keeps auto-extracting.
+	ingest(mid, ^uint32(0))
+	if err := sys.DrainLive(ctx); err != nil {
+		t.Fatal(err)
+	}
+	<-tailDone
+	opened := map[string]int{}
+	extracted := map[string]int{}
+	for _, ev := range collected {
+		switch ev.Type {
+		case rootcause.StreamEventIncident:
+			opened[ev.IncidentID]++
+		case rootcause.StreamEventExtracted:
+			extracted[ev.IncidentID]++
+		case rootcause.StreamEventError:
+			t.Fatalf("error event on the feed: %+v", ev)
+		}
+	}
+	for id, st := range incidentStatuses(sys) {
+		switch {
+		case st == rootcause.IncidentOpen:
+			t.Fatalf("incident %s left open after the drain (never auto-extracted)", id)
+		case st == rootcause.IncidentExtracted && (opened[id] != 1 || extracted[id] != 1):
+			t.Fatalf("incident %s: %d submissions, %d extractions, want 1/1", id, opened[id], extracted[id])
+		case opened[id] > 1:
+			t.Fatalf("incident %s submitted %d times", id, opened[id])
+		}
+	}
+}
+
+// incidentStatuses maps every stored incident to its lifecycle status.
+func incidentStatuses(sys *rootcause.System) map[string]rootcause.IncidentStatus {
+	out := map[string]rootcause.IncidentStatus{}
+	for _, e := range sys.Incidents(rootcause.Interval{}) {
+		out[e.Incident.ID] = e.Status
+	}
+	return out
+}
+
+// waitLiveIdle waits until the live system has settled: no sealed batch
+// waits for the watcher, no incident awaits its extraction, and the
+// incident census has not moved for a while. It returns that census.
+func waitLiveIdle(t *testing.T, sys *rootcause.System) map[string]rootcause.IncidentStatus {
+	t.Helper()
+	var last map[string]rootcause.IncidentStatus
+	stable := 0
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		cur := incidentStatuses(sys)
+		idle := sys.StreamStats().WatcherBacklog == 0
+		for _, st := range cur {
+			idle = idle && st != rootcause.IncidentOpen
+		}
+		if !idle || !maps.Equal(cur, last) {
+			last, stable = cur, 0
+			continue
+		}
+		if stable++; stable == 10 {
+			return cur
+		}
+	}
+	t.Fatalf("live system never settled: incidents %v", last)
+	return nil
 }

@@ -30,7 +30,7 @@ func main() {
 	sys, err := rootcause.Create(rootcause.Config{
 		StoreDir:    dir + "/flows",
 		AlarmDBPath: dir + "/alarms.json",
-	})
+	}, rootcause.WithJobWorkers(2)) // a batch job extracts this many alarms at once
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,10 +70,22 @@ func main() {
 	}
 	fmt.Printf("   %d alarm(s) filed\n", len(ids))
 
-	// Batch extraction: fan the alarms across a bounded worker pool and
-	// consume results as they complete.
-	fmt.Println("3. extracting all alarms (2 workers):")
-	for br := range sys.ExtractAll(ctx, ids, rootcause.WithConcurrency(2)) {
+	// Batch extraction is a job: it fans the alarms out over the job
+	// workers, streams each outcome as it completes, and Wait returns
+	// them in submission order.
+	fmt.Println("3. extracting all alarms (2 job workers):")
+	jobID, err := sys.Submit(rootcause.JobRequest{AlarmIDs: ids},
+		rootcause.WithBatchResults(func(br rootcause.ExtractResult) {
+			fmt.Printf("   alarm %s done\n", br.AlarmID)
+		}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	batch, err := sys.Wait(ctx, jobID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, br := range batch.Batch {
 		id := br.AlarmID
 		entry, err := sys.Alarm(id)
 		if err != nil {

@@ -34,38 +34,6 @@ const (
 // JobKindExtractIncident is the job kind of a per-incident extraction.
 const JobKindExtractIncident = "extract-incident"
 
-// WithDedupWindow sets the alarm dedup time bucket in seconds for one
-// Correlate call (default 300, one measurement bin): repeated alarms
-// from one detector for the same signature within a bucket collapse.
-func WithDedupWindow(seconds uint32) Option {
-	return func(o *callOptions) { o.dedupWindow = seconds }
-}
-
-// WithClusterGap sets the temporal-clustering joining distance in
-// seconds for one Correlate call (default 600): an alarm within the gap
-// of a cluster's interval joins that incident.
-func WithClusterGap(seconds uint32) Option {
-	return func(o *callOptions) { o.clusterGap = seconds }
-}
-
-// WithLeadLagConfidence sets the confidence floor for one Correlate
-// call's lead-lag links (default 0.5): a "kind A leads kind B" edge is
-// reported only when its modal lag holds at least this fraction of the
-// observed pairs.
-func WithLeadLagConfidence(floor float64) Option {
-	return func(o *callOptions) { o.leadLagConfidence = floor }
-}
-
-// incidentOptions folds the correlation options into the incident
-// layer's configuration (zero values inherit its defaults).
-func (o *callOptions) incidentOptions() incident.Options {
-	return incident.Options{
-		DedupWindow:   o.dedupWindow,
-		ClusterGap:    o.clusterGap,
-		MinConfidence: o.leadLagConfidence,
-	}
-}
-
 // CorrelationSummary reports one Correlate run.
 type CorrelationSummary struct {
 	// AlarmsConsidered counts the stored alarms fed to the correlator
@@ -85,12 +53,13 @@ type CorrelationSummary struct {
 // resulting incidents are reconciled into the alarm database: an
 // incident with a previously stored member set keeps its ID and
 // lifecycle status, new ones open fresh, and open incidents absorbed
-// by a larger correlation are marked merged.
-func (s *System) Correlate(ctx context.Context, span Interval, opts ...Option) (*CorrelationSummary, error) {
+// by a larger correlation are marked merged. Every pass — this one and
+// the live watcher's — runs the incident package's one policy, so a
+// manual pass never re-keys what the watcher has already submitted.
+func (s *System) Correlate(ctx context.Context, span Interval) (*CorrelationSummary, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	o := resolveOptions(opts)
 	entries := s.alarms.Query(span, "")
 	alarms := make([]Alarm, 0, len(entries))
 	for _, e := range entries {
@@ -99,10 +68,7 @@ func (s *System) Correlate(ctx context.Context, span Interval, opts ...Option) (
 		}
 		alarms = append(alarms, e.Alarm)
 	}
-	corr, err := incident.Correlate(alarms, o.incidentOptions())
-	if err != nil {
-		return nil, err
-	}
+	corr := incident.Correlate(alarms)
 	ids := s.alarms.ReconcileIncidents(corr.Incidents)
 	return &CorrelationSummary{
 		AlarmsConsidered: corr.AlarmsIn,
@@ -146,24 +112,9 @@ func (s *System) IncidentAlarms(id string) ([]AlarmEntry, error) {
 	return out, nil
 }
 
-// IncidentExtractionAlarm returns the single merged alarm an incident's
-// extraction runs on: the representative member's identity, the union
-// of member intervals, and the deduplicated union of member meta-data.
-// Extracting this alarm synchronously (ExtractAlarm) produces exactly
-// the result ExtractIncident records — the parity the tests pin. A
-// merged incident has no extraction of its own and fails like
-// ExtractIncident does.
-func (s *System) IncidentExtractionAlarm(id string) (Alarm, error) {
-	a, err := s.incidentTarget(id).alarm()
-	if err != nil {
-		return Alarm{}, err
-	}
-	return *a, nil
-}
-
 // ExtractIncident runs the one extraction of a correlated incident: the
 // member alarms are merged into a single alarm (see
-// IncidentExtractionAlarm) and mined once, so a composite event — recon
+// incident.ExtractionAlarm) and mined once, so a composite event — recon
 // plus attack — surfaces all its causes in one ranked list. On success
 // the incident is marked extracted and its still-new member alarms
 // analyzed; operator verdicts on members are left untouched. The same

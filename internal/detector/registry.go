@@ -6,12 +6,11 @@ import (
 	"sync"
 )
 
-// Factory builds a detector from an optional configuration value. A nil
-// cfg asks for the detector's defaults; otherwise the factory
-// type-asserts its own Config type (netreflex.Config, histogram.Config,
-// pca.Config, ...) and rejects anything else. This keeps the registry
-// free of per-detector knowledge — the paper's pluggability seam.
-type Factory func(cfg any) (Detector, error)
+// Factory builds a detector with its defaults. A detector tuned away
+// from them is built directly from its package (histogram.New(cfg),
+// ...); the registry carries no per-detector knowledge — the paper's
+// pluggability seam.
+type Factory func() (Detector, error)
 
 // registry holds the named detector factories. Built-in detectors
 // self-register from their packages' init functions; external detectors
@@ -58,32 +57,13 @@ func Names() []string {
 	return names
 }
 
-// New builds the named detector, passing cfg to its factory (nil = the
-// detector's defaults).
-func New(name string, cfg any) (Detector, error) {
+// New builds the named detector with its defaults.
+func New(name string) (Detector, error) {
 	registry.mu.RLock()
 	f, ok := registry.factories[name]
 	registry.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("detector: unknown detector %q (have %v)", name, Names())
 	}
-	return f(cfg)
-}
-
-// CoerceConfig resolves a factory's untyped cfg argument to the
-// detector's own Config type: nil yields def, a T or *T is used as-is,
-// anything else is an error. The shared shape of every built-in
-// factory.
-func CoerceConfig[T any](cfg any, def T) (T, error) {
-	switch v := cfg.(type) {
-	case nil:
-		return def, nil
-	case T:
-		return v, nil
-	case *T:
-		return *v, nil
-	default:
-		var zero T
-		return zero, fmt.Errorf("bad config type %T (want %T)", cfg, zero)
-	}
+	return f()
 }

@@ -85,15 +85,11 @@ func New(cfg Config) (*Detector, error) {
 	return &Detector{cfg: cfg}, nil
 }
 
-// init registers the detector under its public name; the factory accepts
-// a histogram.Config (or nil for defaults).
+// init registers the detector under its public name, built with its
+// defaults.
 func init() {
-	detector.MustRegister("histogram", func(cfg any) (detector.Detector, error) {
-		c, err := detector.CoerceConfig(cfg, DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("histogram: %w", err)
-		}
-		return New(c)
+	detector.MustRegister("histogram", func() (detector.Detector, error) {
+		return New(DefaultConfig())
 	})
 }
 

@@ -11,31 +11,22 @@ import (
 	"repro/internal/flow"
 )
 
-// Options tunes the dedup + correlation pipeline. Zero values inherit
-// defaults (which match the 300 s measurement bins of the paper's
-// deployments).
-type Options struct {
-	// DedupWindow buckets alarm start times for the dedup key, in
-	// seconds: repeated alarms from one detector for the same signature
-	// within one window collapse to one survivor (default 300, one
-	// bin).
-	DedupWindow uint32
-	// ClusterGap is the TimeCluster joining distance in seconds: an
-	// alarm within ClusterGap of a cluster's interval joins it
-	// (default 600, two bins — recon one bin before the attack still
-	// correlates).
-	ClusterGap uint32
-	// MinConfidence is the lead-lag confidence floor: a link is
-	// reported only when its modal lag bucket holds at least this
-	// fraction of the pair's observations (default 0.5).
-	MinConfidence float64
-}
-
-// Defaults for Options zero values.
+// The one correlation policy, sized to the 300 s measurement bins of
+// the paper's deployments. Every pass — the live watcher's and a manual
+// Correlate — runs it, so reconciliation always compares like with like.
 const (
-	DefaultDedupWindow   = 300
-	DefaultClusterGap    = 600
-	DefaultMinConfidence = 0.5
+	// dedupWindow buckets alarm start times for the dedup key, in
+	// seconds: repeated alarms from one detector for the same signature
+	// within one window (one bin) collapse to one survivor.
+	dedupWindow = 300
+	// clusterGap is the TimeCluster joining distance in seconds: an
+	// alarm within clusterGap of a cluster's interval joins it (two
+	// bins — recon one bin before the attack still correlates).
+	clusterGap = 600
+	// minConfidence is the lead-lag confidence floor: a link is
+	// reported only when its modal lag bucket holds at least this
+	// fraction of the pair's observations.
+	minConfidence = 0.5
 )
 
 // Lead-lag histogram shape: lags are quantized to lagBucket seconds
@@ -45,22 +36,6 @@ const (
 	lagBucket = 300
 	maxLag    = 8 * lagBucket
 )
-
-func (o *Options) fill() error {
-	if o.DedupWindow == 0 {
-		o.DedupWindow = DefaultDedupWindow
-	}
-	if o.ClusterGap == 0 {
-		o.ClusterGap = DefaultClusterGap
-	}
-	if o.MinConfidence == 0 {
-		o.MinConfidence = DefaultMinConfidence
-	}
-	if o.MinConfidence < 0 || o.MinConfidence > 1 || math.IsNaN(o.MinConfidence) {
-		return fmt.Errorf("incident: MinConfidence %v outside [0,1]", o.MinConfidence)
-	}
-	return nil
-}
 
 // Link is one edge of an incident's lead-lag chain: alarms of kind From
 // precede alarms of kind To by about LagSeconds.
@@ -133,12 +108,8 @@ type Correlation struct {
 // (detector, kind, signature, time bucket), TimeCluster grouping
 // of the survivors, and a per-incident lead-lag chain. Alarms must
 // carry their database IDs. The result is deterministic for fixed
-// (alarms, opts): input order does not matter, alarms are sorted
-// internally.
-func Correlate(alarms []detector.Alarm, opts Options) (*Correlation, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
+// alarms: input order does not matter, alarms are sorted internally.
+func Correlate(alarms []detector.Alarm) *Correlation {
 	sorted := make([]*detector.Alarm, 0, len(alarms))
 	for i := range alarms {
 		sorted = append(sorted, &alarms[i])
@@ -163,7 +134,7 @@ func Correlate(alarms []detector.Alarm, opts Options) (*Correlation, error) {
 	bySurvivorKey := make(map[string]*member)
 	out := &Correlation{AlarmsIn: len(sorted)}
 	for _, a := range sorted {
-		key := DedupKey(a, opts.DedupWindow)
+		key := DedupKey(a)
 		if m, ok := bySurvivorKey[key]; ok {
 			m.duplicates = append(m.duplicates, a)
 			continue
@@ -175,14 +146,14 @@ func Correlate(alarms []detector.Alarm, opts Options) (*Correlation, error) {
 	out.Survivors = len(survivors)
 
 	// Layer 2a: TimeCluster. Survivors are in time order; one joins the
-	// open cluster while its start is within ClusterGap of the
+	// open cluster while its start is within clusterGap of the
 	// cluster's running interval end (or overlaps it).
 	var clusters [][]*member
 	var cur []*member
 	var curEnd uint32
 	for _, m := range survivors {
 		start := m.alarm.Interval.Start
-		if len(cur) > 0 && start <= curEnd+opts.ClusterGap {
+		if len(cur) > 0 && start <= curEnd+clusterGap {
 			cur = append(cur, m)
 		} else {
 			if len(cur) > 0 {
@@ -201,13 +172,13 @@ func Correlate(alarms []detector.Alarm, opts Options) (*Correlation, error) {
 
 	// Layer 2b: one Incident per cluster, with its lead-lag chain.
 	for _, cl := range clusters {
-		out.Incidents = append(out.Incidents, buildIncident(cl, opts))
+		out.Incidents = append(out.Incidents, buildIncident(cl))
 	}
-	return out, nil
+	return out
 }
 
 // buildIncident assembles one cluster's Incident record.
-func buildIncident(cl []*member, opts Options) Incident {
+func buildIncident(cl []*member) Incident {
 	inc := Incident{}
 	seenKind := map[detector.Kind]bool{}
 	var rep *detector.Alarm
@@ -248,7 +219,7 @@ func buildIncident(cl []*member, opts Options) Incident {
 	if rep != nil {
 		inc.Representative = rep.ID
 	}
-	inc.Chain = leadLag(survivorAlarms, opts)
+	inc.Chain = leadLag(survivorAlarms)
 	return inc
 }
 
@@ -262,7 +233,7 @@ type member struct {
 // alarms: for every unordered pair of distinct kinds it histograms the
 // signed start-time lags (quantized to lagBucket), and the modal bucket
 // — when strictly leading and confident enough — becomes a Link.
-func leadLag(alarms []*detector.Alarm, opts Options) []Link {
+func leadLag(alarms []*detector.Alarm) []Link {
 	byKind := map[detector.Kind][]*detector.Alarm{}
 	var kinds []detector.Kind
 	for _, a := range alarms {
@@ -275,7 +246,7 @@ func leadLag(alarms []*detector.Alarm, opts Options) []Link {
 	for i := 0; i < len(kinds); i++ {
 		for j := i + 1; j < len(kinds); j++ {
 			a, b := kinds[i], kinds[j]
-			if l, ok := pairLink(a, b, byKind[a], byKind[b], opts); ok {
+			if l, ok := pairLink(a, b, byKind[a], byKind[b]); ok {
 				links = append(links, l)
 			}
 		}
@@ -296,7 +267,7 @@ func leadLag(alarms []*detector.Alarm, opts Options) []Link {
 // pairLink histograms the signed lags from kind a to kind b and turns
 // the modal bucket into a Link when it leads strictly and clears the
 // confidence floor. A negative modal lag is the mirrored direction.
-func pairLink(a, b detector.Kind, as, bs []*detector.Alarm, opts Options) (Link, bool) {
+func pairLink(a, b detector.Kind, as, bs []*detector.Alarm) (Link, bool) {
 	hist := map[int]int{}
 	pairs := 0
 	for _, x := range as {
@@ -328,7 +299,7 @@ func pairLink(a, b detector.Kind, as, bs []*detector.Alarm, opts Options) (Link,
 		return Link{}, false // simultaneous, not causal
 	}
 	conf := float64(modeCount) / float64(pairs)
-	if conf < opts.MinConfidence {
+	if conf < minConfidence {
 		return Link{}, false
 	}
 	l := Link{From: a, To: b, LagSeconds: uint32(mode) * lagBucket, Confidence: conf, Pairs: pairs}

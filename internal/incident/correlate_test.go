@@ -43,10 +43,7 @@ func storm(t0 uint32) []detector.Alarm {
 
 func TestCorrelateStorm(t *testing.T) {
 	alarms := storm(1_300_000_200)
-	c, err := Correlate(alarms, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Correlate(alarms)
 	if c.AlarmsIn != 18 {
 		t.Fatalf("AlarmsIn = %d, want 18", c.AlarmsIn)
 	}
@@ -90,45 +87,36 @@ func TestCorrelateStorm(t *testing.T) {
 // same alarms, in any order, always produce identical incidents.
 func TestCorrelateDeterministic(t *testing.T) {
 	alarms := storm(1_300_000_200)
-	a, err := Correlate(alarms, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := Correlate(alarms)
 	// Reverse the input order.
 	rev := make([]detector.Alarm, len(alarms))
 	for i, al := range alarms {
 		rev[len(alarms)-1-i] = al
 	}
-	b, err := Correlate(rev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := Correlate(rev)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("correlation differs across input orders:\n%+v\n%+v", a, b)
 	}
 }
 
+// TestCorrelateClusterGap pins the 600 s joining distance at its
+// boundary: an alarm starting exactly 600 s after a cluster's interval
+// ends joins it, one second later opens a new incident.
 func TestCorrelateClusterGap(t *testing.T) {
 	alarms := []detector.Alarm{
-		mkAlarm(1, "histogram", detector.KindDoS, 1000),
-		// 2000 seconds after the first interval ends: outside the
-		// default 600 s gap.
-		mkAlarm(2, "histogram", detector.KindDoS, 3300),
+		mkAlarm(1, "histogram", detector.KindDoS, 1000), // ends 1300
+		mkAlarm(2, "histogram", detector.KindDoS, 1900), // 1300+600: joins, ends 2200
+		mkAlarm(3, "histogram", detector.KindDoS, 2801), // 2200+601: apart
 	}
-	c, err := Correlate(alarms, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Correlate(alarms)
 	if len(c.Incidents) != 2 {
-		t.Fatalf("incidents = %d, want 2 (far apart)", len(c.Incidents))
+		t.Fatalf("incidents = %d, want 2", len(c.Incidents))
 	}
-	// A wide gap merges them.
-	c, err = Correlate(alarms, Options{ClusterGap: 3000})
-	if err != nil {
-		t.Fatal(err)
+	if got := c.Incidents[0].AlarmIDs; !reflect.DeepEqual(got, []string{"1", "2"}) {
+		t.Fatalf("first incident members = %v, want [1 2] (600 s gap is inclusive)", got)
 	}
-	if len(c.Incidents) != 1 {
-		t.Fatalf("incidents = %d, want 1 with ClusterGap 3000", len(c.Incidents))
+	if got := c.Incidents[1].AlarmIDs; !reflect.DeepEqual(got, []string{"3"}) {
+		t.Fatalf("second incident members = %v, want [3]", got)
 	}
 }
 
@@ -147,10 +135,7 @@ func TestLeadLagCascade(t *testing.T) {
 	}
 	// Contrarian: one flood before every scan.
 	alarms = append(alarms, mkAlarm(id, "d-contrarian", detector.KindUDPFlood, 700))
-	c, err := Correlate(alarms, Options{ClusterGap: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Correlate(alarms)
 	if len(c.Incidents) != 1 {
 		t.Fatalf("incidents = %d, want 1", len(c.Incidents))
 	}
@@ -167,13 +152,25 @@ func TestLeadLagCascade(t *testing.T) {
 	if link.Confidence < 0.75 {
 		t.Fatalf("confidence = %.2f, want >= 0.75", link.Confidence)
 	}
-	// A floor above the achievable confidence suppresses the link.
-	c, err = Correlate(alarms, Options{ClusterGap: 2000, MinConfidence: 0.95})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestLeadLagBelowConfidenceFloor: evidence split three ways leaves the
+// modal lag bucket with a third of the pairs, under the 0.5 floor, so
+// no link is reported.
+func TestLeadLagBelowConfidenceFloor(t *testing.T) {
+	alarms := []detector.Alarm{
+		mkAlarm(1, "d1", detector.KindNetScan, 1000),
+		mkAlarm(2, "d2", detector.KindNetScan, 1010),
+		mkAlarm(3, "d3", detector.KindUDPFlood, 700),  // -1 bucket
+		mkAlarm(4, "d4", detector.KindUDPFlood, 1300), // +1 bucket
+		mkAlarm(5, "d5", detector.KindUDPFlood, 1600), // +2 buckets
 	}
-	if len(c.Incidents[0].Chain) != 0 {
-		t.Fatalf("chain %v survived a 0.95 confidence floor", c.Incidents[0].Chain)
+	c := Correlate(alarms)
+	if len(c.Incidents) != 1 {
+		t.Fatalf("incidents = %d, want 1", len(c.Incidents))
+	}
+	if chain := c.Incidents[0].Chain; len(chain) != 0 {
+		t.Fatalf("chain %v survived a 2-of-6 modal bucket under the 0.5 floor", chain)
 	}
 }
 

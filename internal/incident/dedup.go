@@ -11,12 +11,9 @@ import (
 // DedupKey builds the dedup key of one alarm: the detector, its kind
 // classification, the signature-ish meta fields (sorted, so detector
 // reporting order does not split keys), and the alarm's start bucketed
-// to window seconds. Two alarms share a key exactly when the same
+// to dedupWindow seconds. Two alarms share a key exactly when the same
 // detector re-reports the same event within one bucket.
-func DedupKey(a *detector.Alarm, window uint32) string {
-	if window == 0 {
-		window = 1
-	}
+func DedupKey(a *detector.Alarm) string {
 	metas := make([]string, len(a.Meta))
 	for i, m := range a.Meta {
 		metas[i] = m.String()
@@ -28,6 +25,6 @@ func DedupKey(a *detector.Alarm, window uint32) string {
 	b.WriteString(string(a.Kind))
 	b.WriteByte('|')
 	b.WriteString(strings.Join(metas, ","))
-	fmt.Fprintf(&b, "|%d", a.Interval.Start/window)
+	fmt.Fprintf(&b, "|%d", a.Interval.Start/dedupWindow)
 	return b.String()
 }

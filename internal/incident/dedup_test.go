@@ -22,17 +22,17 @@ func TestDedupKey(t *testing.T) {
 	b.Meta = []detector.MetaItem{a.Meta[1], a.Meta[0]}
 	// Same bucket (window 300): 1000/300 == 1150/300.
 	b.Interval = flow.Interval{Start: 1150, End: 1300}
-	if DedupKey(&a, 300) != DedupKey(&b, 300) {
-		t.Fatalf("keys differ for same-event alarms:\n%s\n%s", DedupKey(&a, 300), DedupKey(&b, 300))
+	if DedupKey(&a) != DedupKey(&b) {
+		t.Fatalf("keys differ for same-event alarms:\n%s\n%s", DedupKey(&a), DedupKey(&b))
 	}
 	c := a
 	c.Interval.Start = 1400 // next bucket
-	if DedupKey(&a, 300) == DedupKey(&c, 300) {
+	if DedupKey(&a) == DedupKey(&c) {
 		t.Fatal("keys collide across time buckets")
 	}
 	d := a
 	d.Detector = "pca"
-	if DedupKey(&a, 300) == DedupKey(&d, 300) {
+	if DedupKey(&a) == DedupKey(&d) {
 		t.Fatal("keys collide across detectors")
 	}
 }
@@ -55,10 +55,7 @@ func TestDedupExactAcrossLargeStorm(t *testing.T) {
 	reReport := mkAlarm(distinct+2, "histogram", detector.KindPortScan, 1100, src(1))
 	alarms = append(alarms, reReport)
 
-	c, err := Correlate(alarms, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Correlate(alarms)
 	if c.AlarmsIn != distinct+2 {
 		t.Fatalf("AlarmsIn = %d, want %d", c.AlarmsIn, distinct+2)
 	}

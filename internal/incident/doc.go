@@ -15,7 +15,7 @@
 // time bucket): the first alarm of a key survives and later alarms with
 // the same key attach to it as duplicates, so repeated reports of one
 // event collapse without dropping any member. Correlate then clusters
-// the survivors by temporal proximity (alarms within ClusterGap of each
+// the survivors by temporal proximity (alarms within clusterGap of each
 // other join one Incident) and builds per-incident lead-lag chains from
 // lag histograms over detector-kind pairs ("port scan leads ddos by ~1
 // bin, confidence 0.9").
@@ -26,7 +26,9 @@
 // meta-data — so a composite event (the catalog's portscan-ddos bin)
 // is mined once and both causes surface in one ranked list.
 //
-// Everything is deterministic for a fixed Options: correlation sorts its
+// Correlation runs one fixed policy (dedup window, cluster gap, lead-lag
+// confidence floor are package constants), so every pass over the same
+// alarms agrees. Everything is deterministic: correlation sorts its
 // input and dedups by exact key, so the same alarms always produce the
 // same incidents (the contract the correlator tests pin).
 package incident

@@ -188,6 +188,10 @@ func New(cfg Config) *Manager {
 	return m
 }
 
+// Workers returns how many jobs the manager runs concurrently: the
+// configured count, or GOMAXPROCS when none was set.
+func (m *Manager) Workers() int { return m.cfg.Workers }
+
 // Close cancels every queued and running job, waits for the workers to
 // wind down, and rejects further submissions. Retained results stay
 // readable until the manager is dropped.

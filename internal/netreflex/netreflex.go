@@ -88,15 +88,11 @@ func New(cfg Config) (*Detector, error) {
 	return &Detector{cfg: cfg, pca: inner}, nil
 }
 
-// init registers the detector under its public name; the factory accepts
-// a netreflex.Config (or nil for defaults).
+// init registers the detector under its public name, built with its
+// defaults.
 func init() {
-	detector.MustRegister("netreflex", func(cfg any) (detector.Detector, error) {
-		c, err := detector.CoerceConfig(cfg, DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("netreflex: %w", err)
-		}
-		return New(c)
+	detector.MustRegister("netreflex", func() (detector.Detector, error) {
+		return New(DefaultConfig())
 	})
 }
 

@@ -139,15 +139,11 @@ func New(cfg Config) (*Detector, error) {
 	return &Detector{cfg: cfg}, nil
 }
 
-// init registers the detector under its public name; the factory accepts
-// a pca.Config (or nil for defaults).
+// init registers the detector under its public name, built with its
+// defaults.
 func init() {
-	detector.MustRegister("pca", func(cfg any) (detector.Detector, error) {
-		c, err := detector.CoerceConfig(cfg, DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("pca: %w", err)
-		}
-		return New(c)
+	detector.MustRegister("pca", func() (detector.Detector, error) {
+		return New(DefaultConfig())
 	})
 }
 

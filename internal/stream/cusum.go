@@ -181,11 +181,7 @@ func (c *CUSUM) Detect(ctx context.Context, store nfstore.Engine, span flow.Inte
 }
 
 func init() {
-	detector.MustRegister(CUSUMName, func(cfg any) (detector.Detector, error) {
-		c, err := detector.CoerceConfig(cfg, DefaultCUSUMConfig())
-		if err != nil {
-			return nil, fmt.Errorf("cusum: %w", err)
-		}
-		return NewCUSUM(c)
+	detector.MustRegister(CUSUMName, func() (detector.Detector, error) {
+		return NewCUSUM(DefaultCUSUMConfig())
 	})
 }

@@ -329,7 +329,7 @@ func BuildDetectors(names []string) ([]Online, error) {
 	}
 	out := make([]Online, 0, len(names))
 	for _, name := range names {
-		d, err := detector.New(name, nil)
+		d, err := detector.New(name)
 		if err != nil {
 			return nil, err
 		}

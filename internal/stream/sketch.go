@@ -302,11 +302,7 @@ func (s *Sketch) Detect(ctx context.Context, store nfstore.Engine, span flow.Int
 }
 
 func init() {
-	detector.MustRegister(SketchName, func(cfg any) (detector.Detector, error) {
-		c, err := detector.CoerceConfig(cfg, DefaultSketchConfig())
-		if err != nil {
-			return nil, fmt.Errorf("sketch: %w", err)
-		}
-		return NewSketch(c)
+	detector.MustRegister(SketchName, func() (detector.Detector, error) {
+		return NewSketch(DefaultSketchConfig())
 	})
 }

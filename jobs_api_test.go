@@ -219,23 +219,31 @@ func TestCancelJobMidExtraction(t *testing.T) {
 }
 
 // TestBatchJob: a batch job retains per-alarm outcomes in submission
-// order, streams them through the WithBatchResults sink, and reports
-// completed/total progress.
+// order, streams them through the WithBatchResults sink in completion
+// order, and reports completed/total progress.
 func TestBatchJob(t *testing.T) {
 	sys := newEmptySystem(t, rootcause.WithJobWorkers(2))
 	ids := fileAlarms(sys, 3)
 	submitted := append(append([]string{}, ids...), "404")
+	// The first alarm blocks until the sink has seen another outcome, so
+	// a fast alarm submitted later must stream before it.
+	slow := ids[0]
+	release := make(chan struct{})
+	var once sync.Once
 	var mu sync.Mutex
 	var streamed []string
 	sink := func(r rootcause.ExtractResult) {
 		mu.Lock()
 		streamed = append(streamed, r.AlarmID)
 		mu.Unlock()
+		once.Do(func() { close(release) })
 	}
 	id, err := sys.Submit(rootcause.JobRequest{AlarmIDs: submitted},
 		rootcause.WithBatchResults(sink),
-		rootcause.WithConcurrency(2),
 		rootcause.WithExtractFunc(func(ctx context.Context, a *rootcause.Alarm) (*rootcause.Result, error) {
+			if a.ID == slow {
+				<-release
+			}
 			return &rootcause.Result{Alarm: *a}, nil
 		}))
 	if err != nil {
@@ -264,6 +272,9 @@ func TestBatchJob(t *testing.T) {
 	if len(streamed) != len(submitted) {
 		t.Fatalf("sink saw %d results, want %d", len(streamed), len(submitted))
 	}
+	if streamed[0] == slow {
+		t.Fatalf("sink order %v starts with the slow alarm %s, want completion order", streamed, slow)
+	}
 	if jr.Status.Progress.Completed != len(submitted) || jr.Status.Progress.Total != len(submitted) {
 		t.Fatalf("final progress = %+v", jr.Status.Progress)
 	}
@@ -279,6 +290,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := sys.Submit(rootcause.JobRequest{AlarmID: ids[0], AlarmIDs: ids}); err == nil {
 		t.Fatal("ambiguous request must be rejected")
+	}
+	if _, err := sys.Submit(rootcause.JobRequest{AlarmIDs: []string{}}); err == nil {
+		t.Fatal("empty batch must be rejected")
 	}
 	if _, err := sys.Submit(rootcause.JobRequest{AlarmID: ids[0]},
 		rootcause.WithMiner("frobnicator")); err == nil {

@@ -130,7 +130,7 @@ type liveState struct {
 }
 
 // startLive wires the pipeline and watcher onto the system. Called from
-// assemble; o carries the construction options (correlation tuning).
+// assemble.
 func (s *System) startLive(cfg LiveConfig) error {
 	dets, err := stream.BuildDetectors(cfg.Detectors)
 	if err != nil {

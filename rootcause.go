@@ -20,10 +20,11 @@
 //
 // # Contexts
 //
-// Every operation that touches the flow store takes a context.Context
-// first. Cancellation is honored inside the hot paths — segment scans,
-// the Apriori/FP-growth mining loops, and batch extraction workers — so
-// a deadline or cancel aborts a long analysis promptly with ctx.Err().
+// Every synchronous operation that touches the flow store takes a
+// context.Context first. Cancellation is honored inside the hot paths —
+// segment scans and the Apriori/FP-growth mining loops — so a deadline
+// or cancel aborts a long analysis promptly with ctx.Err(). Jobs run
+// under the job manager's context instead; CancelJob aborts one.
 //
 // # Pluggable detectors
 //
@@ -31,22 +32,25 @@
 // "pca") self-register; external detector implementations plug in via
 // RegisterDetector and are then usable through System.Detect and listed
 // by DetectorNames — the paper's system "can be integrated with any
-// anomaly detection system that provides these data". Per-call
-// configuration goes through functional options:
+// anomaly detection system that provides these data". A registry-built
+// detector runs with its defaults; a detector tuned away from them is
+// built from its package and registered under its own name. Per-call
+// extraction configuration goes through functional options:
 //
-//	ids, err := sys.Detect(ctx, "histogram", span,
-//	    rootcause.WithDetectorConfig(histogram.Config{...}))
+//	ids, err := sys.Detect(ctx, "histogram", span)
 //	res, err := sys.Extract(ctx, id,
 //	    rootcause.WithExtractionOptions(opts))
 //
 // # Batch extraction
 //
-// ExtractAll fans extraction of many alarms across a bounded worker pool
-// and streams results as they complete:
+// A batch is a job: Submit(JobRequest{AlarmIDs: ids}) fans the alarms
+// out as wide as the job manager's worker count (WithJobWorkers),
+// WithBatchResults streams each outcome as it completes, and Wait
+// collects them in submission order:
 //
-//	for r := range sys.ExtractAll(ctx, ids, rootcause.WithConcurrency(4)) {
-//	    ...
-//	}
+//	id, err := sys.Submit(rootcause.JobRequest{AlarmIDs: ids},
+//	    rootcause.WithBatchResults(func(r rootcause.ExtractResult) { ... }))
+//	res, err := sys.Wait(ctx, id) // res.Batch
 //
 // # Extraction jobs
 //
@@ -84,8 +88,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/alarmdb"
@@ -115,8 +119,7 @@ type (
 	Alarm = detector.Alarm
 	// Detector is the pluggable detector contract of Figure 1.
 	Detector = detector.Detector
-	// DetectorFactory builds a detector from an optional configuration
-	// value (nil = the detector's defaults).
+	// DetectorFactory builds a detector with its defaults.
 	DetectorFactory = detector.Factory
 	// Result is a full extraction outcome; Result.Table() renders the
 	// paper's Table 1 shape.
@@ -214,8 +217,6 @@ type callOptions struct {
 	extraction       *ExtractionOptions
 	miner            string
 	ranking          string
-	detectorCfg      any
-	concurrency      int
 	queryParallelism int
 	progress         core.ProgressFunc
 	batchSink        func(ExtractResult)
@@ -230,26 +231,22 @@ type callOptions struct {
 	peers         []string
 	peerTimeout   time.Duration
 	degradedReads bool
-	// Correlation tuning (see incidents.go).
-	dedupWindow       uint32
-	clusterGap        uint32
-	leadLagConfidence float64
 	// Live streaming construction (see live.go / WithLive).
 	live *LiveConfig
 	// extractFn substitutes the extraction engine; a test seam for
-	// exercising ExtractAll's pool without real mining.
+	// exercising the batch fan-out without real mining.
 	extractFn func(ctx context.Context, a *Alarm) (*Result, error)
 }
 
 // WithExtractionOptions overrides the system's extraction engine options
-// for one Extract/ExtractAlarm/ExtractAll call.
+// for one Extract/ExtractAlarm/Submit call.
 func WithExtractionOptions(opts ExtractionOptions) Option {
 	return func(o *callOptions) { o.extraction = &opts }
 }
 
 // WithMiner selects the frequent-itemset miner (a name from MinerNames:
 // "apriori", "fpgrowth", "fda", or an externally registered one) for one
-// Extract/ExtractAlarm/ExtractAll call. It composes with
+// Extract/ExtractAlarm/Submit call. It composes with
 // WithExtractionOptions — the miner name wins over the options' Miner
 // field. An unknown name fails the call with an error listing the
 // registered miners.
@@ -266,26 +263,13 @@ const (
 	RankingWeighted = core.RankWeighted
 )
 
-// WithRanking selects how one Extract/ExtractAlarm/ExtractAll call
+// WithRanking selects how one Extract/ExtractAlarm/Submit call
 // scores its final itemset list (RankingSupport, RankingLift or
 // RankingWeighted). It composes with WithExtractionOptions — the ranking
 // mode wins over the options' Ranking field. An unknown mode fails the
 // call with an error listing the valid ones.
 func WithRanking(mode string) Option {
 	return func(o *callOptions) { o.ranking = mode }
-}
-
-// WithDetectorConfig passes a detector-specific configuration value
-// (e.g. a histogram.Config) to the detector factory for one Detect call.
-// Without it the factory builds the detector with its defaults.
-func WithDetectorConfig(cfg any) Option {
-	return func(o *callOptions) { o.detectorCfg = cfg }
-}
-
-// WithConcurrency bounds the ExtractAll worker pool to k concurrent
-// extractions (default: GOMAXPROCS).
-func WithConcurrency(k int) Option {
-	return func(o *callOptions) { o.concurrency = k }
 }
 
 // WithQueryParallelism bounds how many flow-store segments one query scans
@@ -340,7 +324,8 @@ func WithTransientJob() Option {
 }
 
 // WithJobWorkers bounds how many jobs the system's job manager runs
-// concurrently (default GOMAXPROCS). Construction option.
+// concurrently (default GOMAXPROCS). The same count bounds how many
+// extractions one batch job runs at once. Construction option.
 func WithJobWorkers(n int) Option {
 	return func(o *callOptions) { o.jobWorkers = n }
 }
@@ -591,21 +576,18 @@ func (s *System) Close() error {
 }
 
 // ErrDetectorSetup marks failures building the requested detector — an
-// unknown name or a bad WithDetectorConfig value. Callers (like the HTTP
-// layer) can branch on it to distinguish caller mistakes from runtime
-// detection failures.
+// unknown name. Callers (like the HTTP layer) can branch on it to
+// distinguish caller mistakes from runtime detection failures.
 var ErrDetectorSetup = errors.New("detector setup")
 
 // Detect builds the named detector from the registry ("" selects
-// "netreflex"), runs it over the span, stores the alarms in the alarm
-// database and returns their IDs. WithDetectorConfig supplies a
-// detector-specific configuration to the factory.
-func (s *System) Detect(ctx context.Context, detectorName string, span Interval, opts ...Option) ([]string, error) {
-	o := resolveOptions(opts)
+// "netreflex") with its defaults, runs it over the span, stores the
+// alarms in the alarm database and returns their IDs.
+func (s *System) Detect(ctx context.Context, detectorName string, span Interval) ([]string, error) {
 	if detectorName == "" {
 		detectorName = "netreflex"
 	}
-	det, err := detector.New(detectorName, o.detectorCfg)
+	det, err := detector.New(detectorName)
 	if err != nil {
 		return nil, fmt.Errorf("rootcause: %w: %w", ErrDetectorSetup, err)
 	}
@@ -666,7 +648,7 @@ func (s *System) extractFn(o *callOptions) (extractFunc, error) {
 // target is one single-result extraction: where its alarm comes from
 // and how a finished result is recorded. A stored alarm (alarmTarget)
 // and a correlated incident (incidentTarget, incidents.go) are the two
-// targets; Extract, ExtractIncident, the ExtractAll workers and the
+// targets; Extract, ExtractIncident, the batch job's workers and the
 // single-target job task all go through run.
 type target struct {
 	alarm func() (*Alarm, error)
@@ -729,83 +711,15 @@ func (s *System) ExtractAlarm(ctx context.Context, a *Alarm, opts ...Option) (*R
 	return fn(ctx, a)
 }
 
-// ExtractResult is one streamed outcome of ExtractAll.
+// ExtractResult is one alarm's outcome in a batch job.
 type ExtractResult struct {
 	// AlarmID names the alarm this result belongs to.
 	AlarmID string
 	// Result is the extraction outcome; nil when Err is set.
 	Result *Result
 	// Err is the per-alarm failure (unknown ID, extraction error, or
-	// ctx.Err() for alarms abandoned by cancellation).
+	// the job's cancellation).
 	Err error
-}
-
-// ExtractAll runs extraction for many stored alarms concurrently on a
-// bounded worker pool (WithConcurrency, default GOMAXPROCS) and streams
-// one ExtractResult per alarm as extractions complete, in completion
-// order. The channel is closed once the batch concludes. An uncancelled
-// batch delivers exactly len(alarmIDs) results; cancelling ctx stops the
-// pool within one worker iteration, closes the channel promptly, and
-// discards results for alarms that were still pending — so a consumer
-// that stops reading early must cancel ctx to release the pool.
-// Successful extractions mark their alarm analyzed, exactly like
-// Extract.
-func (s *System) ExtractAll(ctx context.Context, alarmIDs []string, opts ...Option) <-chan ExtractResult {
-	o := resolveOptions(opts)
-	return s.extractAll(ctx, alarmIDs, &o)
-}
-
-// extractAll is ExtractAll over already-resolved options (shared with
-// the batch job task).
-func (s *System) extractAll(ctx context.Context, alarmIDs []string, o *callOptions) <-chan ExtractResult {
-	workers := o.concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(alarmIDs) {
-		workers = len(alarmIDs)
-	}
-	// Resolve the extraction function once per batch, not per alarm; a
-	// bad WithExtractionOptions value fails every alarm identically.
-	fn, fnErr := s.extractFn(o)
-
-	out := make(chan ExtractResult)
-	jobs := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range jobs {
-				r := ExtractResult{AlarmID: id, Err: fnErr}
-				if fnErr == nil {
-					r.Result, r.Err = s.alarmTarget(id).run(ctx, fn)
-				}
-				// Never block forever on a consumer that went away: the
-				// send races ctx so a cancelled batch always winds down.
-				select {
-				case out <- r:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for _, id := range alarmIDs {
-			select {
-			case jobs <- id:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
 }
 
 // JobRequest describes one extraction-job submission: exactly one of
@@ -839,8 +753,7 @@ type JobResult struct {
 // Submit enqueues an extraction job on the system's job manager and
 // returns its ID immediately. The same per-call options as Extract
 // apply (WithMiner, WithExtractionOptions, WithProgress; batches also
-// take WithConcurrency and WithBatchResults) and are validated up
-// front — a bad miner name fails the submission, not the job. A full
+// take WithBatchResults) and are validated up front — a bad miner name fails the submission, not the job. A full
 // queue fails with ErrJobQueueFull instead of blocking: callers under
 // admission control back off and retry.
 //
@@ -902,19 +815,21 @@ func (s *System) targetTask(t target, o callOptions) jobs.Task {
 	}
 }
 
-// batchTask builds the job task for a batch extraction: it fans out over
-// the ExtractAll pool (WithConcurrency applies within the one job slot),
+// batchTask builds the job task for a batch extraction: it fans the
+// alarms out over as many goroutines as the manager has job workers,
 // reports completed/total progress, streams each outcome to the
-// WithBatchResults sink, and retains the outcomes in submission order.
+// WithBatchResults sink in completion order, and retains the outcomes
+// in submission order.
 func (s *System) batchTask(alarmIDs []string, o callOptions) jobs.Task {
 	ids := append([]string(nil), alarmIDs...)
+	width := min(s.jobs.Workers(), len(ids))
 	return func(ctx context.Context, report func(JobProgress)) (any, error) {
 		total := len(ids)
 		report(JobProgress{Phase: "batch", Total: total})
 		if o.progress != nil {
-			// The pool's workers share one extractor, so the engine would
-			// invoke the observer from every worker at once — serialize to
-			// honor WithProgress's single-call-at-a-time contract.
+			// The workers share one extractor, so the engine would invoke
+			// the observer from every worker at once — serialize to honor
+			// WithProgress's single-call-at-a-time contract.
 			var pmu sync.Mutex
 			user := o.progress
 			o.progress = func(p ExtractionProgress) {
@@ -923,22 +838,36 @@ func (s *System) batchTask(alarmIDs []string, o callOptions) jobs.Task {
 				user(p)
 			}
 		}
-		// Route completion-order results back to submission-order slots;
-		// duplicate IDs take slots first-come, first-served (their
-		// results are identical anyway — extraction is deterministic).
-		slots := make(map[string][]int, total)
-		for i, id := range ids {
-			slots[id] = append(slots[id], i)
+		fn, err := s.extractFn(&o)
+		if err != nil {
+			return nil, err
 		}
+		// Workers claim the next index until the batch or ctx runs out and
+		// hand each finished index to this goroutine, which alone calls
+		// the sink and reports progress.
 		out := make([]ExtractResult, total)
+		finished := make(chan int)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range width {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < total && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+					out[i].AlarmID = ids[i]
+					out[i].Result, out[i].Err = s.alarmTarget(ids[i]).run(ctx, fn)
+					finished <- i
+				}
+			}()
+		}
+		go func() {
+			wg.Wait()
+			close(finished)
+		}()
 		done := 0
-		for r := range s.extractAll(ctx, ids, &o) {
-			if idx := slots[r.AlarmID]; len(idx) > 0 {
-				out[idx[0]] = r
-				slots[r.AlarmID] = idx[1:]
-			}
+		for i := range finished {
 			if o.batchSink != nil {
-				o.batchSink(r)
+				o.batchSink(out[i])
 			}
 			done++
 			report(JobProgress{Phase: "batch", Completed: done, Total: total})
