@@ -6,10 +6,11 @@ import (
 	"sync"
 )
 
-// Factory builds a detector with its defaults. A detector tuned away
-// from them is built directly from its package (histogram.New(cfg),
-// ...); the registry carries no per-detector knowledge — the paper's
-// pluggability seam.
+// Factory builds a detector. The built-in batch detectors run one fixed
+// configuration, so theirs cannot fail; an external detector's factory
+// may. A differently tuned detector is its own Detector implementation
+// registered under its own name; the registry carries no per-detector
+// knowledge — the paper's pluggability seam.
 type Factory func() (Detector, error)
 
 // registry holds the named detector factories. Built-in detectors
@@ -57,7 +58,7 @@ func Names() []string {
 	return names
 }
 
-// New builds the named detector with its defaults.
+// New builds the named detector.
 func New(name string) (Detector, error) {
 	registry.mu.RLock()
 	f, ok := registry.factories[name]

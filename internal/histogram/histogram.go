@@ -2,7 +2,6 @@ package histogram
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
@@ -12,104 +11,40 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterizes the detector. The zero value is not usable; use
-// DefaultConfig as a starting point.
-type Config struct {
-	// Features to monitor; defaults to the four entropy features.
-	Features []flow.Feature
-	// Bins is the histogram width (values are hashed into Bins buckets).
-	Bins int
-	// TrainBins is the number of leading measurement bins used purely for
-	// training the reference and the KL statistics; no alarms are raised
-	// inside the training prefix.
-	TrainBins int
-	// Alpha is the EWMA factor for the reference histogram update.
-	Alpha float64
-	// K is the alarm threshold in standard deviations above the trailing
-	// mean KL distance.
-	K float64
-	// TopBins is how many top-contributing histogram bins are drilled into
-	// for meta-data; TopValues how many values are reported per bin.
-	TopBins   int
-	TopValues int
-	// Weight selects the histogram weighting (flows or packets).
-	Weight nfstore.Weight
-}
-
-// DefaultConfig returns the configuration used throughout the evaluation:
-// 256 hash bins, 12 training bins (one hour of 5-minute bins), EWMA 0.2,
-// 3-sigma thresholding, flow weighting.
-func DefaultConfig() Config {
-	return Config{
-		Features:  flow.EntropyFeatures(),
-		Bins:      256,
-		TrainBins: 12,
-		Alpha:     0.2,
-		K:         3,
-		TopBins:   3,
-		TopValues: 3,
-		Weight:    nfstore.ByFlows,
-	}
-}
+// The detector's one configuration; doc.go gives the reason for each
+// value.
+const (
+	hashBins  = 256
+	trainBins = 12
+	alpha     = 0.2
+	kSigma    = 3
+	topBins   = 3
+	topValues = 3
+)
 
 // Detector is the histogram/KL detector. Create with New; safe for
 // repeated Detect calls (state is rebuilt per call, so runs are
 // independent and deterministic).
-type Detector struct {
-	cfg Config
-}
+type Detector struct{}
 
-// New validates the configuration and returns a Detector.
-func New(cfg Config) (*Detector, error) {
-	if len(cfg.Features) == 0 {
-		cfg.Features = flow.EntropyFeatures()
-	}
-	if cfg.Bins < 2 {
-		return nil, fmt.Errorf("histogram: Bins must be >= 2, got %d", cfg.Bins)
-	}
-	if cfg.TrainBins < 2 {
-		return nil, fmt.Errorf("histogram: TrainBins must be >= 2, got %d", cfg.TrainBins)
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		return nil, fmt.Errorf("histogram: Alpha must be in (0,1], got %v", cfg.Alpha)
-	}
-	if cfg.K <= 0 {
-		return nil, fmt.Errorf("histogram: K must be > 0, got %v", cfg.K)
-	}
-	if cfg.TopBins <= 0 {
-		cfg.TopBins = 3
-	}
-	if cfg.TopValues <= 0 {
-		cfg.TopValues = 3
-	}
-	return &Detector{cfg: cfg}, nil
-}
+// New returns a Detector.
+func New() *Detector { return &Detector{} }
 
-// init registers the detector under its public name, built with its
-// defaults.
+// init registers the detector under its public name.
 func init() {
 	detector.MustRegister("histogram", func() (detector.Detector, error) {
-		return New(DefaultConfig())
+		return New(), nil
 	})
-}
-
-// MustNew is New that panics on configuration errors.
-func MustNew(cfg Config) *Detector {
-	d, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // Name implements detector.Detector.
 func (d *Detector) Name() string { return "histogram-kl" }
 
-// hashBin maps a feature value to a histogram bin.
-func hashBin(value uint32, bins int) uint32 {
+// hashBin maps a feature value to one of the hashBins histogram bins.
+func hashBin(value uint32) uint32 {
 	x := uint64(value) * 0x9e3779b97f4a7c15
 	x ^= x >> 29
-	return uint32(x % uint64(bins))
+	return uint32(x % hashBins)
 }
 
 // featState is the rolling per-feature detector state.
@@ -127,8 +62,9 @@ func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.I
 	if err != nil {
 		return nil, err
 	}
-	state := make(map[flow.Feature]*featState, len(d.cfg.Features))
-	for _, f := range d.cfg.Features {
+	features := flow.EntropyFeatures()
+	state := make(map[flow.Feature]*featState, len(features))
+	for _, f := range features {
 		state[f] = &featState{ref: stats.NewDist()}
 	}
 	var alarms []detector.Alarm
@@ -140,24 +76,23 @@ func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.I
 		}
 		// One store pass builds all feature histograms plus the raw value
 		// distributions used for meta-data drill-down.
-		hists := make(map[flow.Feature]*stats.Dist, len(d.cfg.Features))
-		values := make(map[flow.Feature]map[uint32]*stats.Dist, len(d.cfg.Features))
-		for _, f := range d.cfg.Features {
+		hists := make(map[flow.Feature]*stats.Dist, len(features))
+		values := make(map[flow.Feature]map[uint32]*stats.Dist, len(features))
+		for _, f := range features {
 			hists[f] = stats.NewDist()
 			values[f] = make(map[uint32]*stats.Dist)
 		}
 		err := store.Query(ctx, iv, nil, func(r *flow.Record) error {
-			w := float64(d.cfg.Weight.Of(r))
-			for _, f := range d.cfg.Features {
+			for _, f := range features {
 				v := f.Value(r)
-				b := hashBin(v, d.cfg.Bins)
-				hists[f].Add(b, w)
+				b := hashBin(v)
+				hists[f].Add(b, 1)
 				vd := values[f][b]
 				if vd == nil {
 					vd = stats.NewDist()
 					values[f][b] = vd
 				}
-				vd.Add(v, w)
+				vd.Add(v, 1)
 			}
 			return nil
 		})
@@ -169,7 +104,7 @@ func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.I
 		// traffic event; merge them into a single alarm whose meta-data
 		// spans all deviating features, as the paper's detectors do.
 		var binAlarm *detector.Alarm
-		for _, f := range d.cfg.Features {
+		for _, f := range features {
 			st := state[f]
 			cur := hists[f]
 			if !st.refPrimed() {
@@ -177,10 +112,10 @@ func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.I
 				continue
 			}
 			kl := cur.KL(st.ref, 1e-6)
-			training := seen <= d.cfg.TrainBins
+			training := seen <= trainBins
 			alarm := false
 			if !training && st.kl.N() >= 2 {
-				thresh := st.kl.Mean() + d.cfg.K*st.kl.Std()
+				thresh := st.kl.Mean() + kSigma*st.kl.Std()
 				alarm = kl > thresh
 			}
 			if alarm {
@@ -202,8 +137,8 @@ func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.I
 			}
 			st.kl.Add(kl)
 			// EWMA reference update with the clean histogram.
-			st.ref.Scale(1 - d.cfg.Alpha)
-			st.ref.Merge(cur, d.cfg.Alpha)
+			st.ref.Scale(1 - alpha)
+			st.ref.Merge(cur, alpha)
 		}
 		if binAlarm != nil {
 			alarms = append(alarms, *binAlarm)
@@ -242,8 +177,8 @@ func (d *Detector) drillDown(f flow.Feature, cur, ref *stats.Dist, values map[ui
 		}
 		return conts[i].bin < conts[j].bin
 	})
-	if len(conts) > d.cfg.TopBins {
-		conts = conts[:d.cfg.TopBins]
+	if len(conts) > topBins {
+		conts = conts[:topBins]
 	}
 	var meta []detector.MetaItem
 	for _, c := range conts {
@@ -251,7 +186,7 @@ func (d *Detector) drillDown(f flow.Feature, cur, ref *stats.Dist, values map[ui
 		if vd == nil {
 			continue
 		}
-		for _, vw := range vd.Top(d.cfg.TopValues) {
+		for _, vw := range vd.Top(topValues) {
 			meta = append(meta, detector.MetaItem{Feature: f, Value: vw.Value})
 		}
 	}

@@ -68,27 +68,9 @@ func buildTrace(t *testing.T, nBins, scanBin int) (*nfstore.Store, flow.Interval
 	return store, flow.Interval{Start: base, End: base + uint32(nBins)*300}
 }
 
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Bins: 1, TrainBins: 5, Alpha: 0.2, K: 3},
-		{Bins: 64, TrainBins: 1, Alpha: 0.2, K: 3},
-		{Bins: 64, TrainBins: 5, Alpha: 0, K: 3},
-		{Bins: 64, TrainBins: 5, Alpha: 2, K: 3},
-		{Bins: 64, TrainBins: 5, Alpha: 0.2, K: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d should be rejected", i)
-		}
-	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Fatalf("default config rejected: %v", err)
-	}
-}
-
 func TestQuietTraceRaisesNoAlarms(t *testing.T) {
 	store, span := buildTrace(t, 24, -1)
-	d := MustNew(DefaultConfig())
+	d := New()
 	alarms, err := d.Detect(t.Context(), store, span)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +86,7 @@ func TestQuietTraceRaisesNoAlarms(t *testing.T) {
 func TestScanDetectedWithMeta(t *testing.T) {
 	const scanBin = 18
 	store, span := buildTrace(t, 24, scanBin)
-	d := MustNew(DefaultConfig())
+	d := New()
 	alarms, err := d.Detect(t.Context(), store, span)
 	if err != nil {
 		t.Fatal(err)
@@ -142,11 +124,9 @@ func TestScanDetectedWithMeta(t *testing.T) {
 }
 
 func TestTrainingPrefixSilent(t *testing.T) {
-	// A scan inside the training prefix must not alarm.
+	// A scan inside the 12-bin training prefix must not alarm.
 	store, span := buildTrace(t, 16, 5)
-	cfg := DefaultConfig()
-	cfg.TrainBins = 12
-	d := MustNew(cfg)
+	d := New()
 	alarms, err := d.Detect(t.Context(), store, span)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +141,7 @@ func TestTrainingPrefixSilent(t *testing.T) {
 
 func TestDetectDeterministic(t *testing.T) {
 	store, span := buildTrace(t, 20, 15)
-	d := MustNew(DefaultConfig())
+	d := New()
 	a1, err := d.Detect(t.Context(), store, span)
 	if err != nil {
 		t.Fatal(err)
@@ -182,19 +162,19 @@ func TestDetectDeterministic(t *testing.T) {
 
 func TestHashBinStability(t *testing.T) {
 	for _, v := range []uint32{0, 1, 80, 0xffffffff} {
-		b1 := hashBin(v, 256)
-		b2 := hashBin(v, 256)
+		b1 := hashBin(v)
+		b2 := hashBin(v)
 		if b1 != b2 {
 			t.Fatal("hashBin must be deterministic")
 		}
-		if b1 >= 256 {
+		if b1 >= hashBins {
 			t.Fatalf("hashBin out of range: %d", b1)
 		}
 	}
 }
 
 func TestName(t *testing.T) {
-	if MustNew(DefaultConfig()).Name() != "histogram-kl" {
+	if New().Name() != "histogram-kl" {
 		t.Fatal("detector name")
 	}
 }

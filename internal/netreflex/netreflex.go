@@ -2,7 +2,6 @@ package netreflex
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/detector"
@@ -11,98 +10,28 @@ import (
 	"repro/internal/pca"
 )
 
-// Config tunes the classification heuristics.
-type Config struct {
-	// PCA configures the underlying subspace detector; zero value means
-	// pca.DefaultConfig.
-	PCA *pca.Config
-	// ScanPorts is the minimum number of distinct destination ports the
-	// dominant host pair must touch to classify as a port scan.
-	ScanPorts int
-	// ScanHosts is the minimum number of distinct destination hosts a
-	// single source must touch (on a dominant port) to classify as a
-	// network scan.
-	ScanHosts int
-	// DDoSSources is the minimum number of distinct sources hitting one
-	// destination (on a dominant port) to classify as a distributed DoS.
-	DDoSSources int
-	// FloodPackets is the minimum renormalized packet count of the
-	// dominant host pair to classify as a (point-to-point) flood.
-	FloodPackets uint64
-	// DominantShare is the traffic share a signature must hold among the
-	// interval's flows for its endpoints to be reported as meta-data.
-	DominantShare float64
-	// ChangeFactor is how much a signature's volume must exceed its own
-	// volume in the preceding bin to classify. Popular background servers
-	// permanently have many distinct clients; an anomaly is a CHANGE, so
-	// classification is relative to the baseline bin.
-	ChangeFactor float64
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{
-		ScanPorts:     100,
-		ScanHosts:     100,
-		DDoSSources:   50,
-		FloodPackets:  500_000,
-		DominantShare: 0.05,
-		ChangeFactor:  5,
-	}
-}
+// The classification heuristics' one configuration; doc.go gives the
+// reason for each value.
+const (
+	scanPorts     = 100
+	scanHosts     = 100
+	ddosSources   = 50
+	floodPackets  = 500_000
+	dominantShare = 0.05
+	changeFactor  = 5
+)
 
 // Detector is the simulated NetReflex.
-type Detector struct {
-	cfg Config
-	pca *pca.Detector
-}
+type Detector struct{}
 
-// New builds the detector.
-func New(cfg Config) (*Detector, error) {
-	if cfg.ScanPorts <= 0 {
-		cfg.ScanPorts = 100
-	}
-	if cfg.ScanHosts <= 0 {
-		cfg.ScanHosts = 100
-	}
-	if cfg.DDoSSources <= 0 {
-		cfg.DDoSSources = 50
-	}
-	if cfg.FloodPackets == 0 {
-		cfg.FloodPackets = 500_000
-	}
-	if cfg.DominantShare <= 0 || cfg.DominantShare > 1 {
-		cfg.DominantShare = 0.05
-	}
-	if cfg.ChangeFactor <= 1 {
-		cfg.ChangeFactor = 5
-	}
-	pcfg := pca.DefaultConfig()
-	if cfg.PCA != nil {
-		pcfg = *cfg.PCA
-	}
-	inner, err := pca.New(pcfg)
-	if err != nil {
-		return nil, fmt.Errorf("netreflex: %w", err)
-	}
-	return &Detector{cfg: cfg, pca: inner}, nil
-}
+// New returns a Detector.
+func New() *Detector { return &Detector{} }
 
-// init registers the detector under its public name, built with its
-// defaults.
+// init registers the detector under its public name.
 func init() {
 	detector.MustRegister("netreflex", func() (detector.Detector, error) {
-		return New(DefaultConfig())
+		return New(), nil
 	})
-}
-
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *Detector {
-	d, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // Name implements detector.Detector.
@@ -112,13 +41,13 @@ func (d *Detector) Name() string { return "netreflex" }
 // classify each alarm and replace its meta-data with the dominant
 // signature's fine-grained items.
 func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.Interval) ([]detector.Alarm, error) {
-	raw, err := d.pca.Detect(ctx, store, span)
+	raw, err := pca.New().Detect(ctx, store, span)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]detector.Alarm, 0, len(raw))
 	for _, a := range raw {
-		kind, meta, err := d.classify(ctx, store, a.Interval)
+		kind, meta, err := classify(ctx, store, a.Interval)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +123,7 @@ func gatherStats(ctx context.Context, store nfstore.Engine, iv flow.Interval) (*
 // classify inspects the flows of the flagged interval — relative to the
 // preceding baseline bin — and derives the anomaly kind plus the dominant
 // signature's meta-data.
-func (d *Detector) classify(ctx context.Context, store nfstore.Engine, iv flow.Interval) (detector.Kind, []detector.MetaItem, error) {
+func classify(ctx context.Context, store nfstore.Engine, iv flow.Interval) (detector.Kind, []detector.MetaItem, error) {
 	st, err := gatherStats(ctx, store, iv)
 	if err != nil {
 		return detector.KindUnknown, nil, err
@@ -213,7 +142,7 @@ func (d *Detector) classify(ctx context.Context, store nfstore.Engine, iv flow.I
 		}
 	}
 	spiked := func(now, before uint64) bool {
-		return float64(now) >= d.cfg.ChangeFactor*float64(before)
+		return float64(now) >= changeFactor*float64(before)
 	}
 
 	// 1. Port scan: the dominant pair touches many distinct destination
@@ -221,7 +150,7 @@ func (d *Detector) classify(ctx context.Context, store nfstore.Engine, iv flow.I
 	// source port dominates) srcPort — dstPort is wildcarded.
 	if pk, ok := topPairByFlows(st); ok {
 		ports := len(st.pairPorts[pk])
-		if ports >= d.cfg.ScanPorts && d.dominant(st.pairFlows[pk], st.totalFlows) &&
+		if ports >= scanPorts && dominant(st.pairFlows[pk], st.totalFlows) &&
 			spiked(st.pairFlows[pk], base.pairFlows[pk]) {
 			meta := []detector.MetaItem{
 				{Feature: flow.FeatSrcIP, Value: uint32(pk.src)},
@@ -237,7 +166,7 @@ func (d *Detector) classify(ctx context.Context, store nfstore.Engine, iv flow.I
 	// 2. Network scan: one source touches many destinations on a dominant
 	// port.
 	if src, ok := topKeyByCount(st.srcFlows); ok {
-		if len(st.srcDsts[src]) >= d.cfg.ScanHosts && d.dominant(st.srcFlows[src], st.totalFlows) &&
+		if len(st.srcDsts[src]) >= scanHosts && dominant(st.srcFlows[src], st.totalFlows) &&
 			spiked(st.srcFlows[src], base.srcFlows[src]) {
 			meta := []detector.MetaItem{{Feature: flow.FeatSrcIP, Value: uint32(src)}}
 			if dp, ok := dominantKey16(st.srcDstPort[src], st.srcFlows[src]); ok {
@@ -249,7 +178,7 @@ func (d *Detector) classify(ctx context.Context, store nfstore.Engine, iv flow.I
 
 	// 3. DDoS: one destination is hit by many sources on a dominant port.
 	if dst, ok := topKeyByCount(st.dstFlows); ok {
-		if len(st.dstSrcs[dst]) >= d.cfg.DDoSSources && d.dominant(st.dstFlows[dst], st.totalFlows) &&
+		if len(st.dstSrcs[dst]) >= ddosSources && dominant(st.dstFlows[dst], st.totalFlows) &&
 			spiked(st.dstFlows[dst], base.dstFlows[dst]) {
 			meta := []detector.MetaItem{{Feature: flow.FeatDstIP, Value: uint32(dst)}}
 			if dp, ok := dominantKey16(st.dstDstPort[dst], st.dstFlows[dst]); ok {
@@ -263,7 +192,7 @@ func (d *Detector) classify(ctx context.Context, store nfstore.Engine, iv flow.I
 	// scale packet volume. UDP floods are the class the paper calls out
 	// as frequent in GEANT.
 	if pk, ok := topPairByPackets(st); ok {
-		if st.pairPackets[pk] >= d.cfg.FloodPackets &&
+		if st.pairPackets[pk] >= floodPackets &&
 			spiked(st.pairPackets[pk], base.pairPackets[pk]) {
 			meta := []detector.MetaItem{
 				{Feature: flow.FeatSrcIP, Value: uint32(pk.src)},
@@ -281,8 +210,8 @@ func (d *Detector) classify(ctx context.Context, store nfstore.Engine, iv flow.I
 }
 
 // dominant reports whether count is a dominant share of total.
-func (d *Detector) dominant(count, total uint64) bool {
-	return float64(count) >= d.cfg.DominantShare*float64(total)
+func dominant(count, total uint64) bool {
+	return float64(count) >= dominantShare*float64(total)
 }
 
 // ---- small aggregation helpers (deterministic tie-breaks throughout) ----

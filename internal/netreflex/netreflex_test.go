@@ -7,7 +7,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/nfstore"
-	"repro/internal/pca"
 )
 
 const nrBase = uint32(1_200_000_000)
@@ -29,7 +28,7 @@ func runScenario(t *testing.T, placements []gen.Placement, seed uint64) ([]detec
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := MustNew(DefaultConfig())
+	d := New()
 	alarms, err := d.Detect(t.Context(), store, truth.Span)
 	if err != nil {
 		t.Fatal(err)
@@ -138,28 +137,5 @@ func TestDDoSClassified(t *testing.T) {
 	}
 	if !hasMeta(a, flow.FeatDstIP, uint32(victim)) || !hasMeta(a, flow.FeatDstPort, 80) {
 		t.Fatalf("meta %v missing victim/port", a.Meta)
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	d, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.cfg.ScanPorts != 100 || d.cfg.FloodPackets != 500_000 {
-		t.Fatal("defaults not applied")
-	}
-	if d.Name() != "netreflex" {
-		t.Fatal("name")
-	}
-}
-
-func TestBadPCAConfigRejected(t *testing.T) {
-	cfg := DefaultConfig()
-	p := pca.DefaultConfig()
-	p.Alpha = 0.9 // invalid: must be < 0.5
-	cfg.PCA = &p
-	if _, err := New(cfg); err == nil {
-		t.Fatal("invalid PCA config must be rejected")
 	}
 }

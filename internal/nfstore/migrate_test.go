@@ -71,7 +71,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 	}
 	check("pre-migration", FormatV1, bins)
 
-	n, err := s.Migrate(t.Context(), FormatV2)
+	n, err := s.MigrateWorkers(t.Context(), FormatV2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestMigrateRoundTrip(t *testing.T) {
 	check("after v1->v2", FormatV2, bins)
 
 	// Idempotent: everything already at the target.
-	if n, err = s.Migrate(t.Context(), FormatV2); err != nil || n != 0 {
+	if n, err = s.MigrateWorkers(t.Context(), FormatV2, 1); err != nil || n != 0 {
 		t.Fatalf("repeat Migrate = (%d, %v), want (0, nil)", n, err)
 	}
 
-	n, err = s.Migrate(t.Context(), FormatV1)
+	n, err = s.MigrateWorkers(t.Context(), FormatV1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 	}
 	check("after v2->v1", FormatV1, bins)
 
-	if _, err := s.Migrate(t.Context(), 7); err == nil {
+	if _, err := s.MigrateWorkers(t.Context(), 7, 1); err == nil {
 		t.Fatal("Migrate accepted an unknown target format")
 	}
 }
@@ -115,7 +115,7 @@ func TestMigrateWithOpenWriter(t *testing.T) {
 		}
 	}
 	// No Flush: the writer for bin 0 is still open.
-	if _, err := s.Migrate(t.Context(), FormatV2); err != nil {
+	if _, err := s.MigrateWorkers(t.Context(), FormatV2, 1); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Records(t.Context(), flow.Interval{Start: 0, End: 300}, nil)
@@ -170,7 +170,7 @@ func TestMigrateCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Migrate(ctx, FormatV2); err == nil {
+	if _, err := s.MigrateWorkers(ctx, FormatV2, 1); err == nil {
 		t.Fatal("Migrate ignored a canceled context")
 	}
 	// The store still answers queries whole.

@@ -22,7 +22,7 @@ type scanOpts struct {
 	// mask except in blocks provably inside iv).
 	proj nffilter.ColumnSet
 	// all disables the interval mask: every record of the segment is
-	// emitted (Migrate's raw rewrite path, BuildIndexes).
+	// emitted (MigrateWorkers' raw rewrite path, BuildIndexes).
 	all bool
 	// agg, when non-nil, consumes whole-block totals for v2 blocks whose
 	// zone map proves them fully inside iv and fully matching, instead of

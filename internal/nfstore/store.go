@@ -169,7 +169,7 @@ func (s *Store) SegmentFormat() uint16 { return uint16(s.segFormat.Load()) }
 // SetSegmentFormat changes the format for segments created after the call
 // (existing segments, including currently open writers, keep theirs). It
 // does not rewrite the persisted meta — a transient override for tests and
-// tools; use Migrate to convert data already on disk.
+// tools; use MigrateWorkers to convert data already on disk.
 func (s *Store) SetSegmentFormat(format uint16) error {
 	if !validFormat(format) {
 		return fmt.Errorf("nfstore: unknown segment format %d (supported: %d-%d)", format, FormatV1, segVersionMax)
@@ -485,26 +485,22 @@ func (s *Store) countPlan(ctx context.Context, plan []segPlan, iv flow.Interval,
 	return flows + aFlows.Load(), packets + aPackets.Load(), bytes + aBytes.Load(), nil
 }
 
-// Migrate rewrites every segment not already in the target format,
-// returning how many it converted. Each segment is rewritten atomically
-// (temp file + rename) with a fresh sidecar, so readers between segments
-// see a consistent mixed-format store and an interrupted migration loses
-// nothing. Open writers for a migrated bin are flushed and closed first
-// (they reopen on the next append, picking up the new format from the
-// rewritten header). Segments rewrite serially; MigrateWorkers fans the
-// same rewrites over a bounded pool.
-func (s *Store) Migrate(ctx context.Context, target uint16) (migrated int, err error) {
-	return s.MigrateWorkers(ctx, target, 1)
-}
-
-// MigrateWorkers is Migrate with the per-segment rewrites fanned over a
-// bounded worker pool. workers <= 0 selects the automatic width (number
-// of CPUs, capped the same way query parallelism is). The expensive part
-// of each rewrite — decoding the old segment and encoding the new one —
-// runs outside the writer lock; only the brief detach-writer and
-// commit-rename steps serialize, so concurrent appends stay correct (a
-// segment that changes under a rewrite is retried). On error the count
-// of segments already migrated is still returned.
+// MigrateWorkers rewrites every segment not already in the target
+// format, returning how many it converted. Each segment is rewritten
+// atomically (temp file + rename) with a fresh sidecar, so readers
+// between segments see a consistent mixed-format store and an
+// interrupted migration loses nothing. Open writers for a migrated bin
+// are flushed and closed first (they reopen on the next append, picking
+// up the new format from the rewritten header).
+//
+// The per-segment rewrites fan over a pool of workers goroutines;
+// workers <= 0 selects the automatic width (number of CPUs, capped the
+// same way query parallelism is), and 1 rewrites one segment at a time.
+// The expensive part of each rewrite — decoding the old segment and
+// encoding the new one — runs outside the writer lock; only the brief
+// detach-writer and commit-rename steps serialize, so concurrent appends
+// stay correct (a segment that changes under a rewrite is retried). On
+// error the count of segments already migrated is still returned.
 func (s *Store) MigrateWorkers(ctx context.Context, target uint16, workers int) (int, error) {
 	if !validFormat(target) {
 		return 0, fmt.Errorf("nfstore: unknown segment format %d (supported: %d-%d)", target, FormatV1, segVersionMax)
@@ -517,22 +513,6 @@ func (s *Store) MigrateWorkers(ctx context.Context, target uint16, workers int) 
 		workers = min(runtime.GOMAXPROCS(0), maxAutoParallelism)
 	}
 	workers = min(workers, len(bins))
-	if workers <= 1 {
-		migrated := 0
-		for _, bin := range bins {
-			if err := ctx.Err(); err != nil {
-				return migrated, err
-			}
-			done, err := s.migrateSegment(ctx, bin, target)
-			if err != nil {
-				return migrated, err
-			}
-			if done {
-				migrated++
-			}
-		}
-		return migrated, nil
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (

@@ -13,147 +13,35 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterizes the detector; use DefaultConfig as a base.
-type Config struct {
-	// Features are the entropy channels per PoP (default: the four
-	// Lakhina features).
-	Features []flow.Feature
-	// IncludeVolume adds flow-count and packet-count channels per PoP, as
-	// in volume-PCA; without them entropy-neutral anomalies (point-to-point
-	// floods) are invisible, with them NetReflex-style detection of both
-	// classes works.
-	IncludeVolume bool
-	// NumPoPs fixes the PoP count; 0 discovers it from the data
-	// (max Router index + 1).
-	NumPoPs int
-	// VarianceFraction selects the principal subspace dimension: the
-	// smallest p whose components capture at least this fraction of total
-	// variance. Clamped to [0.5, 0.999].
-	VarianceFraction float64
-	// MaxComponents caps p (default 10).
-	MaxComponents int
-	// Alpha is the Q-statistic false-alarm rate (default 0.001).
-	Alpha float64
-	// QMargin multiplies the Q threshold before alarming (default 2).
-	// The Jackson-Mudholkar threshold assumes Gaussian residuals; SPE under
-	// the trimmed robust fit is heavier-tailed, and real anomalies exceed Q
-	// by orders of magnitude, so a small margin suppresses borderline
-	// statistical false alarms at no recall cost.
-	QMargin float64
-	// MinBins is the minimum number of measurement bins required to fit
-	// the subspace (default 8).
-	MinBins int
-	// TrimFraction is the fraction of the most extreme bins excluded from
-	// the subspace fit (default 0.1). A single strongly anomalous bin can
-	// otherwise rotate the principal subspace toward itself and hide from
-	// the residual — the contamination problem documented for subspace
-	// detectors (Ringberg et al., SIGMETRICS'07). Trimmed bins are still
-	// scored against the clean model.
-	TrimFraction float64
-	// TopColumns is how many residual-dominating columns are attributed
-	// per alarm; TopValues how many concrete values are reported per
-	// attributed column.
-	TopColumns int
-	TopValues  int
-	// MinMetaGain is the minimum traffic-share gain (in absolute share,
-	// 0..1) a value must show to be reported as meta-data from an entropy
-	// column; MinMetaShare is the minimum share a top endpoint must hold
-	// to be reported from a volume column. Both default conservatively
-	// (0.1 and 0.3): detectors report few, high-confidence meta items and
-	// leave completing the picture to the extraction step — exactly the
-	// division of labour the paper describes.
-	MinMetaGain  float64
-	MinMetaShare float64
-	// Weight selects distribution weighting for the entropy channels.
-	Weight nfstore.Weight
-}
+// The detector's one configuration; doc.go gives the reason for each
+// value.
+const (
+	varianceFraction = 0.92
+	maxComponents    = 10
+	alpha            = 0.001
+	qMargin          = 2
+	minBins          = 8
+	trimFraction     = 0.1
+	topColumns       = 4
+	topValues        = 3
+	minMetaGain      = 0.1
+	minMetaShare     = 0.3
+)
 
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{
-		Features:         flow.EntropyFeatures(),
-		IncludeVolume:    true,
-		VarianceFraction: 0.92,
-		MaxComponents:    10,
-		Alpha:            0.001,
-		QMargin:          2,
-		MinBins:          8,
-		TrimFraction:     0.1,
-		TopColumns:       4,
-		TopValues:        3,
-		MinMetaGain:      0.1,
-		MinMetaShare:     0.3,
-		Weight:           nfstore.ByFlows,
-	}
-}
+// features are the entropy channels per PoP: the four Lakhina features.
+var features = flow.EntropyFeatures()
 
 // Detector is the PCA subspace detector.
-type Detector struct {
-	cfg Config
-}
+type Detector struct{}
 
-// New validates cfg and returns a Detector.
-func New(cfg Config) (*Detector, error) {
-	if len(cfg.Features) == 0 {
-		cfg.Features = flow.EntropyFeatures()
-	}
-	if cfg.VarianceFraction <= 0 {
-		cfg.VarianceFraction = 0.92
-	}
-	if cfg.VarianceFraction < 0.5 {
-		cfg.VarianceFraction = 0.5
-	}
-	if cfg.VarianceFraction > 0.999 {
-		cfg.VarianceFraction = 0.999
-	}
-	if cfg.MaxComponents <= 0 {
-		cfg.MaxComponents = 10
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha >= 0.5 {
-		return nil, fmt.Errorf("pca: Alpha must be in (0, 0.5), got %v", cfg.Alpha)
-	}
-	if cfg.MinBins < 4 {
-		cfg.MinBins = 8
-	}
-	if cfg.TopColumns <= 0 {
-		cfg.TopColumns = 2
-	}
-	if cfg.TopValues <= 0 {
-		cfg.TopValues = 3
-	}
-	if cfg.NumPoPs < 0 {
-		return nil, fmt.Errorf("pca: NumPoPs must be >= 0, got %d", cfg.NumPoPs)
-	}
-	if cfg.TrimFraction < 0 || cfg.TrimFraction >= 0.5 {
-		return nil, fmt.Errorf("pca: TrimFraction must be in [0, 0.5), got %v", cfg.TrimFraction)
-	}
-	if cfg.QMargin <= 0 {
-		cfg.QMargin = 2
-	}
-	if cfg.MinMetaGain <= 0 {
-		cfg.MinMetaGain = 0.1
-	}
-	if cfg.MinMetaShare <= 0 {
-		cfg.MinMetaShare = 0.3
-	}
-	return &Detector{cfg: cfg}, nil
-}
+// New returns a Detector.
+func New() *Detector { return &Detector{} }
 
-// init registers the detector under its public name, built with its
-// defaults.
+// init registers the detector under its public name.
 func init() {
 	detector.MustRegister("pca", func() (detector.Detector, error) {
-		return New(DefaultConfig())
+		return New(), nil
 	})
-}
-
-// MustNew is New that panics on config errors.
-func MustNew(cfg Config) *Detector {
-	d, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // Name implements detector.Detector.
@@ -181,7 +69,7 @@ func (c channel) String() string {
 // the drill-down.
 type binData struct {
 	iv    flow.Interval
-	dists []map[flow.Feature]*stats.Dist // per PoP, weighted per cfg.Weight
+	dists []map[flow.Feature]*stats.Dist // per PoP, flow-weighted
 	// pktSrc/pktDst are packet-weighted endpoint distributions used to
 	// drill into packet-volume alarms: a point-to-point flood dominates
 	// packets while contributing almost no flows.
@@ -193,23 +81,23 @@ type binData struct {
 
 // Detect implements detector.Detector.
 func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.Interval) ([]detector.Alarm, error) {
-	bins, data, numPoPs, err := d.collect(ctx, store, span)
+	data, numPoPs, err := collect(ctx, store, span)
 	if err != nil {
 		return nil, err
 	}
-	if len(bins) < d.cfg.MinBins {
-		return nil, fmt.Errorf("pca: span covers %d bins, need at least %d", len(bins), d.cfg.MinBins)
+	if len(data) < minBins {
+		return nil, fmt.Errorf("pca: span covers %d bins, need at least %d", len(data), minBins)
 	}
-	channels := d.channels(numPoPs)
-	raw := d.matrix(data, channels)
+	channels := channelsFor(numPoPs)
+	raw := matrix(data, channels)
 
 	// Robust fit: a strongly anomalous bin included in the fit rotates the
 	// principal subspace toward itself and then hides from the residual
 	// (Ringberg et al.). Pass 1 ranks bins by standardized magnitude and
-	// trims the most extreme TrimFraction; pass 2 fits centering, scaling
+	// trims the most extreme trimFraction; pass 2 fits centering, scaling
 	// and the subspace on the clean bins only. All bins — including the
 	// trimmed ones — are then scored against the clean model.
-	keep := d.cleanRows(raw)
+	keep := cleanRows(raw)
 	means, stds := fitScaling(raw, keep)
 	y := applyScaling(raw, means, stds)
 
@@ -218,13 +106,13 @@ func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.I
 	if err != nil {
 		return nil, fmt.Errorf("pca: eigendecomposition: %w", err)
 	}
-	p := d.subspaceDim(eig.Values)
-	q := qThreshold(eig.Values, p, d.cfg.Alpha)
+	p := subspaceDim(eig.Values)
+	q := qThreshold(eig.Values, p, alpha)
 	if math.IsNaN(q) || q <= 0 {
 		// No residual variance at all: nothing can be anomalous.
 		return nil, nil
 	}
-	limit := q * d.cfg.QMargin
+	limit := q * qMargin
 
 	var alarms []detector.Alarm
 	for i := range data {
@@ -238,8 +126,8 @@ func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.I
 		// not the residual vector: projection spreads a large outlier's
 		// energy across unrelated columns, while the z-scores point
 		// directly at the deviating (PoP, channel) pairs.
-		cols := topDeviantColumns(row, d.cfg.TopColumns)
-		meta := d.drillDown(data, i, cols, channels)
+		cols := topDeviantColumns(row, topColumns)
+		meta := drillDown(data, i, cols, channels)
 		alarms = append(alarms, detector.Alarm{
 			Detector: d.Name(),
 			Interval: data[i].iv,
@@ -252,16 +140,16 @@ func (d *Detector) Detect(ctx context.Context, store nfstore.Engine, span flow.I
 }
 
 // cleanRows returns the boolean keep-mask of rows used for fitting: all
-// rows except the ceil(TrimFraction·n) with the largest standardized
+// rows except the ceil(trimFraction·n) with the largest standardized
 // magnitude (preliminary scaling over all rows).
-func (d *Detector) cleanRows(raw *linalg.Matrix) []bool {
+func cleanRows(raw *linalg.Matrix) []bool {
 	n := raw.Rows
 	keep := make([]bool, n)
 	for i := range keep {
 		keep[i] = true
 	}
-	trim := int(math.Ceil(d.cfg.TrimFraction * float64(n)))
-	if trim == 0 || n-trim < d.cfg.MinBins {
+	trim := int(math.Ceil(trimFraction * float64(n)))
+	if trim == 0 || n-trim < minBins {
 		return keep
 	}
 	all := make([]bool, n)
@@ -349,15 +237,30 @@ func covarianceOfRows(m *linalg.Matrix, keep []bool) *linalg.Matrix {
 	return sub.Covariance()
 }
 
+// grow extends the bin's per-PoP state to cover PoPs 0..pop.
+func (bd *binData) grow(pop int) {
+	for len(bd.dists) <= pop {
+		m := make(map[flow.Feature]*stats.Dist, len(features))
+		for _, f := range features {
+			m[f] = stats.NewDist()
+		}
+		bd.dists = append(bd.dists, m)
+		bd.pktSrc = append(bd.pktSrc, stats.NewDist())
+		bd.pktDst = append(bd.pktDst, stats.NewDist())
+		bd.flows = append(bd.flows, 0)
+		bd.pkts = append(bd.pkts, 0)
+	}
+}
+
 // collect performs the single store pass building per-bin, per-PoP
-// distributions and volume counters.
-func (d *Detector) collect(ctx context.Context, store nfstore.Engine, span flow.Interval) ([]uint32, []binData, int, error) {
+// distributions and volume counters. The PoP count is discovered from
+// the data: the largest Router index + 1.
+func collect(ctx context.Context, store nfstore.Engine, span flow.Interval) ([]binData, int, error) {
 	all, err := store.Bins()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	numPoPs := d.cfg.NumPoPs
-	var bins []uint32
+	numPoPs := 1
 	var data []binData
 	for _, bin := range all {
 		iv := flow.Interval{Start: bin, End: bin + store.BinSeconds()}
@@ -365,31 +268,11 @@ func (d *Detector) collect(ctx context.Context, store nfstore.Engine, span flow.
 			continue
 		}
 		bd := binData{iv: iv}
-		grow := func(pop int) {
-			for len(bd.dists) <= pop {
-				m := make(map[flow.Feature]*stats.Dist, len(d.cfg.Features))
-				for _, f := range d.cfg.Features {
-					m[f] = stats.NewDist()
-				}
-				bd.dists = append(bd.dists, m)
-				bd.pktSrc = append(bd.pktSrc, stats.NewDist())
-				bd.pktDst = append(bd.pktDst, stats.NewDist())
-				bd.flows = append(bd.flows, 0)
-				bd.pkts = append(bd.pkts, 0)
-			}
-		}
-		if numPoPs > 0 {
-			grow(numPoPs - 1)
-		}
 		err := store.Query(ctx, iv, nil, func(r *flow.Record) error {
 			pop := int(r.Router)
-			if d.cfg.NumPoPs > 0 && pop >= d.cfg.NumPoPs {
-				pop = d.cfg.NumPoPs - 1 // clamp stray indexes
-			}
-			grow(pop)
-			w := float64(d.cfg.Weight.Of(r))
-			for _, f := range d.cfg.Features {
-				bd.dists[pop][f].Add(f.Value(r), w)
+			bd.grow(pop)
+			for _, f := range features {
+				bd.dists[pop][f].Add(f.Value(r), 1)
 			}
 			bd.pktSrc[pop].Add(uint32(r.SrcIP), float64(r.Packets))
 			bd.pktDst[pop].Add(uint32(r.DstIP), float64(r.Packets))
@@ -398,51 +281,34 @@ func (d *Detector) collect(ctx context.Context, store nfstore.Engine, span flow.
 			return nil
 		})
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		if len(bd.dists) > numPoPs {
-			numPoPs = len(bd.dists)
-		}
-		bins = append(bins, bin)
+		numPoPs = max(numPoPs, len(bd.dists))
 		data = append(data, bd)
 	}
-	if numPoPs == 0 {
-		numPoPs = 1
-	}
-	// Normalize slice lengths now that the PoP count is known.
+	// Every bin gets state for every PoP now that the count is known.
 	for i := range data {
-		for len(data[i].dists) < numPoPs {
-			m := make(map[flow.Feature]*stats.Dist, len(d.cfg.Features))
-			for _, f := range d.cfg.Features {
-				m[f] = stats.NewDist()
-			}
-			data[i].dists = append(data[i].dists, m)
-			data[i].pktSrc = append(data[i].pktSrc, stats.NewDist())
-			data[i].pktDst = append(data[i].pktDst, stats.NewDist())
-			data[i].flows = append(data[i].flows, 0)
-			data[i].pkts = append(data[i].pkts, 0)
-		}
+		data[i].grow(numPoPs - 1)
 	}
-	return bins, data, numPoPs, nil
+	return data, numPoPs, nil
 }
 
-// channels enumerates matrix columns for the PoP count.
-func (d *Detector) channels(numPoPs int) []channel {
+// channelsFor enumerates matrix columns for the PoP count: per PoP the
+// entropy channels, then the flow- and packet-volume channels.
+func channelsFor(numPoPs int) []channel {
 	var chans []channel
 	for pop := 0; pop < numPoPs; pop++ {
-		for _, f := range d.cfg.Features {
+		for _, f := range features {
 			chans = append(chans, channel{pop: pop, feature: f})
 		}
-		if d.cfg.IncludeVolume {
-			chans = append(chans, channel{pop: pop, volume: true, packets: false})
-			chans = append(chans, channel{pop: pop, volume: true, packets: true})
-		}
+		chans = append(chans, channel{pop: pop, volume: true, packets: false})
+		chans = append(chans, channel{pop: pop, volume: true, packets: true})
 	}
 	return chans
 }
 
 // matrix assembles the bins × channels measurement matrix.
-func (d *Detector) matrix(data []binData, channels []channel) *linalg.Matrix {
+func matrix(data []binData, channels []channel) *linalg.Matrix {
 	y := linalg.NewMatrix(len(data), len(channels))
 	for i := range data {
 		for j, ch := range channels {
@@ -462,7 +328,7 @@ func (d *Detector) matrix(data []binData, channels []channel) *linalg.Matrix {
 }
 
 // subspaceDim picks the principal subspace dimension.
-func (d *Detector) subspaceDim(eigvals []float64) int {
+func subspaceDim(eigvals []float64) int {
 	total := 0.0
 	for _, v := range eigvals {
 		if v > 0 {
@@ -477,7 +343,7 @@ func (d *Detector) subspaceDim(eigvals []float64) int {
 		if v > 0 {
 			cum += v
 		}
-		if cum/total >= d.cfg.VarianceFraction || i+1 >= d.cfg.MaxComponents {
+		if cum/total >= varianceFraction || i+1 >= maxComponents {
 			return i + 1
 		}
 	}
@@ -534,7 +400,7 @@ func topDeviantColumns(res []float64, k int) []int {
 // drillDown turns attributed columns into concrete meta-data by comparing
 // the flagged bin's value distribution against the preceding bin's: the
 // values whose traffic share grew most are reported.
-func (d *Detector) drillDown(data []binData, row int, cols []int, channels []channel) []detector.MetaItem {
+func drillDown(data []binData, row int, cols []int, channels []channel) []detector.MetaItem {
 	var meta []detector.MetaItem
 	seen := make(map[detector.MetaItem]bool)
 	add := func(m detector.MetaItem) {
@@ -560,14 +426,14 @@ func (d *Detector) drillDown(data []binData, row int, cols []int, channels []cha
 			}
 			if srcDist != nil && srcDist.Total() > 0 {
 				for _, vw := range srcDist.Top(1) {
-					if vw.Weight/srcDist.Total() >= d.cfg.MinMetaShare {
+					if vw.Weight/srcDist.Total() >= minMetaShare {
 						add(detector.MetaItem{Feature: flow.FeatSrcIP, Value: vw.Value})
 					}
 				}
 			}
 			if dstDist != nil && dstDist.Total() > 0 {
 				for _, vw := range dstDist.Top(1) {
-					if vw.Weight/dstDist.Total() >= d.cfg.MinMetaShare {
+					if vw.Weight/dstDist.Total() >= minMetaShare {
 						add(detector.MetaItem{Feature: flow.FeatDstIP, Value: vw.Value})
 					}
 				}
@@ -579,8 +445,8 @@ func (d *Detector) drillDown(data []binData, row int, cols []int, channels []cha
 		if row > 0 {
 			ref = data[row-1].dists[ch.pop][ch.feature]
 		}
-		for _, g := range topGainers(cur, ref, d.cfg.TopValues) {
-			if g.gain >= d.cfg.MinMetaGain {
+		for _, g := range topGainers(cur, ref, topValues) {
+			if g.gain >= minMetaGain {
 				add(detector.MetaItem{Feature: ch.feature, Value: g.value})
 			}
 		}

@@ -36,23 +36,24 @@ func TestQThresholdDegenerate(t *testing.T) {
 }
 
 func TestSubspaceDim(t *testing.T) {
-	d := MustNew(DefaultConfig())
 	// 95% of variance in the first two components (10/10.5).
 	eig := []float64{7, 3, 0.3, 0.2}
-	p := d.subspaceDim(eig)
+	p := subspaceDim(eig)
 	if p != 2 {
 		t.Fatalf("subspaceDim = %d, want 2 (0.92 fraction)", p)
 	}
 	// All-zero eigenvalues degenerate to 1.
-	if got := d.subspaceDim([]float64{0, 0}); got != 1 {
+	if got := subspaceDim([]float64{0, 0}); got != 1 {
 		t.Fatalf("zero-variance dim = %d", got)
 	}
-	// MaxComponents caps the dimension.
-	cfg := DefaultConfig()
-	cfg.MaxComponents = 1
-	d2 := MustNew(cfg)
-	if got := d2.subspaceDim(eig); got != 1 {
-		t.Fatalf("cap ignored: %d", got)
+	// maxComponents caps the dimension: on a flat spectrum of 11
+	// eigenvalues 0.92 of the variance needs all 11, the cap stops at 10.
+	flat := make([]float64, 11)
+	for i := range flat {
+		flat[i] = 1
+	}
+	if got := subspaceDim(flat); got != maxComponents {
+		t.Fatalf("cap ignored: %d, want %d", got, maxComponents)
 	}
 }
 

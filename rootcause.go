@@ -32,10 +32,10 @@
 // "pca") self-register; external detector implementations plug in via
 // RegisterDetector and are then usable through System.Detect and listed
 // by DetectorNames — the paper's system "can be integrated with any
-// anomaly detection system that provides these data". A registry-built
-// detector runs with its defaults; a detector tuned away from them is
-// built from its package and registered under its own name. Per-call
-// extraction configuration goes through functional options:
+// anomaly detection system that provides these data". Each built-in
+// runs one fixed configuration, the evaluation's; a tuned detector is an
+// external Detector registered under its own name. Per-call extraction
+// configuration goes through functional options:
 //
 //	ids, err := sys.Detect(ctx, "histogram", span)
 //	res, err := sys.Extract(ctx, id,
