@@ -22,7 +22,6 @@ func main() {
 	var (
 		storeDir = flag.String("store", "", "flow store directory (required)")
 		detName  = flag.String("detector", "netreflex", "registered detector name (see rootcause.DetectorNames)")
-		minerStr = flag.String("miner", "", "frequent-itemset miner for the system's extraction engine (validated at startup; default apriori)")
 		dbPath   = flag.String("alarmdb", "", "alarm database JSON path (default: <store>/alarms.json)")
 		from     = flag.Uint("from", 0, "span start, unix seconds (0 = store start)")
 		to       = flag.Uint("to", 0, "span end, unix seconds (0 = store end)")
@@ -39,8 +38,6 @@ into the alarm database — the left half of the paper's Figure 1. The
 filed alarm IDs feed extract / rcad.
 
 Registered detectors: netreflex (default), histogram, pca.
-Registered miners (-miner, for the extraction engine the system
-assembles): apriori (default), fpgrowth.
 
 With -correlate, the stored alarms of the span are additionally
 deduplicated and clustered into incidents (docs/incidents.md) and each
@@ -78,22 +75,16 @@ Flags:
 	if *dbPath == "" {
 		*dbPath = *storeDir + "/alarms.json"
 	}
-	if err := run(*storeDir, *detName, *minerStr, *dbPath, uint32(*from), uint32(*to), *corr); err != nil {
+	if err := run(*storeDir, *detName, *dbPath, uint32(*from), uint32(*to), *corr); err != nil {
 		fmt.Fprintln(os.Stderr, "detect:", err)
 		os.Exit(1)
 	}
 }
 
-func run(storeDir, detName, minerName, dbPath string, from, to uint32, correlate bool) error {
+func run(storeDir, detName, dbPath string, from, to uint32, correlate bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	cfg := rootcause.Config{StoreDir: storeDir, AlarmDBPath: dbPath}
-	if minerName != "" {
-		opts := rootcause.DefaultExtractionOptions()
-		opts.Miner = minerName
-		cfg.Extraction = &opts
-	}
-	sys, err := rootcause.Open(cfg)
+	sys, err := rootcause.Open(rootcause.Config{StoreDir: storeDir, AlarmDBPath: dbPath})
 	if err != nil {
 		return err
 	}

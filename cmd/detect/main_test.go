@@ -35,7 +35,7 @@ func TestRunEndToEnd(t *testing.T) {
 	sys.Close()
 
 	// Full-span detection with the default detector.
-	if err := run(storeDir, "netreflex", "fpgrowth", dbPath, 0, 0, false); err != nil {
+	if err := run(storeDir, "netreflex", dbPath, 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,7 +74,7 @@ func TestRunCorrelate(t *testing.T) {
 	}
 	sys.Close()
 
-	if err := run(storeDir, "netreflex", "", dbPath, 0, 0, true); err != nil {
+	if err := run(storeDir, "netreflex", dbPath, 0, 0, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,7 +99,7 @@ func TestRunEmptyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Close()
-	if err := run(storeDir, "netreflex", "", filepath.Join(dir, "a.json"), 0, 0, false); err == nil {
+	if err := run(storeDir, "netreflex", filepath.Join(dir, "a.json"), 0, 0, false); err == nil {
 		t.Fatal("empty store must be reported")
 	}
 }

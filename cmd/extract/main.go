@@ -37,7 +37,6 @@ func main() {
 		ranking   = flag.String("ranking", "", "itemset ranking mode: support (default), lift or weighted")
 		minSets   = flag.Int("min-itemsets", 0, "override: self-tuning target minimum itemsets")
 		maxSets   = flag.Int("max-itemsets", 0, "override: maximum reported itemsets")
-		frac      = flag.Float64("support-frac", 0, "override: initial support fraction (0,1]")
 		floor     = flag.Uint64("floor", 0, "override: absolute support floor")
 		noPre     = flag.Bool("no-prefilter", false, "disable the meta-data pre-filter")
 		flowOnly  = flag.Bool("flow-only", false, "classic Apriori: flow support only (no packet pass)")
@@ -107,18 +106,11 @@ Flags:
 	if *maxSets > 0 {
 		opts.MaxItemsets = *maxSets
 	}
-	if *frac > 0 {
-		opts.InitialSupportFraction = *frac
-	}
 	if *floor > 0 {
 		opts.SupportFloor = *floor
 	}
-	if *noPre {
-		opts.UsePrefilter = false
-	}
-	if *flowOnly {
-		opts.PacketCoverageMin = 0
-	}
+	opts.NoPrefilter = *noPre
+	opts.FlowOnly = *flowOnly
 	if err := run(*storeDir, *dbPath, *alarmID, *incID, uint32(*from), uint32(*to), *meta, opts, *showFlows, *async, *wait); err != nil {
 		fmt.Fprintln(os.Stderr, "extract:", err)
 		os.Exit(1)
@@ -129,30 +121,29 @@ func run(storeDir, dbPath, alarmID, incidentID string, from, to uint32, metaExpr
 	opts rootcause.ExtractionOptions, showFlows int, async, wait bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	sys, err := rootcause.Open(rootcause.Config{
-		StoreDir: storeDir, AlarmDBPath: dbPath, Extraction: &opts,
-	})
+	sys, err := rootcause.Open(rootcause.Config{StoreDir: storeDir, AlarmDBPath: dbPath})
 	if err != nil {
 		return err
 	}
 	defer sys.Close()
+	withOpts := rootcause.WithExtractionOptions(opts)
 
 	var res *rootcause.Result
 	switch {
 	case incidentID != "" && async:
-		res, err = runJob(ctx, sys, rootcause.JobRequest{IncidentID: incidentID}, wait)
+		res, err = runJob(ctx, sys, rootcause.JobRequest{IncidentID: incidentID}, withOpts, wait)
 		if err != nil || res == nil {
 			return err
 		}
 	case incidentID != "":
-		res, err = sys.ExtractIncident(ctx, incidentID)
+		res, err = sys.ExtractIncident(ctx, incidentID, withOpts)
 	case alarmID != "" && async:
-		res, err = runJob(ctx, sys, rootcause.JobRequest{AlarmID: alarmID}, wait)
+		res, err = runJob(ctx, sys, rootcause.JobRequest{AlarmID: alarmID}, withOpts, wait)
 		if err != nil || res == nil {
 			return err
 		}
 	case alarmID != "":
-		res, err = sys.Extract(ctx, alarmID)
+		res, err = sys.Extract(ctx, alarmID, withOpts)
 	case from != 0 && to != 0:
 		metaItems, merr := parseMeta(metaExpr)
 		if merr != nil {
@@ -166,12 +157,12 @@ func run(storeDir, dbPath, alarmID, incidentID string, from, to uint32, metaExpr
 		if async {
 			// An ad-hoc alarm is filed first — jobs run against stored
 			// alarms so the result stays fetchable by ID.
-			res, err = runJob(ctx, sys, rootcause.JobRequest{AlarmID: sys.FileAlarm(alarm)}, wait)
+			res, err = runJob(ctx, sys, rootcause.JobRequest{AlarmID: sys.FileAlarm(alarm)}, withOpts, wait)
 			if err != nil || res == nil {
 				return err
 			}
 		} else {
-			res, err = sys.ExtractAlarm(ctx, &alarm)
+			res, err = sys.ExtractAlarm(ctx, &alarm, withOpts)
 		}
 	default:
 		return fmt.Errorf("need -id, -incident, or -from and -to")
@@ -205,14 +196,14 @@ func run(storeDir, dbPath, alarmID, incidentID string, from, to uint32, metaExpr
 	return nil
 }
 
-// runJob submits one extraction (alarm or incident) to the in-process
-// job manager and, when wait is set, follows its progress to
-// completion. With wait=false it prints the submitted job's status and
-// returns a nil result (the process exit cancels the job — submission
-// without waiting is for demonstrating the API surface; a long-lived
-// rcad serves it for real).
-func runJob(ctx context.Context, sys *rootcause.System, req rootcause.JobRequest, wait bool) (*rootcause.Result, error) {
-	jobID, err := sys.Submit(req,
+// runJob submits one extraction (alarm or incident) under the extraction
+// options opt to the in-process job manager and, when wait is set,
+// follows its progress to completion. With wait=false it prints the
+// submitted job's status and returns a nil result (the process exit
+// cancels the job — submission without waiting is for demonstrating the
+// API surface; a long-lived rcad serves it for real).
+func runJob(ctx context.Context, sys *rootcause.System, req rootcause.JobRequest, opt rootcause.Option, wait bool) (*rootcause.Result, error) {
+	jobID, err := sys.Submit(req, opt,
 		rootcause.WithProgress(func(p rootcause.ExtractionProgress) {
 			fmt.Fprintf(os.Stderr, "progress: phase=%s", p.Phase)
 			if p.TuningRound > 0 {

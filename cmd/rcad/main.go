@@ -51,12 +51,10 @@ func splitList(s string) []string {
 
 func main() {
 	var (
-		storeDir = flag.String("store", "", "flow store directory (required)")
-		dbPath   = flag.String("alarmdb", "", "alarm database JSON path")
-		listen   = flag.String("listen", ":8642", "listen address")
-		drain    = flag.Duration("drain", 30*time.Second, "shutdown drain timeout")
-		queryPar = flag.Int("query-parallelism", 0,
-			"concurrent segment scans per store query (0 = min(GOMAXPROCS, 8), 1 = serial)")
+		storeDir   = flag.String("store", "", "flow store directory (required)")
+		dbPath     = flag.String("alarmdb", "", "alarm database JSON path")
+		listen     = flag.String("listen", ":8642", "listen address")
+		drain      = flag.Duration("drain", 30*time.Second, "shutdown drain timeout")
 		jobWorkers = flag.Int("job-workers", 0,
 			"concurrent extraction jobs (0 = GOMAXPROCS)")
 		jobQueue = flag.Int("job-queue", 0,
@@ -116,7 +114,6 @@ Flags:
 		os.Exit(2)
 	}
 	opts := []rootcause.Option{
-		rootcause.WithQueryParallelism(*queryPar),
 		rootcause.WithJobWorkers(*jobWorkers),
 		rootcause.WithJobQueueDepth(*jobQueue),
 		rootcause.WithResultTTL(*resultTTL),

@@ -123,20 +123,19 @@ func TestBodyLimits(t *testing.T) {
 func TestFlowsLimitBoundsMemory(t *testing.T) {
 	const matches = 200_000
 	dir := t.TempDir()
-	// Serial scans: the parallel scan pool hands records over in
-	// short-lived batches, garbage that scales with the scan and would
-	// drown what the handler itself keeps.
-	sys, err := rootcause.Create(rootcause.Config{StoreDir: filepath.Join(dir, "flows")},
-		rootcause.WithQueryParallelism(1))
+	sys, err := rootcause.Create(rootcause.Config{StoreDir: filepath.Join(dir, "flows")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
 	src := flow.MustParseIP("10.9.9.9")
+	// Every record in one bin, so the scan is serial: the parallel scan
+	// pool hands records over in short-lived batches, garbage that
+	// scales with the scan and would drown what the handler itself keeps.
 	recs := make([]rootcause.Record, matches)
 	for i := range recs {
 		recs[i] = rootcause.Record{
-			Start: 1_300_000_200 + uint32(i%600), SrcIP: src, DstIP: flow.IP(0xC6120000 + uint32(i)),
+			Start: 1_300_000_200 + uint32(i%300), SrcIP: src, DstIP: flow.IP(0xC6120000 + uint32(i)),
 			SrcPort: 4444, DstPort: uint16(i), Proto: 6, Packets: 1, Bytes: 40,
 		}
 	}

@@ -29,22 +29,15 @@ func main() {
 	src := flow.MustParseIP("10.55.55.55")
 	dst := flow.MustParseIP("198.19.0.77")
 
-	// Flow-only engine (classic IMC'09 Apriori).
-	flowOnly := rootcause.DefaultExtractionOptions()
-	flowOnly.PacketCoverageMin = 0
-
 	for _, mode := range []struct {
 		name string
 		opts rootcause.ExtractionOptions
 	}{
-		{"classic Apriori (flow support only)", flowOnly},
+		// Flow-only engine (classic IMC'09 Apriori).
+		{"classic Apriori (flow support only)", rootcause.ExtractionOptions{FlowOnly: true}},
 		{"extended Apriori (flow + packet support)", rootcause.DefaultExtractionOptions()},
 	} {
-		opts := mode.opts
-		sys, err := rootcause.Create(rootcause.Config{
-			StoreDir:   fmt.Sprintf("%s/flows-%p", dir, &mode),
-			Extraction: &opts,
-		})
+		sys, err := rootcause.Create(rootcause.Config{StoreDir: fmt.Sprintf("%s/flows-%p", dir, &mode)})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,7 +57,7 @@ func main() {
 		}
 		res, err := sys.ExtractAlarm(context.Background(), &rootcause.Alarm{
 			Detector: "example", Interval: truth.Entries[0].Interval,
-		})
+		}, rootcause.WithExtractionOptions(mode.opts))
 		if err != nil {
 			log.Fatal(err)
 		}

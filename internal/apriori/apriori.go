@@ -37,11 +37,6 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	maxLen := opts.MaxLen
-	if maxLen <= 0 || maxLen > flow.NumFeatures {
-		maxLen = flow.NumFeatures
-	}
-
 	var result []itemset.Frequent
 
 	// Level 1: count every item with one scan.
@@ -71,9 +66,10 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 	}
 	sortSets(level)
 
-	// Levels 2..maxLen: generate candidates from the previous level, count
-	// with one scan, keep the frequent ones.
-	for k := 2; k <= maxLen && len(level) >= 2; k++ {
+	// Levels 2..flow.NumFeatures (a transaction holds one item per
+	// feature): generate candidates from the previous level, count with
+	// one scan, keep the frequent ones.
+	for k := 2; k <= flow.NumFeatures && len(level) >= 2; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

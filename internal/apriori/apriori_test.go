@@ -44,10 +44,7 @@ func randomDataset(seed uint64, n int) *itemset.Dataset {
 // bruteForce enumerates every subset (sizes 1..5) of every distinct
 // transaction and reports those with support >= minSupport — the oracle
 // both miners must match.
-func bruteForce(ds *itemset.Dataset, minSupport uint64, byPackets bool, maxLen int) map[string]uint64 {
-	if maxLen <= 0 || maxLen > flow.NumFeatures {
-		maxLen = flow.NumFeatures
-	}
+func bruteForce(ds *itemset.Dataset, minSupport uint64, byPackets bool) map[string]uint64 {
 	seen := make(map[string]itemset.Set)
 	for i := 0; i < ds.Len(); i++ {
 		items := ds.Tx(i).Items
@@ -57,9 +54,6 @@ func bruteForce(ds *itemset.Dataset, minSupport uint64, byPackets bool, maxLen i
 				if mask&(1<<b) != 0 {
 					s = append(s, items[b])
 				}
-			}
-			if len(s) > maxLen {
-				continue
 			}
 			seen[s.Key()] = s
 		}
@@ -97,7 +91,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMatchesOracle(t, got, bruteForce(ds, minSup, false, 0))
+			assertMatchesOracle(t, got, bruteForce(ds, minSup, false))
 		}
 	}
 }
@@ -110,24 +104,8 @@ func TestMineByPacketsMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMatchesOracle(t, got, bruteForce(ds, minSup, true, 0))
+			assertMatchesOracle(t, got, bruteForce(ds, minSup, true))
 		}
-	}
-}
-
-func TestMaxLen(t *testing.T) {
-	ds := randomDataset(3, 100)
-	for maxLen := 1; maxLen <= 5; maxLen++ {
-		got, err := Mine(t.Context(), ds, Options{MinSupport: 5, MaxLen: maxLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fr := range got {
-			if fr.Items.Len() > maxLen {
-				t.Fatalf("MaxLen=%d violated by %v", maxLen, fr)
-			}
-		}
-		assertMatchesOracle(t, got, bruteForce(ds, 5, false, maxLen))
 	}
 }
 
@@ -277,7 +255,7 @@ func TestQuickRandomDatasets(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		oracle := bruteForce(ds, minSup, false, 0)
+		oracle := bruteForce(ds, minSup, false)
 		if len(got) != len(oracle) {
 			return false
 		}

@@ -75,12 +75,11 @@ const (
 	RankWeighted = "weighted"
 )
 
-// Options configures the extraction engine. Zero values of the numeric
-// fields inherit the corresponding defaults and explicitly invalid values
-// are rejected by New; note that the boolean switches (UsePrefilter,
-// BaselineFilter) and PacketCoverageMin treat their zero value as
-// "disabled", so a hand-rolled Options turns those paper features off —
-// start from DefaultOptions.
+// Options configures the extraction engine. The zero value is the
+// paper's configuration: every zero field inherits its default, the
+// meta pre-filter, the packet pass and the baseline filter all run, and
+// explicitly invalid values are rejected by New. Only the ablations turn
+// a paper feature off (NoPrefilter, FlowOnly).
 type Options struct {
 	// Miner selects the frequent-itemset miner by registry name
 	// ("apriori", "fpgrowth", "fda", or an externally registered one).
@@ -92,38 +91,27 @@ type Options struct {
 	// then cut at MaxItemsets.
 	MinItemsets int
 	MaxItemsets int
-	// InitialSupportFraction is the starting minimum support as a
-	// fraction of the candidate total (flows or packets, per dimension).
-	// Must be in (0,1]; zero inherits the default.
-	InitialSupportFraction float64
 	// SupportFloor is the absolute lower bound the self-tuning loop will
 	// not cross: itemsets below it are noise regardless of band. Zero
-	// inherits the default (10); use 1 for an explicit "no floor".
+	// inherits the default (10); use 1 for an explicit "no floor". It is
+	// a field, not a constant, because the benchmark reads it from
+	// DefaultOptions.
 	SupportFloor uint64
-	// MaxTuningRounds bounds the halving loop per dimension.
+	// MaxTuningRounds bounds the halving loop per dimension; 1 holds the
+	// initial support fixed (the self-tuning ablation).
 	MaxTuningRounds int
-	// UsePrefilter selects whether the alarm meta-data pre-filters the
-	// candidate flows (the paper's workflow). When the pre-filter matches
-	// fewer than MinCandidates flows the engine falls back to the full
-	// interval.
-	UsePrefilter  bool
+	// NoPrefilter skips the alarm meta-data pre-filter and mines the
+	// full interval. With the pre-filter on (the paper's workflow), a
+	// pre-filter matching fewer than MinCandidates flows falls back to
+	// the full interval. MinCandidates is a field, not a constant,
+	// because the benchmark reads it from DefaultOptions.
+	NoPrefilter   bool
 	MinCandidates int
-	// PacketCoverageMin triggers the packet-support pass: when the
-	// flow-mined itemsets cover less than this fraction of candidate
-	// packets, the engine re-mines by packets. The default (1.0) always
-	// mines both dimensions, which is what the paper's extended Apriori
-	// does ("compute the support of an itemset in terms of packets in
-	// addition to flows"); 0 disables the packet pass entirely and
-	// reproduces classic flow-only Apriori for ablations.
-	PacketCoverageMin float64
-	// BaselineFilter drops itemsets that are (proportionally) just as
-	// frequent in the preceding baseline bin — the "popular port / popular
-	// server" false positives the paper says operators filter trivially:
-	// an itemset is kept only if share(alarm) >= baselineRatio ×
-	// share(baseline).
-	BaselineFilter bool
-	// MaxLen bounds itemset length (0 = up to all five features).
-	MaxLen int
+	// FlowOnly skips the packet-support pass: classic flow-only Apriori,
+	// for ablations. By default the engine always mines both dimensions,
+	// which is what the paper's extended Apriori does ("compute the
+	// support of an itemset in terms of packets in addition to flows").
+	FlowOnly bool
 	// Ranking selects how the final itemset list is scored: RankSupport
 	// (the paper's share score, the default), RankLift or RankWeighted.
 	// Empty inherits RankSupport; unknown modes are rejected.
@@ -139,72 +127,59 @@ type Options struct {
 // this fraction of the candidate traffic and fewer than MaxItemsets were
 // found, the minimum support keeps halving. This is what lets extraction
 // surface co-occurring anomalies weaker than the dominant one (the
-// paper's Table 1 DDoS rows). baselineRatio is the BaselineFilter's
-// alarm-to-baseline share ratio.
+// paper's Table 1 DDoS rows). initialSupportFraction is where each
+// dimension's tuning starts, as a fraction of the candidate total.
+// baselineRatio is the baseline filter's alarm-to-baseline share ratio.
 const (
-	coverageTarget = 0.9
-	baselineRatio  = 3
+	coverageTarget         = 0.9
+	initialSupportFraction = 0.2
+	baselineRatio          = 3
 )
 
 // DefaultOptions returns the configuration used by the paper-reproduction
-// experiments.
+// experiments: Options{} with every default spelled out.
 func DefaultOptions() Options {
 	return Options{
-		Miner:                  miner.DefaultName,
-		MinItemsets:            2,
-		MaxItemsets:            10,
-		InitialSupportFraction: 0.2,
-		SupportFloor:           10,
-		MaxTuningRounds:        12,
-		UsePrefilter:           true,
-		MinCandidates:          50,
-		PacketCoverageMin:      1,
-		BaselineFilter:         true,
-		MaxLen:                 0,
-		Ranking:                RankSupport,
+		Miner:           miner.DefaultName,
+		MinItemsets:     2,
+		MaxItemsets:     10,
+		SupportFloor:    10,
+		MaxTuningRounds: 12,
+		MinCandidates:   50,
+		Ranking:         RankSupport,
 	}
 }
 
-// validate normalizes and checks options through the shared validators in
-// the miner package (miner.IntOption / miner.FloatOption). The contract
-// is uniform across the numeric fields: a zero value inherits the
-// default, any other invalid value is an error — never a silent rewrite.
-// (PacketCoverageMin is exempt: 0 is the meaningful "flow-only ablation"
-// setting; MaxLen is exempt: 0 is the meaningful "unbounded" setting.
-// Their checks are written in positive form so NaN — never ==, <, or >=
-// anything — fails them too instead of slipping through, the same rule
-// the shared float validator applies.)
+// validate fills zero fields with their defaults and rejects invalid
+// values: a negative count, an inverted band or an unknown ranking is an
+// error, never a silent rewrite.
 func (o *Options) validate() error {
-	in01 := func(v float64) bool { return v > 0 && v <= 1 }
-	if err := miner.IntOption("core", "MinItemsets", &o.MinItemsets, 2); err != nil {
-		return err
-	}
-	if err := miner.IntOption("core", "MaxItemsets", &o.MaxItemsets, 10); err != nil {
-		return err
+	def := DefaultOptions()
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{
+		{"MinItemsets", &o.MinItemsets, def.MinItemsets},
+		{"MaxItemsets", &o.MaxItemsets, def.MaxItemsets},
+		{"MaxTuningRounds", &o.MaxTuningRounds, def.MaxTuningRounds},
+		{"MinCandidates", &o.MinCandidates, def.MinCandidates},
+	} {
+		if *f.v < 0 {
+			return fmt.Errorf("core: %s must be >= 0, got %d", f.name, *f.v)
+		}
+		if *f.v == 0 {
+			*f.v = f.def
+		}
 	}
 	if o.MaxItemsets < o.MinItemsets {
 		return fmt.Errorf("core: MaxItemsets %d < MinItemsets %d", o.MaxItemsets, o.MinItemsets)
 	}
-	if err := miner.FloatOption("core", "InitialSupportFraction", &o.InitialSupportFraction, 0.2, in01, "in (0,1]"); err != nil {
-		return err
-	}
 	if o.SupportFloor == 0 {
-		o.SupportFloor = 10
-	}
-	if err := miner.IntOption("core", "MaxTuningRounds", &o.MaxTuningRounds, 12); err != nil {
-		return err
-	}
-	if err := miner.IntOption("core", "MinCandidates", &o.MinCandidates, 50); err != nil {
-		return err
-	}
-	if !(o.PacketCoverageMin >= 0 && o.PacketCoverageMin <= 1) {
-		return fmt.Errorf("core: PacketCoverageMin must be in [0,1], got %v", o.PacketCoverageMin)
-	}
-	if o.MaxLen < 0 {
-		return fmt.Errorf("core: MaxLen must be >= 0, got %d", o.MaxLen)
+		o.SupportFloor = def.SupportFloor
 	}
 	if o.Ranking == "" {
-		o.Ranking = RankSupport
+		o.Ranking = def.Ranking
 	}
 	switch o.Ranking {
 	case RankSupport, RankLift, RankWeighted:
@@ -342,50 +317,17 @@ func (e *Extractor) Extract(ctx context.Context, alarm *detector.Alarm) (*Result
 	res.CandidateFlows = ds.TotalFlows()
 	res.CandidatePackets = ds.TotalPackets()
 
-	// Dimension 1: flow support (the classic IMC'09 miner).
-	flowSets, flowTuning, err := e.mineTuned(ctx, ds, false)
+	list, tuning, err := e.mine(ctx, ds)
 	if err != nil {
 		return nil, err
 	}
-	res.Tuning = append(res.Tuning, flowTuning)
-
-	merged := make(map[string]*ItemsetReport)
-	var order []*ItemsetReport // deterministic report order for counting
-	addAll(merged, &order, flowSets, nfstore.ByFlows)
-
-	// Extension 1: packet support when flow-mined itemsets leave most of
-	// the candidate packet volume unexplained. PacketCoverageMin of 1
-	// (the default) runs the packet pass unconditionally — flow-mined
-	// itemsets covering 100% of packets through a broad set like
-	// "proto=udp" must not mask a flood's specific itemsets.
-	if e.opts.PacketCoverageMin > 0 &&
-		(e.opts.PacketCoverageMin >= 1 || ds.Coverage(setsOf(flowSets), true, 0) < e.opts.PacketCoverageMin) {
-		pktSets, pktTuning, err := e.mineTuned(ctx, ds, true)
-		if err != nil {
-			return nil, err
-		}
-		res.Tuning = append(res.Tuning, pktTuning)
-		addAll(merged, &order, pktSets, nfstore.ByPackets)
-	}
-
-	// One sharded parallel pass computes both supports of every merged
-	// itemset over the candidate dataset.
-	e.report(Progress{Phase: PhaseSupports, Itemsets: len(order)})
-	for i, sup := range ds.SupportAll(reportSets(order), 0) {
-		order[i].FlowSupport = sup.Flows
-		order[i].PacketSupport = sup.Packets
-	}
+	res.Tuning = tuning
 
 	// Baseline false-positive suppression.
-	list := order
-	if e.opts.BaselineFilter {
-		e.report(Progress{Phase: PhaseBaseline, Itemsets: len(list)})
-		kept, dropped, err := e.baselineFilter(ctx, alarm.Interval, ds, list)
-		if err != nil {
-			return nil, err
-		}
-		list = kept
-		res.BaselineDropped = dropped
+	e.report(Progress{Phase: PhaseBaseline, Itemsets: len(list)})
+	list, res.BaselineDropped, err = e.baselineFilter(ctx, alarm.Interval, ds, list)
+	if err != nil {
+		return nil, err
 	}
 
 	// Rank under the configured mode, cut at MaxItemsets. The tie-break
@@ -412,14 +354,49 @@ func (e *Extractor) Extract(ctx context.Context, alarm *detector.Alarm) (*Result
 	return res, nil
 }
 
+// mine runs the self-tuning miner in the flow dimension (the classic
+// IMC'09 miner) and, unless FlowOnly, in the packet dimension (the
+// paper's extension for low-flow floods), and merges the maximal
+// itemsets of both into one report list in first-found order. One
+// sharded parallel pass then fills both supports of every row, whatever
+// dimension mined it. The packet pass runs whatever the flow pass found:
+// flow-mined itemsets covering all packets through a broad set like
+// "proto=udp" must not mask a flood's specific itemsets.
+func (e *Extractor) mine(ctx context.Context, ds *itemset.Dataset) ([]*ItemsetReport, []DimensionTuning, error) {
+	merged := make(map[string]*ItemsetReport)
+	var (
+		order  []*ItemsetReport // deterministic report order for counting
+		tuning []DimensionTuning
+	)
+	dims := []bool{false, true} // by packets?
+	if e.opts.FlowOnly {
+		dims = dims[:1]
+	}
+	for _, byPackets := range dims {
+		sets, dt, err := e.mineTuned(ctx, ds, byPackets)
+		if err != nil {
+			return nil, nil, err
+		}
+		tuning = append(tuning, dt)
+		addAll(merged, &order, sets, dt.Dimension)
+	}
+
+	e.report(Progress{Phase: PhaseSupports, Itemsets: len(order)})
+	for i, sup := range ds.SupportAll(reportSets(order), 0) {
+		order[i].FlowSupport = sup.Flows
+		order[i].PacketSupport = sup.Packets
+	}
+	return order, tuning, nil
+}
+
 // candidates streams the alarm interval's records into a column buffer:
-// the meta pre-filtered pass first (when enabled), with full-interval
+// the meta pre-filtered pass first (unless NoPrefilter), with full-interval
 // fallback when it buffers fewer than MinCandidates flows. The buffer is
 // folded once, at SupportFloor: no tuning round mines below the floor, so
 // every round sees the same supports over folded rows.
 func (e *Extractor) candidates(ctx context.Context, alarm *detector.Alarm) (ds *itemset.Dataset, prefiltered bool, err error) {
 	b := itemset.NewBuilder()
-	if e.opts.UsePrefilter {
+	if !e.opts.NoPrefilter {
 		if mf := alarm.MetaFilter(); mf != nil {
 			if err := e.fill(ctx, alarm.Interval, mf, PhaseCandidates, b.Add); err != nil {
 				return nil, false, err
@@ -542,7 +519,7 @@ func liftOf(observed float64, s itemset.Set, itemShare map[itemset.Item]float64)
 
 // mineTuned runs the self-tuning mining loop in one dimension: prepare
 // the dataset once at SupportFloor, then mine it from
-// InitialSupportFraction of the total, halving until the maximal-itemset
+// initialSupportFraction of the total, halving until the maximal-itemset
 // count reaches MinItemsets (or the floor / round bound stops us).
 func (e *Extractor) mineTuned(ctx context.Context, ds *itemset.Dataset, byPackets bool) ([]itemset.Frequent, DimensionTuning, error) {
 	total := ds.Total(byPackets)
@@ -555,7 +532,7 @@ func (e *Extractor) mineTuned(ctx context.Context, ds *itemset.Dataset, byPacket
 		phase = PhaseMinePackets
 	}
 	tuning := DimensionTuning{Dimension: dim}
-	minSup := uint64(float64(total) * e.opts.InitialSupportFraction)
+	minSup := uint64(float64(total) * initialSupportFraction)
 	if minSup < e.opts.SupportFloor {
 		minSup = e.opts.SupportFloor
 	}
@@ -569,7 +546,6 @@ func (e *Extractor) mineTuned(ctx context.Context, ds *itemset.Dataset, byPacket
 	prep, err := miner.Prepare(ctx, e.m, ds, miner.Options{
 		MinSupport: e.opts.SupportFloor,
 		ByPackets:  byPackets,
-		MaxLen:     e.opts.MaxLen,
 		Prefilter:  true,
 	})
 	if err != nil {

@@ -9,32 +9,6 @@ import (
 	"repro/internal/itemset"
 )
 
-func TestMaxLenBoundsItemsets(t *testing.T) {
-	scanner := flow.MustParseIP("10.9.9.9")
-	victim := flow.MustParseIP("198.19.0.9")
-	s := gen.Scenario{
-		Background: gen.Background{NumPoPs: 2, FlowsPerBin: 200},
-		Bins:       4, StartTime: coreBase, Seed: 21,
-		Placements: []gen.Placement{
-			{Anomaly: gen.PortScan{Scanner: scanner, Victim: victim, SrcPort: 55548,
-				Ports: 1000, FlowsPerPort: 1, Router: 0}, Bin: 2},
-		},
-	}
-	store, truth := buildScenario(t, s)
-	opts := DefaultOptions()
-	opts.MaxLen = 2
-	ex := MustNew(store, opts)
-	res, err := ex.Extract(t.Context(), &detector.Alarm{Interval: truth.Entries[0].Interval})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range res.Itemsets {
-		if rep.Items.Len() > 2 {
-			t.Fatalf("MaxLen=2 violated: %v", rep.Items)
-		}
-	}
-}
-
 func TestPrefilterFallbackOnThinMeta(t *testing.T) {
 	// Meta pointing at an address with almost no traffic must fall back
 	// to the full interval rather than mining a near-empty candidate set.

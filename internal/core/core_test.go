@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,18 +47,12 @@ func TestOptionsValidation(t *testing.T) {
 	// Explicitly invalid values are errors, uniformly across fields.
 	bad := []Options{
 		{MinItemsets: 5, MaxItemsets: 2},
-		{InitialSupportFraction: 2},
-		{InitialSupportFraction: -0.5},
-		{PacketCoverageMin: 2},
-		{PacketCoverageMin: -1},
 		{MinItemsets: -1},
 		{MaxItemsets: -1},
 		{MaxTuningRounds: -1},
 		{MinCandidates: -3},
-		{MaxLen: -1},
 		{Miner: "no-such-miner"},
-		{InitialSupportFraction: math.NaN()},
-		{PacketCoverageMin: math.NaN()},
+		{Ranking: "no-such-ranking"},
 	}
 	for i, o := range bad {
 		if _, err := New(store, o); err == nil {
@@ -83,9 +78,6 @@ func TestOptionsZeroValuesInheritDefaults(t *testing.T) {
 	if o.MinItemsets != def.MinItemsets || o.MaxItemsets != def.MaxItemsets {
 		t.Errorf("band = [%d,%d], want [%d,%d]", o.MinItemsets, o.MaxItemsets, def.MinItemsets, def.MaxItemsets)
 	}
-	if o.InitialSupportFraction != def.InitialSupportFraction {
-		t.Errorf("InitialSupportFraction = %v, want %v", o.InitialSupportFraction, def.InitialSupportFraction)
-	}
 	if o.SupportFloor != def.SupportFloor {
 		t.Errorf("SupportFloor = %d, want %d", o.SupportFloor, def.SupportFloor)
 	}
@@ -94,6 +86,40 @@ func TestOptionsZeroValuesInheritDefaults(t *testing.T) {
 	}
 	if o.MinCandidates != def.MinCandidates {
 		t.Errorf("MinCandidates = %d, want %d", o.MinCandidates, def.MinCandidates)
+	}
+	if o.Ranking != def.Ranking {
+		t.Errorf("Ranking = %q, want %q", o.Ranking, def.Ranking)
+	}
+}
+
+// TestZeroOptionsArePaperDefaults: Options{} runs the paper's
+// configuration — the meta pre-filter, the packet pass and the baseline
+// filter included — so it extracts exactly what DefaultOptions does.
+func TestZeroOptionsArePaperDefaults(t *testing.T) {
+	def, ok := gen.Lookup("dns-amplification")
+	if !ok {
+		t.Fatal("catalog scenario dns-amplification missing")
+	}
+	store, truth := buildScenario(t, *def.Scenario(1))
+	entry := &truth.Entries[0]
+	alarm := &detector.Alarm{Interval: entry.Interval}
+	for _, it := range entry.Signature {
+		alarm.Meta = append(alarm.Meta, detector.MetaItem{Feature: it.Feature, Value: it.Value})
+	}
+	zero, err := MustNew(store, Options{}).Extract(t.Context(), alarm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := MustNew(store, DefaultOptions()).Extract(t.Context(), alarm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero, paper) {
+		t.Fatalf("Options{} extracted %+v,\nDefaultOptions %+v", zero, paper)
+	}
+	if !zero.Prefiltered || len(zero.Tuning) != 2 || zero.BaselineDropped == 0 {
+		t.Fatalf("test premise broken: prefiltered=%v, %d tuned dimensions, %d baseline drops (want true, 2, > 0)",
+			zero.Prefiltered, len(zero.Tuning), zero.BaselineDropped)
 	}
 }
 
@@ -220,7 +246,7 @@ func TestExtractUDPFloodNeedsPacketSupport(t *testing.T) {
 
 	// Flow-support only (classic Apriori): the 4-flow flood is invisible.
 	opts := DefaultOptions()
-	opts.PacketCoverageMin = 0 // never trigger the packet pass
+	opts.FlowOnly = true
 	exFlow := MustNew(store, opts)
 	resFlow, err := exFlow.Extract(t.Context(), alarm)
 	if err != nil {
@@ -245,7 +271,7 @@ func TestSelfTuningLowersSupport(t *testing.T) {
 	}
 	store, truth := buildScenario(t, s)
 	opts := DefaultOptions()
-	opts.UsePrefilter = false
+	opts.NoPrefilter = true
 	ex := MustNew(store, opts)
 	res, err := ex.Extract(t.Context(), &detector.Alarm{Interval: truth.Entries[0].Interval})
 	if err != nil {
@@ -269,7 +295,7 @@ func TestSelfTuningLowersSupport(t *testing.T) {
 func TestBaselineFilterSuppressesPopularServices(t *testing.T) {
 	// No anomaly at all: everything frequent in the alarm bin is equally
 	// frequent in the baseline bin, so the baseline filter must drop
-	// (most of) it.
+	// some of it.
 	s := gen.Scenario{
 		Background: gen.Background{NumPoPs: 2, FlowsPerBin: 400},
 		Bins:       4, StartTime: coreBase, Seed: 9,
@@ -277,22 +303,12 @@ func TestBaselineFilterSuppressesPopularServices(t *testing.T) {
 	store, truth := buildScenario(t, s)
 	iv := flow.Interval{Start: truth.Span.Start + 2*300, End: truth.Span.Start + 3*300}
 
-	withFilter := MustNew(store, DefaultOptions())
-	resWith, err := withFilter.Extract(t.Context(), &detector.Alarm{Interval: iv})
+	res, err := MustNew(store, DefaultOptions()).Extract(t.Context(), &detector.Alarm{Interval: iv})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	opts := DefaultOptions()
-	opts.BaselineFilter = false
-	without := MustNew(store, opts)
-	resWithout, err := without.Extract(t.Context(), &detector.Alarm{Interval: iv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resWith.Itemsets) >= len(resWithout.Itemsets) && resWith.BaselineDropped == 0 {
-		t.Fatalf("baseline filter dropped nothing on a quiet bin (with=%d without=%d)",
-			len(resWith.Itemsets), len(resWithout.Itemsets))
+	if res.BaselineDropped == 0 {
+		t.Fatalf("baseline filter dropped nothing on a quiet bin (kept %d)", len(res.Itemsets))
 	}
 }
 

@@ -101,8 +101,7 @@ func TestFillSamplesEveryStride(t *testing.T) {
 	})
 	var streamed []uint64
 	opts := DefaultOptions()
-	opts.UsePrefilter = false
-	opts.BaselineFilter = false
+	opts.NoPrefilter = true
 	opts.Progress = func(p Progress) {
 		if p.Phase == PhaseCandidates && p.CandidateFlows > 0 {
 			streamed = append(streamed, p.CandidateFlows)

@@ -60,8 +60,6 @@ func dominantDataset(totalFlows uint64) *itemset.Dataset {
 // at the floor, the loop must record exactly one round and stop.
 func TestTuningFloorReachedRoundOne(t *testing.T) {
 	opts := DefaultOptions()
-	opts.SupportFloor = 10
-	opts.InitialSupportFraction = 0.2
 	ex := tinyExtractor(t, opts)
 
 	// 20 flows: 0.2 × 20 = 4 < floor 10, so InitialMin clamps to the floor.
@@ -86,12 +84,12 @@ func TestTuningFloorReachedRoundOne(t *testing.T) {
 func TestTuningCoverageSatisfiedButBandNot(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SupportFloor = 1
-	opts.InitialSupportFraction = 0.5
 	opts.MinItemsets = 2
 	opts.MaxTuningRounds = 20
 	ex := tinyExtractor(t, opts)
 
-	ds := dominantDataset(1024)
+	// 0.2 × 2560 = 512 flows: the first round's support.
+	ds := dominantDataset(2560)
 	res, tuning, err := ex.mineTuned(t.Context(), ds, false)
 	if err != nil {
 		t.Fatal(err)
@@ -121,11 +119,11 @@ func TestTuningCoverageSatisfiedButBandNot(t *testing.T) {
 func TestTuningMaxRoundsExhaustion(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SupportFloor = 1
-	opts.InitialSupportFraction = 1
 	opts.MaxTuningRounds = 3
 	ex := tinyExtractor(t, opts)
 
-	ds := uniformDataset(2, 4096)
+	// 0.2 × 20480 = 4096 flows: the first round's support.
+	ds := uniformDataset(2, 20480)
 	_, tuning, err := ex.mineTuned(t.Context(), ds, false)
 	if err != nil {
 		t.Fatal(err)
@@ -335,9 +333,7 @@ func TestBaselineFilterMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		opts := DefaultOptions()
-		opts.BaselineFilter = false
-		// No ranking cut: the unfiltered report is the full list the
-		// filter sees inside Extract.
+		// No ranking cut: Extract reports every row the filter keeps.
 		opts.MaxItemsets = 1000
 		ex, err := New(tc.store, opts)
 		if err != nil {
@@ -346,19 +342,16 @@ func TestBaselineFilterMatchesOracle(t *testing.T) {
 		list, ds := tc.list, tc.ds
 		var alarm *detector.Alarm
 		if list == nil {
+			// The unfiltered report: the list the filter sees inside
+			// Extract.
 			alarm = &detector.Alarm{Interval: tc.iv}
-			res, err := ex.Extract(t.Context(), alarm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range res.Itemsets {
-				list = append(list, &res.Itemsets[i])
-			}
 			if ds, _, err = ex.candidates(t.Context(), alarm); err != nil {
 				t.Fatal(err)
 			}
+			if list, _, err = ex.mine(t.Context(), ds); err != nil {
+				t.Fatal(err)
+			}
 		}
-		ex.opts.BaselineFilter = true
 		kept, dropped, err := ex.baselineFilter(t.Context(), tc.iv, ds, list)
 		if err != nil {
 			t.Fatal(err)

@@ -166,8 +166,7 @@ func RunUDPFloodSweep(workDir string, floodFlows []int, packetsPerFlow uint64, s
 	src := flow.MustParseIP("10.55.55.55")
 	dst := flow.MustParseIP("198.19.0.77")
 	srcItem := itemset.NewItem(flow.FeatSrcIP, uint32(src))
-	flowOnly := core.DefaultOptions()
-	flowOnly.PacketCoverageMin = 0 // classic Apriori: no packet pass
+	flowOnly := core.Options{FlowOnly: true} // classic Apriori: no packet pass
 	var rows []SweepRow
 	for i, nf := range floodFlows {
 		scenario := &gen.Scenario{
@@ -179,7 +178,7 @@ func RunUDPFloodSweep(workDir string, floodFlows []int, packetsPerFlow uint64, s
 			},
 		}
 		res, err := extractPrimary(fmt.Sprintf("%s/sweep-%03d", workDir, i), scenario,
-			detector.Alarm{}, flowOnly, core.DefaultOptions())
+			detector.Alarm{}, flowOnly, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -230,8 +229,7 @@ func RunTuningAblation(workDir string, intensities []float64, seed uint64) ([]Tu
 	scanner := flow.MustParseIP("10.9.9.9")
 	victim := flow.MustParseIP("198.19.0.50")
 	srcItem := itemset.NewItem(flow.FeatSrcIP, uint32(scanner))
-	tuned := core.DefaultOptions()
-	tuned.UsePrefilter = false
+	tuned := core.Options{NoPrefilter: true}
 	fixed := tuned
 	fixed.MaxTuningRounds = 1 // no halving: the initial support is final
 	var rows []TuningRow

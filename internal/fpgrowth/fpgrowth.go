@@ -117,13 +117,12 @@ func sortPaths(paths []path, width int) []path {
 // value), and each row as its rank path. It is read-only after Prepare,
 // so MineAt calls and their workers share it.
 type prepared struct {
-	floor  uint64
-	maxLen int
-	items  []itemset.Item // by rank
-	sups   []uint64       // by rank, non-increasing
-	paths  []path         // sorted by comparePaths, distinct
-	total  uint64
-	lift   map[itemset.Item]uint64 // kept items' supports when the lift cut runs, else nil
+	floor uint64
+	items []itemset.Item // by rank
+	sups  []uint64       // by rank, non-increasing
+	paths []path         // sorted by comparePaths, distinct
+	total uint64
+	lift  map[itemset.Item]uint64 // kept items' supports when the lift cut runs, else nil
 }
 
 // Prepare does the support-independent work once for ds in the
@@ -139,10 +138,7 @@ func (m Miner) Prepare(ctx context.Context, ds *itemset.Dataset, opts Options) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := &prepared{floor: opts.MinSupport, maxLen: opts.MaxLen, total: ds.Total(opts.ByPackets)}
-	if p.maxLen <= 0 || p.maxLen > flow.NumFeatures {
-		p.maxLen = flow.NumFeatures
-	}
+	p := &prepared{floor: opts.MinSupport, total: ds.Total(opts.ByPackets)}
 	prefilter := m.fda && opts.Prefilter
 
 	// Pass 1: number the distinct items in first-seen order, sum their
@@ -492,12 +488,12 @@ func (wk *worker) mineTree(ctx context.Context, t *tree, suffix itemset.Set, dep
 	return nil
 }
 
-// mineItem emits suffix ∪ {rank r} and, while the set is shorter than
-// maxLen, everything mined from r's conditional tree.
+// mineItem emits suffix ∪ {rank r} and, while the set leaves a feature
+// unnamed, everything mined from r's conditional tree.
 func (wk *worker) mineItem(ctx context.Context, t *tree, suffix itemset.Set, r int32, depth int, out *[]itemset.Frequent) error {
 	set := suffix.Union(itemset.Set{wk.p.items[r]})
 	*out = append(*out, itemset.Frequent{Items: set, Support: t.sup[r]})
-	if len(set) >= wk.p.maxLen {
+	if len(set) == flow.NumFeatures {
 		return nil
 	}
 	if wk.conds[depth] == nil {

@@ -119,27 +119,6 @@ func TestMatchesAprioriByPackets(t *testing.T) {
 	}
 }
 
-func TestMaxLenAgreement(t *testing.T) {
-	ds := randomDataset(9, 120)
-	for maxLen := 1; maxLen <= 5; maxLen++ {
-		opts := Options{MinSupport: 4, MaxLen: maxLen}
-		fp, err := Miner{}.Mine(t.Context(), ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ap, err := apriori.Mine(t.Context(), ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, fp, ap, "maxlen")
-		for _, fr := range fp {
-			if fr.Items.Len() > maxLen {
-				t.Fatalf("MaxLen=%d violated: %v", maxLen, fr)
-			}
-		}
-	}
-}
-
 func TestZeroSupportRejected(t *testing.T) {
 	ds := randomDataset(1, 10)
 	if _, err := (Miner{}).Mine(t.Context(), ds, Options{MinSupport: 0}); err != apriori.ErrZeroSupport {

@@ -25,9 +25,11 @@ type Def struct {
 	// paper's 6% failure class.
 	ExpectFail bool
 	// Bins and AnomalyBin define the geometry; zero values inherit 12
-	// bins with the anomaly placed at bin 6 — enough baseline history
-	// for every registered detector (the PCA subspace method needs at
-	// least 8 bins).
+	// bins with the anomaly placed at bin 6. That is enough baseline
+	// history for the PCA subspace method (at least 8 bins) but not for
+	// the histogram detector, whose first 12 bins only train its
+	// reference: on the default geometry it never alarms, and the
+	// evaluation falls back to a synthesized alarm.
 	Bins       int
 	AnomalyBin int
 	// Background overrides the catalog default background (nil keeps

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,16 +61,6 @@ func (t *Trace) Span() flow.Interval {
 		Start: t.Records[0].Start,
 		End:   t.Records[len(t.Records)-1].Start + 1,
 	}
-}
-
-// ReadTraceFile reads and parses a trace dump from disk.
-func ReadTraceFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("gen: trace: %w", err)
-	}
-	defer f.Close()
-	return ReadTrace(f)
 }
 
 // ReadTrace parses a flow dump, sniffing the format from the leading

@@ -32,9 +32,6 @@ type Options struct {
 	// Apriori over flow transactions, as in the IMC'09 paper), true counts
 	// packets (the extension this paper adds for low-flow floods).
 	ByPackets bool
-	// MaxLen bounds the itemset length; 0 means no bound (i.e. up to
-	// flow.NumFeatures).
-	MaxLen int
 	// Prefilter enables per-item statistical pruning, honoured only by the
 	// miner registered as "fda" (it drops items whose weight does not
 	// clear the Significance z-score against a uniform spread over their
@@ -57,35 +54,6 @@ var ErrZeroSupport = errors.New("miner: MinSupport must be >= 1")
 func (o *Options) Validate() error {
 	if o.MinSupport == 0 {
 		return ErrZeroSupport
-	}
-	return nil
-}
-
-// IntOption normalizes one non-negative integer option under the shared
-// zero-inherits-default contract: a negative value is an explicit error,
-// zero inherits def, anything else is kept. pkg and field name the option
-// in the error ("core: MinItemsets must be >= 0, got -1").
-func IntOption(pkg, field string, v *int, def int) error {
-	if *v < 0 {
-		return fmt.Errorf("%s: %s must be >= 0, got %d", pkg, field, *v)
-	}
-	if *v == 0 {
-		*v = def
-	}
-	return nil
-}
-
-// FloatOption normalizes one float option under the same contract: zero
-// inherits def, and the resulting value must satisfy valid. Write valid
-// in positive form (v > 0, not !(v <= 0)) so NaN — which compares false
-// to everything — fails it too; want describes the accepted range for
-// the error message.
-func FloatOption(pkg, field string, v *float64, def float64, valid func(float64) bool, want string) error {
-	if *v == 0 {
-		*v = def
-	}
-	if !valid(*v) {
-		return fmt.Errorf("%s: %s must be %s, got %v", pkg, field, want, *v)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -124,8 +123,8 @@ func assertIdentical(t *testing.T, label string, want, got []itemset.Frequent) {
 
 // TestCrossMinerProperty pins every registered miner to identical
 // canonical output — both the full frequent set and the maximal
-// reduction, in both support dimensions, across MaxLen bounds — on 120
-// random weighted datasets.
+// reduction, in both support dimensions — on 120 random weighted
+// datasets.
 func TestCrossMinerProperty(t *testing.T) {
 	names := miner.Names()
 	if len(names) < 2 {
@@ -149,8 +148,7 @@ func TestCrossMinerProperty(t *testing.T) {
 		if byPackets {
 			minSup *= 25
 		}
-		maxLen := rng.Intn(flow.NumFeatures + 1) // 0 = unbounded
-		opts := miner.Options{MinSupport: minSup, ByPackets: byPackets, MaxLen: maxLen}
+		opts := miner.Options{MinSupport: minSup, ByPackets: byPackets}
 		label := fmt.Sprintf("seed=%d opts=%+v", seed, opts)
 
 		ref, err := miners[0].Mine(t.Context(), ds, opts)
@@ -363,7 +361,7 @@ func distinctValues(sup map[itemset.Item]itemset.DualSupport, f flow.Feature) in
 
 // TestOptionsValidate is the contract test for the option validator:
 // zero support is the one invalid value, and valid options pass through
-// unchanged (zero MaxLen stays "no bound", zero ByPackets counts flows).
+// unchanged (zero ByPackets counts flows).
 func TestOptionsValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -372,7 +370,7 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{name: "zero support", opts: miner.Options{}, wantErr: miner.ErrZeroSupport},
 		{name: "zeros inherit defaults", opts: miner.Options{MinSupport: 1}},
-		{name: "explicit values kept", opts: miner.Options{MinSupport: 3, ByPackets: true, MaxLen: 2, Prefilter: true}},
+		{name: "explicit values kept", opts: miner.Options{MinSupport: 3, ByPackets: true, Prefilter: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -384,36 +382,6 @@ func TestOptionsValidate(t *testing.T) {
 				t.Fatalf("Validate() changed the options: %+v, want %+v", opts, tc.opts)
 			}
 		})
-	}
-}
-
-// TestSharedValidators covers the exported helpers core's validate is
-// built on.
-func TestSharedValidators(t *testing.T) {
-	v := 0
-	if err := miner.IntOption("pkg", "F", &v, 7); err != nil || v != 7 {
-		t.Fatalf("IntOption zero: v=%d err=%v, want 7/nil", v, err)
-	}
-	v = -1
-	if err := miner.IntOption("pkg", "F", &v, 7); err == nil {
-		t.Fatal("IntOption negative: want error")
-	}
-	v = 3
-	if err := miner.IntOption("pkg", "F", &v, 7); err != nil || v != 3 {
-		t.Fatalf("IntOption explicit: v=%d err=%v, want 3/nil", v, err)
-	}
-	in01 := func(x float64) bool { return x > 0 && x <= 1 }
-	f := 0.0
-	if err := miner.FloatOption("pkg", "F", &f, 0.5, in01, "in (0,1]"); err != nil || f != 0.5 {
-		t.Fatalf("FloatOption zero: f=%v err=%v, want 0.5/nil", f, err)
-	}
-	f = 2.0
-	if err := miner.FloatOption("pkg", "F", &f, 0.5, in01, "in (0,1]"); err == nil {
-		t.Fatal("FloatOption out of range: want error")
-	}
-	f = math.NaN()
-	if err := miner.FloatOption("pkg", "F", &f, 0.5, in01, "in (0,1]"); err == nil {
-		t.Fatal("FloatOption NaN: want error (positive-form predicate)")
 	}
 }
 
@@ -497,8 +465,8 @@ func TestCrossMinerCancellation(t *testing.T) {
 
 // TestPreparedMatchesMine pins miner.Prepare to Mine on the cross-miner
 // battery's 120 datasets. For the FP-growth engine (under "fda", whose
-// pre-filter off is the "fpgrowth" path), one Prepared per dimension,
-// MaxLen in {0, 2} and pre-filter off/on, mined along the self-tuning
+// pre-filter off is the "fpgrowth" path), one Prepared per dimension
+// and pre-filter off/on, mined along the self-tuning
 // loop's halving sequence from 20% of the total down to the floor, equals
 // a fresh Mine at each support and, with the pre-filter off, apriori's —
 // which also runs through the adapter miner.Prepare gives a miner without
@@ -523,43 +491,41 @@ func TestPreparedMatchesMine(t *testing.T) {
 			if byPackets {
 				floor *= 25 // the battery's packet scale
 			}
-			for _, maxLen := range []int{0, 2} {
-				for _, prefilter := range []bool{false, true} {
-					opts := miner.Options{MinSupport: floor, ByPackets: byPackets, MaxLen: maxLen, Prefilter: prefilter}
-					label := fmt.Sprintf("seed=%d opts=%+v", seed, opts)
-					p, err := miner.Prepare(t.Context(), m, ds, opts)
+			for _, prefilter := range []bool{false, true} {
+				opts := miner.Options{MinSupport: floor, ByPackets: byPackets, Prefilter: prefilter}
+				label := fmt.Sprintf("seed=%d opts=%+v", seed, opts)
+				p, err := miner.Prepare(t.Context(), m, ds, opts)
+				if err != nil {
+					t.Fatalf("%s: Prepare: %v", label, err)
+				}
+				refP, err := miner.Prepare(t.Context(), ref, ds, opts)
+				if err != nil {
+					t.Fatalf("%s: apriori Prepare: %v", label, err)
+				}
+				for _, prep := range []miner.Prepared{p, refP} {
+					if _, err := prep.MineAt(t.Context(), floor-1); !errors.Is(err, miner.ErrBelowFloor) {
+						t.Fatalf("%s: MineAt below the floor: got %v, want ErrBelowFloor", label, err)
+					}
+				}
+				for _, minSup := range halvings(ds.Total(byPackets), floor) {
+					got, err := p.MineAt(t.Context(), minSup)
 					if err != nil {
-						t.Fatalf("%s: Prepare: %v", label, err)
+						t.Fatalf("%s: MineAt(%d): %v", label, minSup, err)
 					}
-					refP, err := miner.Prepare(t.Context(), ref, ds, opts)
+					at := opts
+					at.MinSupport = minSup
+					want, err := m.Mine(t.Context(), ds, at)
 					if err != nil {
-						t.Fatalf("%s: apriori Prepare: %v", label, err)
+						t.Fatalf("%s: Mine(%d): %v", label, minSup, err)
 					}
-					for _, prep := range []miner.Prepared{p, refP} {
-						if _, err := prep.MineAt(t.Context(), floor-1); !errors.Is(err, miner.ErrBelowFloor) {
-							t.Fatalf("%s: MineAt below the floor: got %v, want ErrBelowFloor", label, err)
-						}
+					assertIdentical(t, fmt.Sprintf("%s MineAt(%d) vs Mine", label, minSup), want, got)
+					if prefilter {
+						continue
 					}
-					for _, minSup := range halvings(ds.Total(byPackets), floor) {
-						got, err := p.MineAt(t.Context(), minSup)
-						if err != nil {
-							t.Fatalf("%s: MineAt(%d): %v", label, minSup, err)
-						}
-						at := opts
-						at.MinSupport = minSup
-						want, err := m.Mine(t.Context(), ds, at)
-						if err != nil {
-							t.Fatalf("%s: Mine(%d): %v", label, minSup, err)
-						}
-						assertIdentical(t, fmt.Sprintf("%s MineAt(%d) vs Mine", label, minSup), want, got)
-						if prefilter {
-							continue
-						}
-						if want, err = refP.MineAt(t.Context(), minSup); err != nil {
-							t.Fatal(err)
-						}
-						assertIdentical(t, fmt.Sprintf("%s MineAt(%d) vs apriori", label, minSup), want, got)
+					if want, err = refP.MineAt(t.Context(), minSup); err != nil {
+						t.Fatal(err)
 					}
+					assertIdentical(t, fmt.Sprintf("%s MineAt(%d) vs apriori", label, minSup), want, got)
 				}
 			}
 		}

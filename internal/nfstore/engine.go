@@ -40,11 +40,9 @@ type Engine interface {
 	Summaries(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) ([]BinSummary, error)
 	TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, feat flow.Feature, weight Weight, k int) ([]KeyCount, error)
 
-	// Observability and tuning.
+	// Observability.
 	Stats() Stats
 	ResetStats()
-	SetParallelism(k int)
-	Parallelism() int
 	SegmentFormat() uint16
 	SegmentFormats() (map[uint16]int, error)
 }

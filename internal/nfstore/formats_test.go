@@ -80,9 +80,9 @@ func TestCrossFormatEquivalence(t *testing.T) {
 				trial, f, iv, len(want), len(ref))
 		}
 
-		v2.SetParallelism(4)
+		v2.par.Store(4)
 		got, err := v2.Records(t.Context(), iv, f)
-		v2.SetParallelism(0)
+		v2.par.Store(0)
 		if err != nil {
 			t.Fatalf("trial %d filter %v: %v", trial, f, err)
 		}

@@ -102,21 +102,8 @@ func (s *Store) ResetStats() {
 	s.stats.blocksAggregated.Store(0)
 }
 
-// SetParallelism bounds the number of segments a query scans concurrently:
-// 1 forces serial scans, 0 restores the automatic choice
-// (min(GOMAXPROCS, 8)). Safe to call concurrently with queries; a running
-// query keeps the value it started with.
-func (s *Store) SetParallelism(k int) {
-	if k < 0 {
-		k = 0
-	}
-	s.par.Store(int32(k))
-}
-
-// Parallelism returns the effective worker bound for the next query.
-func (s *Store) Parallelism() int { return s.queryParallelism() }
-
-// queryParallelism resolves the configured parallelism to a worker count.
+// queryParallelism is how many segments a query scans concurrently:
+// min(GOMAXPROCS, 8), unless an in-package test pinned par.
 func (s *Store) queryParallelism() int {
 	if k := s.par.Load(); k > 0 {
 		return int(k)

@@ -112,10 +112,10 @@ func randFilterNode(rng *rand.Rand, depth int) nffilter.Node {
 func collectSerialUnpruned(t *testing.T, s *Store, iv flow.Interval, f *nffilter.Filter) []flow.Record {
 	t.Helper()
 	s.SetPruning(false)
-	s.SetParallelism(1)
+	s.par.Store(1)
 	defer func() {
 		s.SetPruning(true)
-		s.SetParallelism(0)
+		s.par.Store(0)
 	}()
 	recs, err := s.Records(t.Context(), iv, f)
 	if err != nil {
@@ -142,9 +142,9 @@ func TestQueryPrunedParallelEquivalence(t *testing.T) {
 
 		want := collectSerialUnpruned(t, s, iv, f)
 
-		s.SetParallelism(4)
+		s.par.Store(4)
 		got, err := s.Records(t.Context(), iv, f)
-		s.SetParallelism(0)
+		s.par.Store(0)
 		if err != nil {
 			t.Fatalf("trial %d filter %v: %v", trial, f, err)
 		}
@@ -191,7 +191,7 @@ func TestAggregationsEquivalence(t *testing.T) {
 		}
 
 		s.SetPruning(false)
-		s.SetParallelism(1)
+		s.par.Store(1)
 		wantTop, err := s.TopN(t.Context(), iv, f, flow.FeatDstPort, ByPackets, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +201,7 @@ func TestAggregationsEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetPruning(true)
-		s.SetParallelism(3)
+		s.par.Store(3)
 
 		gotTop, err := s.TopN(t.Context(), iv, f, flow.FeatDstPort, ByPackets, 5)
 		if err != nil {
@@ -211,7 +211,7 @@ func TestAggregationsEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetParallelism(0)
+		s.par.Store(0)
 
 		if fmt.Sprint(gotTop) != fmt.Sprint(wantTop) {
 			t.Fatalf("trial %d filter %v: TopN\n got %v\nwant %v", trial, f, gotTop, wantTop)
@@ -300,8 +300,8 @@ func TestPruningObservable(t *testing.T) {
 // reused-record contract under the parallel merger.
 func TestParallelEarlyStopAndReuse(t *testing.T) {
 	s := cancelStore(t, 4, 2000)
-	s.SetParallelism(4)
-	defer s.SetParallelism(0)
+	s.par.Store(4)
+	defer s.par.Store(0)
 
 	n := 0
 	var ptrs map[*flow.Record]bool

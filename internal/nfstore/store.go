@@ -51,7 +51,7 @@ type storeMeta struct {
 // flush time and rebuilt lazily for pre-index stores) that queries use to
 // prune segments a filter provably cannot match and to answer aggregations
 // without scanning; surviving segments are scanned by a bounded worker
-// pool (SetParallelism) whose results merge back in bin order. Stats
+// pool (min(GOMAXPROCS, 8) wide) whose results merge back in bin order. Stats
 // exposes counters for all of it.
 type Store struct {
 	dir        string
@@ -61,7 +61,7 @@ type Store struct {
 	open   map[uint32]*segWriter // open segment writers by bin start
 	onSeal func(bin uint32)      // fired after each successful Seal (see seal.go)
 
-	par       atomic.Int32  // query parallelism (0 = auto)
+	par       atomic.Int32  // query parallelism pinned by tests (0 = auto)
 	pruneOff  atomic.Bool   // zone-map pruning disabled
 	zmc       zmCache       // decoded sidecars by bin (bounded LRU)
 	stats     storeStats    // scan counters
@@ -388,8 +388,9 @@ const ctxCheckStride = 1024
 //
 // Segments whose zone-map sidecar proves the filter cannot match are
 // skipped without being opened, and surviving segments are scanned
-// concurrently (SetParallelism) with results merged back in bin order —
-// fn observes exactly the sequence a serial scan would produce.
+// concurrently (min(GOMAXPROCS, 8) at a time) with results merged back
+// in bin order — fn observes exactly the sequence a serial scan would
+// produce.
 func (s *Store) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -113,7 +113,7 @@ type ShardedStore struct {
 	// locals[i] is the in-process store behind shards[i], nil for remote
 	// shards. Either all shards are local or all are remote.
 	locals   []*nfstore.Store
-	par      atomic.Int32
+	par      atomic.Int32 // fan-out pinned by tests (0 = auto)
 	degraded atomic.Bool
 
 	sealMu sync.Mutex
@@ -204,8 +204,7 @@ var _ nfstore.Engine = (*ShardedStore)(nil)
 func (st *ShardedStore) Manifest() Manifest { return st.manifest }
 
 // LocalStores returns the in-process stores behind the shards, in shard
-// order, or nil when the shards are remote. Benchmarks use it to pin
-// per-shard parallelism; tools use it for maintenance (migration).
+// order, or nil when the shards are remote.
 func (st *ShardedStore) LocalStores() []*nfstore.Store { return st.locals }
 
 // SetDegraded toggles degraded reads: when on, a scatter-gather read
@@ -217,28 +216,16 @@ func (st *ShardedStore) SetDegraded(on bool) { st.degraded.Store(on) }
 // BinSeconds returns the measurement bin width shared by every shard.
 func (st *ShardedStore) BinSeconds() uint32 { return st.manifest.BinSeconds }
 
-// fanout resolves the configured fan-out bound (SetParallelism) to a
-// worker count.
+// fanout is how many shards (for aggregations) or shard-bin cells (for
+// Query) are in flight concurrently: min(GOMAXPROCS, 8), unless an
+// in-package test pinned par. Each shard's own scan width is its
+// store's.
 func (st *ShardedStore) fanout() int {
 	if k := st.par.Load(); k > 0 {
 		return int(k)
 	}
 	return min(runtime.GOMAXPROCS(0), maxAutoFanout)
 }
-
-// SetParallelism bounds how many shards (for aggregations) or shard-bin
-// cells (for Query) are in flight concurrently: 1 forces serial
-// fan-out, 0 restores the automatic choice. Per-shard internal scan
-// parallelism is the shards' own setting (LocalStores).
-func (st *ShardedStore) SetParallelism(k int) {
-	if k < 0 {
-		k = 0
-	}
-	st.par.Store(int32(k))
-}
-
-// Parallelism returns the effective fan-out bound for the next read.
-func (st *ShardedStore) Parallelism() int { return st.fanout() }
 
 // shardFor routes a record to its shard index.
 func (st *ShardedStore) shardFor(r *flow.Record) int {

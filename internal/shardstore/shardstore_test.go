@@ -149,7 +149,7 @@ func TestShardedParity(t *testing.T) {
 					// Force the parallel cell merge regardless of host core
 					// count — the serial path is covered by the v1 runs.
 					if format == nfstore.FormatV2 {
-						sharded.SetParallelism(4)
+						sharded.par.Store(4)
 					}
 					for _, expr := range filters {
 						filter := mustFilter(t, expr)
@@ -305,7 +305,7 @@ func TestShardedOpenRoundTrip(t *testing.T) {
 func TestShardedQueryEarlyStop(t *testing.T) {
 	recs := genRecords(3, 1000, 4*testBinSec)
 	_, sharded := buildPair(t, recs, 4, PartitionHash, nfstore.FormatV2)
-	sharded.SetParallelism(4) // exercise the parallel merge path
+	sharded.par.Store(4) // exercise the parallel merge path
 	seen := 0
 	err := sharded.Query(context.Background(), flow.Interval{Start: 0, End: 4 * testBinSec}, nil,
 		func(*flow.Record) error {
@@ -486,7 +486,7 @@ func TestFailureAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetParallelism(3)
+	st.par.Store(3)
 	iv := flow.Interval{Start: 0, End: testBinSec}
 
 	_, _, _, err = st.Count(context.Background(), iv, nil)
@@ -554,7 +554,7 @@ func TestDegradedPartialFailureSameRowsAtAnyFanout(t *testing.T) {
 	st.SetDegraded(true)
 	var runs [][]flow.Record
 	for _, k := range []int{1, 3} {
-		st.SetParallelism(k)
+		st.par.Store(int32(k))
 		got, err := st.Records(context.Background(), flow.Interval{Start: 0, End: testBinSec}, nil)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)

@@ -39,42 +39,6 @@ func (w *Welford) Var() float64 {
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]; larger alpha forgets faster.
-type EWMA struct {
-	alpha  float64
-	value  float64
-	primed bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor. alpha outside
-// (0, 1] is clamped into range.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 {
-		alpha = 0.01
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add feeds one observation; the first observation primes the average.
-func (e *EWMA) Add(x float64) {
-	if !e.primed {
-		e.value = x
-		e.primed = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average (0 before priming).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one observation has been fed.
-func (e *EWMA) Primed() bool { return e.primed }
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
 // interpolation on a sorted copy. It returns NaN for an empty slice.
 func Quantile(xs []float64, q float64) float64 {

@@ -52,35 +52,6 @@ func TestWelfordMatchesDirectComputation(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Primed() {
-		t.Fatal("fresh EWMA must not be primed")
-	}
-	e.Add(10)
-	if !e.Primed() || e.Value() != 10 {
-		t.Fatalf("first Add must prime: %v", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Fatalf("EWMA(0.5) after 10,20 = %v, want 15", e.Value())
-	}
-	// Clamping.
-	if NewEWMA(-1).alpha <= 0 || NewEWMA(5).alpha > 1 {
-		t.Fatal("alpha must be clamped into (0,1]")
-	}
-}
-
-func TestEWMAConvergence(t *testing.T) {
-	e := NewEWMA(0.2)
-	for i := 0; i < 200; i++ {
-		e.Add(7)
-	}
-	if math.Abs(e.Value()-7) > 1e-9 {
-		t.Fatalf("EWMA of constant stream = %v", e.Value())
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{

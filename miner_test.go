@@ -108,12 +108,8 @@ func TestWithMinerUnknownRejected(t *testing.T) {
 	if _, err := sys.Extract(t.Context(), id, rootcause.WithMiner("frobnicator")); err == nil {
 		t.Fatal("unknown miner must be rejected")
 	}
-	// Config-level unknown miner fails at Open/Create.
-	opts := rootcause.DefaultExtractionOptions()
-	opts.Miner = "frobnicator"
-	if _, err := rootcause.Create(rootcause.Config{
-		StoreDir: filepath.Join(t.TempDir(), "s"), Extraction: &opts,
-	}); err == nil {
-		t.Fatal("unknown config miner must be rejected at assembly")
+	// Submit validates the per-call options while the caller waits.
+	if _, err := sys.Submit(rootcause.JobRequest{AlarmID: id}, rootcause.WithMiner("frobnicator")); err == nil {
+		t.Fatal("unknown miner must fail the submission")
 	}
 }

@@ -76,8 +76,8 @@
 // segments a filter provably cannot match are skipped unopened, the
 // survivors are scanned by a bounded worker pool whose results merge back
 // in bin order, and whole-segment aggregations are answered from the
-// sidecars alone. WithQueryParallelism (at Create/Open) bounds the pool;
-// QueryStats exposes the pruning counters. Stores written before the
+// sidecars alone. The pool is min(GOMAXPROCS, 8) wide; QueryStats
+// exposes the pruning counters. Stores written before the
 // sidecar format existed upgrade themselves lazily as they are scanned.
 //
 // See examples/ for runnable end-to-end programs and DESIGN.md for the
@@ -214,17 +214,16 @@ type Option func(*callOptions)
 
 // callOptions is the resolved per-call configuration.
 type callOptions struct {
-	extraction       *ExtractionOptions
-	miner            string
-	ranking          string
-	queryParallelism int
-	progress         core.ProgressFunc
-	batchSink        func(ExtractResult)
-	transientJob     bool
-	jobWorkers       int
-	jobQueueDepth    int
-	resultTTL        time.Duration
-	segmentFormat    uint16
+	extraction    *ExtractionOptions
+	miner         string
+	ranking       string
+	progress      core.ProgressFunc
+	batchSink     func(ExtractResult)
+	transientJob  bool
+	jobWorkers    int
+	jobQueueDepth int
+	resultTTL     time.Duration
+	segmentFormat uint16
 	// Sharding / cluster-mode construction options (see WithShards,
 	// WithPeers).
 	shards        int
@@ -238,8 +237,9 @@ type callOptions struct {
 	extractFn func(ctx context.Context, a *Alarm) (*Result, error)
 }
 
-// WithExtractionOptions overrides the system's extraction engine options
-// for one Extract/ExtractAlarm/Submit call.
+// WithExtractionOptions sets the extraction engine options for one
+// Extract/ExtractAlarm/ExtractIncident/Submit call; without it the call
+// runs the paper's configuration (DefaultExtractionOptions).
 func WithExtractionOptions(opts ExtractionOptions) Option {
 	return func(o *callOptions) { o.extraction = &opts }
 }
@@ -270,15 +270,6 @@ const (
 // call with an error listing the valid ones.
 func WithRanking(mode string) Option {
 	return func(o *callOptions) { o.ranking = mode }
-}
-
-// WithQueryParallelism bounds how many flow-store segments one query scans
-// concurrently: 1 forces serial scans, 0 (the default) picks
-// min(GOMAXPROCS, 8). It is a construction option — pass it to Create or
-// Open, where it configures the system's store; every candidate scan,
-// drill-down and detector sweep then uses that bound.
-func WithQueryParallelism(k int) Option {
-	return func(o *callOptions) { o.queryParallelism = k }
 }
 
 // WithSegmentFormat selects the on-disk format for segments the store
@@ -400,25 +391,22 @@ type Config struct {
 	BinSeconds uint32
 	// AlarmDBPath persists alarms as JSON; empty keeps alarms in memory.
 	AlarmDBPath string
-	// Extraction overrides the extraction engine options (nil = default).
-	Extraction *ExtractionOptions
 }
 
 // System is the assembled root-cause analysis system of Figure 1.
 type System struct {
 	store  nfstore.Engine
 	alarms *alarmdb.DB
-	ex     *core.Extractor
-	exOpts core.Options  // the system's base extraction options
-	jobs   *jobs.Manager // the async extraction-job manager
-	live   *liveState    // the streaming pipeline + watcher (nil: batch only)
+	ex     *core.Extractor // the paper's configuration
+	jobs   *jobs.Manager   // the async extraction-job manager
+	live   *liveState      // the streaming pipeline + watcher (nil: batch only)
 }
 
 // Create initializes a new system with a fresh flow store in
 // cfg.StoreDir — a single directory, or (with WithShards) a
-// horizontally sharded store. Construction options
-// (WithQueryParallelism, WithSegmentFormat, WithShards) configure the
-// assembled system; per-call options are ignored here.
+// horizontally sharded store. Construction options (WithSegmentFormat,
+// WithShards) configure the assembled system; per-call options are
+// ignored here.
 func Create(cfg Config, opts ...Option) (*System, error) {
 	o := resolveOptions(opts)
 	format := o.segmentFormat
@@ -444,7 +432,7 @@ func Create(cfg Config, opts ...Option) (*System, error) {
 // single directory or a sharded store, auto-detected from its shard
 // manifest), or — with WithPeers — a read-only cluster of remote rcad
 // shards, in which case cfg.StoreDir is ignored. Construction options
-// (WithQueryParallelism) configure the assembled system.
+// (WithPeers, WithDegradedReads) configure the assembled system.
 func Open(cfg Config, opts ...Option) (*System, error) {
 	o := resolveOptions(opts)
 	var (
@@ -469,9 +457,6 @@ func Open(cfg Config, opts ...Option) (*System, error) {
 // assemble builds the system over an opened store from the already
 // resolved construction options.
 func assemble(store nfstore.Engine, cfg Config, o *callOptions) (*System, error) {
-	if o.queryParallelism > 0 {
-		store.SetParallelism(o.queryParallelism)
-	}
 	// Store-type-specific tuning goes through optional interfaces: a
 	// sharded store fans these out, a remote cluster rejects writes.
 	if o.segmentFormat != 0 {
@@ -498,21 +483,12 @@ func assemble(store nfstore.Engine, cfg Config, o *callOptions) (*System, error)
 	} else {
 		db = alarmdb.New()
 	}
-	opts := core.DefaultOptions()
-	if cfg.Extraction != nil {
-		opts = *cfg.Extraction
-	}
-	ex, err := core.New(store, opts)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
 	mgr := jobs.New(jobs.Config{
 		Workers:    o.jobWorkers,
 		QueueDepth: o.jobQueueDepth,
 		ResultTTL:  o.resultTTL,
 	})
-	sys := &System{store: store, alarms: db, ex: ex, exOpts: opts, jobs: mgr}
+	sys := &System{store: store, alarms: db, ex: core.MustNew(store, core.Options{}), jobs: mgr}
 	if o.live != nil {
 		if err := sys.startLive(*o.live); err != nil {
 			mgr.Close()
@@ -616,8 +592,8 @@ type extractFunc func(ctx context.Context, a *Alarm) (*Result, error)
 
 // extractFn returns the extraction function for one call: the test
 // seam when set, the system's engine, or a fresh engine when
-// WithExtractionOptions, WithMiner, WithRanking or WithProgress override
-// the configuration (an unknown miner or ranking fails here).
+// WithExtractionOptions, WithMiner, WithRanking or WithProgress set the
+// configuration (an unknown miner or ranking fails here).
 func (s *System) extractFn(o *callOptions) (extractFunc, error) {
 	switch {
 	case o.extractFn != nil:
@@ -625,7 +601,7 @@ func (s *System) extractFn(o *callOptions) (extractFunc, error) {
 	case o.extraction == nil && o.miner == "" && o.ranking == "" && o.progress == nil:
 		return s.ex.Extract, nil
 	}
-	opts := s.exOpts
+	var opts core.Options
 	if o.extraction != nil {
 		opts = *o.extraction
 	}
