@@ -3,6 +3,10 @@ package apriori
 import (
 	"context"
 	"errors"
+	"maps"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -281,5 +285,169 @@ func TestMineCancelled(t *testing.T) {
 	}
 	if _, err := miner.MineMaximal(ctx, Miner{}, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MineMaximal err = %v, want context.Canceled", err)
+	}
+}
+
+// halvings is the self-tuning loop's support sequence over a dataset
+// total: 20% of it (at least floor), halved and clamped until the floor.
+func halvings(total, floor uint64) []uint64 {
+	minSup := max(total/5, floor)
+	seq := []uint64{minSup}
+	for minSup > floor {
+		minSup = max(minSup/2, floor)
+		seq = append(seq, minSup)
+	}
+	return seq
+}
+
+// skewedDataset draws every feature value from a skewed spread over up to
+// 16 values, so item supports range from most of the dataset down to a
+// single record.
+func skewedDataset(seed uint64, n int) *itemset.Dataset {
+	rng := stats.NewRNG(seed)
+	skewed := func() int { return rng.Intn(1 + rng.Intn(16)) }
+	protos := []flow.Protocol{flow.ProtoTCP, flow.ProtoUDP, flow.ProtoICMP}
+	recs := make([]flow.Record, n)
+	for i := range recs {
+		recs[i] = flow.Record{
+			Start: 1, SrcIP: flow.IP(skewed()), DstIP: flow.IP(skewed()),
+			SrcPort: uint16(skewed()), DstPort: uint16(skewed()),
+			Proto: protos[rng.Intn(len(protos))], Packets: uint64(1 + rng.Intn(50)),
+		}
+	}
+	return itemset.FromRecords(recs)
+}
+
+// secondItemSupport returns the second-smallest distinct item support of
+// ds: prepared at it, one item falls below the floor and one sits on it.
+func secondItemSupport(ds *itemset.Dataset, byPackets bool) uint64 {
+	sup := make(map[itemset.Item]uint64)
+	for i := 0; i < ds.Len(); i++ {
+		tx := ds.Tx(i)
+		for _, it := range tx.Items {
+			sup[it] += tx.Weight(byPackets)
+		}
+	}
+	return slices.Compact(slices.Sorted(maps.Values(sup)))[1]
+}
+
+// TestPreparedHalvingMatchesBruteForce anchors Prepare/MineAt to the
+// definition of a frequent itemset rather than to another miner: one
+// dataset prepared at the floor, mined along the self-tuning halving
+// sequence in both dimensions, equals bruteForce every round, and MineAt
+// below the floor is an ErrBelowFloor error.
+func TestPreparedHalvingMatchesBruteForce(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		ds := skewedDataset(seed, 500)
+		for _, byPackets := range []bool{false, true} {
+			floor := secondItemSupport(ds, byPackets)
+			p, err := Miner{}.Prepare(t.Context(), ds, Options{MinSupport: floor, ByPackets: byPackets})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.MineAt(t.Context(), floor-1); !errors.Is(err, miner.ErrBelowFloor) {
+				t.Fatalf("seed %d packets=%v: MineAt(floor-1) err = %v, want ErrBelowFloor", seed, byPackets, err)
+			}
+			sups := halvings(ds.Total(byPackets), floor)
+			if len(sups) < 5 {
+				t.Fatalf("seed %d packets=%v: only %d rounds down to floor %d", seed, byPackets, len(sups), floor)
+			}
+			for _, minSup := range sups {
+				got, err := p.MineAt(t.Context(), minSup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMatchesOracle(t, got, bruteForce(ds, minSup, byPackets))
+			}
+		}
+	}
+}
+
+// TestPreparedConcurrentMineAt pins the Prepared as read-only after
+// Prepare: rounds of one Prepared mined concurrently each equal a fresh
+// Mine at their support. CI runs it under -race.
+func TestPreparedConcurrentMineAt(t *testing.T) {
+	ds := randomDataset(21, 600)
+	const floor = 40
+	opts := Options{MinSupport: floor, ByPackets: true}
+	p, err := Miner{}.Prepare(t.Context(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sups := halvings(ds.TotalPackets(), floor)
+	if len(sups) < 4 {
+		t.Fatalf("only %d rounds", len(sups))
+	}
+	got := make([][]itemset.Frequent, len(sups))
+	errs := make([]error, len(sups))
+	var wg sync.WaitGroup
+	for i, minSup := range sups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = p.MineAt(t.Context(), minSup)
+		}()
+	}
+	wg.Wait()
+	for i, minSup := range sups {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		at := opts
+		at.MinSupport = minSup
+		want, err := Mine(t.Context(), ds, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("MineAt(%d) concurrent: %d itemsets, fresh Mine %d", minSup, len(got[i]), len(want))
+		}
+	}
+}
+
+// dosDataset is shaped like a live flood incident's candidate flows:
+// about 4k distinct 5-tuples, most of them from a few hundred sources at
+// one victim service, with heavy packet weights, over background traffic.
+func dosDataset() *itemset.Dataset {
+	rng := stats.NewRNG(4146)
+	victim := flow.MustParseIP("198.19.7.7")
+	var recs []flow.Record
+	for i := 0; i < 3000; i++ {
+		recs = append(recs, flow.Record{
+			Start: 1, SrcIP: flow.IP(0x0a000000 + rng.Intn(300)), DstIP: victim,
+			SrcPort: uint16(1024 + rng.Intn(2000)), DstPort: 53,
+			Proto: flow.ProtoUDP, Packets: uint64(50 + rng.Intn(400)),
+		})
+	}
+	for i := 0; i < 1200; i++ {
+		recs = append(recs, flow.Record{
+			Start: 1, SrcIP: flow.IP(0xc0a80000 + rng.Intn(200)), DstIP: flow.IP(0xac100000 + rng.Intn(40)),
+			SrcPort: uint16(1024 + rng.Intn(60000)), DstPort: []uint16{80, 443, 53, 25}[rng.Intn(4)],
+			Proto: flow.ProtoTCP, Packets: uint64(1 + rng.Intn(200)),
+		})
+	}
+	return itemset.FromRecords(recs)
+}
+
+// BenchmarkPreparedMineAt is one packet-dimension self-tuning run on the
+// flood-shaped dataset: Prepare at the floor (through miner.Prepare, as
+// the extraction engine calls it), then MineAt along the halving sequence
+// down to the floor.
+func BenchmarkPreparedMineAt(b *testing.B) {
+	ds := dosDataset()
+	const floor = 317
+	opts := Options{MinSupport: floor, ByPackets: true}
+	sups := halvings(ds.TotalPackets(), floor)
+	b.ResetTimer()
+	for range b.N {
+		p, err := miner.Prepare(b.Context(), Miner{}, ds, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, minSup := range sups {
+			if _, err := p.MineAt(b.Context(), minSup); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

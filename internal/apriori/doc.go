@@ -7,4 +7,9 @@
 // flow.NumFeatures items, no itemset holds two values of the same feature,
 // and each level-k scan enumerates at most C(5, k) subsets per transaction.
 // Candidate generation exploits both facts.
+//
+// Mining runs in id space: Prepare numbers the items at or above the floor
+// in Item order (one map pass, the only map) and turns each row into its
+// ascending ids; MineAt counts each level's flat sorted id tuples by binary
+// search. No preparation is shared with FP-growth, so each checks the other.
 package apriori

@@ -32,7 +32,8 @@
 // of an itemset.Builder (no record slice, no per-record map), which folds
 // them once at SupportFloor (Builder.Project), so every tuning round
 // mines folded rows. Each dimension is prepared for mining once
-// (miner.Prepare; the FP-growth engine ranks and path-sorts the rows
-// there) and mined every round, and support counting plus the coverage
+// (miner.Prepare; apriori numbers the kept items and turns the rows into
+// id tuples there, the FP-growth engine ranks and path-sorts them) and
+// mined every round, and support counting plus the coverage
 // loop fan out over the dataset's sharded worker pool.
 package core

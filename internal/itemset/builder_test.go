@@ -259,20 +259,77 @@ func randomFrequent(seed uint64, n int) []Frequent {
 }
 
 func TestMaximalOnlyMatchesAllPairs(t *testing.T) {
+	src := NewItem(flow.FeatSrcIP, 1)
+	dst := NewItem(flow.FeatDstIP, 2)
+	port := NewItem(flow.FeatDstPort, 80)
+	zero := NewItem(flow.FeatSrcIP, 0) // srcIP=0.0.0.0 is Item 0
+	cases := map[string][]Frequent{
+		"nil": nil,
+		// fda's lift cut can keep a 3-set and drop its 2-subsets.
+		"3-set without its 2-subsets": {
+			{Items: NewSet(src), Support: 9}, {Items: NewSet(src, dst, port), Support: 5},
+			{Items: NewSet(dst), Support: 7}, {Items: NewSet(NewItem(flow.FeatProto, 6)), Support: 6},
+		},
+		"duplicate sets": {
+			{Items: NewSet(src, dst), Support: 5}, {Items: NewSet(src), Support: 8},
+			{Items: NewSet(src, dst), Support: 5}, {Items: NewSet(port), Support: 3},
+			{Items: NewSet(port), Support: 4},
+		},
+		// The empty subset of {dst, port} must not cover {srcIP=0.0.0.0}.
+		"zero-valued item": {
+			{Items: NewSet(port), Support: 6}, {Items: NewSet(dst, port), Support: 4},
+			{Items: NewSet(zero), Support: 9}, {Items: NewSet(dst, NewItem(flow.FeatSrcPort, 0)), Support: 3},
+		},
+	}
 	for seed := uint64(1); seed <= 8; seed++ {
-		fs := randomFrequent(seed, 400)
-		want := maximalOnlyAllPairs(fs)
-		got := MaximalOnly(fs)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d vs %d maximal itemsets", seed, len(got), len(want))
+		cases[fmt.Sprintf("random seed %d", seed)] = randomFrequent(seed, 400)
+	}
+	for name, fs := range cases {
+		t.Run(name, func(t *testing.T) {
+			want := maximalOnlyAllPairs(fs)
+			got := MaximalOnly(fs)
+			if len(got) != len(want) {
+				t.Fatalf("%d vs %d maximal itemsets: %v vs %v", len(got), len(want), got, want)
+			}
+			for i := range want {
+				if !got[i].Items.Equal(want[i].Items) || got[i].Support != want[i].Support {
+					t.Fatalf("row %d: %v vs %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMaximalOnly reduces a mining-result-shaped input: every
+// non-empty subset of 1,500 flood-like 5-tuples, as a miner reports them
+// when all of those rows are frequent.
+func BenchmarkMaximalOnly(b *testing.B) {
+	rng := stats.NewRNG(1506)
+	seen := make(map[string]bool)
+	var fs []Frequent
+	for range 1500 {
+		r := flow.Record{
+			SrcIP: flow.IP(0x0a000000 + rng.Intn(300)), DstIP: flow.IP(0xc6130707 + rng.Intn(3)),
+			SrcPort: uint16(1024 + rng.Intn(2000)), DstPort: []uint16{53, 80}[rng.Intn(2)],
+			Proto: flow.ProtoUDP,
 		}
-		for i := range want {
-			if !got[i].Items.Equal(want[i].Items) || got[i].Support != want[i].Support {
-				t.Fatalf("seed %d row %d: %v vs %v", seed, i, got[i], want[i])
+		items := ItemsOf(&r)
+		for mask := 1; mask < 1<<flow.NumFeatures; mask++ {
+			var s Set
+			for i, it := range items {
+				if mask&(1<<i) != 0 {
+					s = append(s, it)
+				}
+			}
+			if !seen[s.Key()] {
+				seen[s.Key()] = true
+				fs = append(fs, Frequent{Items: s, Support: uint64(1 + rng.Intn(1000))})
 			}
 		}
 	}
-	if got := MaximalOnly(nil); len(got) != 0 {
-		t.Fatalf("MaximalOnly(nil) = %v", got)
+	b.ResetTimer()
+	for range b.N {
+		MaximalOnly(fs)
 	}
+	b.ReportMetric(float64(len(fs)), "itemsets")
 }

@@ -524,41 +524,43 @@ func SortFrequent(fs []Frequent) {
 // operator — subsets restate the same flows with less detail. Input order
 // is irrelevant; output is canonically sorted.
 //
-// Sets are bucketed by length and each set is tested only against the
-// strictly longer buckets — a proper superset is necessarily longer — so
-// the all-pairs scan the naive version runs (n² subset checks, most of
-// them against equal-or-shorter sets that can never disqualify anything)
-// collapses to the cross-length pairs only. A length-1 set in a typical
-// mining result checks a handful of long sets instead of all n-1 others.
+// Sets are visited longest first. A set is maximal exactly when no set
+// visited before it covers it, and only a maximal set adds its proper
+// subsets (at most 2^5-1, the empty one included) to the cover: a
+// non-maximal set's subsets are already there through the maximal set
+// above it. That is O(n + 31·maximal) instead of a subset check per pair.
+// A cover key holds a set's items as uint64(item)+1 in order, so an item
+// of value 0 (srcIP=0.0.0.0) is distinct from an empty slot. Every set
+// holds at most flow.NumFeatures items, as every mined itemset does.
 func MaximalOnly(fs []Frequent) []Frequent {
-	maxLen := 0
-	for i := range fs {
-		if l := len(fs[i].Items); l > maxLen {
-			maxLen = l
-		}
-	}
-	// byLen[l] holds the indices of the length-l sets.
-	byLen := make([][]int, maxLen+1)
-	for i := range fs {
-		l := len(fs[i].Items)
-		byLen[l] = append(byLen[l], i)
-	}
-	out := make([]Frequent, 0, len(fs))
-	for i := range fs {
-		maximal := true
-	scan:
-		for l := len(fs[i].Items) + 1; l <= maxLen; l++ {
-			for _, j := range byLen[l] {
-				if fs[i].Items.SubsetOf(fs[j].Items) {
-					maximal = false
-					break scan
-				}
+	cover := make(map[[flow.NumFeatures]uint64]struct{})
+	out := []Frequent{}
+	for l := flow.NumFeatures; l >= 0; l-- {
+		for _, f := range fs {
+			if len(f.Items) != l {
+				continue
 			}
-		}
-		if maximal {
-			out = append(out, fs[i])
+			if _, covered := cover[subsetKey(f.Items, 1<<l-1)]; covered {
+				continue
+			}
+			out = append(out, f)
+			for mask := 0; mask < 1<<l-1; mask++ {
+				cover[subsetKey(f.Items, mask)] = struct{}{}
+			}
 		}
 	}
 	SortFrequent(out)
 	return out
+}
+
+// subsetKey is the cover key of the items of s that mask selects.
+func subsetKey(s Set, mask int) (key [flow.NumFeatures]uint64) {
+	n := 0
+	for b, it := range s {
+		if mask&(1<<b) != 0 {
+			key[n] = uint64(it) + 1
+			n++
+		}
+	}
+	return key
 }

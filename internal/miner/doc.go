@@ -17,7 +17,8 @@
 //
 // A miner may also implement Preparer, splitting its work into a Prepare
 // step run once per dataset and dimension and a MineAt step run per
-// support. Prepare is the one entry point for callers mining at several
-// supports: it returns the miner's own Prepared, or for a plain Miner an
-// adapter that calls Mine at each support.
+// support; every built-in miner does. Prepare is the one entry point for
+// callers mining at several supports: it returns the miner's own
+// Prepared, or for a plain Miner (one registered from outside with Mine
+// alone) an adapter that calls Mine at each support.
 package miner

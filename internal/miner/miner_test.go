@@ -463,26 +463,30 @@ func TestCrossMinerCancellation(t *testing.T) {
 	}
 }
 
+// plainMiner hides a miner's Prepare method: only Mine is promoted, so
+// miner.Prepare wraps it in the per-round adapter, as it does a
+// Mine-only miner registered from outside the tree.
+type plainMiner struct{ miner.Miner }
+
 // TestPreparedMatchesMine pins miner.Prepare to Mine on the cross-miner
 // battery's 120 datasets. For the FP-growth engine (under "fda", whose
 // pre-filter off is the "fpgrowth" path), one Prepared per dimension
 // and pre-filter off/on, mined along the self-tuning
 // loop's halving sequence from 20% of the total down to the floor, equals
-// a fresh Mine at each support and, with the pre-filter off, apriori's —
-// which also runs through the adapter miner.Prepare gives a miner without
-// a Prepare step. MineAt below the floor is an ErrBelowFloor error.
+// a fresh Mine at each support and, with the pre-filter off, apriori's:
+// both apriori's own Prepared and the adapter miner.Prepare gives a miner
+// without a Prepare step (apriori behind plainMiner). MineAt below the
+// floor is an ErrBelowFloor error.
 func TestPreparedMatchesMine(t *testing.T) {
 	m, err := miner.New("fda")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := miner.New("apriori")
+	apriori, err := miner.New("apriori")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ref.(miner.Preparer); ok {
-		t.Fatal("apriori implements miner.Preparer; the adapter would go untested")
-	}
+	refs := []miner.Miner{apriori, plainMiner{apriori}}
 	for seed := uint64(1); seed <= 120; seed++ {
 		rng := stats.NewRNG(seed * 7919)
 		ds := randomWeightedDataset(seed, 5+rng.Intn(120))
@@ -498,11 +502,15 @@ func TestPreparedMatchesMine(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Prepare: %v", label, err)
 				}
-				refP, err := miner.Prepare(t.Context(), ref, ds, opts)
-				if err != nil {
-					t.Fatalf("%s: apriori Prepare: %v", label, err)
+				preps := []miner.Prepared{p}
+				for _, ref := range refs {
+					refP, err := miner.Prepare(t.Context(), ref, ds, opts)
+					if err != nil {
+						t.Fatalf("%s: apriori Prepare: %v", label, err)
+					}
+					preps = append(preps, refP)
 				}
-				for _, prep := range []miner.Prepared{p, refP} {
+				for _, prep := range preps {
 					if _, err := prep.MineAt(t.Context(), floor-1); !errors.Is(err, miner.ErrBelowFloor) {
 						t.Fatalf("%s: MineAt below the floor: got %v, want ErrBelowFloor", label, err)
 					}
@@ -522,10 +530,12 @@ func TestPreparedMatchesMine(t *testing.T) {
 					if prefilter {
 						continue
 					}
-					if want, err = refP.MineAt(t.Context(), minSup); err != nil {
-						t.Fatal(err)
+					for i, refP := range preps[1:] {
+						if want, err = refP.MineAt(t.Context(), minSup); err != nil {
+							t.Fatal(err)
+						}
+						assertIdentical(t, fmt.Sprintf("%s MineAt(%d) vs apriori (%T)", label, minSup, refs[i]), want, got)
 					}
-					assertIdentical(t, fmt.Sprintf("%s MineAt(%d) vs apriori", label, minSup), want, got)
 				}
 			}
 		}
