@@ -44,7 +44,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() == 0 {
+	if len(db.Query(flow.Interval{Start: 0, End: ^uint32(0)}, "")) == 0 {
 		t.Fatal("no alarms persisted")
 	}
 }
@@ -82,7 +82,7 @@ func TestRunCorrelate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() == 0 {
+	if len(db.Query(flow.Interval{Start: 0, End: ^uint32(0)}, "")) == 0 {
 		t.Fatal("no alarms persisted")
 	}
 	counts := db.IncidentCounts()

@@ -61,7 +61,7 @@ func TestParseMetaErrors(t *testing.T) {
 func newExtractStore(t *testing.T) (string, uint32, uint32) {
 	t.Helper()
 	dir := t.TempDir()
-	store, err := nfstore.Create(dir, nfstore.DefaultBinSeconds)
+	store, err := nfstore.CreateFormat(dir, nfstore.DefaultBinSeconds, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,14 +63,18 @@ func TestRunSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dirs, err := shardstore.ShardDirs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) != 3 {
+		t.Fatalf("ShardDirs = %v, want 3 shards", dirs)
+	}
 	sh, err := shardstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	if sh.Manifest().Shards != 3 {
-		t.Fatalf("Manifest().Shards = %d, want 3", sh.Manifest().Shards)
-	}
 	flows, _, _, err := sh.Count(context.Background(), flow.Interval{Start: 0, End: ^uint32(0)}, nil)
 	if err != nil {
 		t.Fatal(err)

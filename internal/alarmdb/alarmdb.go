@@ -218,24 +218,6 @@ func (db *DB) SetStatus(id string, status Status, note string) error {
 	return nil
 }
 
-// Len returns the number of stored alarms.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
-}
-
-// All returns every entry ordered by interval start, then ID.
-func (db *DB) All() []Entry {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]Entry, 0, len(db.entries))
-	for _, e := range db.sortedLocked() {
-		out = append(out, *e)
-	}
-	return out
-}
-
 // Query returns entries whose alarm interval overlaps iv, optionally
 // restricted to one status ("" = all), ordered by interval start.
 func (db *DB) Query(iv flow.Interval, status Status) []Entry {

@@ -38,8 +38,8 @@ func TestInsertGet(t *testing.T) {
 	if _, err := db.Get("999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown id: %v", err)
 	}
-	if db.Len() != 1 {
-		t.Fatalf("Len = %d", db.Len())
+	if len(db.entries) != 1 {
+		t.Fatalf("Len = %d", len(db.entries))
 	}
 }
 
@@ -53,9 +53,9 @@ func TestIDsUniqueAndOrdered(t *testing.T) {
 	if len(ids) != 3 || ids[0] == ids[1] || ids[1] == ids[2] {
 		t.Fatalf("ids = %v", ids)
 	}
-	all := db.All()
+	all := db.Query(flow.Interval{Start: 0, End: 1 << 30}, "")
 	if len(all) != 3 {
-		t.Fatalf("All returned %d", len(all))
+		t.Fatalf("Query returned %d", len(all))
 	}
 	// Ordered by interval start.
 	if all[0].Alarm.Interval.Start != 1000 || all[2].Alarm.Interval.Start != 3000 {
@@ -118,8 +118,8 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Len() != 2 {
-		t.Fatalf("reloaded Len = %d", db2.Len())
+	if len(db2.entries) != 2 {
+		t.Fatalf("reloaded Len = %d", len(db2.entries))
 	}
 	e, err := db2.Get(id1)
 	if err != nil {
@@ -167,12 +167,12 @@ func TestConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if db.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", db.Len())
+	if len(db.entries) != 800 {
+		t.Fatalf("Len = %d, want 800", len(db.entries))
 	}
 	// IDs must be unique.
 	seen := map[string]bool{}
-	for _, e := range db.All() {
+	for _, e := range db.Query(flow.Interval{Start: 0, End: 1 << 30}, "") {
 		if seen[e.Alarm.ID] {
 			t.Fatalf("duplicate id %q", e.Alarm.ID)
 		}

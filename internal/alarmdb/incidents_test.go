@@ -231,7 +231,7 @@ func TestSaveAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Len() != 2 {
-		t.Fatalf("reloaded Len = %d, want 2", db2.Len())
+	if len(db2.entries) != 2 {
+		t.Fatalf("reloaded Len = %d, want 2", len(db2.entries))
 	}
 }

@@ -32,6 +32,16 @@ func mkRecord(src, dst, sport, dport, proto uint8, pkts uint64) flow.Record {
 	}
 }
 
+// datasetOf folds recs into a Dataset the way extraction does, through
+// an itemset.Builder.
+func datasetOf(recs []flow.Record) *itemset.Dataset {
+	b := itemset.NewBuilder()
+	for i := range recs {
+		b.Add(&recs[i])
+	}
+	return b.Dataset()
+}
+
 // randomDataset builds a deterministic pseudo-random dataset.
 func randomDataset(seed uint64, n int) *itemset.Dataset {
 	rng := stats.NewRNG(seed)
@@ -42,7 +52,7 @@ func randomDataset(seed uint64, n int) *itemset.Dataset {
 			uint8(rng.Intn(4)), uint8(rng.Intn(3)), rng.Uint64(),
 		)
 	}
-	return itemset.FromRecords(recs)
+	return datasetOf(recs)
 }
 
 // bruteForce enumerates every subset (sizes 1..5) of every distinct
@@ -121,7 +131,7 @@ func TestZeroSupportRejected(t *testing.T) {
 }
 
 func TestEmptyDataset(t *testing.T) {
-	ds := itemset.FromRecords(nil)
+	ds := itemset.NewBuilder().Dataset()
 	got, err := Mine(t.Context(), ds, Options{MinSupport: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +155,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("non-deterministic result size")
 	}
 	for i := range a {
-		if !a[i].Items.Equal(b[i].Items) || a[i].Support != b[i].Support {
+		if !slices.Equal(a[i].Items, b[i].Items) || a[i].Support != b[i].Support {
 			t.Fatalf("result %d differs between runs: %v vs %v", i, a[i], b[i])
 		}
 	}
@@ -173,11 +183,12 @@ func TestAnomalyScenario(t *testing.T) {
 			Proto: flow.ProtoTCP, Packets: 3, Bytes: 120,
 		})
 	}
-	ds := itemset.FromRecords(recs)
-	got, err := miner.MineMaximal(t.Context(), Miner{}, ds, Options{MinSupport: 400})
+	ds := datasetOf(recs)
+	all, err := Miner{}.Mine(t.Context(), ds, Options{MinSupport: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := itemset.MaximalOnly(all)
 	if len(got) == 0 {
 		t.Fatal("scan itemset not found")
 	}
@@ -198,17 +209,15 @@ func TestMaximalReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max, err := miner.MineMaximal(t.Context(), Miner{}, ds, Options{MinSupport: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	max := itemset.MaximalOnly(all)
 	if len(max) > len(all) {
 		t.Fatal("maximal set larger than full set")
 	}
 	// No maximal itemset is a subset of another.
 	for i := range max {
 		for j := range max {
-			if i != j && max[i].Items.SubsetOf(max[j].Items) {
+			outside := func(it itemset.Item) bool { return !max[j].Items.Contains(it) }
+			if i != j && !slices.ContainsFunc(max[i].Items, outside) {
 				t.Fatalf("%v is a subset of %v", max[i].Items, max[j].Items)
 			}
 		}
@@ -228,11 +237,11 @@ func TestSupportMonotonicityProperty(t *testing.T) {
 		bySize[fr.Items.Key()] = fr.Support
 	}
 	for _, fr := range got {
-		if fr.Items.Len() < 2 {
+		if len(fr.Items) < 2 {
 			continue
 		}
-		for drop := 0; drop < fr.Items.Len(); drop++ {
-			sub := make(itemset.Set, 0, fr.Items.Len()-1)
+		for drop := 0; drop < len(fr.Items); drop++ {
+			sub := make(itemset.Set, 0, len(fr.Items)-1)
 			for i, it := range fr.Items {
 				if i != drop {
 					sub = append(sub, it)
@@ -283,8 +292,8 @@ func TestMineCancelled(t *testing.T) {
 	if _, err := Mine(ctx, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Mine err = %v, want context.Canceled", err)
 	}
-	if _, err := miner.MineMaximal(ctx, Miner{}, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MineMaximal err = %v, want context.Canceled", err)
+	if _, err := (Miner{}).Mine(ctx, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Miner.Mine err = %v, want context.Canceled", err)
 	}
 }
 
@@ -315,7 +324,7 @@ func skewedDataset(seed uint64, n int) *itemset.Dataset {
 			Proto: protos[rng.Intn(len(protos))], Packets: uint64(1 + rng.Intn(50)),
 		}
 	}
-	return itemset.FromRecords(recs)
+	return datasetOf(recs)
 }
 
 // secondItemSupport returns the second-smallest distinct item support of
@@ -426,7 +435,7 @@ func dosDataset() *itemset.Dataset {
 			Proto: flow.ProtoTCP, Packets: uint64(1 + rng.Intn(200)),
 		})
 	}
-	return itemset.FromRecords(recs)
+	return datasetOf(recs)
 }
 
 // BenchmarkPreparedMineAt is one packet-dimension self-tuning run on the

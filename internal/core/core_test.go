@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ const coreBase = uint32(1_200_000_000)
 // buildScenario generates a trace and returns store + truth.
 func buildScenario(t *testing.T, s gen.Scenario) (*nfstore.Store, *gen.Truth) {
 	t.Helper()
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,10 +369,6 @@ func TestResultTable(t *testing.T) {
 			t.Fatalf("table output missing %q:\n%s", want, tbl)
 		}
 	}
-	md := res.Table().Markdown()
-	if !strings.Contains(md, "| srcIP |") {
-		t.Fatalf("markdown table malformed:\n%s", md)
-	}
 }
 
 func TestHumanCount(t *testing.T) {
@@ -412,7 +409,7 @@ func TestDeterministicExtraction(t *testing.T) {
 		t.Fatal("non-deterministic itemset count")
 	}
 	for i := range r1.Itemsets {
-		if !r1.Itemsets[i].Items.Equal(r2.Itemsets[i].Items) {
+		if !slices.Equal(r1.Itemsets[i].Items, r2.Itemsets[i].Items) {
 			t.Fatal("non-deterministic itemset order")
 		}
 	}
@@ -452,7 +449,7 @@ func TestRankingModesDeterministic(t *testing.T) {
 		}
 		for i := range r1.Itemsets {
 			a, b := r1.Itemsets[i], r2.Itemsets[i]
-			if !a.Items.Equal(b.Items) || a.Score != b.Score {
+			if !slices.Equal(a.Items, b.Items) || a.Score != b.Score {
 				t.Fatalf("ranking %q: rank %d differs between runs", mode, i+1)
 			}
 			if math.IsNaN(a.Score) || math.IsInf(a.Score, 0) || a.Score < 0 {

@@ -5,6 +5,7 @@ import (
 	"iter"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/detector"
@@ -220,7 +221,7 @@ func TestExtractMinerEquivalence(t *testing.T) {
 	}
 	for i := range apRes.Itemsets {
 		a, f := &apRes.Itemsets[i], &fpRes.Itemsets[i]
-		if !a.Items.Equal(f.Items) || a.FlowSupport != f.FlowSupport ||
+		if !slices.Equal(a.Items, f.Items) || a.FlowSupport != f.FlowSupport ||
 			a.PacketSupport != f.PacketSupport || a.Score != f.Score {
 			t.Fatalf("row %d differs: %v vs %v", i, a, f)
 		}
@@ -236,14 +237,14 @@ func oracleBaseline(t *testing.T, ex *Extractor, iv flow.Interval, ds *itemset.D
 	if span == 0 || iv.Start < span {
 		return list, 0
 	}
-	var recs []flow.Record
+	b := itemset.NewBuilder()
 	for r, err := range ex.store.Iter(t.Context(), flow.Interval{Start: iv.Start - span, End: iv.Start}, nil) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, *r)
+		b.Add(r)
 	}
-	base := itemset.FromRecords(recs)
+	base := b.Dataset()
 	if base.TotalFlows() == 0 {
 		return list, 0
 	}
@@ -284,12 +285,12 @@ func TestBaselineFilterMatchesOracle(t *testing.T) {
 	// in both bins, so only a (wrong) packet vote could keep them. The
 	// store rejects zero-packet records, so an engine wrapper zeroes the
 	// baseline bin's packets on the way out.
-	twoBins, err := nfstore.Create(t.TempDir(), 300)
+	twoBins, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { twoBins.Close() })
-	var alarmRecs []flow.Record
+	alarmRows := itemset.NewBuilder()
 	for i := range 400 {
 		r := flow.Record{Start: coreBase + uint32(300*(i%2)), SrcIP: flow.IP(1000 + i), DstIP: victim,
 			SrcPort: uint16(2000 + i), DstPort: uint16(80 + 363*(i/2%2)), Proto: flow.ProtoTCP, Packets: 10, Bytes: 400}
@@ -297,14 +298,14 @@ func TestBaselineFilterMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%2 == 1 {
-			alarmRecs = append(alarmRecs, r)
+			alarmRows.Add(&r)
 		}
 	}
 	if err := twoBins.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	zeroStore := zeroPacketsBefore{Engine: twoBins, before: coreBase + 300}
-	zeroDs := itemset.FromRecords(alarmRecs)
+	zeroDs := alarmRows.Dataset()
 	var zeroList []*ItemsetReport
 	for _, port := range []uint32{80, 443} {
 		s := itemset.Set{itemset.NewItem(flow.FeatDstPort, port)}

@@ -71,7 +71,7 @@ func TestBatchDetectorsGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("catalog has no %q scenario", name)
 		}
-		store, err := nfstore.Create(t.TempDir(), 300)
+		store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestScoreResultPurityAndRecall(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestScoreResultPurityAndRecall(t *testing.T) {
 }
 
 func TestScoreAdditionalEvidence(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,13 @@ import (
 func TestFillScanStore(t *testing.T) {
 	const records, bins = 20_000, 4
 	span := flow.Interval{Start: 0, End: bins * 300}
-	filter := nffilter.MustParse(ScanFilter)
+	filter, err := nffilter.Parse(ScanFilter)
+	if err != nil {
+		t.Fatal(err)
+	}
 	matched := map[bool]uint64{}
 	for _, clustered := range []bool{true, false} {
-		s, err := nfstore.Create(t.TempDir(), 300)
+		s, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func TestSuiteAggregationOnEmpty(t *testing.T) {
 }
 
 func TestScoreResultNoItemsets(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,31 +71,6 @@ type FiveTuple struct {
 	Proto   Protocol
 }
 
-// Reverse returns the tuple with source and destination swapped, in the
-// manner of gopacket's Flow.Reverse.
-func (t FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{
-		SrcIP: t.DstIP, DstIP: t.SrcIP,
-		SrcPort: t.DstPort, DstPort: t.SrcPort,
-		Proto: t.Proto,
-	}
-}
-
-// FastHash returns a 64-bit hash of the tuple suitable for map sharding and
-// sketches. It is not symmetric: use Reverse explicitly when direction
-// should not matter.
-func (t FiveTuple) FastHash() uint64 {
-	// SplitMix64-style finalizer over the packed tuple.
-	x := uint64(t.SrcIP)<<32 | uint64(t.DstIP)
-	x ^= uint64(t.SrcPort)<<48 | uint64(t.DstPort)<<32 | uint64(t.Proto)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // String renders the tuple in the familiar "src:port -> dst:port/proto" form.
 func (t FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d -> %s:%d/%s", t.SrcIP, t.SrcPort, t.DstIP, t.DstPort, t.Proto)
@@ -177,11 +152,6 @@ type Interval struct {
 	End   uint32
 }
 
-// NewInterval builds an interval from two instants.
-func NewInterval(start, end time.Time) Interval {
-	return Interval{Start: uint32(start.Unix()), End: uint32(end.Unix())}
-}
-
 // Contains reports whether the instant t (Unix seconds) falls inside the
 // interval.
 func (iv Interval) Contains(t uint32) bool { return t >= iv.Start && t < iv.End }
@@ -189,14 +159,6 @@ func (iv Interval) Contains(t uint32) bool { return t >= iv.Start && t < iv.End 
 // Overlaps reports whether two intervals share any instant.
 func (iv Interval) Overlaps(other Interval) bool {
 	return iv.Start < other.End && other.Start < iv.End
-}
-
-// Duration returns the interval length.
-func (iv Interval) Duration() time.Duration {
-	if iv.End <= iv.Start {
-		return 0
-	}
-	return time.Duration(iv.End-iv.Start) * time.Second
 }
 
 // String renders the interval as "[start, end)" in RFC 3339 form.

@@ -158,18 +158,6 @@ func Names() []string {
 	return names
 }
 
-// Catalog returns all entries, name-sorted.
-func Catalog() []Def {
-	names := Names()
-	defs := make([]Def, 0, len(names))
-	catalogMu.RLock()
-	defer catalogMu.RUnlock()
-	for _, n := range names {
-		defs = append(defs, catalog[n])
-	}
-	return defs
-}
-
 // Built-in catalog addresses: victims/services in the 198.19.0.0/16
 // benchmark space, scanners in 10.200.0.0/16, botnets and client pools in
 // 172.16.0.0/12, reflector fleets in 100.64.0.0/10 (CGN space).

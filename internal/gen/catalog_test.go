@@ -60,7 +60,8 @@ func TestCatalogComplete(t *testing.T) {
 // anomaly classes beyond the paper's own evaluation set.
 func TestCatalogNewKinds(t *testing.T) {
 	covered := make(map[detector.Kind]bool)
-	for _, def := range Catalog() {
+	for _, name := range Names() {
+		def, _ := Lookup(name)
 		for _, p := range def.Scenario(1).Placements {
 			covered[p.Anomaly.Kind()] = true
 		}

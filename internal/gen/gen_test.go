@@ -14,7 +14,7 @@ const genBase = uint32(1_200_000_000)
 
 func generate(t *testing.T, s Scenario) (*nfstore.Store, *Truth) {
 	t.Helper()
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestAllInjectorsEmitValidRecords(t *testing.T) {
 }
 
 func TestScenarioValidation(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +273,15 @@ func TestBackgroundProtocolMix(t *testing.T) {
 		Bins:       2, StartTime: genBase, Seed: 13,
 	}
 	store, truth := generate(t, s)
-	tcp, _, _, _ := store.Count(t.Context(), truth.Span, nffilter.MustParse("proto tcp"))
-	udp, _, _, _ := store.Count(t.Context(), truth.Span, nffilter.MustParse("proto udp"))
-	icmp, _, _, _ := store.Count(t.Context(), truth.Span, nffilter.MustParse("proto icmp"))
+	count := func(expr string) uint64 {
+		f, err := nffilter.Parse(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows, _, _, _ := store.Count(t.Context(), truth.Span, f)
+		return flows
+	}
+	tcp, udp, icmp := count("proto tcp"), count("proto udp"), count("proto icmp")
 	total := tcp + udp + icmp
 	if total == 0 {
 		t.Fatal("no traffic")

@@ -51,18 +51,6 @@ type Trace struct {
 	Records []flow.Record
 }
 
-// Span is the half-open interval covered by the trace records' start
-// times.
-func (t *Trace) Span() flow.Interval {
-	if len(t.Records) == 0 {
-		return flow.Interval{}
-	}
-	return flow.Interval{
-		Start: t.Records[0].Start,
-		End:   t.Records[len(t.Records)-1].Start + 1,
-	}
-}
-
 // ReadTrace parses a flow dump, sniffing the format from the leading
 // bytes: the "NFTR" magic selects the binary format, anything else is
 // parsed as CSV with an nfdump-style header row. Every record must carry

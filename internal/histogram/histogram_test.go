@@ -15,7 +15,7 @@ import (
 // Scan: one srcIP hitting one dstIP on 800 distinct ports.
 func buildTrace(t *testing.T, nBins, scanBin int) (*nfstore.Store, flow.Interval) {
 	t.Helper()
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/detector"
 	"repro/internal/flow"
@@ -362,18 +361,4 @@ func ExtractionAlarm(inc *Incident, members []detector.Alarm) (detector.Alarm, e
 		return a.Value < b.Value
 	})
 	return merged, nil
-}
-
-// Describe renders a one-line operator summary of the incident.
-func (inc *Incident) Describe() string {
-	kinds := make([]string, len(inc.Kinds))
-	for i, k := range inc.Kinds {
-		kinds[i] = string(k)
-	}
-	s := fmt.Sprintf("incident %s %s kinds=[%s] alarms=%d (%d suppressed)",
-		inc.ID, inc.Interval, strings.Join(kinds, ", "), len(inc.AlarmIDs), inc.Suppressed)
-	if len(inc.Chain) > 0 {
-		s += " chain: " + inc.Chain[0].String()
-	}
-	return s
 }

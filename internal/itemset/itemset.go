@@ -61,45 +61,10 @@ func NewSet(items ...Item) Set {
 	return out
 }
 
-// Len returns the number of items.
-func (s Set) Len() int { return len(s) }
-
 // Contains reports whether the set includes item (binary search).
 func (s Set) Contains(it Item) bool {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= it })
 	return i < len(s) && s[i] == it
-}
-
-// SubsetOf reports whether every item of s appears in t. Both sets are
-// sorted, so this is a linear merge.
-func (s Set) SubsetOf(t Set) bool {
-	if len(s) > len(t) {
-		return false
-	}
-	j := 0
-	for _, it := range s {
-		for j < len(t) && t[j] < it {
-			j++
-		}
-		if j >= len(t) || t[j] != it {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
-// Equal reports whether two sets hold the same items.
-func (s Set) Equal(t Set) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Union returns the sorted union of s and t.
@@ -164,13 +129,6 @@ func (s Set) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Clone returns a copy of the set.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
-}
-
 // TxItems is the fixed-size item array of one transaction: one item per
 // mined traffic feature, in feature order (which is also sorted Item
 // order).
@@ -211,17 +169,6 @@ type Dataset struct {
 	totalFlows   uint64
 	totalPackets uint64
 	dropped      [flow.NumFeatures]int // distinct values per feature Project folded away
-}
-
-// FromRecords aggregates flow records into a Dataset. Each distinct
-// 5-tuple becomes one transaction whose Flows weight is the number of
-// records and whose Packets weight is their packet sum.
-func FromRecords(records []flow.Record) *Dataset {
-	b := NewBuilder()
-	for i := range records {
-		b.Add(&records[i])
-	}
-	return b.Dataset()
 }
 
 // Builder buffers streamed flow records as five flat feature-value
@@ -368,8 +315,9 @@ func encode(col, codes []uint32, f flow.Feature) (vals []uint32) {
 	return vals
 }
 
-// FromTxs builds a Dataset directly from prepared transactions (used by
-// tests and by miners' cross-checks). Transactions are not re-aggregated.
+// FromTxs builds a Dataset directly from prepared transactions, which
+// are not re-aggregated. Only tests call it: it builds rows no record
+// stream yields, such as zero-flow transactions and repeated 5-tuples.
 func FromTxs(txs []Tx) *Dataset {
 	ds := &Dataset{txs: txs}
 	for i := range txs {

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -55,7 +56,7 @@ func TestNewSetSortsAndDedups(t *testing.T) {
 	i1 := NewItem(flow.FeatDstPort, 80)
 	i2 := NewItem(flow.FeatSrcIP, 5)
 	s := NewSet(i1, i2, i1)
-	if s.Len() != 2 || s[0] != i2 || s[1] != i1 {
+	if len(s) != 2 || s[0] != i2 || s[1] != i1 {
 		t.Fatalf("NewSet = %v", s)
 	}
 }
@@ -78,7 +79,7 @@ func TestSetOps(t *testing.T) {
 		t.Fatal("empty set must be subset of all")
 	}
 	u := NewSet(i1, i2).Union(NewSet(i2, i3))
-	if !u.Equal(NewSet(i1, i2, i3)) {
+	if !slices.Equal(u, NewSet(i1, i2, i3)) {
 		t.Fatalf("Union = %v", u)
 	}
 	if v, ok := s.Feature(flow.FeatDstIP); !ok || v != 2 {
@@ -99,7 +100,7 @@ func TestSetKeyEqualIffEqual(t *testing.T) {
 			return NewSet(items...)
 		}
 		sa, sb := mk(a), mk(b)
-		return (sa.Key() == sb.Key()) == sa.Equal(sb)
+		return (sa.Key() == sb.Key()) == slices.Equal(sa, sb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func TestFromRecordsAggregation(t *testing.T) {
 		mkRecord(1, 1, 1000, 80, flow.ProtoTCP, 20), // same tuple
 		mkRecord(2, 1, 1000, 80, flow.ProtoTCP, 5),
 	}
-	ds := FromRecords(recs)
+	ds := datasetOf(recs)
 	if ds.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 aggregated transactions", ds.Len())
 	}
@@ -160,7 +161,7 @@ func TestSupportOracle(t *testing.T) {
 		mkRecord(1, 2, 1001, 80, flow.ProtoTCP, 20),
 		mkRecord(2, 2, 1002, 443, flow.ProtoTCP, 30),
 	}
-	ds := FromRecords(recs)
+	ds := datasetOf(recs)
 	port80 := NewSet(NewItem(flow.FeatDstPort, 80))
 	if got := ds.Support(port80, false); got != 2 {
 		t.Fatalf("flow support of dstPort=80 = %d", got)
@@ -211,7 +212,7 @@ func TestSortFrequentAndMaximal(t *testing.T) {
 		{Items: NewSet(i1, i2, i3), Support: 3},
 	}
 	SortFrequent(fs)
-	if fs[0].Items.Len() != 2 || fs[0].Support != 10 {
+	if len(fs[0].Items) != 2 || fs[0].Support != 10 {
 		t.Fatalf("sort order wrong: first = %v", fs[0])
 	}
 	max := MaximalOnly(fs)
@@ -219,7 +220,7 @@ func TestSortFrequentAndMaximal(t *testing.T) {
 	// the triple survive... but {i1,i2} ⊂ {i1,i2,i3} too, so only the
 	// triple and nothing else? No: maximality is about set inclusion only,
 	// independent of support, so the only maximal set is {i1,i2,i3}.
-	if len(max) != 1 || max[0].Items.Len() != 3 {
+	if len(max) != 1 || len(max[0].Items) != 3 {
 		t.Fatalf("MaximalOnly = %v", max)
 	}
 }
@@ -250,7 +251,7 @@ func TestProjectFoldsRows(t *testing.T) {
 		recs = append(recs, mkRecord(1, 1, 55548, uint16(1000+p), flow.ProtoTCP, 1))
 	}
 	recs = append(recs, mkRecord(2, 9, 4000, 53, flow.ProtoUDP, 5000))
-	ds := FromRecords(recs)
+	ds := datasetOf(recs)
 	proj := ds.Project(5)
 
 	if proj.Len() != 2 || proj.TotalFlows() != ds.TotalFlows() || proj.TotalPackets() != ds.TotalPackets() {

@@ -331,36 +331,13 @@ func (m *Manager) Cancel(id string) error {
 	return nil
 }
 
-// Wait blocks until the job reaches a terminal state (returning its
-// final status) or ctx is canceled (returning ctx.Err()). Waiting does
-// not consume the result — Result remains available afterwards.
-func (m *Manager) Wait(ctx context.Context, id string) (Status, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return Status{}, ErrNotFound
-	}
-	done := j.done
-	m.mu.Unlock()
-	select {
-	case <-ctx.Done():
-		return Status{}, ctx.Err()
-	case <-done:
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Snapshot from the job pointer: valid even if retention pruned the
-	// ID from the map while we were waiting.
-	return statusLocked(j), nil
-}
-
-// WaitResult is Wait followed by a Result fetch that cannot lose the
-// race against retention: the outcome is read from the job record the
-// waiter already holds, so a concurrent TTL expiry or LRU eviction of
-// the ID never turns a finished job into ErrNotFound. Like Result, a
-// failed or canceled job returns its stored error with identity
-// preserved.
+// WaitResult blocks until the job reaches a terminal state, then returns
+// its outcome like Result; it returns ctx.Err() if ctx dies first. It
+// cannot lose the race against retention: the outcome is read from the
+// job record the waiter already holds, so a concurrent TTL expiry or LRU
+// eviction of the ID never turns a finished job into ErrNotFound. Like
+// Result, a failed or canceled job returns its stored error with
+// identity preserved, and a transient job is consumed.
 func (m *Manager) WaitResult(ctx context.Context, id string) (any, Status, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -447,18 +424,6 @@ func (m *Manager) Subscribe(id string) (<-chan Status, func(), error) {
 		}
 	}
 	return ch, cancel, nil
-}
-
-// subscribers reports how many subscribers a job currently has (test
-// observability).
-func (m *Manager) subscribers(id string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return 0
-	}
-	return len(j.subs)
 }
 
 // worker pulls queued jobs until manager shutdown. Cancellation of a

@@ -35,7 +35,7 @@ func TestLifecycleDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Wait(context.Background(), id)
+	_, st, err := m.WaitResult(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,15 @@ func TestLifecycleFailed(t *testing.T) {
 	id, _ := m.Submit("extract", func(context.Context, func(Progress)) (any, error) {
 		return nil, sentinel
 	})
-	st, err := m.Wait(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
+	// WaitResult and Result surface the stored error for errors.Is
+	// branching.
+	_, st, err := m.WaitResult(context.Background(), id)
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("WaitResult err = %v, want the task's error", err)
 	}
 	if st.State != StateFailed || st.Error != "boom" {
 		t.Fatalf("status = %+v", st)
 	}
-	// Result surfaces the stored error for errors.Is branching.
 	if _, _, err := m.Result(id); !errors.Is(err, sentinel) {
 		t.Fatalf("Result err = %v, want the task's error", err)
 	}
@@ -114,9 +115,9 @@ func TestCancelWhileQueued(t *testing.T) {
 	if err := m.Cancel(queued); err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Wait(context.Background(), queued)
-	if err != nil {
-		t.Fatal(err)
+	_, st, err := m.WaitResult(context.Background(), queued)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("WaitResult err = %v, want context.Canceled", err)
 	}
 	if st.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", st.State)
@@ -144,9 +145,9 @@ func TestCancelWhileRunning(t *testing.T) {
 	if err := m.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Wait(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
+	_, st, err := m.WaitResult(context.Background(), id)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("WaitResult err = %v, want context.Canceled", err)
 	}
 	if st.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", st.State)
@@ -203,7 +204,7 @@ func TestResultTTLEviction(t *testing.T) {
 	m := New(Config{Workers: 1, ResultTTL: time.Minute, now: clock})
 	defer m.Close()
 	id, _ := m.Submit("extract", instantTask("v"))
-	if _, err := m.Wait(context.Background(), id); err != nil {
+	if _, _, err := m.WaitResult(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := m.Result(id); err != nil {
@@ -243,7 +244,7 @@ func TestResultLRUEviction(t *testing.T) {
 	var ids []string
 	for i := 0; i < 2; i++ {
 		id, _ := m.Submit("extract", instantTask(i))
-		if _, err := m.Wait(context.Background(), id); err != nil {
+		if _, _, err := m.WaitResult(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
@@ -253,7 +254,7 @@ func TestResultLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	id3, _ := m.Submit("extract", instantTask(3))
-	if _, err := m.Wait(context.Background(), id3); err != nil {
+	if _, _, err := m.WaitResult(context.Background(), id3); err != nil {
 		t.Fatal(err)
 	}
 	// The cap is 2: ids[1] (least recently touched) must be gone, ids[0]
@@ -329,7 +330,7 @@ func TestWaitResultSurvivesEviction(t *testing.T) {
 	<-entered
 	time.Sleep(100 * time.Millisecond)
 	close(gate)
-	if _, err := m.Wait(context.Background(), id); err != nil {
+	if _, _, err := m.WaitResult(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -357,7 +358,7 @@ func TestResultNotDone(t *testing.T) {
 	}
 }
 
-// TestWaitHonorsContext: Wait returns promptly when the caller's context
+// TestWaitHonorsContext: WaitResult returns promptly when the caller's context
 // dies while the job is still running.
 func TestWaitHonorsContext(t *testing.T) {
 	m := New(Config{Workers: 1})
@@ -367,7 +368,7 @@ func TestWaitHonorsContext(t *testing.T) {
 	id, _ := m.Submit("extract", blockingTask(release, nil))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := m.Wait(ctx, id); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := m.WaitResult(ctx, id); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
@@ -416,7 +417,7 @@ func TestSubscribeTerminal(t *testing.T) {
 	m := New(Config{Workers: 1})
 	defer m.Close()
 	id, _ := m.Submit("extract", instantTask(nil))
-	if _, err := m.Wait(context.Background(), id); err != nil {
+	if _, _, err := m.WaitResult(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	ch, cancel, err := m.Subscribe(id)
@@ -520,7 +521,7 @@ func TestStressManyJobs(t *testing.T) {
 		ids[i] = id
 	}
 	for i, id := range ids {
-		if _, err := m.Wait(context.Background(), id); err != nil {
+		if _, _, err := m.WaitResult(context.Background(), id); err != nil {
 			t.Fatalf("wait %d: %v", i, err)
 		}
 		val, st, err := m.Result(id)
@@ -586,8 +587,7 @@ func Example() {
 		report(Progress{Phase: "candidates"})
 		return "ranked itemsets", nil
 	})
-	st, _ := m.Wait(context.Background(), id)
-	val, _, _ := m.Result(id)
+	val, st, _ := m.WaitResult(context.Background(), id)
 	fmt.Println(st.State, val)
 	// Output: done ranked itemsets
 }

@@ -36,38 +36,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// ColMeans returns the mean of each column.
-func (m *Matrix) ColMeans() []float64 {
-	means := make([]float64, m.Cols)
-	if m.Rows == 0 {
-		return means
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, v := range row {
-			means[c] += v
-		}
-	}
-	inv := 1 / float64(m.Rows)
-	for c := range means {
-		means[c] *= inv
-	}
-	return means
-}
-
-// CenterColumns subtracts each column's mean in place and returns the
-// means that were removed.
-func (m *Matrix) CenterColumns() []float64 {
-	means := m.ColMeans()
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			row[c] -= means[c]
-		}
-	}
-	return means
-}
-
 // Covariance returns the sample covariance matrix (Cols×Cols) of the
 // rows of m, which must already be column-centered. For fewer than two
 // rows the result is all zeros.

@@ -26,28 +26,6 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestColMeansAndCenter(t *testing.T) {
-	m := NewMatrix(3, 2)
-	vals := [][]float64{{1, 10}, {2, 20}, {3, 30}}
-	for r, row := range vals {
-		for c, v := range row {
-			m.Set(r, c, v)
-		}
-	}
-	means := m.ColMeans()
-	if means[0] != 2 || means[1] != 20 {
-		t.Fatalf("ColMeans = %v", means)
-	}
-	removed := m.CenterColumns()
-	if removed[0] != 2 || removed[1] != 20 {
-		t.Fatalf("CenterColumns returned %v", removed)
-	}
-	after := m.ColMeans()
-	if math.Abs(after[0]) > 1e-12 || math.Abs(after[1]) > 1e-12 {
-		t.Fatalf("columns not centered: %v", after)
-	}
-}
-
 func TestCovarianceKnown(t *testing.T) {
 	// Two perfectly correlated columns: cov = [[1,1],[1,1]] after centering
 	// for data {(−1,−1),(0,0),(1,1)} scaled: sample var of {-1,0,1} is 1.

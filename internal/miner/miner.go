@@ -136,16 +136,6 @@ func CheckFloor(minSup, floor uint64) error {
 	return nil
 }
 
-// MineMaximal mines with m and reduces the result to maximal itemsets, the
-// form the paper reports to operators.
-func MineMaximal(ctx context.Context, m Miner, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	all, err := m.Mine(ctx, ds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return itemset.MaximalOnly(all), nil
-}
-
 // Factory builds a miner instance. Miners are stateless between runs, so
 // factories typically return a shared value.
 type Factory func() Miner

@@ -14,7 +14,7 @@ const nrBase = uint32(1_200_000_000)
 // runScenario generates a scenario and runs the simulated NetReflex.
 func runScenario(t *testing.T, placements []gen.Placement, seed uint64) ([]detector.Alarm, *gen.Truth) {
 	t.Helper()
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,12 +129,3 @@ func dirCols(d Dir, src, dst Column) ColumnSet {
 		return ColumnSet(0).With(src).With(dst)
 	}
 }
-
-// Columns reports the record columns evaluating the filter may read. A nil
-// filter matches everything and reads nothing.
-func (f *Filter) Columns() ColumnSet {
-	if f == nil {
-		return 0
-	}
-	return Requires(f.root)
-}

@@ -74,13 +74,9 @@ func TestFilterColumnsFromSyntax(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", c.src, err)
 		}
-		if got := f.Columns(); got != c.want {
-			t.Errorf("Columns(%q) = %v, want %v", c.src, got, c.want)
+		if got := Requires(f.Root()); got != c.want {
+			t.Errorf("Requires(%q) = %v, want %v", c.src, got, c.want)
 		}
-	}
-	var nilf *Filter
-	if got := nilf.Columns(); got != 0 {
-		t.Errorf("nil filter Columns = %v, want none", got)
 	}
 }
 

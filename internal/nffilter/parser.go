@@ -43,16 +43,6 @@ func Parse(src string) (*Filter, error) {
 	return &Filter{root: root, src: src}, nil
 }
 
-// MustParse is Parse that panics on error, for constant filters in tests
-// and examples.
-func MustParse(src string) *Filter {
-	f, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // FromNode wraps a programmatically built AST in a Filter. The extraction
 // engine uses this to turn itemsets into drill-down filters without going
 // through text.

@@ -179,7 +179,10 @@ func TestStringRoundTrip(t *testing.T) {
 
 func TestPrecedence(t *testing.T) {
 	// "a or b and c" must parse as "a or (b and c)".
-	f := MustParse("dst port 9999 or dst port 80 and proto tcp")
+	f, err := Parse("dst port 9999 or dst port 80 and proto tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !f.Match(rec(nil)) {
 		t.Fatal("expected match: (dst port 80 and proto tcp) holds")
 	}
@@ -229,13 +232,4 @@ func TestFlagsFormat(t *testing.T) {
 	if (&FlagsMatch{Mask: 0}).String() != "flags 0" {
 		t.Errorf("zero mask renders %q", (&FlagsMatch{Mask: 0}).String())
 	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse must panic on bad input")
-		}
-	}()
-	MustParse("this is not a filter")
 }

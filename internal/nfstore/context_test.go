@@ -11,7 +11,7 @@ import (
 // cancelStore builds a store with several segments of records.
 func cancelStore(t *testing.T, bins, perBin int) *Store {
 	t.Helper()
-	s, err := Create(t.TempDir(), 300)
+	s, err := CreateFormat(t.TempDir(), 300, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

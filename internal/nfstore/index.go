@@ -86,13 +86,6 @@ func (c *zmCache) put(bin uint32, z *zoneMap) {
 	c.evictLocked()
 }
 
-// len reports the current entry count.
-func (c *zmCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // evictLocked drops LRU entries until the cache fits its cap. Caller
 // holds c.mu.
 func (c *zmCache) evictLocked() {

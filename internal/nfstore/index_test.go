@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/flow"
-	"repro/internal/nffilter"
 )
 
 // TestZoneMapCodecRoundTrip checks the sidecar binary codec.
@@ -57,7 +56,7 @@ func sidecarPaths(t *testing.T, dir string) []string {
 // sidecar answers queries identically to a scan.
 func TestFlushWritesSidecars(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Create(dir, 300)
+	s, err := CreateFormat(dir, 300, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestFlushWritesSidecars(t *testing.T) {
 // sidecars so the second query can prune.
 func TestMissingSidecarFallbackAndLazyBuild(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Create(dir, 300)
+	s, err := CreateFormat(dir, 300, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func TestMissingSidecarFallbackAndLazyBuild(t *testing.T) {
 	}
 	defer s2.Close()
 	iv := flow.Interval{Start: 0, End: 1500}
-	filter := nffilter.MustParse("src ip 172.16.9.9")
+	filter := mustFilter(t, "src ip 172.16.9.9")
 
 	// First query: no sidecars → full scan of every segment, sidecars
 	// rebuilt as a side effect.
@@ -145,7 +144,7 @@ func TestMissingSidecarFallbackAndLazyBuild(t *testing.T) {
 // results from a scan) and replaced by the rebuild.
 func TestCorruptSidecarFallback(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Create(dir, 300)
+	s, err := CreateFormat(dir, 300, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestCorruptSidecarFallback(t *testing.T) {
 // in between stay correct.
 func TestStaleSidecarAfterAppend(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := Create(dir, 300)
+	s, _ := CreateFormat(dir, 300, DefaultSegmentFormat)
 	r1 := testRecord(10, 1, 80, 1)
 	s.Add(&r1)
 	s.Close()
@@ -236,7 +235,7 @@ func TestStaleSidecarAfterAppend(t *testing.T) {
 // segments.
 func TestBuildIndexes(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := Create(dir, 300)
+	s, _ := CreateFormat(dir, 300, DefaultSegmentFormat)
 	for b := 0; b < 4; b++ {
 		r := testRecord(uint32(b*300), byte(b), 80, 1)
 		s.Add(&r)

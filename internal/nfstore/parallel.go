@@ -111,12 +111,6 @@ func (s *Store) queryParallelism() int {
 	return min(runtime.GOMAXPROCS(0), maxAutoParallelism)
 }
 
-// SetPruning toggles zone-map segment pruning and lazy sidecar builds
-// (enabled by default). Disabling it forces every overlapping segment to
-// be scanned — the pre-index behavior, kept reachable for benchmarks and
-// correctness cross-checks.
-func (s *Store) SetPruning(enabled bool) { s.pruneOff.Store(!enabled) }
-
 // segPlan is one segment a query decided to touch.
 type segPlan struct {
 	bin uint32

@@ -37,7 +37,7 @@ func randRecord(rng *rand.Rand, span uint32) flow.Record {
 // seconds and returns the records' span.
 func randFilterStore(t *testing.T, rng *rand.Rand, n, bins int) *Store {
 	t.Helper()
-	s, err := Create(t.TempDir(), 300)
+	s, err := CreateFormat(t.TempDir(), 300, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestPruningObservable(t *testing.T) {
 	iv := flow.Interval{Start: 0, End: 3000}
 
 	s.ResetStats()
-	got, err := s.Records(t.Context(), iv, nffilter.MustParse("src ip 172.16.9.9"))
+	got, err := s.Records(t.Context(), iv, mustFilter(t, "src ip 172.16.9.9"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestPruningObservable(t *testing.T) {
 	// Fully-covered filter ("proto tcp" when the store is all-TCP): still
 	// pure pushdown.
 	s.ResetStats()
-	flows, _, _, err = s.Count(t.Context(), iv, nffilter.MustParse("proto tcp"))
+	flows, _, _, err = s.Count(t.Context(), iv, mustFilter(t, "proto tcp"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/flow"
-	"repro/internal/nffilter"
 )
 
 // stripSidecars deletes every sidecar file and clears the cache,
@@ -108,7 +107,7 @@ func TestAsyncSeedOnPreIndexAppend(t *testing.T) {
 			}
 
 			s.ResetStats()
-			if err := s.Query(t.Context(), reopenIv, nffilter.MustParse("src ip 203.0.113.9"), func(*flow.Record) error {
+			if err := s.Query(t.Context(), reopenIv, mustFilter(t, "src ip 203.0.113.9"), func(*flow.Record) error {
 				return errors.New("matched a record outside the segment's address range")
 			}); err != nil {
 				t.Fatal(err)

@@ -8,36 +8,24 @@ import "fmt"
 // facade already uses for SetSegmentFormat).
 //
 // Seal finalizes the segment of the bin containing t: pending rows are
-// encoded and flushed, the zone-map sidecar is written, the file handle
-// closes, and the registered on-seal hook fires. The bin stays queryable
-// and even appendable — a late record reopens the segment — but a sealed
-// bin is the streaming pipeline's signal that the bin is complete enough
-// to detect over.
+// encoded and flushed, the zone-map sidecar is written, and the file
+// handle closes. The bin stays queryable and even appendable — a late
+// record reopens the segment — but a sealed bin is the streaming
+// pipeline's signal that the bin is complete enough to detect over.
 type Sealer interface {
 	Seal(t uint32) error
-	OnSeal(fn func(bin uint32))
 }
 
 // Compile-time checks: both store flavors are sealers.
 var _ Sealer = (*Store)(nil)
 
-// OnSeal registers fn to run after every successful Seal, outside the
-// store's locks, with the sealed bin's start time. One hook; a second
-// call replaces the first; nil clears it.
-func (s *Store) OnSeal(fn func(bin uint32)) {
-	s.mu.Lock()
-	s.onSeal = fn
-	s.mu.Unlock()
-}
-
 // Seal finalizes the open segment of the bin containing t: the pending
 // column block is encoded, buffers flush to disk, the zone-map sidecar
 // is persisted, and the file handle closes (it reopens transparently if
 // a late record arrives for the bin). Sealing a bin with no open writer
-// is a no-op that still fires the on-seal hook — the bin's bytes were
-// already durable. This is the streaming pipeline's bin-boundary commit:
-// after Seal returns, queries over the bin see every record ingested
-// before the call.
+// is a no-op: the bin's bytes were already durable. This is the
+// streaming pipeline's bin-boundary commit: after Seal returns, queries
+// over the bin see every record ingested before the call.
 func (s *Store) Seal(t uint32) error {
 	bin := s.binStart(t)
 	s.mu.Lock()
@@ -55,13 +43,9 @@ func (s *Store) Seal(t uint32) error {
 		}
 		delete(s.open, bin)
 	}
-	hook := s.onSeal
 	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("nfstore: seal bin %d: %w", bin, err)
-	}
-	if hook != nil {
-		hook(bin)
 	}
 	return nil
 }

@@ -57,12 +57,11 @@ type Store struct {
 	dir        string
 	binSeconds uint32
 
-	mu     sync.RWMutex
-	open   map[uint32]*segWriter // open segment writers by bin start
-	onSeal func(bin uint32)      // fired after each successful Seal (see seal.go)
+	mu   sync.RWMutex
+	open map[uint32]*segWriter // open segment writers by bin start
 
 	par       atomic.Int32  // query parallelism pinned by tests (0 = auto)
-	pruneOff  atomic.Bool   // zone-map pruning disabled
+	pruneOff  atomic.Bool   // zone-map pruning disabled (SetPruning, in-package tests only)
 	zmc       zmCache       // decoded sidecars by bin (bounded LRU)
 	stats     storeStats    // scan counters
 	segFormat atomic.Uint32 // format for newly created segments
@@ -106,15 +105,10 @@ func (w *segWriter) seal() error {
 	return nil
 }
 
-// Create initializes a new store in dir (created if missing; must not
-// already contain a store) with the given bin width in seconds, writing
-// new segments in the default (columnar) format.
-func Create(dir string, binSeconds uint32) (*Store, error) {
-	return CreateFormat(dir, binSeconds, DefaultSegmentFormat)
-}
-
-// CreateFormat is Create with an explicit segment format for new segments
-// (FormatV1 fixed rows or FormatV2 column blocks).
+// CreateFormat initializes a new store in dir (created if missing; must
+// not already contain a store) with the given bin width in seconds,
+// writing new segments in format (FormatV1 fixed rows or FormatV2 column
+// blocks; DefaultSegmentFormat is the columnar one).
 func CreateFormat(dir string, binSeconds uint32, format uint16) (*Store, error) {
 	if !validFormat(format) {
 		return nil, fmt.Errorf("nfstore: unknown segment format %d (supported: %d-%d)", format, FormatV1, segVersionMax)
@@ -180,9 +174,6 @@ func (s *Store) SetSegmentFormat(format uint16) error {
 
 // BinSeconds returns the store's measurement bin width.
 func (s *Store) BinSeconds() uint32 { return s.binSeconds }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // binStart returns the start of the bin containing t.
 func (s *Store) binStart(t uint32) uint32 { return t - t%s.binSeconds }

@@ -10,6 +10,16 @@ import (
 	"repro/internal/nffilter"
 )
 
+// mustFilter parses a constant filter expression.
+func mustFilter(t *testing.T, expr string) *nffilter.Filter {
+	t.Helper()
+	f, err := nffilter.Parse(expr)
+	if err != nil {
+		t.Fatalf("parse %q: %v", expr, err)
+	}
+	return f
+}
+
 func testRecord(start uint32, srcLast byte, dstPort uint16, packets uint64) flow.Record {
 	return flow.Record{
 		Start:   start,
@@ -28,7 +38,7 @@ func testRecord(start uint32, srcLast byte, dstPort uint16, packets uint64) flow
 
 func newTestStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := Create(t.TempDir(), 300)
+	s, err := CreateFormat(t.TempDir(), 300, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +69,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestCreateOpenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Create(dir, 600)
+	s, err := CreateFormat(dir, 600, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +99,10 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 
 func TestCreateRefusesExisting(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Create(dir, 300); err != nil {
+	if _, err := CreateFormat(dir, 300, DefaultSegmentFormat); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dir, 300); err == nil {
+	if _, err := CreateFormat(dir, 300, DefaultSegmentFormat); err == nil {
 		t.Fatal("second Create must fail")
 	}
 }
@@ -163,14 +173,14 @@ func TestQueryFilterPushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv := flow.Interval{Start: 0, End: 1000}
-	got, err := s.Records(t.Context(), iv, nffilter.MustParse("dst port 80"))
+	got, err := s.Records(t.Context(), iv, mustFilter(t, "dst port 80"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 25 {
 		t.Fatalf("filtered query returned %d, want 25", len(got))
 	}
-	flows, packets, bytes, err := s.Count(t.Context(), iv, nffilter.MustParse("dst port 443"))
+	flows, packets, bytes, err := s.Count(t.Context(), iv, mustFilter(t, "dst port 443"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +233,7 @@ func TestQueryReusesRecord(t *testing.T) {
 
 func TestTruncatedSegmentDetected(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Create(dir, 300)
+	s, err := CreateFormat(dir, 300, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +257,7 @@ func TestTruncatedSegmentDetected(t *testing.T) {
 
 func TestForeignFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Create(dir, 300)
+	s, err := CreateFormat(dir, 300, DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +274,7 @@ func TestForeignFilesIgnored(t *testing.T) {
 
 func TestAppendAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := Create(dir, 300)
+	s, _ := CreateFormat(dir, 300, DefaultSegmentFormat)
 	r1 := testRecord(10, 1, 80, 1)
 	s.Add(&r1)
 	s.Close()

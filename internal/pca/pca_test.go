@@ -24,7 +24,7 @@ type anomalySpec struct {
 // buildTrace writes a multi-PoP background trace with optional anomalies.
 func buildTrace(t *testing.T, anomalies []anomalySpec) (*nfstore.Store, flow.Interval) {
 	t.Helper()
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

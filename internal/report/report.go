@@ -70,21 +70,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		b.WriteString("**" + t.Title + "**\n\n")
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	seps := make([]string, len(t.Headers))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(seps, " | ") + " |\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
-}

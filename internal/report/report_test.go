@@ -53,25 +53,10 @@ func TestNoTitle(t *testing.T) {
 	}
 }
 
-func TestMarkdown(t *testing.T) {
-	tbl := New("T", "x", "y")
-	tbl.AddRow("1", "2")
-	md := tbl.Markdown()
-	for _, want := range []string{"**T**", "| x | y |", "| --- | --- |", "| 1 | 2 |"} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
 func TestEmptyTable(t *testing.T) {
 	tbl := New("t", "h1", "h2")
 	out := tbl.String()
 	if !strings.Contains(out, "h1") || !strings.Contains(out, "h2") {
 		t.Fatal("empty table must still render headers")
-	}
-	md := tbl.Markdown()
-	if !strings.Contains(md, "| h1 | h2 |") {
-		t.Fatal("empty markdown table must render headers")
 	}
 }

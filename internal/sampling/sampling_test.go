@@ -19,7 +19,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(0, nil); err == nil {
 		t.Fatal("rate 0 must be rejected")
 	}
-	if s := MustNew(1, nil); s.Rate() != 1 {
+	if s := MustNew(1, nil); s.rate != 1 {
 		t.Fatal("rate 1 sampler")
 	}
 	defer func() {
@@ -75,8 +75,16 @@ func TestSmallFlowsVanishLargeFlowsSurvive(t *testing.T) {
 	const trials = 20000
 	for i := 0; i < trials; i++ {
 		r := mkRecord(1)
-		if _, ok := s.Apply(&r); ok {
-			survived++
+		out, ok := s.Apply(&r)
+		if !ok {
+			continue
+		}
+		survived++
+		if err := out.Validate(); err != nil {
+			t.Fatalf("sampled record invalid: %v", err)
+		}
+		if out.Packets%100 != 0 {
+			t.Fatalf("renormalized packets %d not a multiple of the rate", out.Packets)
 		}
 	}
 	rate := float64(survived) / trials
@@ -87,44 +95,6 @@ func TestSmallFlowsVanishLargeFlowsSurvive(t *testing.T) {
 	r := mkRecord(1_000_000)
 	if _, ok := s.Apply(&r); !ok {
 		t.Fatal("flood flow vanished under sampling (prob ≈ 0)")
-	}
-}
-
-func TestSurvivalProb(t *testing.T) {
-	s := MustNew(100, nil)
-	if got := s.SurvivalProb(1); math.Abs(got-0.01) > 1e-12 {
-		t.Fatalf("SurvivalProb(1) = %v", got)
-	}
-	// 1-(0.99)^100 ≈ 0.634.
-	if got := s.SurvivalProb(100); math.Abs(got-0.6340) > 0.001 {
-		t.Fatalf("SurvivalProb(100) = %v", got)
-	}
-	if got := s.SurvivalProb(1_000_000); got < 0.999999 {
-		t.Fatalf("SurvivalProb(1M) = %v", got)
-	}
-	if got := MustNew(1, nil).SurvivalProb(1); got != 1 {
-		t.Fatalf("rate-1 survival = %v", got)
-	}
-}
-
-func TestApplyAll(t *testing.T) {
-	s := MustNew(100, stats.NewRNG(5))
-	in := make([]flow.Record, 0, 3000)
-	for i := 0; i < 3000; i++ {
-		in = append(in, mkRecord(1))
-	}
-	out := s.ApplyAll(in)
-	// ≈1% of 3000 = 30; allow generous noise.
-	if len(out) < 10 || len(out) > 70 {
-		t.Fatalf("ApplyAll kept %d of 3000 one-packet flows, want ≈ 30", len(out))
-	}
-	for i := range out {
-		if err := out[i].Validate(); err != nil {
-			t.Fatalf("sampled record invalid: %v", err)
-		}
-		if out[i].Packets%100 != 0 {
-			t.Fatalf("renormalized packets %d not a multiple of the rate", out[i].Packets)
-		}
 	}
 }
 

@@ -138,7 +138,6 @@ func OpenRemote(ctx context.Context, peers []string, opts RemoteOptions) (*Shard
 }
 
 func (r *RemoteShard) Name() string                   { return r.name }
-func (r *RemoteShard) BinSeconds() uint32             { return r.binSeconds }
 func (r *RemoteShard) SegmentFormat() (uint16, error) { return r.writeFormat, nil }
 func (r *RemoteShard) Close() error                   { return nil }
 

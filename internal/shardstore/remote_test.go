@@ -42,7 +42,7 @@ func buildPeers(t *testing.T, recs []flow.Record, n int) (locals []*nfstore.Stor
 	if err := router.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range router.LocalStores() {
+	for _, st := range router.locals {
 		srv, url := serveShard(t, st)
 		locals = append(locals, st)
 		servers = append(servers, srv)

@@ -41,7 +41,6 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // contract.
 type Shard interface {
 	Name() string
-	BinSeconds() uint32
 	Bins() ([]uint32, error)
 	Span() (flow.Interval, bool, error)
 	Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error
@@ -70,7 +69,6 @@ type localShard struct {
 }
 
 func (l localShard) Name() string                            { return l.name }
-func (l localShard) BinSeconds() uint32                      { return l.s.BinSeconds() }
 func (l localShard) Bins() ([]uint32, error)                 { return l.s.Bins() }
 func (l localShard) Span() (flow.Interval, bool, error)      { return l.s.Span() }
 func (l localShard) Stats() (nfstore.Stats, error)           { return l.s.Stats(), nil }
@@ -115,9 +113,6 @@ type ShardedStore struct {
 	locals   []*nfstore.Store
 	par      atomic.Int32 // fan-out pinned by tests (0 = auto)
 	degraded atomic.Bool
-
-	sealMu sync.Mutex
-	onSeal func(bin uint32) // fired once per coordinator-level Seal
 }
 
 // Create makes a sharded store of n empty child stores under dir,
@@ -199,13 +194,6 @@ func NewFromShards(m Manifest, shards []Shard, locals []*nfstore.Store) (*Sharde
 
 // Compile-time check: a sharded store is a drop-in engine.
 var _ nfstore.Engine = (*ShardedStore)(nil)
-
-// Manifest returns the store's shard map.
-func (st *ShardedStore) Manifest() Manifest { return st.manifest }
-
-// LocalStores returns the in-process stores behind the shards, in shard
-// order, or nil when the shards are remote.
-func (st *ShardedStore) LocalStores() []*nfstore.Store { return st.locals }
 
 // SetDegraded toggles degraded reads: when on, a scatter-gather read
 // that loses some (but not all) shards returns the surviving shards'
@@ -508,19 +496,9 @@ func (st *ShardedStore) SetSegmentFormat(format uint16) error {
 // Compile-time check: a local sharded store supports bin sealing.
 var _ nfstore.Sealer = (*ShardedStore)(nil)
 
-// OnSeal registers fn to fire once per sealed bin. The hook lives on the
-// coordinator, not the children: Seal fans out to every local shard
-// (under hash partitioning a bin's records spread over all of them) and
-// fires fn exactly once after they all committed.
-func (st *ShardedStore) OnSeal(fn func(bin uint32)) {
-	st.sealMu.Lock()
-	st.onSeal = fn
-	st.sealMu.Unlock()
-}
-
-// Seal finalizes the bin containing t on every local shard, then fires
-// the registered on-seal hook once. Remote shard sets are read-only and
-// cannot seal.
+// Seal finalizes the bin containing t on every local shard (under hash
+// partitioning a bin's records spread over all of them). Remote shard
+// sets are read-only and cannot seal.
 func (st *ShardedStore) Seal(t uint32) error {
 	if st.locals == nil {
 		return errors.New("shardstore: store is read-only (remote shards)")
@@ -529,13 +507,6 @@ func (st *ShardedStore) Seal(t uint32) error {
 		if err := s.Seal(t); err != nil {
 			return &ShardError{Shard: st.shards[i].Name(), Err: err}
 		}
-	}
-	st.sealMu.Lock()
-	fn := st.onSeal
-	st.sealMu.Unlock()
-	if fn != nil {
-		bin := t - t%st.manifest.BinSeconds
-		fn(bin)
 	}
 	return nil
 }

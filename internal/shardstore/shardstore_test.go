@@ -117,6 +117,16 @@ func sortedCopy(rs []flow.Record) []flow.Record {
 	return out
 }
 
+// datasetOf folds recs into a Dataset the way extraction does, through
+// an itemset.Builder.
+func datasetOf(recs []flow.Record) *itemset.Dataset {
+	b := itemset.NewBuilder()
+	for i := range recs {
+		b.Add(&recs[i])
+	}
+	return b.Dataset()
+}
+
 // TestShardedParity is the property test of the scatter-gather engine:
 // across shard counts, partition schemes, segment formats, filters and
 // spans, every read of the sharded store must agree with the single
@@ -219,8 +229,8 @@ func TestShardedParity(t *testing.T) {
 								itemset.NewSet(itemset.NewItem(flow.FeatDstPort, 53),
 									itemset.NewItem(flow.FeatProto, uint32(flow.ProtoUDP))),
 							}
-							wantSup := itemset.FromRecords(wantRecs).SupportAll(sets, 2)
-							gotSup := itemset.FromRecords(gotRecs).SupportAll(sets, 2)
+							wantSup := datasetOf(wantRecs).SupportAll(sets, 2)
+							gotSup := datasetOf(gotRecs).SupportAll(sets, 2)
 							if !reflect.DeepEqual(gotSup, wantSup) {
 								t.Fatalf("%s: SupportAll diverged:\n got %+v\nwant %+v", label, gotSup, wantSup)
 							}
@@ -288,8 +298,8 @@ func TestShardedOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh2.Close()
-	if sh2.Manifest().Partition != PartitionHash || sh2.Manifest().Shards != 3 {
-		t.Fatalf("manifest round-trip = %+v", sh2.Manifest())
+	if sh2.manifest.Partition != PartitionHash || sh2.manifest.Shards != 3 {
+		t.Fatalf("manifest round-trip = %+v", sh2.manifest)
 	}
 	flows, _, _, err := sh2.Count(context.Background(), flow.Interval{Start: 0, End: ^uint32(0)}, nil)
 	if err != nil {
@@ -426,7 +436,7 @@ func TestMigrateSharded(t *testing.T) {
 	recs := genRecords(21, 1200, 4*testBinSec)
 	single, sharded := buildPair(t, recs, 4, PartitionHash, nfstore.FormatV1)
 	ctx := context.Background()
-	for _, st := range sharded.LocalStores() {
+	for _, st := range sharded.locals {
 		if _, err := st.MigrateWorkers(ctx, nfstore.FormatV2, 2); err != nil {
 			t.Fatal(err)
 		}

@@ -33,19 +33,8 @@ func (d *Dist) Add(value uint32, weight float64) {
 // Total returns the summed weight.
 func (d *Dist) Total() float64 { return d.total }
 
-// Support returns the number of distinct values observed.
-func (d *Dist) Support() int { return len(d.w) }
-
 // Weight returns the accumulated weight of a value.
 func (d *Dist) Weight(value uint32) float64 { return d.w[value] }
-
-// Prob returns the empirical probability of a value.
-func (d *Dist) Prob(value uint32) float64 {
-	if d.total == 0 {
-		return 0
-	}
-	return d.w[value] / d.total
-}
 
 // Entropy returns the Shannon entropy H = -Σ p log2 p in bits.
 // An empty distribution has zero entropy. Summation runs in sorted value
@@ -176,15 +165,6 @@ func (d *Dist) Scale(mult float64) {
 		d.w[v] *= mult
 	}
 	d.total *= mult
-}
-
-// Clone returns a deep copy.
-func (d *Dist) Clone() *Dist {
-	c := &Dist{w: make(map[uint32]float64, len(d.w)), total: d.total}
-	for v, w := range d.w {
-		c.w[v] = w
-	}
-	return c
 }
 
 // Values iterates over all (value, weight) pairs in unspecified order.

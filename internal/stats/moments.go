@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Welford is a streaming mean/variance estimator (Welford's algorithm).
 // Detector thresholds of the form μ + kσ over training windows use it, as
@@ -38,37 +35,3 @@ func (w *Welford) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
-// interpolation on a sorted copy. It returns NaN for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// MeanStd returns the mean and sample standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Mean(), w.Std()
-}

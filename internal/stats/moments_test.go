@@ -52,38 +52,6 @@ func TestWelfordMatchesDirectComputation(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty slice must be NaN")
-	}
-	// Out-of-range q is clamped.
-	if Quantile(xs, -1) != 1 || Quantile(xs, 2) != 5 {
-		t.Error("q must clamp to [0,1]")
-	}
-	// Input must not be mutated.
-	ys := []float64{3, 1, 2}
-	Quantile(ys, 0.5)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Error("Quantile must not sort the caller's slice")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(mean-5) > 1e-12 || math.Abs(std-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Fatalf("MeanStd = %v, %v", mean, std)
-	}
-}
-
 func TestNormQuantile(t *testing.T) {
 	cases := []struct{ p, want float64 }{
 		{0.5, 0},

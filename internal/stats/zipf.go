@@ -52,22 +52,8 @@ func MustZipf(n int, s float64) *Zipf {
 	return z
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Rank draws a rank in [0, N), rank 0 being the most popular.
 func (z *Zipf) Rank(r *RNG) int {
 	u := r.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
-}
-
-// Prob returns the probability of rank i (0-based).
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }

@@ -12,17 +12,23 @@ import (
 	"repro/internal/nfstore"
 )
 
-// sealLog collects store OnSeal notifications under a lock — the hook
-// runs on the pipeline worker while the test goroutine reads.
+// sealLog wraps a store and records the start of every bin the pipeline
+// seals through it, under a lock: Seal runs on the pipeline worker while
+// the test goroutine reads.
 type sealLog struct {
+	*nfstore.Store
 	mu   sync.Mutex
 	bins []uint32
 }
 
-func (sl *sealLog) hook(bin uint32) {
+func (sl *sealLog) Seal(t uint32) error {
+	if err := sl.Store.Seal(t); err != nil {
+		return err
+	}
 	sl.mu.Lock()
-	sl.bins = append(sl.bins, bin)
+	sl.bins = append(sl.bins, t-t%sl.BinSeconds())
 	sl.mu.Unlock()
+	return nil
 }
 
 func (sl *sealLog) snapshot() []uint32 {
@@ -58,18 +64,17 @@ func waitIngested(t *testing.T, p *Pipeline, n uint64) {
 }
 
 // TestPipelineSealsBehindClock drives records through three bins and
-// pins the sealing contract: a bin seals (durable, store hook fired)
+// pins the sealing contract: a bin seals (durable, Seal called)
 // once the clock passes its end, and Close seals whatever remains.
 func TestPipelineSealsBehindClock(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 
-	var sl sealLog
-	store.OnSeal(sl.hook)
-	p, err := New(Config{Store: store})
+	sl := &sealLog{Store: store}
+	p, err := New(Config{Store: sl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +128,13 @@ func TestPipelineSealsBehindClock(t *testing.T) {
 // only seals once the clock is 60 s past its end, so slightly late
 // records still land in their (open) bin.
 func TestPipelineSealLag(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	var sl sealLog
-	store.OnSeal(sl.hook)
-	p, err := New(Config{Store: store, SealLag: 60})
+	sl := &sealLog{Store: store}
+	p, err := New(Config{Store: sl, SealLag: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func (b *blockingStore) Add(r *flow.Record) error {
 // buffer: TryIngest drops and counts, Ingest blocks until its context
 // cancels.
 func TestPipelineBackpressure(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestPipelineBackpressure(t *testing.T) {
 // detector over a flood and pins that the alarms arrive through OnSealed
 // attached to their bin.
 func TestPipelineDeliversOnlineAlarms(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +290,7 @@ func TestPipelineDeliversOnlineAlarms(t *testing.T) {
 // its batch Detect over the sealed store reproduces the live alarm
 // sequence exactly, given a clock-ordered stream.
 func TestOnlineBatchParity(t *testing.T) {
-	store, err := nfstore.Create(t.TempDir(), 300)
+	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
 	if err != nil {
 		t.Fatal(err)
 	}

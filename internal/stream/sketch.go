@@ -89,9 +89,9 @@ func (c *SketchConfig) validate() error {
 	return nil
 }
 
-// mix64 is the SplitMix64 finalizer (the same mixer FiveTuple.FastHash
-// uses) — full-avalanche, so one 64-bit hash sliced per row indexes a
-// count-min sketch without a murmur dependency.
+// mix64 is the SplitMix64 finalizer — full-avalanche, so one 64-bit
+// hash sliced per row indexes a count-min sketch without a murmur
+// dependency.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

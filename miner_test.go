@@ -80,7 +80,7 @@ func TestWithMinerEquivalence(t *testing.T) {
 	}
 	for i := range ap.Itemsets {
 		a, f := &ap.Itemsets[i], &fp.Itemsets[i]
-		if !a.Items.Equal(f.Items) || a.FlowSupport != f.FlowSupport || a.PacketSupport != f.PacketSupport {
+		if !slices.Equal(a.Items, f.Items) || a.FlowSupport != f.FlowSupport || a.PacketSupport != f.PacketSupport {
 			t.Fatalf("row %d differs: %v vs %v", i, a, f)
 		}
 	}

@@ -1,0 +1,11 @@
+package main
+
+import "example/internal/plant"
+
+func main() {
+	plant.Used()
+	var x any = plant.Thing{}
+	if a, ok := x.(interface{ Anon() }); ok {
+		a.Anon()
+	}
+}
