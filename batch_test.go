@@ -25,8 +25,6 @@ type fakeDetector struct {
 	alarms []rootcause.Alarm
 }
 
-func (d *fakeDetector) Name() string { return d.name }
-
 func (d *fakeDetector) Detect(ctx context.Context, _ nfstore.Engine, span flow.Interval) ([]detector.Alarm, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -235,8 +235,6 @@ func TestDetectorsEndpoint(t *testing.T) {
 // be listed and runnable through the HTTP API.
 type httpDetector struct{}
 
-func (httpDetector) Name() string { return "http-test-detector" }
-
 func (httpDetector) Detect(ctx context.Context, _ nfstore.Engine, span flow.Interval) ([]detector.Alarm, error) {
 	return []detector.Alarm{{
 		Detector: "http-test-detector",

@@ -145,8 +145,6 @@ func (a *Alarm) String() string {
 
 // Detector is an anomaly detector running over a flow store.
 type Detector interface {
-	// Name identifies the detector in alarms it raises.
-	Name() string
 	// Detect scans the span (aligned to store bins) and returns alarms in
 	// time order. Implementations must not mutate the store and must
 	// honor ctx cancellation, returning ctx.Err() promptly.

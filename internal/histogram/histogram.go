@@ -37,7 +37,7 @@ func init() {
 	})
 }
 
-// Name implements detector.Detector.
+// Name is the detector name its alarms carry.
 func (d *Detector) Name() string { return "histogram-kl" }
 
 // hashBin maps a feature value to one of the hashBins histogram bins.

@@ -34,7 +34,7 @@ func init() {
 	})
 }
 
-// Name implements detector.Detector.
+// Name is the detector name its alarms carry.
 func (d *Detector) Name() string { return "netreflex" }
 
 // Detect implements detector.Detector: run the subspace detector, then

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/flow"
 	"repro/internal/nffilter"
@@ -191,104 +192,77 @@ func growBytes(b []byte, n int) []byte {
 	return make([]byte, n)
 }
 
+// blockEncoder holds the v2 writer's reusable state. A Store owns one
+// and uses it under s.mu; a migration rewrite makes its own.
+type blockEncoder struct {
+	// code maps a u16 value to its dictionary index+1 in the column being
+	// encoded (0 = unseen). appendDictU16 zeroes every entry it set before
+	// returning, so the table is all zero between columns.
+	code [1 << 16]uint16
+	dict []uint16 // the current column's distinct values
+	cols colBatch // the block's records, gathered column by column
+	sec  []byte   // the current column section, before its length prefix
+}
+
 // appendBlock encodes one block of records (1 ≤ len ≤ maxBlockRecords)
 // onto dst: header, zone-map meta, then the column sections. The encoding
 // is deterministic — dictionaries list values in first-occurrence order —
-// so identical record sequences produce identical bytes.
-func appendBlock(dst []byte, recs []flow.Record) []byte {
+// so identical record sequences produce identical bytes. The block zone
+// map gets bounds and totals only: blocks carry no Blooms.
+func (e *blockEncoder) appendBlock(dst []byte, recs []flow.Record) []byte {
 	headerAt := len(dst)
 	dst = append(dst, make([]byte, blockHeaderSize)...)
 	payloadAt := len(dst)
 
+	n := len(recs)
+	b := &e.cols
+	b.start, b.dur = growU32(b.start, n), growU32(b.dur, n)
+	b.srcIP, b.dstIP = growU32(b.srcIP, n), growU32(b.dstIP, n)
+	b.srcPort, b.dstPort = growU16(b.srcPort, n), growU16(b.dstPort, n)
+	b.router, b.anno = growU16(b.router, n), growU16(b.anno, n)
+	b.proto, b.flags = growU8(b.proto, n), growU8(b.flags, n)
+	b.packets, b.bytes = growU64(b.packets, n), growU64(b.bytes, n)
 	var zm zoneMap
 	for i := range recs {
-		zm.add(&recs[i])
+		r := &recs[i]
+		zm.addBounds(r)
+		b.start[i], b.dur[i], b.srcIP[i], b.dstIP[i] = r.Start, r.Dur, uint32(r.SrcIP), uint32(r.DstIP)
+		b.srcPort[i], b.dstPort[i], b.router[i], b.anno[i] = r.SrcPort, r.DstPort, r.Router, uint16(r.Anno)
+		b.proto[i], b.flags[i], b.packets[i], b.bytes[i] = uint8(r.Proto), r.Flags, r.Packets, r.Bytes
 	}
 	dst = appendBlockMeta(dst, &zm)
 
-	var u32s []uint32
-	var u16s []uint16
-	var u8s []uint8
-	var u64s []uint64
-	n := len(recs)
 	for c := nffilter.Column(0); c < nffilter.NumColumns; c++ {
-		var sec []byte
+		sec := e.sec[:0]
 		switch c {
 		case nffilter.ColStart:
-			u32s = growU32(u32s, n)
-			for i := range recs {
-				u32s[i] = recs[i].Start
-			}
-			sec = appendDeltaU32(nil, u32s)
+			sec = appendDeltaU32(sec, b.start)
 		case nffilter.ColDur:
-			u32s = growU32(u32s, n)
-			for i := range recs {
-				u32s[i] = recs[i].Dur
-			}
-			sec = appendDeltaU32(nil, u32s)
+			sec = appendDeltaU32(sec, b.dur)
 		case nffilter.ColSrcIP:
-			u32s = growU32(u32s, n)
-			for i := range recs {
-				u32s[i] = uint32(recs[i].SrcIP)
-			}
-			sec = appendRawU32(nil, u32s)
+			sec = appendRawU32(sec, b.srcIP)
 		case nffilter.ColDstIP:
-			u32s = growU32(u32s, n)
-			for i := range recs {
-				u32s[i] = uint32(recs[i].DstIP)
-			}
-			sec = appendRawU32(nil, u32s)
+			sec = appendRawU32(sec, b.dstIP)
 		case nffilter.ColSrcPort:
-			u16s = growU16(u16s, n)
-			for i := range recs {
-				u16s[i] = recs[i].SrcPort
-			}
-			sec = appendDictU16(nil, u16s)
+			sec = e.appendDictU16(sec, b.srcPort)
 		case nffilter.ColDstPort:
-			u16s = growU16(u16s, n)
-			for i := range recs {
-				u16s[i] = recs[i].DstPort
-			}
-			sec = appendDictU16(nil, u16s)
+			sec = e.appendDictU16(sec, b.dstPort)
 		case nffilter.ColProto:
-			u8s = growU8(u8s, n)
-			for i := range recs {
-				u8s[i] = uint8(recs[i].Proto)
-			}
-			sec = appendDictU8(nil, u8s)
+			sec = appendDictU8(sec, b.proto)
 		case nffilter.ColFlags:
-			u8s = growU8(u8s, n)
-			for i := range recs {
-				u8s[i] = recs[i].Flags
-			}
-			sec = appendDictU8(nil, u8s)
+			sec = appendDictU8(sec, b.flags)
 		case nffilter.ColRouter:
-			u16s = growU16(u16s, n)
-			for i := range recs {
-				u16s[i] = recs[i].Router
-			}
-			sec = appendDictU16(nil, u16s)
+			sec = e.appendDictU16(sec, b.router)
 		case nffilter.ColAnno:
-			u16s = growU16(u16s, n)
-			for i := range recs {
-				u16s[i] = uint16(recs[i].Anno)
-			}
-			sec = appendDictU16(nil, u16s)
+			sec = e.appendDictU16(sec, b.anno)
 		case nffilter.ColPackets:
-			u64s = growU64(u64s, n)
-			for i := range recs {
-				u64s[i] = recs[i].Packets
-			}
-			sec = appendDeltaU64(nil, u64s)
+			sec = appendDeltaU64(sec, b.packets)
 		case nffilter.ColBytes:
-			u64s = growU64(u64s, n)
-			for i := range recs {
-				u64s[i] = recs[i].Bytes
-			}
-			sec = appendDeltaU64(nil, u64s)
+			sec = appendDeltaU64(sec, b.bytes)
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(sec)))
 		dst = append(dst, sec...)
+		e.sec = sec
 	}
 
 	payload := dst[payloadAt:]
@@ -586,36 +560,45 @@ func decodeRawU32(sec []byte, out []uint32) error {
 // the distinct values (first-occurrence order, uvarint each), then one
 // index byte per row. A single-value column omits the indexes; past 256
 // distinct values it falls back to raw little-endian u16s, marked by
-// cardinality 0.
-func appendDictU16(dst []byte, vals []uint16) []byte {
-	var dict []uint16
-	idx := make(map[uint16]uint8, 16)
+// cardinality 0. Codes come from e.code, whose set entries are cleared
+// again on both paths before returning.
+func (e *blockEncoder) appendDictU16(dst []byte, vals []uint16) []byte {
+	code := &e.code
+	dict := e.dict[:0]
+	raw := false
 	for _, v := range vals {
-		if _, ok := idx[v]; !ok {
+		if code[v] == 0 {
 			if len(dict) == 256 {
-				dict = nil
+				raw = true
 				break
 			}
-			idx[v] = uint8(len(dict))
 			dict = append(dict, v)
+			code[v] = uint16(len(dict))
 		}
 	}
-	if dict == nil {
+	e.dict = dict
+	if raw {
 		dst = binary.AppendUvarint(dst, 0)
-		for _, v := range vals {
-			dst = binary.LittleEndian.AppendUint16(dst, v)
+		at := len(dst)
+		dst = slices.Grow(dst, 2*len(vals))[:at+2*len(vals)]
+		for i, v := range vals {
+			binary.LittleEndian.PutUint16(dst[at+2*i:], v)
 		}
-		return dst
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(len(dict)))
+		for _, v := range dict {
+			dst = binary.AppendUvarint(dst, uint64(v))
+		}
+		if len(dict) > 1 {
+			at := len(dst)
+			dst = slices.Grow(dst, len(vals))[:at+len(vals)]
+			for i, v := range vals {
+				dst[at+i] = uint8(code[v] - 1)
+			}
+		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(dict)))
 	for _, v := range dict {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	if len(dict) == 1 {
-		return dst
-	}
-	for _, v := range vals {
-		dst = append(dst, idx[v])
+		code[v] = 0
 	}
 	return dst
 }

@@ -50,8 +50,9 @@ func TestBlockRoundTripProperty(t *testing.T) {
 		for i := range recs {
 			recs[i] = randRecord(rng, 10*300)
 		}
-		blk := appendBlock(nil, recs)
-		if again := appendBlock(nil, recs); !bytes.Equal(blk, again) {
+		e := new(blockEncoder)
+		blk := e.appendBlock(nil, recs)
+		if again := e.appendBlock(nil, recs); !bytes.Equal(blk, again) {
 			t.Fatalf("trial %d: encoding is not deterministic", trial)
 		}
 		got := decodeBlockRecords(t, blk, nffilter.AllColumns)
@@ -101,7 +102,7 @@ func TestBlockRoundTripExtremes(t *testing.T) {
 	cases["u16-raw-fallback"] = wide
 
 	for name, recs := range cases {
-		got := decodeBlockRecords(t, appendBlock(nil, recs), nffilter.AllColumns)
+		got := decodeBlockRecords(t, new(blockEncoder).appendBlock(nil, recs), nffilter.AllColumns)
 		for i := range recs {
 			if got[i] != recs[i] {
 				t.Fatalf("%s row %d:\n got %+v\nwant %+v", name, i, got[i], recs[i])
@@ -119,7 +120,7 @@ func TestBlockProjectionDecode(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(rng, 3000)
 	}
-	blk := appendBlock(nil, recs)
+	blk := new(blockEncoder).appendBlock(nil, recs)
 	for c := nffilter.Column(0); c < nffilter.NumColumns; c++ {
 		proj := nffilter.ColumnSet(0).With(c)
 		got := decodeBlockRecords(t, blk, proj)
@@ -160,7 +161,7 @@ func TestBlockMetaMatchesZoneMap(t *testing.T) {
 		recs[i] = randRecord(rng, 3000)
 		want.add(&recs[i])
 	}
-	blk := appendBlock(nil, recs)
+	blk := new(blockEncoder).appendBlock(nil, recs)
 	rd := blockReader{br: bufio.NewReader(bytes.NewReader(blk))}
 	count, payload, err := rd.next()
 	if err != nil {
@@ -196,7 +197,7 @@ func TestBlockCorruptionDetected(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRecord(rng, 3000)
 	}
-	valid := appendBlock(nil, recs)
+	valid := new(blockEncoder).appendBlock(nil, recs)
 	cases := []corruptCase{
 		{"truncated-header", func(b []byte) []byte { return b[:blockHeaderSize-3] }},
 		{"truncated-payload", func(b []byte) []byte { return b[:len(b)-5] }},
@@ -234,7 +235,7 @@ func TestBlockMangledSectionsDetected(t *testing.T) {
 		{Start: 2, SrcPort: 81, DstPort: 53, Proto: 17, Packets: 1, Bytes: 60},
 		{Start: 3, SrcPort: 82, DstPort: 443, Proto: 6, Packets: 9, Bytes: 900},
 	}
-	valid := appendBlock(nil, recs)
+	valid := new(blockEncoder).appendBlock(nil, recs)
 	reseal := func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[8:], uint32(len(b)-blockHeaderSize))
 		binary.LittleEndian.PutUint32(b[12:], blockChecksum(b[blockHeaderSize:]))

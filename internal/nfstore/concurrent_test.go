@@ -1,6 +1,8 @@
 package nfstore
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -70,4 +72,90 @@ func TestConcurrentWriterAndReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAddAllConcurrentReaders runs Query and Count against one bin while
+// a 65,536-record AddAll fills it. AddAll holds the writer lock per run
+// of records, so readers interleave with it; every read must see a
+// prefix of the batch that ends on a block boundary — the writer buffers
+// the pending block, and a partly written one is not yet flushed data.
+func TestAddAllConcurrentReaders(t *testing.T) {
+	s := newTestStore(t)
+	rng := rand.New(rand.NewSource(9))
+	recs := make([]flow.Record, 16*blockRecords)
+	for i := range recs {
+		recs[i] = randRecord(rng, 300)
+	}
+	iv := flow.Interval{Start: 0, End: 300}
+	checkPrefix := func(what string, n int) bool {
+		if n%blockRecords != 0 || n > len(recs) {
+			t.Errorf("%s saw %d records: not a prefix of whole blocks", what, n)
+			return false
+		}
+		return true
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			got, err := s.Records(t.Context(), iv, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !checkPrefix("Query", len(got)) {
+				return
+			}
+			if !slices.Equal(got, recs[:len(got)]) {
+				t.Errorf("Query saw %d records that are not the batch's prefix", len(got))
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			flows, packets, _, err := s.Count(t.Context(), iv, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !checkPrefix("Count", int(flows)) {
+				return
+			}
+			var want uint64
+			for _, r := range recs[:flows] {
+				want += r.Packets
+			}
+			if packets != want {
+				t.Errorf("Count saw %d flows with %d packets, want %d", flows, packets, want)
+				return
+			}
+		}
+	}()
+	err := s.AddAll(recs)
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if flows, _, _, err := s.Count(t.Context(), iv, nil); err != nil || flows != uint64(len(recs)) {
+		t.Fatalf("after Flush: Count = %d, %v; want %d", flows, err, len(recs))
+	}
 }

@@ -31,7 +31,7 @@ func (s *Store) Seal(t uint32) error {
 	s.mu.Lock()
 	var err error
 	if w, ok := s.open[bin]; ok {
-		err = w.seal()
+		err = w.seal(&s.enc)
 		if err == nil {
 			err = w.buf.Flush()
 		}

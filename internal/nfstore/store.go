@@ -59,6 +59,7 @@ type Store struct {
 
 	mu   sync.RWMutex
 	open map[uint32]*segWriter // open segment writers by bin start
+	enc  blockEncoder          // encodes every sealed unit; used under mu
 
 	par       atomic.Int32  // query parallelism pinned by tests (0 = auto)
 	pruneOff  atomic.Bool   // zone-map pruning disabled (SetPruning, in-package tests only)
@@ -92,11 +93,11 @@ type segWriter struct {
 // it to the segment's write buffer. Called when a unit fills and before
 // every flush, so on-disk bytes always end at a unit boundary and
 // sidecars never summarize unwritten rows.
-func (w *segWriter) seal() error {
+func (w *segWriter) seal(e *blockEncoder) error {
 	if len(w.pend) == 0 {
 		return nil
 	}
-	w.enc = appendUnit(w.format, w.enc[:0], w.pend)
+	w.enc = e.appendUnit(w.format, w.enc[:0], w.pend)
 	if _, err := w.buf.Write(w.enc); err != nil {
 		return err
 	}
@@ -186,12 +187,36 @@ func (s *Store) segPath(binStart uint32) string {
 // Add appends a record, routing it to the segment of its start-time bin.
 // Invalid records are rejected rather than silently stored.
 func (s *Store) Add(r *flow.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.add(r)
+}
+
+// AddAll appends a batch of records, stopping at the first error; the
+// records before it stay appended. The lock is taken once per run of up
+// to blockRecords records, so a reader starting a scan waits for at most
+// about one block encode.
+func (s *Store) AddAll(rs []flow.Record) error {
+	for i := 0; i < len(rs); {
+		end := min(i+blockRecords, len(rs))
+		s.mu.Lock()
+		for ; i < end; i++ {
+			if err := s.add(&rs[i]); err != nil {
+				s.mu.Unlock()
+				return fmt.Errorf("record %d: %w", i, err)
+			}
+		}
+		s.mu.Unlock()
+	}
+	return nil
+}
+
+// add validates and appends one record. Caller holds s.mu.
+func (s *Store) add(r *flow.Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
 	bin := s.binStart(r.Start)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w, ok := s.open[bin]
 	if !ok {
 		var err error
@@ -203,22 +228,12 @@ func (s *Store) Add(r *flow.Record) error {
 	}
 	w.pend = append(w.pend, *r)
 	if len(w.pend) >= blockRecords {
-		if err := w.seal(); err != nil {
+		if err := w.seal(&s.enc); err != nil {
 			return fmt.Errorf("nfstore: append to bin %d: %w", bin, err)
 		}
 	}
 	if w.zm != nil {
 		w.zm.add(r)
-	}
-	return nil
-}
-
-// AddAll appends a batch of records, stopping at the first error.
-func (s *Store) AddAll(rs []flow.Record) error {
-	for i := range rs {
-		if err := s.Add(&rs[i]); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
 	}
 	return nil
 }
@@ -277,7 +292,7 @@ func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for bin, w := range s.open {
-		if err := w.seal(); err != nil {
+		if err := w.seal(&s.enc); err != nil {
 			return fmt.Errorf("nfstore: flush bin %d: %w", bin, err)
 		}
 		if err := w.buf.Flush(); err != nil {
@@ -311,7 +326,7 @@ func (s *Store) Close() error {
 	defer s.mu.Unlock()
 	var firstErr error
 	for bin, w := range s.open {
-		err := w.seal()
+		err := w.seal(&s.enc)
 		if err == nil {
 			err = w.buf.Flush()
 		}
@@ -571,7 +586,7 @@ func (s *Store) migrateSegment(ctx context.Context, bin uint32, target uint16) (
 func (s *Store) tryMigrateSegment(ctx context.Context, bin uint32, target uint16) (done, retry bool, err error) {
 	s.mu.Lock()
 	if w, ok := s.open[bin]; ok {
-		err := w.seal()
+		err := w.seal(&s.enc)
 		if err == nil {
 			err = w.buf.Flush()
 		}
@@ -614,8 +629,9 @@ func (s *Store) tryMigrateSegment(ctx context.Context, bin uint32, target uint16
 	off := int64(segHeaderSize)
 	_, err = bw.Write(hdr[:])
 	var enc []byte
+	e := new(blockEncoder) // the rewrite runs outside s.mu: not s.enc
 	for i := 0; i < len(recs) && err == nil; i += blockRecords {
-		enc = appendUnit(target, enc[:0], recs[i:min(i+blockRecords, len(recs))])
+		enc = e.appendUnit(target, enc[:0], recs[i:min(i+blockRecords, len(recs))])
 		_, err = bw.Write(enc)
 		off += int64(len(enc))
 	}

@@ -1,8 +1,12 @@
 package nfstore
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -358,5 +362,44 @@ func TestWeightOf(t *testing.T) {
 	}
 	if ByFlows.String() != "flows" || ByPackets.String() != "packets" || ByBytes.String() != "bytes" {
 		t.Fatal("Weight.String wrong")
+	}
+}
+
+// TestAddAllStopsAtInvalidRecord: an invalid record at index k of a
+// batch fails AddAll with an error naming record k, the records before
+// it stay appended, and none after it is stored — at a lock-run boundary
+// (k = blockRecords) and away from one.
+func TestAddAllStopsAtInvalidRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range []int{0, blockRecords - 1, blockRecords, 7777, 9999} {
+		s := newTestStore(t)
+		recs := make([]flow.Record, 10_000)
+		for i := range recs {
+			recs[i] = randRecord(rng, 3*300)
+		}
+		recs[k].Packets = 0
+		err := s.AddAll(recs)
+		if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("record %d: ", k)) {
+			t.Fatalf("k=%d: AddAll error %v, want one naming record %d", k, err, k)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Records(t.Context(), flow.Interval{Start: 0, End: 3 * 300}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Records come back in bin order, each bin in append order.
+		var want []flow.Record
+		for bin := uint32(0); bin < 3*300; bin += 300 {
+			for _, r := range recs[:k] {
+				if s.binStart(r.Start) == bin {
+					want = append(want, r)
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d: read %d records back, want exactly the %d before record k", k, len(got), len(want))
+		}
 	}
 }

@@ -20,9 +20,9 @@ import (
 
 // appendUnit encodes recs (1 ≤ len ≤ blockRecords) as one unit of the
 // given segment format onto dst.
-func appendUnit(format uint16, dst []byte, recs []flow.Record) []byte {
+func (e *blockEncoder) appendUnit(format uint16, dst []byte, recs []flow.Record) []byte {
 	if format == FormatV2 {
-		return appendBlock(dst, recs)
+		return e.appendBlock(dst, recs)
 	}
 	at := len(dst)
 	dst = slices.Grow(dst, len(recs)*RecordSize)[:at+len(recs)*RecordSize]

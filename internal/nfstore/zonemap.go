@@ -111,8 +111,17 @@ type zoneMap struct {
 // newZoneMap returns an empty zone map (count 0, bounds unset).
 func newZoneMap() *zoneMap { return &zoneMap{} }
 
-// add folds one record into the summaries.
+// add folds one record into the summaries and the endpoint Blooms (a
+// segment sidecar's map).
 func (z *zoneMap) add(r *flow.Record) {
+	z.addBounds(r)
+	z.bloomSrc.add(uint32(r.SrcIP))
+	z.bloomDst.add(uint32(r.DstIP))
+}
+
+// addBounds folds one record into the bounds, masks and totals but not
+// the Blooms — all a v2 block's zone map holds.
+func (z *zoneMap) addBounds(r *flow.Record) {
 	if z.count == 0 {
 		z.minStart, z.maxStart = r.Start, r.Start
 		z.minSrcIP, z.maxSrcIP = uint32(r.SrcIP), uint32(r.SrcIP)
@@ -150,8 +159,6 @@ func (z *zoneMap) add(r *flow.Record) {
 	z.bytes += r.Bytes
 	z.protoBitmap[r.Proto/8] |= 1 << (r.Proto % 8)
 	z.flagsOr |= r.Flags
-	z.bloomSrc.add(uint32(r.SrcIP))
-	z.bloomDst.add(uint32(r.DstIP))
 }
 
 // overlapsStart reports whether any summarized record start time can fall

@@ -44,7 +44,7 @@ func init() {
 	})
 }
 
-// Name implements detector.Detector.
+// Name is the detector name its alarms carry.
 func (d *Detector) Name() string { return "pca-subspace" }
 
 // channel identifies one matrix column's meaning.

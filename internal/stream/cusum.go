@@ -128,9 +128,6 @@ func NewCUSUM(cfg CUSUMConfig) (*CUSUM, error) {
 	return &CUSUM{cfg: cfg, win: windower{width: cfg.WindowSeconds}}, nil
 }
 
-// Name implements detector.Detector.
-func (c *CUSUM) Name() string { return CUSUMName }
-
 // Observe implements Online.
 func (c *CUSUM) Observe(r *flow.Record) []detector.Alarm {
 	var out []detector.Alarm

@@ -196,9 +196,6 @@ func NewSketch(cfg SketchConfig) (*Sketch, error) {
 	return s, nil
 }
 
-// Name implements detector.Detector.
-func (s *Sketch) Name() string { return SketchName }
-
 // Observe implements Online.
 func (s *Sketch) Observe(r *flow.Record) []detector.Alarm {
 	var out []detector.Alarm

@@ -233,8 +233,14 @@ func TestBuildDetectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dets) != 2 || dets[0].Name() != CUSUMName || dets[1].Name() != SketchName {
+	if len(dets) != 2 {
 		t.Fatalf("default online set = %v", dets)
+	}
+	if _, ok := dets[0].(*CUSUM); !ok {
+		t.Fatalf("default online set[0] = %T, want *CUSUM", dets[0])
+	}
+	if _, ok := dets[1].(*Sketch); !ok {
+		t.Fatalf("default online set[1] = %T, want *Sketch", dets[1])
 	}
 	if _, err := BuildDetectors([]string{"no-such-detector"}); err == nil {
 		t.Fatal("unknown detector accepted")
