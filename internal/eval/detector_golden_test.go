@@ -55,12 +55,14 @@ func sameAlarm(a, b goldenAlarm) bool {
 }
 
 // TestBatchDetectorsGolden pins what the three registered batch
-// detectors raise — intervals, kinds, scores and meta items — on a scan
-// and two flood catalog scenarios: the SYN flood is the flood the
-// histogram detector sees, the point-to-point UDP flood the one only
-// PCA's packet-volume channels see. The detectors run one fixed
-// configuration, so any change to a threshold, a margin or a feature
-// list shows here. The scenarios run 24 bins with the anomaly in bin 18
+// detectors, and the two online detectors' batch replay, raise —
+// intervals, kinds, scores and meta items — on a scan and two flood
+// catalog scenarios: the SYN flood is the flood the histogram detector
+// sees, the point-to-point UDP flood the one only PCA's packet-volume
+// channels see. Every detector runs one fixed configuration, so any
+// change to a threshold, a window, a margin or a feature list shows
+// here; cusum and sketch replay the live path (TestOnlineBatchParity
+// pins live = batch), so their rows pin the online detectors too. The scenarios run 24 bins with the anomaly in bin 18
 // instead of the catalog's 12 and 6, so the histogram detector is past
 // its 12-bin training prefix when the anomaly lands. Regenerate
 // intentionally with UPDATE_GOLDEN=1.
@@ -87,7 +89,7 @@ func TestBatchDetectorsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		got[name] = map[string][]goldenAlarm{}
-		for _, det := range []string{"netreflex", "histogram", "pca"} {
+		for _, det := range []string{"netreflex", "histogram", "pca", "cusum", "sketch"} {
 			d, err := detector.New(det)
 			if err != nil {
 				t.Fatal(err)
