@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -126,6 +127,10 @@ Flags:
 	if *live {
 		if len(peerList) > 0 {
 			fmt.Fprintln(os.Stderr, "rcad: -live requires a local store, not cluster mode (-peers)")
+			os.Exit(2)
+		}
+		if *sealLag > math.MaxUint32 {
+			fmt.Fprintf(os.Stderr, "rcad: -seal-lag %d is above the maximum of %d seconds\n", *sealLag, uint32(math.MaxUint32))
 			os.Exit(2)
 		}
 		opts = append(opts, rootcause.WithLive(rootcause.LiveConfig{

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -366,4 +368,33 @@ func waitLiveIdle(t *testing.T, sys *rootcause.System) map[string]rootcause.Inci
 	}
 	t.Fatalf("live system never settled: incidents %v", last)
 	return nil
+}
+
+// TestSealLagRange pins that a -seal-lag beyond uint32 seconds is
+// refused with exit code 2, instead of wrapping to a different lag.
+func TestSealLagRange(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not in PATH")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "rcad-under-test")
+	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build rcad: %v\n%s", err, out)
+	}
+	// A regression would start serving: the deadline kills it.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, "-store", filepath.Join(dir, "flows"), "-live",
+		"-seal-lag", "4294967296", "-listen", "127.0.0.1:0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("rcad -seal-lag 4294967296: err %v, want exit code 2; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-seal-lag 4294967296") {
+		t.Fatalf("stderr does not name the flag:\n%s", stderr.String())
+	}
 }

@@ -27,23 +27,12 @@ var reflectiveMethods = map[string]bool{
 	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "Unwrap": true,
 }
 
-// testOnlyExports parses every non-test Go file under root, skipping
-// testdata and hidden directories, and returns the exported top-level
-// functions and methods declared under root/internal whose name appears
-// as an identifier in no parsed file except at a declaration. Keys are
-// "pkg.Func" and "pkg.Type.Method", sorted.
-//
-// It matches by name alone, so a dead method that shares its name with
-// a used identifier (Wait, Equal, Len) goes unseen: the guard keeps new
-// test-only exports out, it does not prove every export live.
-func testOnlyExports(root string) ([]string, error) {
-	type decl struct {
-		key, name string
-	}
-	var decls []decl
-	used := make(map[string]bool)
+// walkSource parses every non-test Go file under root, skipping
+// testdata and hidden directories, and calls fn with each file's
+// slash-separated directory relative to root ("." for root itself).
+func walkSource(root string, fn func(dir string, f *ast.File)) error {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -61,11 +50,31 @@ func testOnlyExports(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, path)
+		rel, err := filepath.Rel(root, filepath.Dir(path))
 		if err != nil {
 			return err
 		}
-		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
+		fn(filepath.ToSlash(rel), f)
+		return nil
+	})
+}
+
+// testOnlyExports returns the exported top-level functions and methods
+// declared under root/internal whose name appears as an identifier in
+// no non-test file except at a declaration. Keys are "pkg.Func" and
+// "pkg.Type.Method", sorted.
+//
+// It matches by name alone, so a dead method that shares its name with
+// a used identifier (Wait, Equal, Len) goes unseen: the guard keeps new
+// test-only exports out, it does not prove every export live.
+func testOnlyExports(root string) ([]string, error) {
+	type decl struct {
+		key, name string
+	}
+	var decls []decl
+	used := make(map[string]bool)
+	err := walkSource(root, func(dir string, f *ast.File) {
+		internal := strings.HasPrefix(dir, "internal/")
 		declNames := make(map[*ast.Ident]bool)
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
@@ -91,7 +100,6 @@ func testOnlyExports(root string) ([]string, error) {
 			}
 			return true
 		})
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -151,6 +159,155 @@ func TestTestOnlyExportsFixture(t *testing.T) {
 		"plant.TestOnly",
 		"plant.Thing.Unused",
 		"plant.Unused",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flagged %q, want %q", got, want)
+	}
+}
+
+// testOnlyConfigAllowlist names the exported config fields that no
+// caller outside their package sets but that stay settable, each with
+// the reason. An entry the tree no longer needs fails the guard.
+var testOnlyConfigAllowlist = map[string]string{
+	"core.Options.MinCandidates": "bench/extract.go reads it from core.DefaultOptions " +
+		"to select the candidate records core would select",
+	"eval.ScoreOptions.UsefulPurity": "bench/live.go scores extractions with " +
+		"eval.DefaultScoreOptions, so the scoring bar travels in this struct",
+	"eval.ScoreOptions.AdditionalFraction": "bench/live.go scores extractions with " +
+		"eval.DefaultScoreOptions, so the scoring bar travels in this struct",
+	"eval.SuiteConfig.SeedBase": "eval's own paper runners (PaperGEANT40, " +
+		"PaperSWITCH31) set it, each to its own seed offset",
+}
+
+// isConfigType reports whether a type name marks a configuration struct.
+func isConfigType(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
+}
+
+// testOnlyConfigFields returns the exported fields of the exported
+// *Config and *Options structs declared in root's own package or under
+// root/internal that no non-test file outside the declaring package
+// sets. Setting a field means naming it as a composite-literal key or
+// as the selector of an assignment target. Keys are
+// "pkg.Type.Field", sorted.
+//
+// Like testOnlyExports it matches by name alone: a field counts as set
+// when any other package sets some field of that name, so two structs
+// that share a field name (Workers, Rows) hide each other. The guard
+// keeps new test-only knobs out; it does not prove every knob live.
+func testOnlyConfigFields(root string) ([]string, error) {
+	type field struct {
+		key, dir, name string
+	}
+	var fields []field
+	setIn := make(map[string]map[string]bool) // field name -> dirs that set it
+	set := func(dir, name string) {
+		if setIn[name] == nil {
+			setIn[name] = make(map[string]bool)
+		}
+		setIn[name][dir] = true
+	}
+	err := walkSource(root, func(dir string, f *ast.File) {
+		if dir == "." || strings.HasPrefix(dir, "internal/") {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !ts.Name.IsExported() || !isConfigType(ts.Name.Name) {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								key := f.Name.Name + "." + ts.Name.Name + "." + id.Name
+								fields = append(fields, field{key, dir, id.Name})
+							}
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set(dir, id.Name)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set(dir, sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	var unset []string
+	for _, fl := range fields {
+		outside := false
+		for dir := range setIn[fl.name] {
+			if dir != fl.dir {
+				outside = true
+				break
+			}
+		}
+		if !outside {
+			unset = append(unset, fl.key)
+		}
+	}
+	slices.Sort(unset)
+	return unset, nil
+}
+
+// TestNoTestOnlyConfigFields fails when an exported config field is set
+// by nothing but tests and its own package, and when an allowlist entry
+// is no longer needed. A value only tests turn is a knob the running
+// system does not have: make it a package constant, or, when it must
+// stay, allowlist it with the reason.
+func TestNoTestOnlyConfigFields(t *testing.T) {
+	unset, err := testOnlyConfigFields(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range unset {
+		if _, ok := testOnlyConfigAllowlist[key]; !ok {
+			t.Errorf("%s is a config field that nothing outside its package sets except tests", key)
+		}
+	}
+	for key := range testOnlyConfigAllowlist {
+		if !slices.Contains(unset, key) {
+			t.Errorf("allowlist entry %s is stale: a caller now sets it, or it is gone", key)
+		}
+	}
+}
+
+// TestTestOnlyConfigFieldsFixture runs the config guard over the planted
+// tree: fields set only by tests, only by their own package or by
+// nothing are flagged, in internal/ and in the root package; fields set
+// from cmd/, bench/ or examples/, unexported fields and the fields of
+// non-config or unexported structs are not.
+func TestTestOnlyConfigFieldsFixture(t *testing.T) {
+	got, err := testOnlyConfigFields(filepath.Join("testdata", "deadexports"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"example.RunOptions.RootOnly",
+		"plant.Config.ByOwnPackage",
+		"plant.Config.ByTest",
+		"plant.Config.Unset",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("flagged %q, want %q", got, want)

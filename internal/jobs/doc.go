@@ -26,4 +26,13 @@
 //     TTL expires or the LRU cap evicts the least recently touched one,
 //     so a disconnected client can come back for its result without the
 //     manager growing without bound.
+//
+// # Configuration
+//
+// Config sets the worker count, the queue depth and the result TTL
+// (rcad -job-workers, -job-queue, -result-ttl). The LRU cap is fixed:
+//
+//   - maxResults = 256 terminal jobs. Each retained job holds its task's
+//     result (an extraction's ranked itemsets), so the cap bounds the
+//     manager's memory whatever the TTL.
 package jobs

@@ -94,9 +94,6 @@ type Config struct {
 	// ResultTTL is how long a terminal job stays fetchable (default 15
 	// minutes). Expiry is checked lazily on manager calls.
 	ResultTTL time.Duration
-	// MaxResults caps how many terminal jobs are retained; beyond it the
-	// least recently touched one is evicted (default 256).
-	MaxResults int
 	// now is the clock seam for retention tests.
 	now func() time.Time
 }
@@ -105,8 +102,12 @@ type Config struct {
 const (
 	DefaultQueueDepth = 64
 	DefaultResultTTL  = 15 * time.Minute
-	DefaultMaxResults = 256
 )
+
+// maxResults caps how many terminal jobs are retained; beyond it the
+// least recently touched one is evicted. The package doc gives the
+// reason for the value.
+const maxResults = 256
 
 func (c *Config) fill() {
 	if c.Workers <= 0 {
@@ -117,9 +118,6 @@ func (c *Config) fill() {
 	}
 	if c.ResultTTL <= 0 {
 		c.ResultTTL = DefaultResultTTL
-	}
-	if c.MaxResults <= 0 {
-		c.MaxResults = DefaultMaxResults
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -549,13 +547,13 @@ func (m *Manager) pruneLocked() {
 		}
 		terminal = append(terminal, j)
 	}
-	if len(terminal) <= m.cfg.MaxResults {
+	if len(terminal) <= maxResults {
 		return
 	}
 	sort.Slice(terminal, func(i, k int) bool {
 		return terminal[i].lastTouch.Before(terminal[k].lastTouch)
 	})
-	for _, j := range terminal[:len(terminal)-m.cfg.MaxResults] {
+	for _, j := range terminal[:len(terminal)-maxResults] {
 		delete(m.jobs, j.id)
 	}
 }

@@ -227,7 +227,7 @@ func TestResultTTLEviction(t *testing.T) {
 	}
 }
 
-// TestResultLRUEviction: beyond MaxResults the least recently fetched
+// TestResultLRUEviction: beyond maxResults the least recently fetched
 // terminal job is evicted first.
 func TestResultLRUEviction(t *testing.T) {
 	var mu sync.Mutex
@@ -239,17 +239,17 @@ func TestResultLRUEviction(t *testing.T) {
 		now = now.Add(1)
 		return now
 	}
-	m := New(Config{Workers: 1, MaxResults: 2, now: clock})
+	m := New(Config{Workers: 1, now: clock})
 	defer m.Close()
 	var ids []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxResults; i++ {
 		id, _ := m.Submit("extract", instantTask(i))
 		if _, _, err := m.WaitResult(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	// Touch the older job so the newer one becomes LRU.
+	// Touch the oldest job so the second oldest becomes LRU.
 	if _, _, err := m.Result(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +257,8 @@ func TestResultLRUEviction(t *testing.T) {
 	if _, _, err := m.WaitResult(context.Background(), id3); err != nil {
 		t.Fatal(err)
 	}
-	// The cap is 2: ids[1] (least recently touched) must be gone, ids[0]
-	// and id3 retained.
+	// The cap is full: ids[1] (least recently touched) must be gone,
+	// ids[0] and id3 retained.
 	if _, _, err := m.Result(ids[1]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("LRU job err = %v, want ErrNotFound", err)
 	}

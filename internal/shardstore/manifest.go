@@ -15,6 +15,19 @@
 // workload needs — at the cost of record order within a bin following
 // (bin, shard) order instead of a single file's order; aggregations are
 // still exact.
+//
+// # Remote shards
+//
+// A remote shard's one setting is the unary-call timeout (OpenRemote's
+// timeout, rcad -peer-timeout; 0 means defaultPeerTimeout, 10 s). The
+// rest is fixed:
+//
+//   - peerRetries = 2: a unary call that fails in transport is retried
+//     twice, at once, so a transient error does not fail a scan; a peer
+//     outage still fails fast. HTTP status errors (the peer is alive and
+//     said no) and query streams never retry.
+//   - peerClient sets no Client.Timeout, which would cap streaming query
+//     reads; unary calls get per-call context deadlines instead.
 package shardstore
 
 import (

@@ -21,41 +21,14 @@ import (
 // shardPathPrefix is where peers mount Handler under their API root.
 const shardPathPrefix = "/api/v1/shard"
 
-// Remote-client defaults.
+// Remote-client configuration; the package doc gives the reasons.
 const (
 	defaultPeerTimeout = 10 * time.Second
-	defaultPeerRetries = 2
+	peerRetries        = 2
 )
 
-// RemoteOptions tunes the remote-shard client.
-type RemoteOptions struct {
-	// Timeout bounds each unary call (meta, bins, count, summaries,
-	// topn, stats). 0 means 10 s. Query streams are bounded only by the
-	// caller's context — a long scatter-gather scan is not a failure.
-	Timeout time.Duration
-	// Retries is how many times a failed unary call is retried (network
-	// errors only, never HTTP-level errors). Negative means 0; default 2.
-	Retries int
-	// Client overrides the HTTP client (tests; custom transports).
-	Client *http.Client
-}
-
-func (o RemoteOptions) withDefaults() RemoteOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = defaultPeerTimeout
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = defaultPeerRetries
-	}
-	if o.Client == nil {
-		// Deliberately no Client.Timeout: it would cap streaming query
-		// reads. Unary calls get per-call context timeouts instead.
-		o.Client = &http.Client{}
-	}
-	return o
-}
+// peerClient serves every remote shard.
+var peerClient = &http.Client{}
 
 // statusError is a non-2xx peer response; never retried (the peer is
 // alive and said no).
@@ -75,16 +48,19 @@ func (e *statusError) Error() string {
 // /api/v1/shard endpoints. It is read-only by construction — ingest
 // happens on the peer that owns the shard.
 type RemoteShard struct {
-	name        string // the peer URL as configured (error messages, Name)
-	base        string // name + shardPathPrefix, no trailing slash
-	opts        RemoteOptions
+	name        string        // the peer URL as configured (error messages, Name)
+	base        string        // name + shardPathPrefix, no trailing slash
+	timeout     time.Duration // per unary call
 	binSeconds  uint32
 	writeFormat uint16
 }
 
 // NewRemoteShard builds a client for one peer and validates it by
 // fetching its meta (bin width, write format) within one unary timeout.
-func NewRemoteShard(ctx context.Context, peer string, opts RemoteOptions) (*RemoteShard, error) {
+// timeout bounds each unary call (meta, bins, count, summaries, topn,
+// stats); 0 means 10 s. Query streams are bounded only by the caller's
+// context — a long scatter-gather scan is not a failure.
+func NewRemoteShard(ctx context.Context, peer string, timeout time.Duration) (*RemoteShard, error) {
 	peer = strings.TrimRight(peer, "/")
 	if !strings.Contains(peer, "://") {
 		peer = "http://" + peer
@@ -92,7 +68,10 @@ func NewRemoteShard(ctx context.Context, peer string, opts RemoteOptions) (*Remo
 	if _, err := url.Parse(peer); err != nil {
 		return nil, fmt.Errorf("shardstore: peer %q: %w", peer, err)
 	}
-	r := &RemoteShard{name: peer, base: peer + shardPathPrefix, opts: opts.withDefaults()}
+	if timeout <= 0 {
+		timeout = defaultPeerTimeout
+	}
+	r := &RemoteShard{name: peer, base: peer + shardPathPrefix, timeout: timeout}
 	var meta metaWire
 	if err := r.getJSON(ctx, "/meta", nil, &meta); err != nil {
 		return nil, fmt.Errorf("shardstore: peer %s: %w", peer, err)
@@ -108,15 +87,15 @@ func NewRemoteShard(ctx context.Context, peer string, opts RemoteOptions) (*Remo
 // OpenRemote assembles a read-only sharded store whose shards are peer
 // rcad nodes, one shard per peer. Every peer must agree on the bin
 // width; the resulting store answers the full Engine read surface by
-// HTTP scatter-gather and rejects writes.
-func OpenRemote(ctx context.Context, peers []string, opts RemoteOptions) (*ShardedStore, error) {
+// HTTP scatter-gather and rejects writes. timeout is NewRemoteShard's.
+func OpenRemote(ctx context.Context, peers []string, timeout time.Duration) (*ShardedStore, error) {
 	if len(peers) == 0 {
 		return nil, errors.New("shardstore: no peers")
 	}
 	shards := make([]Shard, len(peers))
 	var binSeconds uint32
 	for i, peer := range peers {
-		r, err := NewRemoteShard(ctx, peer, opts)
+		r, err := NewRemoteShard(ctx, peer, timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -161,8 +140,8 @@ func (r *RemoteShard) getJSON(ctx context.Context, path string, params url.Value
 		u += "?" + params.Encode()
 	}
 	var lastErr error
-	for attempt := 0; attempt <= r.opts.Retries; attempt++ {
-		cctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
+	for attempt := 0; attempt <= peerRetries; attempt++ {
+		cctx, cancel := context.WithTimeout(ctx, r.timeout)
 		err := r.doJSON(cctx, http.MethodGet, u, into)
 		cancel()
 		if err == nil {
@@ -180,7 +159,7 @@ func (r *RemoteShard) getJSON(ctx context.Context, path string, params url.Value
 // postUnary performs one POST (no response body expected) with the
 // unary timeout, unretried.
 func (r *RemoteShard) postUnary(ctx context.Context, path string) error {
-	cctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
+	cctx, cancel := context.WithTimeout(ctx, r.timeout)
 	defer cancel()
 	return r.doJSON(cctx, http.MethodPost, r.base+path, nil)
 }
@@ -190,7 +169,7 @@ func (r *RemoteShard) doJSON(ctx context.Context, method, u string, into any) er
 	if err != nil {
 		return err
 	}
-	resp, err := r.opts.Client.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -301,7 +280,7 @@ func (r *RemoteShard) Query(ctx context.Context, iv flow.Interval, filter *nffil
 	if err != nil {
 		return err
 	}
-	resp, err := r.opts.Client.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/flow"
 	"repro/internal/nfstore"
@@ -57,7 +58,7 @@ func buildPeers(t *testing.T, recs []flow.Record, n int) (locals []*nfstore.Stor
 func TestRemoteRoundTrip(t *testing.T) {
 	recs := genRecords(17, 1500, 3*testBinSec)
 	_, _, urls := buildPeers(t, recs, 2)
-	remote, err := OpenRemote(context.Background(), urls, RemoteOptions{})
+	remote, err := OpenRemote(context.Background(), urls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestRemoteRoundTrip(t *testing.T) {
 func TestRemoteQueryParity(t *testing.T) {
 	recs := genRecords(23, 2000, 3*testBinSec)
 	locals, _, urls := buildPeers(t, recs, 3)
-	remote, err := OpenRemote(context.Background(), urls, RemoteOptions{})
+	remote, err := OpenRemote(context.Background(), urls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestRemoteQueryParity(t *testing.T) {
 func TestRemoteEarlyStop(t *testing.T) {
 	recs := genRecords(29, 3000, 2*testBinSec)
 	_, _, urls := buildPeers(t, recs, 2)
-	remote, err := OpenRemote(context.Background(), urls, RemoteOptions{})
+	remote, err := OpenRemote(context.Background(), urls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +220,13 @@ func TestRemoteEarlyStop(t *testing.T) {
 }
 
 // TestRemotePartialFailure kills one peer and verifies every read fails
-// loudly with a ShardError naming it — and that degraded mode instead
+// loudly with a ShardError naming it (a refused connection fails every
+// retry at once) — and that degraded mode instead
 // returns the survivors' partial result.
 func TestRemotePartialFailure(t *testing.T) {
 	recs := genRecords(31, 1000, 2*testBinSec)
 	locals, servers, urls := buildPeers(t, recs, 2)
-	remote, err := OpenRemote(context.Background(), urls, RemoteOptions{Retries: -1})
+	remote, err := OpenRemote(context.Background(), urls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +310,7 @@ func TestRemoteErrorFrame(t *testing.T) {
 		w.Write(hdr[:])
 		w.Write(msg)
 	})
-	r, err := NewRemoteShard(context.Background(), errPeer, RemoteOptions{})
+	r, err := NewRemoteShard(context.Background(), errPeer, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +332,7 @@ func TestRemoteErrorFrame(t *testing.T) {
 		w.Write(make([]byte, 2*nfstore.RecordSize))
 		// no terminator frame
 	})
-	r2, err := NewRemoteShard(context.Background(), truncPeer, RemoteOptions{})
+	r2, err := NewRemoteShard(context.Background(), truncPeer, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +348,7 @@ func TestRemoteErrorFrame(t *testing.T) {
 func TestRemoteRejectsWrites(t *testing.T) {
 	recs := genRecords(37, 100, testBinSec)
 	_, _, urls := buildPeers(t, recs, 2)
-	remote, err := OpenRemote(context.Background(), urls, RemoteOptions{})
+	remote, err := OpenRemote(context.Background(), urls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,13 +363,14 @@ func TestRemoteRejectsWrites(t *testing.T) {
 }
 
 // TestOpenRemoteValidation pins constructor failure modes: no peers,
-// a dead peer, inconsistent bin widths.
+// a dead peer (refused, so its retries fail at once), inconsistent bin
+// widths.
 func TestOpenRemoteValidation(t *testing.T) {
-	if _, err := OpenRemote(context.Background(), nil, RemoteOptions{}); err == nil {
+	if _, err := OpenRemote(context.Background(), nil, 0); err == nil {
 		t.Fatal("no peers must fail")
 	}
 	if _, err := OpenRemote(context.Background(), []string{"127.0.0.1:1"},
-		RemoteOptions{Retries: -1, Timeout: 200 * 1e6}); err == nil {
+		200*time.Millisecond); err == nil {
 		t.Fatal("dead peer must fail")
 	}
 
@@ -385,7 +388,7 @@ func TestOpenRemoteValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, oddURL := serveShard(t, other)
-	if _, err := OpenRemote(context.Background(), append(urls, oddURL), RemoteOptions{}); err == nil {
+	if _, err := OpenRemote(context.Background(), append(urls, oddURL), 0); err == nil {
 		t.Fatal("mismatched bin widths must fail")
 	}
 }

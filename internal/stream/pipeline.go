@@ -14,8 +14,9 @@ import (
 	"repro/internal/nfstore"
 )
 
-// DefaultBuffer is the ingest channel capacity when Config.Buffer is 0.
-const DefaultBuffer = 4096
+// ingestBuffer is the ingest channel capacity in records; the package
+// doc gives the reason.
+const ingestBuffer = 4096
 
 // ErrClosed rejects ingest into a pipeline that has shut down.
 var ErrClosed = errors.New("stream: pipeline closed")
@@ -30,9 +31,6 @@ type Config struct {
 	// Detectors are the online detectors fed per record. The pipeline
 	// worker owns them exclusively.
 	Detectors []Online
-	// Buffer bounds the ingest channel (default DefaultBuffer). A full
-	// channel blocks Ingest (backpressure) and drops TryIngest.
-	Buffer int
 	// SealLag delays sealing this many seconds past a bin's end so
 	// slightly out-of-order records still land in their bin (default 0:
 	// seal as soon as the clock crosses the boundary).
@@ -104,13 +102,10 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("stream: Config.Store is required")
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = DefaultBuffer
-	}
 	p := &Pipeline{
 		cfg:        cfg,
 		binSeconds: cfg.Store.BinSeconds(),
-		in:         make(chan flow.Record, cfg.Buffer),
+		in:         make(chan flow.Record, ingestBuffer),
 		done:       make(chan struct{}),
 		openBins:   map[uint32]bool{},
 	}

@@ -185,7 +185,8 @@ func (b *blockingStore) Add(r *flow.Record) error {
 }
 
 // TestPipelineBackpressure pins the two producer paths against a full
-// buffer: TryIngest drops and counts, Ingest blocks until its context
+// buffer: with the worker stuck in Add and all ingestBuffer slots
+// filled, TryIngest drops and counts, Ingest blocks until its context
 // cancels.
 func TestPipelineBackpressure(t *testing.T) {
 	store, err := nfstore.CreateFormat(t.TempDir(), 300, nfstore.DefaultSegmentFormat)
@@ -198,7 +199,7 @@ func TestPipelineBackpressure(t *testing.T) {
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	p, err := New(Config{Store: bs, Buffer: 1})
+	p, err := New(Config{Store: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +210,13 @@ func TestPipelineBackpressure(t *testing.T) {
 	}
 	<-bs.entered // the worker is now stuck inside Add
 	r2 := rec(20, 1, 1, 2)
-	if err := p.Ingest(ctx, &r2); err != nil { // fills the 1-slot buffer
-		t.Fatal(err)
+	for i := 0; i < ingestBuffer; i++ { // fills every buffer slot
+		if err := p.Ingest(ctx, &r2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.Stats(); st.QueueLen != ingestBuffer || st.QueueCap != ingestBuffer {
+		t.Fatalf("queue %d/%d, want %d/%d", st.QueueLen, st.QueueCap, ingestBuffer, ingestBuffer)
 	}
 	r3 := rec(30, 1, 1, 2)
 	if p.TryIngest(&r3) {
@@ -228,8 +234,8 @@ func TestPipelineBackpressure(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().Ingested; got != 2 {
-		t.Fatalf("ingested = %d, want 2", got)
+	if got := p.Stats().Ingested; got != 1+ingestBuffer {
+		t.Fatalf("ingested = %d, want %d", got, 1+ingestBuffer)
 	}
 }
 
@@ -252,8 +258,9 @@ func TestPipelineDeliversOnlineAlarms(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Bin 0: a fan-in flood — every record targets one victim dst, dense
-	// enough (240 flows in the first minute) to clear the MinFlows gate.
+	// Bin 0: a fan-in flood — every record targets one victim dst, 400
+	// flows in the bin's one sketch window, clear of the sketchMinFlows
+	// gate.
 	for i := 0; i < 400; i++ {
 		r := rec(uint32(i/4), byte(i%200), 250, 2)
 		if err := p.Ingest(ctx, &r); err != nil {
@@ -295,15 +302,11 @@ func TestOnlineBatchParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	cfg := SketchConfig{MinFlows: 50}
-	sk, err := NewSketch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, _ := NewSketch(cfg)
+	sk, live := NewSketch(), NewSketch()
 	var liveAlarms []detector.Alarm
+	// 400 clock-ordered fan-in flows over bin 0 clear sketchMinFlows.
 	for i := 0; i < 400; i++ {
-		r := rec(uint32(i*3/4), byte(i%200), 250, 2) // clock-ordered fan-in
+		r := rec(uint32(i*3/4), byte(i%200), 250, 2)
 		if err := store.Add(&r); err != nil {
 			t.Fatal(err)
 		}

@@ -28,6 +28,44 @@
 // (count-min heavy hitters per window) — also register ordinary batch
 // factories in the detector registry, replaying stored bins through a
 // fresh instance, so the same implementations serve System.Detect.
+//
+// # Configuration
+//
+// The pipeline and the two online detectors run one configuration; a
+// detector tuned differently is an external Online registered under its
+// own name. The pipeline's one tuning value is Config.SealLag (rcad
+// -seal-lag). The fixed values and why:
+//
+//   - ingestBuffer = 4096: the ingest channel's capacity in records, 48
+//     bytes each, so under 200 KiB. A full channel blocks Ingest and
+//     drops TryIngest; Stats reports the fill as QueueLen/QueueCap.
+//   - alignSeconds = 300: both detectors report an alarm against its
+//     enclosing 300 s measurement bin, so extraction mines the whole
+//     bin's flows, like every batch detector.
+//   - cusumWindow = 60 s: five volume observations per bin, so a change
+//     surfaces well before the bin seals.
+//   - cusumDrift = 0.5, cusumThreshold = 6: the CUSUM slack k and the
+//     decision threshold h, in baseline standard deviations. Deviations
+//     below mean + k·σ never accumulate; an alarm fires when the
+//     cumulative sum exceeds h·σ.
+//   - cusumMinWindows = 8: the baseline warm-up; no alarm until this
+//     many windows seeded the mean and variance.
+//   - sketchWindow = 300 s: one bin. Counts reset at every window, and
+//     shares need enough flows to mean something: sub-bin windows over
+//     moderate links get lumpy (one busy client-server session can own
+//     half of a minute).
+//   - sketchRows × sketchCols = 4 × 2048: the counters of each count-min
+//     sketch, four sketches per detector (source and destination, by
+//     flows and by packets). The width is a power of two so row
+//     indexing is a mask.
+//   - sketchRatio = 0.25: a key owning this share of a window's flows
+//     or packets alarms. It sits above the ~15% share the most popular
+//     background server draws (Zipf s=1.0 over 300 servers) at bin
+//     granularity.
+//   - sketchMinFlows = 100: a sparser window has no meaningful shares
+//     and raises nothing.
+//   - sketchMaxAlarms = 4: per window and dimension, strongest share
+//     first.
 package stream
 
 import (
@@ -104,12 +142,16 @@ func (w *windower) advance(now uint32, closeFn func(start uint32)) {
 	}
 }
 
-// alignedInterval widens a window start to its enclosing align-sized
+// alignSeconds is the interval online alarms are widened to; the
+// package doc gives the reason.
+const alignSeconds = 300
+
+// alignedInterval widens a window start to its enclosing aligned
 // interval — online alarms are reported against full measurement bins so
 // extraction mines the whole bin's flows, like every batch detector.
-func alignedInterval(winStart, align uint32) flow.Interval {
-	a := winStart - winStart%align
-	return flow.Interval{Start: a, End: a + align}
+func alignedInterval(winStart uint32) flow.Interval {
+	a := winStart - winStart%alignSeconds
+	return flow.Interval{Start: a, End: a + alignSeconds}
 }
 
 // replayDetect adapts an online detector to the batch Detector contract:

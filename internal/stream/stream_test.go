@@ -67,10 +67,7 @@ func TestWindowerAdvanceShutdownSweep(t *testing.T) {
 // window and requires exactly that window to alarm, with the interval
 // widened to its enclosing 300 s bin.
 func TestCUSUMDetectsVolumeShift(t *testing.T) {
-	c, err := NewCUSUM(CUSUMConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCUSUM()
 	var alarms []detector.Alarm
 	feed := func(window uint32, n int) {
 		for i := 0; i < n; i++ {
@@ -109,32 +106,29 @@ func TestCUSUMDetectsVolumeShift(t *testing.T) {
 	}
 }
 
-// TestCUSUMWarmup pins that no alarm fires before MinWindows baseline
-// windows, however extreme the deviation.
+// TestCUSUMWarmup pins that no alarm fires before cusumMinWindows
+// baseline windows, however extreme the deviation.
 func TestCUSUMWarmup(t *testing.T) {
-	c, err := NewCUSUM(CUSUMConfig{MinWindows: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCUSUM()
 	var alarms []detector.Alarm
-	for w := uint32(0); w < 8; w++ {
+	for w := uint32(0); w < cusumMinWindows; w++ {
 		n := 10
 		if w >= 4 {
 			n = 10000 // wild swings inside the warm-up
 		}
 		for i := 0; i < n; i++ {
-			r := rec(w*60, 1, 1, 1)
+			r := rec(w*cusumWindow, 1, 1, 1)
 			alarms = append(alarms, c.Observe(&r)...)
 		}
 	}
-	alarms = append(alarms, c.Advance(8*60)...)
+	alarms = append(alarms, c.Advance(cusumMinWindows*cusumWindow)...)
 	if len(alarms) != 0 {
 		t.Fatalf("warm-up raised %d alarms", len(alarms))
 	}
 }
 
 func TestCMSketchEstimates(t *testing.T) {
-	s := newCMSketch(4, 64)
+	s := newCMSketch()
 	for i := 0; i < 100; i++ {
 		s.add(7, 3)
 	}
@@ -164,21 +158,19 @@ func TestSketchHeavyHitter(t *testing.T) {
 		{"scanner", false, detector.KindNetScan, flow.FeatSrcIP},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sk, err := NewSketch(SketchConfig{WindowSeconds: 60})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sk := NewSketch()
 			var alarms []detector.Alarm
-			// 300 heavy flows + 100 background flows in window 0. Heavy
-			// endpoints use the .250 octet; background spreads 10.0.0.x
-			// to 192.0.2.x so no background key nears the 25% ratio.
+			// 300 heavy flows + 100 background flows spread over the one
+			// 300 s window. Heavy endpoints use the .250 octet; background
+			// spreads 10.0.0.x to 192.0.2.x so no background key nears the
+			// 25% ratio.
 			for i := 0; i < 300; i++ {
 				var r flow.Record
 				if tc.fanIn {
-					r = rec(uint32(i%60), byte(i%200), 250, 2)
+					r = rec(uint32(i), byte(i%200), 250, 2)
 				} else {
 					r = flow.Record{
-						Start: uint32(i % 60), Proto: flow.ProtoTCP, Packets: 2, Bytes: 80,
+						Start: uint32(i), Proto: flow.ProtoTCP, Packets: 2, Bytes: 80,
 						SrcIP: flow.IPFromOctets(10, 0, 0, 250),
 						DstIP: flow.IPFromOctets(192, 0, byte(i/200), byte(i%200)),
 					}
@@ -186,10 +178,10 @@ func TestSketchHeavyHitter(t *testing.T) {
 				alarms = append(alarms, sk.Observe(&r)...)
 			}
 			for i := 0; i < 100; i++ {
-				r := rec(uint32(i%60), byte(i%50), byte(i%50), 2)
+				r := rec(uint32(i*3), byte(i%50), byte(i%50), 2)
 				alarms = append(alarms, sk.Observe(&r)...)
 			}
-			alarms = append(alarms, sk.Advance(60)...)
+			alarms = append(alarms, sk.Advance(sketchWindow)...)
 			if len(alarms) != 1 {
 				t.Fatalf("window raised %d alarms, want exactly the heavy hitter: %+v", len(alarms), alarms)
 			}
@@ -210,19 +202,16 @@ func TestSketchHeavyHitter(t *testing.T) {
 	}
 }
 
-// TestSketchQuietWindow pins the MinFlows gate: a sparse window raises
-// nothing even when one key owns all of it.
+// TestSketchQuietWindow pins the sketchMinFlows gate: a sparse window
+// raises nothing even when one key owns all of it.
 func TestSketchQuietWindow(t *testing.T) {
-	sk, err := NewSketch(SketchConfig{WindowSeconds: 60, MinFlows: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := NewSketch()
 	var alarms []detector.Alarm
-	for i := 0; i < 99; i++ {
-		r := rec(uint32(i%60), 1, 250, 2)
+	for i := 0; i < sketchMinFlows-1; i++ {
+		r := rec(uint32(i*3), 1, 250, 2)
 		alarms = append(alarms, sk.Observe(&r)...)
 	}
-	alarms = append(alarms, sk.Advance(60)...)
+	alarms = append(alarms, sk.Advance(sketchWindow)...)
 	if len(alarms) != 0 {
 		t.Fatalf("sparse window raised %d alarms", len(alarms))
 	}

@@ -20,9 +20,6 @@ type LiveConfig struct {
 	// names that implement the stream.Online contract). Empty selects
 	// the built-ins: "cusum" and "sketch".
 	Detectors []string
-	// Buffer bounds the ingest channel (default stream.DefaultBuffer).
-	// A full buffer blocks Ingest (backpressure) and drops TryIngest.
-	Buffer int
 	// SealLagSeconds delays sealing a bin this long past its end so
 	// slightly out-of-order records still land in it (default 0).
 	SealLagSeconds uint32
@@ -147,7 +144,6 @@ func (s *System) startLive(cfg LiveConfig) error {
 	pipe, err := stream.New(stream.Config{
 		Store:     s.store,
 		Detectors: dets,
-		Buffer:    cfg.Buffer,
 		SealLag:   cfg.SealLagSeconds,
 		OnSealed:  lv.onSealed,
 	})

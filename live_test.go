@@ -220,7 +220,6 @@ func TestLiveSoakConcurrent(t *testing.T) {
 	sys, err := rootcause.Create(rootcause.Config{
 		StoreDir: filepath.Join(t.TempDir(), "flows"),
 	}, rootcause.WithLive(rootcause.LiveConfig{
-		Buffer: 256,
 		// Observation only: extraction latency is not what this test
 		// shakes out, data races are.
 		DisableAutoExtract: true,

@@ -441,8 +441,7 @@ func Open(cfg Config, opts ...Option) (*System, error) {
 	)
 	switch {
 	case len(o.peers) > 0:
-		store, err = shardstore.OpenRemote(context.Background(), o.peers,
-			shardstore.RemoteOptions{Timeout: o.peerTimeout})
+		store, err = shardstore.OpenRemote(context.Background(), o.peers, o.peerTimeout)
 	case shardstore.IsShardedDir(cfg.StoreDir):
 		store, err = shardstore.Open(cfg.StoreDir)
 	default:

@@ -8,4 +8,5 @@ func main() {
 	if a, ok := x.(interface{ Anon() }); ok {
 		a.Anon()
 	}
+	_ = plant.Config{ByCmd: 1}
 }

@@ -1,0 +1,5 @@
+package main
+
+import example "example"
+
+func main() { _ = example.RunOptions{FromExamples: 1} }
