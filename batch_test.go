@@ -353,7 +353,10 @@ func TestExtractCancelledContext(t *testing.T) {
 			SrcPort: 1, DstPort: 80, Proto: flow.ProtoTCP, Packets: 1, Bytes: 40,
 		}
 	}
-	if err := sys.AddFlows(recs); err != nil {
+	if err := sys.Store().AddAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Store().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	id := sys.FileAlarm(rootcause.Alarm{Interval: rootcause.Interval{Start: 300, End: 600}})

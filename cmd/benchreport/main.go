@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cliflag"
 	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/report"
@@ -77,8 +78,8 @@ Experiments (-exp, see DESIGN.md §6-§7):
 		jsonPath: *jsonPath, mdPath: *mdPath,
 		scenarios: splitCSV(*scenarios), detectors: splitCSV(*detectors),
 		miners: splitCSV(*miners), quick: *quick,
-		incidents: *incidents, segmentFormat: uint16(*segFmt),
-		shards: *shards, httpPeers: *httpPeers,
+		incidents: *incidents, shards: *shards, httpPeers: *httpPeers,
+		segmentFormat: cliflag.Narrow[uint16]("benchreport", "segment-format", *segFmt),
 	}
 	if err := run(os.Stdout, *exp, *seed, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)

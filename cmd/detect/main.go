@@ -15,6 +15,7 @@ import (
 	"os/signal"
 
 	rootcause "repro"
+	"repro/internal/cliflag"
 	"repro/internal/flow"
 )
 
@@ -75,7 +76,9 @@ Flags:
 	if *dbPath == "" {
 		*dbPath = *storeDir + "/alarms.json"
 	}
-	if err := run(*storeDir, *detName, *dbPath, uint32(*from), uint32(*to), *corr); err != nil {
+	start := cliflag.Narrow[uint32]("detect", "from", *from)
+	end := cliflag.Narrow[uint32]("detect", "to", *to)
+	if err := run(*storeDir, *detName, *dbPath, start, end, *corr); err != nil {
 		fmt.Fprintln(os.Stderr, "detect:", err)
 		os.Exit(1)
 	}

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	rootcause "repro"
+	"repro/internal/cliflag"
 	"repro/internal/detector"
 	"repro/internal/flow"
 )
@@ -111,7 +112,9 @@ Flags:
 	}
 	opts.NoPrefilter = *noPre
 	opts.FlowOnly = *flowOnly
-	if err := run(*storeDir, *dbPath, *alarmID, *incID, uint32(*from), uint32(*to), *meta, opts, *showFlows, *async, *wait); err != nil {
+	start := cliflag.Narrow[uint32]("extract", "from", *from)
+	end := cliflag.Narrow[uint32]("extract", "to", *to)
+	if err := run(*storeDir, *dbPath, *alarmID, *incID, start, end, *meta, opts, *showFlows, *async, *wait); err != nil {
 		fmt.Fprintln(os.Stderr, "extract:", err)
 		os.Exit(1)
 	}

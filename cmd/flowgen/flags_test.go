@@ -1,0 +1,38 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestFlagRanges pins that each flag flowgen narrows to a smaller integer
+// exits 2 naming the flag at its maximum + 1, instead of wrapping to a
+// different value. The test binary re-runs itself as flowgen, with the
+// arguments in RUN_MAIN_ARGS.
+func TestFlagRanges(t *testing.T) {
+	if args := os.Getenv("RUN_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"flowgen"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, arg := range []string{"-bin-seconds 4294967296", "-sample 4294967296", "-start 4294967296", "-segment-format 65536"} {
+		// A regression would do the work (or serve): the deadline ends it.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFlagRanges$")
+		cmd.Env = append(os.Environ(), "RUN_MAIN_ARGS=-out "+t.TempDir()+" "+arg)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), arg+" is out of range") {
+			t.Errorf("flowgen %s: err %v, want exit code 2 naming the flag; stderr:\n%s", arg, err, stderr.String())
+		}
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cliflag"
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/nfstore"
@@ -120,14 +121,18 @@ Flags:
 			os.Exit(1)
 		}
 	}
+	binSeconds := cliflag.Narrow[uint32]("flowgen", "bin-seconds", *binSec)
+	sampleRate := cliflag.Narrow[uint32]("flowgen", "sample", *sample)
+	startTime := cliflag.Narrow[uint32]("flowgen", "start", *start)
+	segFormat := cliflag.Narrow[uint16]("flowgen", "segment-format", *segFmt)
 	var err error
 	if *live {
-		err = runLive(os.Stdout, *liveURL, *scenario, *bins, uint32(*binSec), *pops, *flowsBin,
-			*hosts, *servers, *seed, uint32(*sample), uint32(*start), *anomBin, *diurnal, *rate,
+		err = runLive(os.Stdout, *liveURL, *scenario, *bins, binSeconds, *pops, *flowsBin,
+			*hosts, *servers, *seed, sampleRate, startTime, *anomBin, *diurnal, *rate,
 			traceData)
 	} else {
-		err = run(*out, *scenario, *bins, uint32(*binSec), *pops, *flowsBin, *hosts, *servers,
-			*seed, uint32(*sample), uint32(*start), *anomBin, *diurnal, uint16(*segFmt),
+		err = run(*out, *scenario, *bins, binSeconds, *pops, *flowsBin, *hosts, *servers,
+			*seed, sampleRate, startTime, *anomBin, *diurnal, segFormat,
 			*shards, *partition, traceData)
 	}
 	if err != nil {

@@ -30,6 +30,7 @@ import (
 	"sort"
 	"syscall"
 
+	"repro/internal/cliflag"
 	"repro/internal/nfstore"
 	"repro/internal/shardstore"
 )
@@ -61,7 +62,7 @@ Flags:
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*storeDir, uint16(*target), *workers, *dryRun); err != nil {
+	if err := run(*storeDir, cliflag.Narrow[uint16]("nfmigrate", "to", *target), *workers, *dryRun); err != nil {
 		fmt.Fprintln(os.Stderr, "nfmigrate:", err)
 		os.Exit(1)
 	}

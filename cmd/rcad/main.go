@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -34,6 +33,7 @@ import (
 	"time"
 
 	rootcause "repro"
+	"repro/internal/cliflag"
 	"repro/internal/flow"
 	"repro/internal/nffilter"
 )
@@ -118,7 +118,7 @@ Flags:
 		rootcause.WithJobWorkers(*jobWorkers),
 		rootcause.WithJobQueueDepth(*jobQueue),
 		rootcause.WithResultTTL(*resultTTL),
-		rootcause.WithSegmentFormat(uint16(*segFormat)),
+		rootcause.WithSegmentFormat(cliflag.Narrow[uint16]("rcad", "segment-format", *segFormat)),
 		rootcause.WithDegradedReads(*degraded),
 	}
 	if len(peerList) > 0 {
@@ -129,13 +129,9 @@ Flags:
 			fmt.Fprintln(os.Stderr, "rcad: -live requires a local store, not cluster mode (-peers)")
 			os.Exit(2)
 		}
-		if *sealLag > math.MaxUint32 {
-			fmt.Fprintf(os.Stderr, "rcad: -seal-lag %d is above the maximum of %d seconds\n", *sealLag, uint32(math.MaxUint32))
-			os.Exit(2)
-		}
 		opts = append(opts, rootcause.WithLive(rootcause.LiveConfig{
 			Detectors:      splitList(*liveDetectors),
-			SealLagSeconds: uint32(*sealLag),
+			SealLagSeconds: cliflag.Narrow[uint32]("rcad", "seal-lag", *sealLag),
 		}))
 	}
 	open := rootcause.Open

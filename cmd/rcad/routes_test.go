@@ -139,7 +139,10 @@ func TestFlowsLimitBoundsMemory(t *testing.T) {
 			SrcPort: 4444, DstPort: uint16(i), Proto: 6, Packets: 1, Bytes: 40,
 		}
 	}
-	if err := sys.AddFlows(recs); err != nil {
+	if err := sys.Store().AddAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Store().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	recs = nil

@@ -17,10 +17,11 @@
 // RunMatrix drives that path over every catalog entry (internal/gen) ×
 // configured detector × registered miner and aggregates a MatrixReport,
 // the payload of BENCH_eval.json that cmd/benchreport writes and CI
-// tracks PR-over-PR (see docs/evaluation.md and DESIGN.md §7). RunSuite
-// runs the paper's ScenarioSpec suites through it one cell per scenario;
-// RunTable1 and the E5/E6 sweeps reuse its system builder and job-path
-// extraction with per-call engine settings. The Paper* functions and
+// tracks PR-over-PR (see docs/evaluation.md and DESIGN.md §7).
+// PaperGEANT40 and PaperSWITCH31 run the paper's ScenarioSpec suites
+// through it one cell per scenario; RunTable1 and the E5/E6 sweeps
+// reuse its system builder and job-path extraction with per-call engine
+// settings. The Paper* functions and
 // RunTable1 are the one definition of each paper run: TestPaperBands
 // gates them at seed 1, and cmd/benchreport prints them.
 package eval

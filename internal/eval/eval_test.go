@@ -164,7 +164,7 @@ func TestGEANTSpecsShape(t *testing.T) {
 	// The geometry the suite runs: 6 bins, every anomaly at bin 3 (the
 	// quiet middle bin of the false positive).
 	for i, s := range specs {
-		sc := s.scenario(i, SuiteConfig{})
+		sc := s.scenario(i, suiteConfig{})
 		if sc.Bins != 6 {
 			t.Errorf("%s: %d bins, want 6", s.Name, sc.Bins)
 		}
@@ -187,7 +187,7 @@ func TestSWITCHSpecsShape(t *testing.T) {
 		}
 		// The geometry the suite runs: 18 bins (enough baseline for the
 		// detector in the loop), every anomaly at bin 15.
-		sc := s.scenario(i, SuiteConfig{})
+		sc := s.scenario(i, suiteConfig{})
 		if sc.Bins != 18 {
 			t.Errorf("%s: %d bins, want 18", s.Name, sc.Bins)
 		}
@@ -208,7 +208,7 @@ func TestRunSuiteSubset(t *testing.T) {
 	if !subset[2].ExpectFail || len(subset[3].Placements) != 0 {
 		t.Fatalf("subset selection wrong: %+v", subset[2:])
 	}
-	res, err := RunSuite("geant-subset", subset, SuiteConfig{
+	res, err := runSuite("geant-subset", subset, suiteConfig{
 		SeedBase:   77,
 		SampleRate: 100,
 		WorkDir:    t.TempDir(),

@@ -20,7 +20,7 @@ import (
 // PaperGEANT40 is E2/E3: the 40 GEANT alarms, 1/100 sampled, on
 // synthesized alarms.
 func PaperGEANT40(workDir string, seed uint64) (*SuiteResult, error) {
-	return RunSuite("geant-40", GEANTSpecs(seed), SuiteConfig{
+	return runSuite("geant-40", GEANTSpecs(seed), suiteConfig{
 		WorkDir: workDir, SeedBase: seed * 1000, SampleRate: 100,
 	})
 }
@@ -28,7 +28,7 @@ func PaperGEANT40(workDir string, seed uint64) (*SuiteResult, error) {
 // PaperSWITCH31 is E4: the 31 SWITCH anomalies, unsampled, with the
 // histogram/KL detector in the loop.
 func PaperSWITCH31(workDir string, seed uint64) (*SuiteResult, error) {
-	return RunSuite("switch-31", SWITCHSpecs(seed+1), SuiteConfig{
+	return runSuite("switch-31", SWITCHSpecs(seed+1), suiteConfig{
 		WorkDir: workDir, SeedBase: seed * 2000, SampleRate: 1, Detector: "histogram",
 	})
 }

@@ -16,7 +16,7 @@ func TestRunSWITCHSubsetWithDetector(t *testing.T) {
 	// 31-spec suite).
 	all := SWITCHSpecs(2)
 	subset := []ScenarioSpec{all[0], all[20], all[29]}
-	res, err := RunSuite("switch-subset", subset, SuiteConfig{
+	res, err := runSuite("switch-subset", subset, suiteConfig{
 		SeedBase: 501, SampleRate: 1, WorkDir: t.TempDir(), Detector: "histogram",
 	})
 	if err != nil {

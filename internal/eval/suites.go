@@ -26,7 +26,7 @@ type ScenarioSpec struct {
 }
 
 // scenario instantiates the spec as the i-th scenario of a suite run.
-func (s ScenarioSpec) scenario(i int, cfg SuiteConfig) *gen.Scenario {
+func (s ScenarioSpec) scenario(i int, cfg suiteConfig) *gen.Scenario {
 	background := gen.DefaultBackground()
 	background.NumPoPs = 3
 	background.FlowsPerBin = 300
@@ -40,8 +40,8 @@ func (s ScenarioSpec) scenario(i int, cfg SuiteConfig) *gen.Scenario {
 	}
 }
 
-// SuiteConfig parameterizes a suite run.
-type SuiteConfig struct {
+// suiteConfig parameterizes a suite run.
+type suiteConfig struct {
 	// WorkDir hosts the per-scenario stores; "" uses a temp directory
 	// that is removed afterwards.
 	WorkDir string
@@ -281,12 +281,12 @@ func SWITCHSpecs(seed uint64) []ScenarioSpec {
 	return specs
 }
 
-// RunSuite evaluates every scenario of a suite on the matrix's path —
+// runSuite evaluates every scenario of a suite on the matrix's path —
 // generated into a fresh rootcause.System, alarm-sourced, extracted
 // through the job manager with the default miner, scored against ground
 // truth — and aggregates the result. A detection or extraction error
 // aborts the run.
-func RunSuite(name string, specs []ScenarioSpec, cfg SuiteConfig) (*SuiteResult, error) {
+func runSuite(name string, specs []ScenarioSpec, cfg suiteConfig) (*SuiteResult, error) {
 	workDir, cleanup, err := workDirOr(cfg.WorkDir)
 	if err != nil {
 		return nil, err

@@ -38,7 +38,7 @@ type cell struct {
 // ShardError.
 func (st *ShardedStore) planCells(ctx context.Context, iv flow.Interval) ([]cell, error) {
 	per := make([][]uint32, len(st.shards))
-	_, err := st.fanShards(ctx, func(_ context.Context, i int, sh Shard) error {
+	_, err := st.fanShards(ctx, func(_ context.Context, i int, sh nfstore.Engine) error {
 		bins, err := sh.Bins()
 		per[i] = bins
 		return err
@@ -92,23 +92,21 @@ func (st *ShardedStore) Query(ctx context.Context, iv flow.Interval, filter *nff
 	scan := func(ctx context.Context, i int, emit func(*flow.Record) error) error {
 		return st.shards[cells[i].shard].Query(ctx, cells[i].iv, filter, emit)
 	}
-	// fail attributes a cell's error: the caller's own (a callback error
-	// shards mark with errQueryStop, an early stop, the caller's
-	// cancellation) comes back as is even in degraded mode; a shard's is
-	// skipped when degraded — the rows it emitted first stay — and
-	// otherwise becomes a ShardError naming it.
+	// fail attributes a cell's error. fn's own errors never reach it:
+	// ScanOrdered returns those itself, at any fan-out, so no marker has
+	// to carry them through the shard. The caller's cancellation comes
+	// back as is even in degraded mode; a shard's error is skipped when
+	// degraded — the rows it emitted first stay — and otherwise becomes
+	// a ShardError naming it.
 	degraded := st.degraded.Load()
 	fail := func(i int, err error) error {
-		var stop errQueryStop
 		switch {
-		case errors.As(err, &stop):
-			return stop.err
-		case errors.Is(err, nfstore.ErrStopIteration), ctx.Err() != nil && errors.Is(err, ctx.Err()):
+		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 			return err
 		case degraded:
 			return nil
 		}
-		return &ShardError{Shard: st.shards[cells[i].shard].Name(), Err: err}
+		return &ShardError{Shard: st.names[cells[i].shard], Err: err}
 	}
 	err = nfstore.ScanOrdered(ctx, len(cells), st.fanout(), scan, fn, fail)
 	if errors.Is(err, nfstore.ErrStopIteration) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -45,10 +46,11 @@ func (e *statusError) Error() string {
 }
 
 // RemoteShard is one shard living behind a peer rcad node's
-// /api/v1/shard endpoints. It is read-only by construction — ingest
-// happens on the peer that owns the shard.
+// /api/v1/shard endpoints: a read-only nfstore.Engine. Add and AddAll
+// return errReadOnly and Flush is a no-op — ingest happens on the peer
+// that owns the shard.
 type RemoteShard struct {
-	name        string        // the peer URL as configured (error messages, Name)
+	name        string        // the peer URL as configured (error messages, the shard name)
 	base        string        // name + shardPathPrefix, no trailing slash
 	timeout     time.Duration // per unary call
 	binSeconds  uint32
@@ -92,7 +94,8 @@ func OpenRemote(ctx context.Context, peers []string, timeout time.Duration) (*Sh
 	if len(peers) == 0 {
 		return nil, errors.New("shardstore: no peers")
 	}
-	shards := make([]Shard, len(peers))
+	shards := make([]nfstore.Engine, len(peers))
+	names := make([]string, len(peers))
 	var binSeconds uint32
 	for i, peer := range peers {
 		r, err := NewRemoteShard(ctx, peer, timeout)
@@ -105,7 +108,7 @@ func OpenRemote(ctx context.Context, peers []string, timeout time.Duration) (*Sh
 			return nil, fmt.Errorf("shardstore: peer %s bin width %d != %d (peer %s)",
 				r.name, r.binSeconds, binSeconds, peers[0])
 		}
-		shards[i] = r
+		shards[i], names[i] = r, r.name
 	}
 	m := Manifest{
 		Version:    manifestVersion,
@@ -113,12 +116,27 @@ func OpenRemote(ctx context.Context, peers []string, timeout time.Duration) (*Sh
 		Shards:     len(peers),
 		BinSeconds: binSeconds,
 	}
-	return NewFromShards(m, shards, nil)
+	return newFromShards(m, names, shards)
 }
 
-func (r *RemoteShard) Name() string                   { return r.name }
-func (r *RemoteShard) SegmentFormat() (uint16, error) { return r.writeFormat, nil }
-func (r *RemoteShard) Close() error                   { return nil }
+func (r *RemoteShard) BinSeconds() uint32         { return r.binSeconds }
+func (r *RemoteShard) SegmentFormat() uint16      { return r.writeFormat }
+func (r *RemoteShard) Add(*flow.Record) error     { return errReadOnly }
+func (r *RemoteShard) AddAll([]flow.Record) error { return errReadOnly }
+func (r *RemoteShard) Flush() error               { return nil }
+func (r *RemoteShard) Close() error               { return nil }
+
+// Iter returns a range-over-func iterator over the peer's matching
+// records; see nfstore.Iter.
+func (r *RemoteShard) Iter(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) iter.Seq2[*flow.Record, error] {
+	return nfstore.Iter(ctx, r, iv, filter)
+}
+
+// Records collects the peer's matching records into a slice; see
+// nfstore.Records.
+func (r *RemoteShard) Records(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) ([]flow.Record, error) {
+	return nfstore.Records(ctx, r, iv, filter)
+}
 
 // spanParams encodes the common span+filter query string.
 func spanParams(iv flow.Interval, filter *nffilter.Filter) url.Values {
@@ -249,16 +267,17 @@ func (r *RemoteShard) TopN(ctx context.Context, iv flow.Interval, filter *nffilt
 	return out.Rows, nil
 }
 
-func (r *RemoteShard) Stats() (nfstore.Stats, error) {
+// Stats returns the peer's scan counters, zero when it is unreachable
+// (SegmentFormats, over the same endpoint, reports the failure).
+func (r *RemoteShard) Stats() nfstore.Stats {
 	var out statsWire
-	if err := r.getJSON(context.Background(), "/stats", nil, &out); err != nil {
-		return nfstore.Stats{}, err
-	}
-	return out.Stats, nil
+	_ = r.getJSON(context.Background(), "/stats", nil, &out)
+	return out.Stats
 }
 
-func (r *RemoteShard) ResetStats() error {
-	return r.postUnary(context.Background(), "/stats/reset")
+// ResetStats zeroes the peer's scan counters (best effort).
+func (r *RemoteShard) ResetStats() {
+	_ = r.postUnary(context.Background(), "/stats/reset")
 }
 
 func (r *RemoteShard) SegmentFormats() (map[uint16]int, error) {
@@ -270,10 +289,11 @@ func (r *RemoteShard) SegmentFormats() (map[uint16]int, error) {
 }
 
 // Query streams the peer's matching records through the framed binary
-// protocol. The stream is bounded only by ctx: callback errors close
-// the connection (the peer aborts its scan via the dropped request
-// context), a missing terminator frame is a loud truncation error, and
-// an error frame carries the peer's own message.
+// protocol, with the nfstore.Engine contract: ErrStopIteration from fn
+// ends the scan cleanly. The stream is bounded only by ctx: callback
+// errors close the connection (the peer aborts its scan via the dropped
+// request context), a missing terminator frame is a loud truncation
+// error, and an error frame carries the peer's own message.
 func (r *RemoteShard) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
 	u := r.base + "/query?" + spanParams(iv, filter).Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -328,13 +348,15 @@ func (r *RemoteShard) Query(ctx context.Context, iv flow.Interval, filter *nffil
 		for off := 0; off < need; off += nfstore.RecordSize {
 			nfstore.DecodeRecord(buf[off:off+nfstore.RecordSize], &rec)
 			if err := fn(&rec); err != nil {
-				// Mark it as the caller's error, per the Shard contract
-				// (closing the body aborts the peer-side scan).
-				return errQueryStop{err}
+				// Returning closes the body, which aborts the peer-side scan.
+				if errors.Is(err, nfstore.ErrStopIteration) {
+					return nil
+				}
+				return err
 			}
 		}
 	}
 }
 
-// Compile-time check: a remote peer is a shard.
-var _ Shard = (*RemoteShard)(nil)
+// Compile-time check: a remote peer is a (read-only) engine.
+var _ nfstore.Engine = (*RemoteShard)(nil)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/nffilter"
 	"repro/internal/nfstore"
 )
 
@@ -43,7 +45,8 @@ func buildPeers(t *testing.T, recs []flow.Record, n int) (locals []*nfstore.Stor
 	if err := router.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range router.locals {
+	for _, sh := range router.shards {
+		st := sh.(*nfstore.Store)
 		srv, url := serveShard(t, st)
 		locals = append(locals, st)
 		servers = append(servers, srv)
@@ -53,8 +56,8 @@ func buildPeers(t *testing.T, recs []flow.Record, n int) (locals []*nfstore.Stor
 }
 
 // TestRemoteRoundTrip drives the full read surface through the HTTP
-// protocol and checks it agrees with the in-process sharded store over
-// the same shards.
+// protocol, both scatter-gathered over two peers and on one bare
+// *RemoteShard, and checks each agrees with the records written.
 func TestRemoteRoundTrip(t *testing.T) {
 	recs := genRecords(17, 1500, 3*testBinSec)
 	_, _, urls := buildPeers(t, recs, 2)
@@ -63,7 +66,22 @@ func TestRemoteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
+	_, _, one := buildPeers(t, recs, 1)
+	bare, err := NewRemoteShard(context.Background(), one[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []struct {
+		name string
+		nfstore.Engine
+	}{{"sharded", remote}, {"bare", bare}} {
+		t.Run(eng.name, func(t *testing.T) { checkRoundTrip(t, eng.Engine, recs) })
+	}
+}
 
+// checkRoundTrip checks remote's read surface against recs, all of
+// which it holds.
+func checkRoundTrip(t *testing.T, remote nfstore.Engine, recs []flow.Record) {
 	ctx := context.Background()
 	iv := flow.Interval{Start: 0, End: 3 * testBinSec}
 	filter := mustFilter(t, "proto udp and dst port 53")
@@ -153,7 +171,8 @@ func TestRemoteRoundTrip(t *testing.T) {
 }
 
 // TestRemoteQueryParity compares the HTTP-streamed query byte for byte
-// with the in-process sharded read over the same shard directories.
+// with the in-process sharded read over the same shard directories, and
+// each bare *RemoteShard's whole read surface with the store it serves.
 func TestRemoteQueryParity(t *testing.T) {
 	recs := genRecords(23, 2000, 3*testBinSec)
 	locals, _, urls := buildPeers(t, recs, 3)
@@ -164,11 +183,16 @@ func TestRemoteQueryParity(t *testing.T) {
 	defer remote.Close()
 
 	m := Manifest{Version: manifestVersion, Partition: PartitionHash, Shards: 3, BinSeconds: testBinSec}
-	shards := make([]Shard, len(locals))
+	shards := make([]nfstore.Engine, len(locals))
+	names := make([]string, len(locals))
+	bares := make([]*RemoteShard, len(locals))
 	for i, st := range locals {
-		shards[i] = localShard{name: shardDirName(i), s: st}
+		shards[i], names[i] = st, shardDirName(i)
+		if bares[i], err = NewRemoteShard(context.Background(), urls[i], 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	inproc, err := NewFromShards(m, shards, locals)
+	inproc, err := newFromShards(m, names, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +212,37 @@ func TestRemoteQueryParity(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("filter %q: remote stream (%d records) != in-process (%d records)",
 				expr, len(got), len(want))
+		}
+		for i, bare := range bares {
+			checkSameReads(t, fmt.Sprintf("filter %q, peer %d", expr, i), bare, locals[i], iv, filter)
+		}
+	}
+}
+
+// checkSameReads fails unless got answers every read exactly as want:
+// Query bytes, Count, Summaries, TopN, Bins, Span and SegmentFormats.
+func checkSameReads(t *testing.T, label string, got, want nfstore.Engine, iv flow.Interval, filter *nffilter.Filter) {
+	t.Helper()
+	ctx := context.Background()
+	reads := func(eng nfstore.Engine) []any {
+		recs, rerr := eng.Records(ctx, iv, filter)
+		f, p, b, cerr := eng.Count(ctx, iv, filter)
+		sums, serr := eng.Summaries(ctx, iv, filter)
+		top, terr := eng.TopN(ctx, iv, filter, flow.FeatDstPort, nfstore.ByPackets, 3)
+		bins, berr := eng.Bins()
+		span, ok, perr := eng.Span()
+		formats, ferr := eng.SegmentFormats()
+		for _, err := range []error{rerr, cerr, serr, terr, berr, perr, ferr} {
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		return []any{recs, [3]uint64{f, p, b}, sums, top, bins, span, ok, formats}
+	}
+	g, w := reads(got), reads(want)
+	for i, what := range []string{"Query", "Count", "Summaries", "TopN", "Bins", "Span", "Span ok", "SegmentFormats"} {
+		if !reflect.DeepEqual(g[i], w[i]) {
+			t.Fatalf("%s: %s = %v, want %v", label, what, g[i], w[i])
 		}
 	}
 }
@@ -359,6 +414,22 @@ func TestRemoteRejectsWrites(t *testing.T) {
 	}
 	if err := remote.SetSegmentFormat(nfstore.FormatV1); err == nil {
 		t.Fatal("SetSegmentFormat on a remote store must fail")
+	}
+	if err := remote.Seal(r.Start); err == nil {
+		t.Fatal("Seal on a remote store must fail")
+	}
+	bare, err := NewRemoteShard(context.Background(), urls[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.Add(&r); err == nil {
+		t.Fatal("Add on a remote shard must fail")
+	}
+	if err := bare.AddAll(recs); err == nil {
+		t.Fatal("AddAll on a remote shard must fail")
+	}
+	if err := bare.Flush(); err != nil {
+		t.Fatalf("Flush on a remote shard is a no-op, got %v", err)
 	}
 }
 

@@ -33,84 +33,22 @@ type ShardError struct {
 func (e *ShardError) Error() string { return fmt.Sprintf("shardstore: shard %s: %v", e.Shard, e.Err) }
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// Shard is one partition of a sharded store: a local *nfstore.Store or a
-// remote rcad peer. Unlike nfstore.Engine's Query, a Shard's Query
-// returns callback errors wrapped in errQueryStop (no ErrStopIteration
-// swallowing, no loss) so the coordinator can tell the caller's errors
-// from genuine shard failures — the coordinator owns the Engine
-// contract.
-type Shard interface {
-	Name() string
-	Bins() ([]uint32, error)
-	Span() (flow.Interval, bool, error)
-	Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error
-	Count(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) (flows, packets, bytes uint64, err error)
-	Summaries(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) ([]nfstore.BinSummary, error)
-	TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, feat flow.Feature, weight nfstore.Weight, k int) ([]nfstore.KeyCount, error)
-	Stats() (nfstore.Stats, error)
-	ResetStats() error
-	SegmentFormat() (uint16, error)
-	SegmentFormats() (map[uint16]int, error)
-	Close() error
-}
-
-// errQueryStop marks a Query-callback error: it passes through
-// nfstore.Store.Query (which swallows ErrStopIteration) intact —
-// deliberately no Unwrap, or the swallowing would see through it — and
-// tells the coordinator the error is the caller's, not the shard's.
-type errQueryStop struct{ err error }
-
-func (e errQueryStop) Error() string { return e.err.Error() }
-
-// localShard adapts one in-process *nfstore.Store to the Shard surface.
-type localShard struct {
-	name string
-	s    *nfstore.Store
-}
-
-func (l localShard) Name() string                            { return l.name }
-func (l localShard) Bins() ([]uint32, error)                 { return l.s.Bins() }
-func (l localShard) Span() (flow.Interval, bool, error)      { return l.s.Span() }
-func (l localShard) Stats() (nfstore.Stats, error)           { return l.s.Stats(), nil }
-func (l localShard) ResetStats() error                       { l.s.ResetStats(); return nil }
-func (l localShard) SegmentFormat() (uint16, error)          { return l.s.SegmentFormat(), nil }
-func (l localShard) SegmentFormats() (map[uint16]int, error) { return l.s.SegmentFormats() }
-func (l localShard) Close() error                            { return l.s.Close() }
-
-func (l localShard) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
-	return l.s.Query(ctx, iv, filter, func(r *flow.Record) error {
-		if err := fn(r); err != nil {
-			return errQueryStop{err}
-		}
-		return nil
-	})
-}
-
-func (l localShard) Count(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) (uint64, uint64, uint64, error) {
-	return l.s.Count(ctx, iv, filter)
-}
-
-func (l localShard) Summaries(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) ([]nfstore.BinSummary, error) {
-	return l.s.Summaries(ctx, iv, filter)
-}
-
-func (l localShard) TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, feat flow.Feature, weight nfstore.Weight, k int) ([]nfstore.KeyCount, error) {
-	return l.s.TopN(ctx, iv, filter, feat, weight, k)
-}
+// errReadOnly rejects writes to a store whose shards are remote peers:
+// ingest happens on the peer that owns the shard.
+var errReadOnly = errors.New("shardstore: store is read-only (remote shards)")
 
 // ShardedStore is a horizontally partitioned flow store implementing
-// nfstore.Engine by scatter-gather over its shards. Reads fan out over a
-// bounded worker pool with per-shard pruning; Query merges in (bin,
-// shard) order, so a time-partitioned store reproduces single-store
-// byte order exactly. Writes route by the manifest's partition scheme
-// and require local (in-process) shards; a store opened over remote
-// peers is read-only.
+// nfstore.Engine by scatter-gather over its shards, each an Engine
+// itself: an in-process *nfstore.Store or a remote peer's *RemoteShard.
+// Reads fan out over a bounded worker pool with per-shard pruning;
+// Query merges in (bin, shard) order, so a time-partitioned store
+// reproduces single-store byte order exactly. Writes route by the
+// manifest's partition scheme; a store opened over remote peers is
+// read-only because its shards are.
 type ShardedStore struct {
 	manifest Manifest
-	shards   []Shard
-	// locals[i] is the in-process store behind shards[i], nil for remote
-	// shards. Either all shards are local or all are remote.
-	locals   []*nfstore.Store
+	shards   []nfstore.Engine
+	names    []string     // names[i] labels shards[i] in ShardError and ShardStat
 	par      atomic.Int32 // fan-out pinned by tests (0 = auto)
 	degraded atomic.Bool
 }
@@ -150,8 +88,8 @@ func Create(dir string, binSeconds uint32, n int, partition string, format uint1
 			st.Close()
 			return nil, fmt.Errorf("shardstore: create shard %d: %w", i, err)
 		}
-		st.shards = append(st.shards, localShard{name: shardDirName(i), s: s})
-		st.locals = append(st.locals, s)
+		st.shards = append(st.shards, s)
+		st.names = append(st.names, shardDirName(i))
 	}
 	return st, nil
 }
@@ -173,23 +111,22 @@ func Open(dir string) (*ShardedStore, error) {
 			st.Close()
 			return nil, fmt.Errorf("shardstore: shard %d bin width %d != manifest %d", i, s.BinSeconds(), m.BinSeconds)
 		}
-		st.shards = append(st.shards, localShard{name: shardDirName(i), s: s})
-		st.locals = append(st.locals, s)
+		st.shards = append(st.shards, s)
+		st.names = append(st.names, shardDirName(i))
 	}
 	return st, nil
 }
 
-// NewFromShards assembles a sharded store over pre-built shards (the
-// remote-peer constructor and the test seam). locals may be nil for
-// read-only shard sets.
-func NewFromShards(m Manifest, shards []Shard, locals []*nfstore.Store) (*ShardedStore, error) {
+// newFromShards assembles a sharded store over pre-built shards named
+// by names (the remote-peer constructor and the test seam).
+func newFromShards(m Manifest, names []string, shards []nfstore.Engine) (*ShardedStore, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("shardstore: no shards")
 	}
 	if m.Shards != len(shards) {
 		return nil, fmt.Errorf("shardstore: manifest says %d shards, got %d", m.Shards, len(shards))
 	}
-	return &ShardedStore{manifest: m, shards: shards, locals: locals}, nil
+	return &ShardedStore{manifest: m, shards: shards, names: names}, nil
 }
 
 // Compile-time check: a sharded store is a drop-in engine.
@@ -226,12 +163,9 @@ func (st *ShardedStore) shardFor(r *flow.Record) int {
 	return int((r.Start / st.manifest.BinSeconds) % n)
 }
 
-// Add routes one record to its shard. Remote shard sets are read-only.
+// Add routes one record to its shard. Remote shards reject it.
 func (st *ShardedStore) Add(r *flow.Record) error {
-	if st.locals == nil {
-		return errors.New("shardstore: store is read-only (remote shards)")
-	}
-	return st.locals[st.shardFor(r)].Add(r)
+	return st.shards[st.shardFor(r)].Add(r)
 }
 
 // AddAll routes a batch of records to their shards.
@@ -244,12 +178,11 @@ func (st *ShardedStore) AddAll(rs []flow.Record) error {
 	return nil
 }
 
-// Flush flushes every local shard. A remote shard set has nothing to
-// flush.
+// Flush flushes every shard (a no-op on remote shards).
 func (st *ShardedStore) Flush() error {
-	for i, s := range st.locals {
-		if err := s.Flush(); err != nil {
-			return &ShardError{Shard: st.shards[i].Name(), Err: err}
+	for i, sh := range st.shards {
+		if err := sh.Flush(); err != nil {
+			return &ShardError{Shard: st.names[i], Err: err}
 		}
 	}
 	return nil
@@ -276,7 +209,7 @@ func (st *ShardedStore) Close() error {
 // caller cancelled, every shard's error is the caller's and the lowest
 // index stands. failed[i] reports whether shard i's result must be
 // treated as missing.
-func (st *ShardedStore) fanShards(parent context.Context, fn func(ctx context.Context, i int, sh Shard) error) (failed []bool, err error) {
+func (st *ShardedStore) fanShards(parent context.Context, fn func(ctx context.Context, i int, sh nfstore.Engine) error) (failed []bool, err error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	k := min(st.fanout(), len(st.shards))
@@ -287,7 +220,7 @@ func (st *ShardedStore) fanShards(parent context.Context, fn func(ctx context.Co
 	for i, sh := range st.shards {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, sh Shard) {
+		go func(i int, sh nfstore.Engine) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			if errs[i] = fn(ctx, i, sh); errs[i] != nil && !degraded {
@@ -307,7 +240,7 @@ func (st *ShardedStore) fanShards(parent context.Context, fn func(ctx context.Co
 			nfail++
 			echo := callerLive && errors.Is(e, context.Canceled)
 			if first == nil || (firstIsEcho && !echo) {
-				first = &ShardError{Shard: st.shards[i].Name(), Err: e}
+				first = &ShardError{Shard: st.names[i], Err: e}
 				firstIsEcho = echo
 			}
 		}
@@ -324,7 +257,7 @@ func (st *ShardedStore) fanShards(parent context.Context, fn func(ctx context.Co
 // Bins lists the union of the shards' bin start times, ascending.
 func (st *ShardedStore) Bins() ([]uint32, error) {
 	per := make([][]uint32, len(st.shards))
-	_, err := st.fanShards(context.Background(), func(_ context.Context, i int, sh Shard) error {
+	_, err := st.fanShards(context.Background(), func(_ context.Context, i int, sh nfstore.Engine) error {
 		bins, err := sh.Bins()
 		per[i] = bins
 		return err
@@ -353,7 +286,7 @@ func (st *ShardedStore) Span() (flow.Interval, bool, error) {
 		ok bool
 	}
 	per := make([]span, len(st.shards))
-	_, err := st.fanShards(context.Background(), func(_ context.Context, i int, sh Shard) error {
+	_, err := st.fanShards(context.Background(), func(_ context.Context, i int, sh nfstore.Engine) error {
 		iv, ok, err := sh.Span()
 		per[i] = span{iv, ok}
 		return err
@@ -383,7 +316,7 @@ func (st *ShardedStore) Span() (flow.Interval, bool, error) {
 // addition makes the merged totals exactly the single-store ones.
 func (st *ShardedStore) Count(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) (uint64, uint64, uint64, error) {
 	var flows, packets, bytes atomic.Uint64
-	_, err := st.fanShards(ctx, func(ctx context.Context, _ int, sh Shard) error {
+	_, err := st.fanShards(ctx, func(ctx context.Context, _ int, sh nfstore.Engine) error {
 		f, p, b, err := sh.Count(ctx, iv, filter)
 		if err != nil {
 			return err
@@ -405,7 +338,7 @@ func (st *ShardedStore) Count(ctx context.Context, iv flow.Interval, filter *nff
 // exactly the single-store series.
 func (st *ShardedStore) Summaries(ctx context.Context, iv flow.Interval, filter *nffilter.Filter) ([]nfstore.BinSummary, error) {
 	per := make([][]nfstore.BinSummary, len(st.shards))
-	_, err := st.fanShards(ctx, func(ctx context.Context, i int, sh Shard) error {
+	_, err := st.fanShards(ctx, func(ctx context.Context, i int, sh nfstore.Engine) error {
 		sums, err := sh.Summaries(ctx, iv, filter)
 		per[i] = sums
 		return err
@@ -441,7 +374,7 @@ func (st *ShardedStore) Summaries(ctx context.Context, iv flow.Interval, filter 
 // for itemset supports, so ranks match a single merged store exactly.
 func (st *ShardedStore) TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, feat flow.Feature, weight nfstore.Weight, k int) ([]nfstore.KeyCount, error) {
 	per := make([][]nfstore.KeyCount, len(st.shards))
-	_, err := st.fanShards(ctx, func(ctx context.Context, i int, sh Shard) error {
+	_, err := st.fanShards(ctx, func(ctx context.Context, i int, sh nfstore.Engine) error {
 		rows, err := sh.TopN(ctx, iv, filter, feat, weight, 0)
 		per[i] = rows
 		return err
@@ -472,20 +405,16 @@ func (st *ShardedStore) Records(ctx context.Context, iv flow.Interval, filter *n
 
 // SegmentFormat returns the format new segments are written in (the
 // shards always share it; shard 0 answers).
-func (st *ShardedStore) SegmentFormat() uint16 {
-	f, err := st.shards[0].SegmentFormat()
-	if err != nil {
-		return 0
-	}
-	return f
-}
+func (st *ShardedStore) SegmentFormat() uint16 { return st.shards[0].SegmentFormat() }
 
-// SetSegmentFormat changes the write format on every local shard.
+// SetSegmentFormat changes the write format on every shard. Remote
+// shards cannot take it.
 func (st *ShardedStore) SetSegmentFormat(format uint16) error {
-	if st.locals == nil {
-		return errors.New("shardstore: store is read-only (remote shards)")
-	}
-	for _, s := range st.locals {
+	for _, sh := range st.shards {
+		s, ok := sh.(interface{ SetSegmentFormat(uint16) error })
+		if !ok {
+			return errReadOnly
+		}
 		if err := s.SetSegmentFormat(format); err != nil {
 			return err
 		}
@@ -496,16 +425,17 @@ func (st *ShardedStore) SetSegmentFormat(format uint16) error {
 // Compile-time check: a local sharded store supports bin sealing.
 var _ nfstore.Sealer = (*ShardedStore)(nil)
 
-// Seal finalizes the bin containing t on every local shard (under hash
-// partitioning a bin's records spread over all of them). Remote shard
-// sets are read-only and cannot seal.
+// Seal finalizes the bin containing t on every shard (under hash
+// partitioning a bin's records spread over all of them). Remote shards
+// cannot seal.
 func (st *ShardedStore) Seal(t uint32) error {
-	if st.locals == nil {
-		return errors.New("shardstore: store is read-only (remote shards)")
-	}
-	for i, s := range st.locals {
+	for i, sh := range st.shards {
+		s, ok := sh.(nfstore.Sealer)
+		if !ok {
+			return errReadOnly
+		}
 		if err := s.Seal(t); err != nil {
-			return &ShardError{Shard: st.shards[i].Name(), Err: err}
+			return &ShardError{Shard: st.names[i], Err: err}
 		}
 	}
 	return nil
@@ -514,7 +444,7 @@ func (st *ShardedStore) Seal(t uint32) error {
 // SegmentFormats sums the per-format segment census over all shards.
 func (st *ShardedStore) SegmentFormats() (map[uint16]int, error) {
 	per := make([]map[uint16]int, len(st.shards))
-	_, err := st.fanShards(context.Background(), func(_ context.Context, i int, sh Shard) error {
+	_, err := st.fanShards(context.Background(), func(_ context.Context, i int, sh nfstore.Engine) error {
 		counts, err := sh.SegmentFormats()
 		per[i] = counts
 		return err
@@ -552,8 +482,9 @@ func (st *ShardedStore) Stats() nfstore.Stats {
 
 // ResetStats zeroes the scan counters on every shard (best effort).
 func (st *ShardedStore) ResetStats() {
-	_, _ = st.fanShards(context.Background(), func(_ context.Context, _ int, sh Shard) error {
-		return sh.ResetStats()
+	_, _ = st.fanShards(context.Background(), func(_ context.Context, _ int, sh nfstore.Engine) error {
+		sh.ResetStats()
+		return nil
 	})
 }
 
@@ -566,20 +497,18 @@ type ShardStat struct {
 }
 
 // ShardStats returns the per-shard scan counters and segment census, in
-// shard order. Failures (an unreachable peer) land in the row's Err
-// instead of failing the call (so fanShards has no error to report),
-// and health stays observable through a partial outage.
+// shard order. Failures (an unreachable peer, reported by its
+// SegmentFormats) land in the row's Err instead of failing the call (so
+// fanShards has no error to report), and health stays observable
+// through a partial outage.
 func (st *ShardedStore) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(st.shards))
-	_, _ = st.fanShards(context.Background(), func(_ context.Context, i int, sh Shard) error {
-		row := ShardStat{Shard: sh.Name()}
-		stats, err := sh.Stats()
-		if err == nil {
-			row.Stats = stats
-			row.Formats, err = sh.SegmentFormats()
-		}
-		if err != nil {
+	_, _ = st.fanShards(context.Background(), func(_ context.Context, i int, sh nfstore.Engine) error {
+		row := ShardStat{Shard: st.names[i]}
+		if formats, err := sh.SegmentFormats(); err != nil {
 			row.Err = err.Error()
+		} else {
+			row.Stats, row.Formats = sh.Stats(), formats
 		}
 		out[i] = row
 		return nil

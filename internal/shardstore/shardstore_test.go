@@ -334,19 +334,26 @@ func TestShardedQueryEarlyStop(t *testing.T) {
 }
 
 // TestShardedQueryCallbackError verifies a real callback error comes
-// back verbatim, not wrapped in a ShardError.
+// back verbatim, not wrapped in a ShardError, serially and in parallel,
+// and is not mistaken for a shard failure that degraded mode skips.
 func TestShardedQueryCallbackError(t *testing.T) {
 	recs := genRecords(5, 200, 2*testBinSec)
 	_, sharded := buildPair(t, recs, 2, PartitionTime, nfstore.FormatV1)
 	boom := errors.New("boom")
-	err := sharded.Query(context.Background(), flow.Interval{Start: 0, End: 2 * testBinSec}, nil,
-		func(*flow.Record) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	var se *ShardError
-	if errors.As(err, &se) {
-		t.Fatalf("callback error wrapped in ShardError: %v", err)
+	for _, k := range []int32{1, 2} {
+		for _, degraded := range []bool{false, true} {
+			sharded.par.Store(k)
+			sharded.SetDegraded(degraded)
+			err := sharded.Query(context.Background(), flow.Interval{Start: 0, End: 2 * testBinSec}, nil,
+				func(*flow.Record) error { return boom })
+			if !errors.Is(err, boom) {
+				t.Fatalf("k=%d degraded=%v: err = %v, want boom", k, degraded, err)
+			}
+			var se *ShardError
+			if errors.As(err, &se) {
+				t.Fatalf("k=%d degraded=%v: callback error wrapped in ShardError: %v", k, degraded, err)
+			}
+		}
 	}
 }
 
@@ -436,8 +443,8 @@ func TestMigrateSharded(t *testing.T) {
 	recs := genRecords(21, 1200, 4*testBinSec)
 	single, sharded := buildPair(t, recs, 4, PartitionHash, nfstore.FormatV1)
 	ctx := context.Background()
-	for _, st := range sharded.locals {
-		if _, err := st.MigrateWorkers(ctx, nfstore.FormatV2, 2); err != nil {
+	for _, sh := range sharded.shards {
+		if _, err := sh.(*nfstore.Store).MigrateWorkers(ctx, nfstore.FormatV2, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -462,15 +469,13 @@ func TestMigrateSharded(t *testing.T) {
 	}
 }
 
-// fakeShard is a Shard whose reads are scripted: Count and Query call
+// fakeShard is a shard whose reads are scripted: Count and Query call
 // read, everything else panics through the nil embedded interface.
 type fakeShard struct {
-	Shard
-	name string
+	nfstore.Engine
 	read func(ctx context.Context) error
 }
 
-func (f fakeShard) Name() string            { return f.name }
 func (f fakeShard) Bins() ([]uint32, error) { return []uint32{0}, nil }
 func (f fakeShard) Count(ctx context.Context, _ flow.Interval, _ *nffilter.Filter) (uint64, uint64, uint64, error) {
 	return 0, 0, 0, f.read(ctx)
@@ -487,12 +492,13 @@ func (f fakeShard) Query(ctx context.Context, _ flow.Interval, _ *nffilter.Filte
 func TestFailureAttribution(t *testing.T) {
 	boom := errors.New("boom")
 	untilCanceled := func(ctx context.Context) error { <-ctx.Done(); return ctx.Err() }
-	shards := []Shard{
-		fakeShard{name: "healthy-0", read: untilCanceled},
-		fakeShard{name: "dead", read: func(context.Context) error { return boom }},
-		fakeShard{name: "healthy-2", read: untilCanceled},
+	shards := []nfstore.Engine{
+		fakeShard{read: untilCanceled},
+		fakeShard{read: func(context.Context) error { return boom }},
+		fakeShard{read: untilCanceled},
 	}
-	st, err := NewFromShards(Manifest{Partition: PartitionHash, Shards: 3, BinSeconds: testBinSec}, shards, nil)
+	names := []string{"healthy-0", "dead", "healthy-2"}
+	st, err := newFromShards(Manifest{Partition: PartitionHash, Shards: 3, BinSeconds: testBinSec}, names, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,41 +513,40 @@ func TestFailureAttribution(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st.shards[1] = fakeShard{name: "healthy-1", read: untilCanceled}
+	st.shards[1], st.names[1] = fakeShard{read: untilCanceled}, "healthy-1"
 	_, _, _, err = st.Count(ctx, iv, nil)
 	if !errors.As(err, &se) || se.Shard != "healthy-0" || !errors.Is(err, context.Canceled) {
 		t.Fatalf("Count under caller cancel = %v, want healthy-0's context.Canceled", err)
 	}
 
 	ok := func(context.Context) error { return nil }
-	st.shards = []Shard{
-		fakeShard{name: "healthy-0", read: ok},
-		fakeShard{name: "dead", read: func(context.Context) error { return boom }},
-		fakeShard{name: "healthy-2", read: ok},
+	st.shards = []nfstore.Engine{
+		fakeShard{read: ok},
+		fakeShard{read: func(context.Context) error { return boom }},
+		fakeShard{read: ok},
 	}
+	st.names[1] = "dead"
 	err = st.Query(context.Background(), iv, nil, func(*flow.Record) error { return nil })
 	if !errors.As(err, &se) || se.Shard != "dead" || !errors.Is(err, boom) {
 		t.Fatalf("Query = %v, want ShardError naming dead with boom", err)
 	}
 }
 
-// rowShard is a Shard whose Query emits rows records (SrcPort 0..rows-1,
+// rowShard is a shard whose Query emits rows records (SrcPort 0..rows-1,
 // Router naming the shard) and then returns err.
 type rowShard struct {
-	Shard
-	name   string
+	nfstore.Engine
 	router uint16
 	rows   int
 	err    error
 }
 
-func (f rowShard) Name() string            { return f.name }
 func (f rowShard) Bins() ([]uint32, error) { return []uint32{0}, nil }
 func (f rowShard) Query(_ context.Context, _ flow.Interval, _ *nffilter.Filter, fn func(*flow.Record) error) error {
 	for i := range f.rows {
 		r := flow.Record{Router: f.router, SrcPort: uint16(i)}
 		if err := fn(&r); err != nil {
-			return errQueryStop{err}
+			return err
 		}
 	}
 	return f.err
@@ -552,12 +557,13 @@ func (f rowShard) Query(_ context.Context, _ flow.Interval, _ *nffilter.Filter, 
 // before failing, whether its cell ran serially or on a parallel worker
 // whose last batch was still partial.
 func TestDegradedPartialFailureSameRowsAtAnyFanout(t *testing.T) {
-	shards := []Shard{
-		rowShard{name: "healthy-0", router: 0, rows: 300},
-		rowShard{name: "dead", router: 1, rows: 700, err: errors.New("peer died")},
-		rowShard{name: "healthy-2", router: 2, rows: 300},
+	shards := []nfstore.Engine{
+		rowShard{router: 0, rows: 300},
+		rowShard{router: 1, rows: 700, err: errors.New("peer died")},
+		rowShard{router: 2, rows: 300},
 	}
-	st, err := NewFromShards(Manifest{Partition: PartitionHash, Shards: 3, BinSeconds: testBinSec}, shards, nil)
+	names := []string{"healthy-0", "dead", "healthy-2"}
+	st, err := newFromShards(Manifest{Partition: PartitionHash, Shards: 3, BinSeconds: testBinSec}, names, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -526,14 +526,6 @@ type QueryStats = nfstore.Stats
 // well-indexed store shows SegmentsPruned close to SegmentsConsidered.
 func (s *System) QueryStats() QueryStats { return s.store.Stats() }
 
-// AddFlows ingests a batch of flow records.
-func (s *System) AddFlows(records []Record) error {
-	if err := s.store.AddAll(records); err != nil {
-		return err
-	}
-	return s.store.Flush()
-}
-
 // Close cancels queued and running jobs, waits for the job workers to
 // wind down, then flushes and closes the store and persists the alarm
 // database. A live system is drained first: buffered records are

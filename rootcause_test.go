@@ -211,7 +211,10 @@ func TestAddFlows(t *testing.T) {
 		{Start: 100, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80,
 			Proto: flow.ProtoTCP, Packets: 5, Bytes: 200},
 	}
-	if err := sys.AddFlows(recs); err != nil {
+	if err := sys.Store().AddAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Store().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := sys.Flows(t.Context(), rootcause.Interval{Start: 0, End: 300}, "dst port 80")
@@ -241,7 +244,10 @@ func TestQueryParallelismAndStats(t *testing.T) {
 		{Start: 700, SrcIP: 9, DstIP: 2, SrcPort: 3, DstPort: 443,
 			Proto: flow.ProtoTCP, Packets: 5, Bytes: 200},
 	}
-	if err := sys.AddFlows(recs); err != nil {
+	if err := sys.Store().AddAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Store().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// A selective drill-down: zone maps prune the non-matching bin, and

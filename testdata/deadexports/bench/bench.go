@@ -1,10 +1,14 @@
 package main
 
-import "example/internal/plant"
+import (
+	"example"
+	"example/internal/plant"
+)
 
 func main() {
 	plant.BenchOnly()
 	var c plant.Config
 	c.ByBench = 2
 	_ = c
+	example.RunOptions{}.Check()
 }

@@ -1,6 +1,9 @@
 package main
 
-import "example/internal/plant"
+import (
+	"example"
+	"example/internal/plant"
+)
 
 func main() {
 	plant.Used()
@@ -9,4 +12,5 @@ func main() {
 		a.Anon()
 	}
 	_ = plant.Config{ByCmd: 1}
+	example.RunOptions{}.Stop()
 }

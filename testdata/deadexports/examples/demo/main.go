@@ -2,4 +2,7 @@ package main
 
 import example "example"
 
-func main() { _ = example.RunOptions{FromExamples: 1} }
+func main() {
+	_ = example.RunOptions{FromExamples: 1}
+	example.Run()
+}
