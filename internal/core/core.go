@@ -398,7 +398,7 @@ func (e *Extractor) candidates(ctx context.Context, alarm *detector.Alarm) (ds *
 	b := itemset.NewBuilder()
 	if !e.opts.NoPrefilter {
 		if mf := alarm.MetaFilter(); mf != nil {
-			if err := e.fill(ctx, alarm.Interval, mf, PhaseCandidates, b.Add); err != nil {
+			if err := e.fill(ctx, alarm.Interval, mf, PhaseCandidates, b.AddBatch); err != nil {
 				return nil, false, err
 			}
 			prefiltered = true
@@ -406,7 +406,7 @@ func (e *Extractor) candidates(ctx context.Context, alarm *detector.Alarm) (ds *
 	}
 	if b.Flows() < uint64(e.opts.MinCandidates) {
 		b.Reset()
-		if err := e.fill(ctx, alarm.Interval, nil, PhaseCandidates, b.Add); err != nil {
+		if err := e.fill(ctx, alarm.Interval, nil, PhaseCandidates, b.AddBatch); err != nil {
 			return nil, false, err
 		}
 		prefiltered = false
@@ -414,21 +414,20 @@ func (e *Extractor) candidates(ctx context.Context, alarm *detector.Alarm) (ds *
 	return b.Project(e.opts.SupportFloor), prefiltered, nil
 }
 
-// fill streams one interval scan into add, sampling progress every
-// progressStride records (the nil check is all the hot loop pays when no
-// observer is attached).
-func (e *Extractor) fill(ctx context.Context, iv flow.Interval, f *nffilter.Filter, phase string, add func(*flow.Record)) error {
+// fill streams one interval scan of itemset.BatchColumns into add,
+// sampling progress whenever the count passes a multiple of
+// progressStride records (the nil check is all the hot loop pays when
+// no observer is attached).
+func (e *Extractor) fill(ctx context.Context, iv flow.Interval, f *nffilter.Filter, phase string, add func(*nfstore.Batch)) error {
 	var n uint64
-	for r, err := range e.store.Iter(ctx, iv, f) {
-		if err != nil {
-			return err
-		}
-		add(r)
-		if n++; e.opts.Progress != nil && n%progressStride == 0 {
+	return e.store.Scan(ctx, iv, f, itemset.BatchColumns, func(b *nfstore.Batch) error {
+		add(b)
+		before := n
+		if n += uint64(b.Len()); e.opts.Progress != nil && n/progressStride > before/progressStride {
 			e.opts.Progress(Progress{Phase: phase, CandidateFlows: n})
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // report emits one progress observation when an observer is attached.
@@ -620,9 +619,10 @@ func addAll(merged map[string]*ItemsetReport, order *[]*ItemsetReport, sets []it
 // baselineFilter drops itemsets whose traffic share in the preceding
 // (baseline) bin is comparable to their share in the alarm bin: such
 // itemsets describe normal traffic structure (popular servers, busy
-// services), not the anomaly. The baseline records stream through once,
-// and each is matched against the reported itemsets in place: only the
-// K supports and the two totals are kept, never a baseline dataset.
+// services), not the anomaly. The baseline bin streams through once as
+// column batches, and each reported itemset is counted against a batch's
+// raw columns in place: only the K supports and the two totals are kept,
+// never a baseline dataset.
 func (e *Extractor) baselineFilter(ctx context.Context, iv flow.Interval, ds *itemset.Dataset, list []*ItemsetReport) (kept []*ItemsetReport, dropped int, err error) {
 	span := iv.End - iv.Start
 	if span == 0 || iv.Start < span {
@@ -632,16 +632,19 @@ func (e *Extractor) baselineFilter(ctx context.Context, iv flow.Interval, ds *it
 	sets := reportSets(list)
 	baseSups := make([]itemset.DualSupport, len(sets))
 	var base itemset.DualSupport // the baseline bin's totals
-	err = e.fill(ctx, baseIv, nil, PhaseBaseline, func(r *flow.Record) {
-		items := itemset.ItemsOf(r)
+	var rows []int32
+	err = e.fill(ctx, baseIv, nil, PhaseBaseline, func(b *nfstore.Batch) {
 		for i, s := range sets {
-			if itemset.Match(&items, s) {
-				baseSups[i].Flows++
-				baseSups[i].Packets += r.Packets
+			rows = matchRows(b, s, rows)
+			baseSups[i].Flows += uint64(len(rows))
+			for _, r := range rows {
+				baseSups[i].Packets += b.Packets[r]
 			}
 		}
-		base.Flows++
-		base.Packets += r.Packets
+		base.Flows += uint64(b.Len())
+		for _, p := range b.Packets {
+			base.Packets += p
+		}
 	})
 	if err != nil {
 		return nil, 0, err
@@ -671,4 +674,39 @@ func (e *Extractor) baselineFilter(ctx context.Context, iv flow.Interval, ds *it
 		}
 	}
 	return kept, dropped, nil
+}
+
+// matchRows returns, in rows' storage, the rows of b that hold every
+// item of s, narrowing the row list one item's column at a time.
+func matchRows(b *nfstore.Batch, s itemset.Set, rows []int32) []int32 {
+	rows = rows[:0]
+	for i := range b.Len() {
+		rows = append(rows, int32(i))
+	}
+	for _, it := range s {
+		switch v := it.Value(); it.Feature() {
+		case flow.FeatSrcIP:
+			rows = narrow(rows, b.SrcIP, v)
+		case flow.FeatDstIP:
+			rows = narrow(rows, b.DstIP, v)
+		case flow.FeatSrcPort:
+			rows = narrow(rows, b.SrcPort, v)
+		case flow.FeatDstPort:
+			rows = narrow(rows, b.DstPort, v)
+		case flow.FeatProto:
+			rows = narrow(rows, b.Proto, v)
+		}
+	}
+	return rows
+}
+
+// narrow keeps the rows whose col value is v.
+func narrow[T uint8 | uint16 | uint32](rows []int32, col []T, v uint32) []int32 {
+	out := rows[:0]
+	for _, r := range rows {
+		if uint32(col[r]) == v {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -378,7 +378,8 @@ func TestBaselineFilterMatchesOracle(t *testing.T) {
 }
 
 // zeroPacketsBefore serves its engine's records with the packet count of
-// every record starting before the cut set to zero.
+// every record starting before the cut set to zero, through Iter (the
+// oracle's scan) and Scan (the engine's).
 type zeroPacketsBefore struct {
 	nfstore.Engine
 	before uint32
@@ -397,4 +398,15 @@ func (z zeroPacketsBefore) Iter(ctx context.Context, iv flow.Interval, f *nffilt
 			}
 		}
 	}
+}
+
+func (z zeroPacketsBefore) Scan(ctx context.Context, iv flow.Interval, f *nffilter.Filter, cols nffilter.ColumnSet, fn func(*nfstore.Batch) error) error {
+	return z.Engine.Scan(ctx, iv, f, cols.With(nffilter.ColStart), func(b *nfstore.Batch) error {
+		for i, start := range b.Start {
+			if start < z.before {
+				b.Packets[i] = 0
+			}
+		}
+		return fn(b)
+	})
 }

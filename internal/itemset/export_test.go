@@ -19,3 +19,7 @@ func (s Set) SubsetOf(t Set) bool {
 	}
 	return true
 }
+
+// Match reports whether transaction items contain itemset s: the
+// per-row containment oracle the support tests are written in.
+func Match(items *TxItems, s Set) bool { return txContains(items, s) }

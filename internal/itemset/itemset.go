@@ -2,11 +2,14 @@ package itemset
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/flow"
+	"repro/internal/nffilter"
+	"repro/internal/nfstore"
 )
 
 // Item is one (feature, value) pair packed as feature<<32 | value.
@@ -195,6 +198,28 @@ func (b *Builder) Add(r *flow.Record) {
 	b.packets = append(b.packets, r.Packets)
 }
 
+// BatchColumns are the columns AddBatch reads: the five mined features
+// and packets.
+const BatchColumns nffilter.ColumnSet = 1<<nffilter.ColSrcIP | 1<<nffilter.ColDstIP | 1<<nffilter.ColSrcPort |
+	1<<nffilter.ColDstPort | 1<<nffilter.ColProto | 1<<nffilter.ColPackets
+
+// AddBatch appends every row of a scanned batch, which must carry
+// BatchColumns. The batch is only read, never retained.
+func (b *Builder) AddBatch(bt *nfstore.Batch) {
+	b.vals[flow.FeatSrcIP] = append(b.vals[flow.FeatSrcIP], bt.SrcIP...)
+	b.vals[flow.FeatDstIP] = append(b.vals[flow.FeatDstIP], bt.DstIP...)
+	for _, v := range bt.SrcPort {
+		b.vals[flow.FeatSrcPort] = append(b.vals[flow.FeatSrcPort], uint32(v))
+	}
+	for _, v := range bt.DstPort {
+		b.vals[flow.FeatDstPort] = append(b.vals[flow.FeatDstPort], uint32(v))
+	}
+	for _, v := range bt.Proto {
+		b.vals[flow.FeatProto] = append(b.vals[flow.FeatProto], uint32(v))
+	}
+	b.packets = append(b.packets, bt.Packets...)
+}
+
 // Flows returns the number of records added so far (the flow total of the
 // dataset under construction) — the candidate-count the engine checks
 // against MinCandidates before committing to a prefiltered dataset.
@@ -257,50 +282,81 @@ func (b *Builder) Project(floor uint64) *Dataset {
 			codes[f][i] = remap[c]
 		}
 	}
-	// Presize for the rows the kept codes can form, at most one per record.
+	// Number the distinct rows in first-seen order, a row's number
+	// overwriting its first code, then sum each number's weights.
 	bound := 1
 	for f := range items {
 		bound = min(bound*(len(items[f])-ds.dropped[f]), len(b.packets))
 	}
-	idx := make(map[[flow.NumFeatures]uint32]int32, bound)
-	ds.txs = slices.Grow(ds.txs, bound)
-	for i, p := range b.packets {
+	rows := newFlatIndex[[flow.NumFeatures]uint32](bound)
+	for i := range b.packets {
 		var key [flow.NumFeatures]uint32
+		h := uint64(0)
 		for f := range key {
 			key[f] = codes[f][i]
+			h = (h ^ uint64(key[f])) * hashMul
 		}
-		if j, ok := idx[key]; ok {
-			ds.txs[j].Flows++
-			ds.txs[j].Packets += p
-			continue
-		}
-		idx[key] = int32(len(ds.txs))
-		tx := Tx{Flows: 1, Packets: p}
+		codes[0][i] = rows.id(key, h)
+	}
+	ds.txs = slices.Grow(ds.txs, len(rows.keys))[:len(rows.keys)]
+	for j, key := range rows.keys {
 		for f, c := range key {
-			tx.Items[f] = items[f][c]
+			ds.txs[j].Items[f] = items[f][c]
 		}
-		ds.txs = append(ds.txs, tx)
+	}
+	for i, p := range b.packets {
+		ds.txs[codes[0][i]].Flows++
+		ds.txs[codes[0][i]].Packets += p
 	}
 	return ds
 }
 
+// hashMul is the 64-bit golden-ratio multiplier of flatIndex hashes.
+const hashMul = 0x9E3779B97F4A7C15
+
+// flatIndex numbers keys in first-seen order (keys[id] is id's key)
+// through a flat open-addressing table: a power-of-two slot array,
+// linear probing, id+1 per slot (0 = empty), sized at least twice the
+// keys it is built for, so it never fills. A hash's top bits pick the
+// first slot.
+type flatIndex[K comparable] struct {
+	keys  []K
+	slots []uint32
+	shift uint
+}
+
+// newFlatIndex returns an index for at most n keys.
+func newFlatIndex[K comparable](n int) *flatIndex[K] {
+	b := uint(bits.Len(uint(2 * n)))
+	return &flatIndex[K]{slots: make([]uint32, 1<<b), shift: 64 - b}
+}
+
+// id returns k's number, numbering k if it is new; h is k's hash.
+func (t *flatIndex[K]) id(k K, h uint64) uint32 {
+	mask := uint64(len(t.slots) - 1)
+	for at := h >> t.shift; ; at = (at + 1) & mask {
+		switch s := t.slots[at]; {
+		case s == 0:
+			t.keys = append(t.keys, k)
+			t.slots[at] = uint32(len(t.keys))
+			return uint32(len(t.keys) - 1)
+		case t.keys[s-1] == k:
+			return s - 1
+		}
+	}
+}
+
 // encode writes the dictionary code of every value of col to codes, codes
 // numbered in first-seen order, and returns the value of each code. Port
-// and protocol values index a flat table; addresses go through a hash
-// dictionary.
+// and protocol values index a flat table; addresses go through a
+// flatIndex.
 func encode(col, codes []uint32, f flow.Feature) (vals []uint32) {
 	if f == flow.FeatSrcIP || f == flow.FeatDstIP {
-		dict := make(map[uint32]uint32, len(col))
+		ips := newFlatIndex[uint32](len(col))
 		for i, v := range col {
-			c, ok := dict[v]
-			if !ok {
-				c = uint32(len(vals))
-				dict[v] = c
-				vals = append(vals, v)
-			}
-			codes[i] = c
+			codes[i] = ips.id(v, uint64(v)*hashMul)
 		}
-		return vals
+		return ips.keys
 	}
 	table := make([]uint32, 1<<16) // code+1, 0 = unseen
 	for i, v := range col {
@@ -430,10 +486,6 @@ func txContains(items *TxItems, s Set) bool {
 	}
 	return true
 }
-
-// Match reports whether transaction items contain itemset s (exported form
-// of the containment predicate shared by the miners).
-func Match(items *TxItems, s Set) bool { return txContains(items, s) }
 
 // Frequent is a mined itemset with its support in the mining dimension.
 type Frequent struct {

@@ -106,8 +106,12 @@ func (s *Store) TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Fil
 	}
 	opts := scanOpts{iv: iv, filter: filter, proj: featColumn(feat) | weightColumns(weight)}
 	acc := make(map[uint32]uint64)
-	err = s.execPlan(ctx, plan, opts, func(r *flow.Record) error {
-		acc[feat.Value(r)] += weight.Of(r)
+	var r flow.Record
+	err = s.execPlan(ctx, plan, opts, func(b *Batch) error {
+		for i := range b.n {
+			b.Record(i, &r)
+			acc[feat.Value(&r)] += weight.Of(&r)
+		}
 		return nil
 	})
 	if err != nil {

@@ -37,23 +37,6 @@ func encodeRecord(buf []byte, r *flow.Record) {
 	binary.LittleEndian.PutUint64(buf[34:], r.Bytes)
 }
 
-// decodeRecord unpacks a record from buf (at least RecordSize bytes).
-func decodeRecord(buf []byte, r *flow.Record) {
-	_ = buf[RecordSize-1]
-	r.Start = binary.LittleEndian.Uint32(buf[0:])
-	r.Dur = binary.LittleEndian.Uint32(buf[4:])
-	r.SrcIP = flow.IP(binary.LittleEndian.Uint32(buf[8:]))
-	r.DstIP = flow.IP(binary.LittleEndian.Uint32(buf[12:]))
-	r.SrcPort = binary.LittleEndian.Uint16(buf[16:])
-	r.DstPort = binary.LittleEndian.Uint16(buf[18:])
-	r.Proto = flow.Protocol(buf[20])
-	r.Flags = buf[21]
-	r.Router = binary.LittleEndian.Uint16(buf[22:])
-	r.Anno = flow.Annotation(binary.LittleEndian.Uint16(buf[24:]))
-	r.Packets = binary.LittleEndian.Uint64(buf[26:])
-	r.Bytes = binary.LittleEndian.Uint64(buf[34:])
-}
-
 // encodeSegHeader writes a segment header for the bin starting at
 // binStart, declaring the given body format version.
 func encodeSegHeader(buf []byte, version uint16, binStart, binSeconds uint32) {

@@ -94,67 +94,6 @@ var blockCRC = crc32.MakeTable(crc32.Castagnoli)
 // blockChecksum is the integrity checksum over a block payload.
 func blockChecksum(payload []byte) uint32 { return crc32.Checksum(payload, blockCRC) }
 
-// colBatch holds one decoded block as column slices. Slices for columns
-// the projection skipped hold stale data and must not be read — row
-// materialization consults the decoded-column set.
-type colBatch struct {
-	n       int
-	start   []uint32
-	dur     []uint32
-	srcIP   []uint32
-	dstIP   []uint32
-	srcPort []uint16
-	dstPort []uint16
-	proto   []uint8
-	flags   []uint8
-	router  []uint16
-	anno    []uint16
-	packets []uint64
-	bytes   []uint64
-}
-
-// fill materializes row i into r. Columns outside dec are zeroed — r is
-// reused between rows and must not leak a previous row's fields.
-func (b *colBatch) fill(r *flow.Record, i int, dec nffilter.ColumnSet) {
-	*r = flow.Record{}
-	if dec.Has(nffilter.ColStart) {
-		r.Start = b.start[i]
-	}
-	if dec.Has(nffilter.ColDur) {
-		r.Dur = b.dur[i]
-	}
-	if dec.Has(nffilter.ColSrcIP) {
-		r.SrcIP = flow.IP(b.srcIP[i])
-	}
-	if dec.Has(nffilter.ColDstIP) {
-		r.DstIP = flow.IP(b.dstIP[i])
-	}
-	if dec.Has(nffilter.ColSrcPort) {
-		r.SrcPort = b.srcPort[i]
-	}
-	if dec.Has(nffilter.ColDstPort) {
-		r.DstPort = b.dstPort[i]
-	}
-	if dec.Has(nffilter.ColProto) {
-		r.Proto = flow.Protocol(b.proto[i])
-	}
-	if dec.Has(nffilter.ColFlags) {
-		r.Flags = b.flags[i]
-	}
-	if dec.Has(nffilter.ColRouter) {
-		r.Router = b.router[i]
-	}
-	if dec.Has(nffilter.ColAnno) {
-		r.Anno = flow.Annotation(b.anno[i])
-	}
-	if dec.Has(nffilter.ColPackets) {
-		r.Packets = b.packets[i]
-	}
-	if dec.Has(nffilter.ColBytes) {
-		r.Bytes = b.bytes[i]
-	}
-}
-
 // growU32/growU16/growU8/growU64 size a column slice to n reusing capacity.
 func growU32(s []uint32, n int) []uint32 {
 	if cap(s) >= n {
@@ -200,7 +139,7 @@ type blockEncoder struct {
 	// returning, so the table is all zero between columns.
 	code [1 << 16]uint16
 	dict []uint16 // the current column's distinct values
-	cols colBatch // the block's records, gathered column by column
+	cols Batch    // the block's records, gathered column by column
 	sec  []byte   // the current column section, before its length prefix
 }
 
@@ -216,19 +155,19 @@ func (e *blockEncoder) appendBlock(dst []byte, recs []flow.Record) []byte {
 
 	n := len(recs)
 	b := &e.cols
-	b.start, b.dur = growU32(b.start, n), growU32(b.dur, n)
-	b.srcIP, b.dstIP = growU32(b.srcIP, n), growU32(b.dstIP, n)
-	b.srcPort, b.dstPort = growU16(b.srcPort, n), growU16(b.dstPort, n)
-	b.router, b.anno = growU16(b.router, n), growU16(b.anno, n)
-	b.proto, b.flags = growU8(b.proto, n), growU8(b.flags, n)
-	b.packets, b.bytes = growU64(b.packets, n), growU64(b.bytes, n)
+	b.Start, b.Dur = growU32(b.Start, n), growU32(b.Dur, n)
+	b.SrcIP, b.DstIP = growU32(b.SrcIP, n), growU32(b.DstIP, n)
+	b.SrcPort, b.DstPort = growU16(b.SrcPort, n), growU16(b.DstPort, n)
+	b.Router, b.Anno = growU16(b.Router, n), growU16(b.Anno, n)
+	b.Proto, b.Flags = growU8(b.Proto, n), growU8(b.Flags, n)
+	b.Packets, b.Bytes = growU64(b.Packets, n), growU64(b.Bytes, n)
 	var zm zoneMap
 	for i := range recs {
 		r := &recs[i]
 		zm.addBounds(r)
-		b.start[i], b.dur[i], b.srcIP[i], b.dstIP[i] = r.Start, r.Dur, uint32(r.SrcIP), uint32(r.DstIP)
-		b.srcPort[i], b.dstPort[i], b.router[i], b.anno[i] = r.SrcPort, r.DstPort, r.Router, uint16(r.Anno)
-		b.proto[i], b.flags[i], b.packets[i], b.bytes[i] = uint8(r.Proto), r.Flags, r.Packets, r.Bytes
+		b.Start[i], b.Dur[i], b.SrcIP[i], b.DstIP[i] = r.Start, r.Dur, uint32(r.SrcIP), uint32(r.DstIP)
+		b.SrcPort[i], b.DstPort[i], b.Router[i], b.Anno[i] = r.SrcPort, r.DstPort, r.Router, uint16(r.Anno)
+		b.Proto[i], b.Flags[i], b.Packets[i], b.Bytes[i] = uint8(r.Proto), r.Flags, r.Packets, r.Bytes
 	}
 	dst = appendBlockMeta(dst, &zm)
 
@@ -236,29 +175,29 @@ func (e *blockEncoder) appendBlock(dst []byte, recs []flow.Record) []byte {
 		sec := e.sec[:0]
 		switch c {
 		case nffilter.ColStart:
-			sec = appendDeltaU32(sec, b.start)
+			sec = appendDeltaU32(sec, b.Start)
 		case nffilter.ColDur:
-			sec = appendDeltaU32(sec, b.dur)
+			sec = appendDeltaU32(sec, b.Dur)
 		case nffilter.ColSrcIP:
-			sec = appendRawU32(sec, b.srcIP)
+			sec = appendRawU32(sec, b.SrcIP)
 		case nffilter.ColDstIP:
-			sec = appendRawU32(sec, b.dstIP)
+			sec = appendRawU32(sec, b.DstIP)
 		case nffilter.ColSrcPort:
-			sec = e.appendDictU16(sec, b.srcPort)
+			sec = e.appendDictU16(sec, b.SrcPort)
 		case nffilter.ColDstPort:
-			sec = e.appendDictU16(sec, b.dstPort)
+			sec = e.appendDictU16(sec, b.DstPort)
 		case nffilter.ColProto:
-			sec = appendDictU8(sec, b.proto)
+			sec = appendDictU8(sec, b.Proto)
 		case nffilter.ColFlags:
-			sec = appendDictU8(sec, b.flags)
+			sec = appendDictU8(sec, b.Flags)
 		case nffilter.ColRouter:
-			sec = e.appendDictU16(sec, b.router)
+			sec = e.appendDictU16(sec, b.Router)
 		case nffilter.ColAnno:
-			sec = e.appendDictU16(sec, b.anno)
+			sec = e.appendDictU16(sec, b.Anno)
 		case nffilter.ColPackets:
-			sec = appendDeltaU64(sec, b.packets)
+			sec = appendDeltaU64(sec, b.Packets)
 		case nffilter.ColBytes:
-			sec = appendDeltaU64(sec, b.bytes)
+			sec = appendDeltaU64(sec, b.Bytes)
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(sec)))
 		dst = append(dst, sec...)
@@ -371,7 +310,7 @@ func decodeBlockMeta(payload []byte, count int, z *zoneMap) error {
 // into b, touching only the columns in dec (others are skipped via their
 // length prefix and left stale in b). Every structural invariant is
 // checked; a malformed section is an error, never a panic.
-func decodeBlockColumns(sections []byte, count int, dec nffilter.ColumnSet, b *colBatch) error {
+func decodeBlockColumns(sections []byte, count int, dec nffilter.ColumnSet, b *Batch) error {
 	b.n = count
 	off := 0
 	for c := nffilter.Column(0); c < nffilter.NumColumns; c++ {
@@ -388,41 +327,41 @@ func decodeBlockColumns(sections []byte, count int, dec nffilter.ColumnSet, b *c
 		var err error
 		switch c {
 		case nffilter.ColStart:
-			b.start = growU32(b.start, count)
-			err = decodeDeltaU32(sec, b.start)
+			b.Start = growU32(b.Start, count)
+			err = decodeDeltaU32(sec, b.Start)
 		case nffilter.ColDur:
-			b.dur = growU32(b.dur, count)
-			err = decodeDeltaU32(sec, b.dur)
+			b.Dur = growU32(b.Dur, count)
+			err = decodeDeltaU32(sec, b.Dur)
 		case nffilter.ColSrcIP:
-			b.srcIP = growU32(b.srcIP, count)
-			err = decodeRawU32(sec, b.srcIP)
+			b.SrcIP = growU32(b.SrcIP, count)
+			err = decodeRawU32(sec, b.SrcIP)
 		case nffilter.ColDstIP:
-			b.dstIP = growU32(b.dstIP, count)
-			err = decodeRawU32(sec, b.dstIP)
+			b.DstIP = growU32(b.DstIP, count)
+			err = decodeRawU32(sec, b.DstIP)
 		case nffilter.ColSrcPort:
-			b.srcPort = growU16(b.srcPort, count)
-			err = decodeDictU16(sec, b.srcPort)
+			b.SrcPort = growU16(b.SrcPort, count)
+			err = decodeDictU16(sec, b.SrcPort)
 		case nffilter.ColDstPort:
-			b.dstPort = growU16(b.dstPort, count)
-			err = decodeDictU16(sec, b.dstPort)
+			b.DstPort = growU16(b.DstPort, count)
+			err = decodeDictU16(sec, b.DstPort)
 		case nffilter.ColProto:
-			b.proto = growU8(b.proto, count)
-			err = decodeDictU8(sec, b.proto)
+			b.Proto = growU8(b.Proto, count)
+			err = decodeDictU8(sec, b.Proto)
 		case nffilter.ColFlags:
-			b.flags = growU8(b.flags, count)
-			err = decodeDictU8(sec, b.flags)
+			b.Flags = growU8(b.Flags, count)
+			err = decodeDictU8(sec, b.Flags)
 		case nffilter.ColRouter:
-			b.router = growU16(b.router, count)
-			err = decodeDictU16(sec, b.router)
+			b.Router = growU16(b.Router, count)
+			err = decodeDictU16(sec, b.Router)
 		case nffilter.ColAnno:
-			b.anno = growU16(b.anno, count)
-			err = decodeDictU16(sec, b.anno)
+			b.Anno = growU16(b.Anno, count)
+			err = decodeDictU16(sec, b.Anno)
 		case nffilter.ColPackets:
-			b.packets = growU64(b.packets, count)
-			err = decodeDeltaU64(sec, b.packets)
+			b.Packets = growU64(b.Packets, count)
+			err = decodeDeltaU64(sec, b.Packets)
 		case nffilter.ColBytes:
-			b.bytes = growU64(b.bytes, count)
-			err = decodeDeltaU64(sec, b.bytes)
+			b.Bytes = growU64(b.Bytes, count)
+			err = decodeDeltaU64(sec, b.Bytes)
 		}
 		if err != nil {
 			return fmt.Errorf("column %s: %w", c, err)

@@ -28,7 +28,7 @@ func decodeBlockRecords(t *testing.T, blk []byte, proj nffilter.ColumnSet) []flo
 	if err := decodeBlockMeta(payload, count, &meta); err != nil {
 		t.Fatalf("decodeBlockMeta: %v", err)
 	}
-	var batch colBatch
+	var batch Batch
 	if err := decodeBlockColumns(payload[blockMetaSize:], count, proj, &batch); err != nil {
 		t.Fatalf("decodeBlockColumns: %v", err)
 	}
@@ -129,20 +129,20 @@ func TestBlockProjectionDecode(t *testing.T) {
 			masked := recs[i]
 			// Zero via fill's own contract: only the projected column
 			// survives.
-			(&colBatch{
+			(&Batch{
 				n:       1,
-				start:   []uint32{masked.Start},
-				dur:     []uint32{masked.Dur},
-				srcIP:   []uint32{uint32(masked.SrcIP)},
-				dstIP:   []uint32{uint32(masked.DstIP)},
-				srcPort: []uint16{masked.SrcPort},
-				dstPort: []uint16{masked.DstPort},
-				proto:   []uint8{uint8(masked.Proto)},
-				flags:   []uint8{masked.Flags},
-				router:  []uint16{masked.Router},
-				anno:    []uint16{uint16(masked.Anno)},
-				packets: []uint64{masked.Packets},
-				bytes:   []uint64{masked.Bytes},
+				Start:   []uint32{masked.Start},
+				Dur:     []uint32{masked.Dur},
+				SrcIP:   []uint32{uint32(masked.SrcIP)},
+				DstIP:   []uint32{uint32(masked.DstIP)},
+				SrcPort: []uint16{masked.SrcPort},
+				DstPort: []uint16{masked.DstPort},
+				Proto:   []uint8{uint8(masked.Proto)},
+				Flags:   []uint8{masked.Flags},
+				Router:  []uint16{masked.Router},
+				Anno:    []uint16{uint16(masked.Anno)},
+				Packets: []uint64{masked.Packets},
+				Bytes:   []uint64{masked.Bytes},
 			}).fill(&want, 0, proj)
 			if got[i] != want {
 				t.Fatalf("column %v row %d:\n got %+v\nwant %+v", c, i, got[i], want)
@@ -284,7 +284,7 @@ func TestBlockMangledSectionsDetected(t *testing.T) {
 			}
 			continue
 		}
-		var batch colBatch
+		var batch Batch
 		if err := decodeBlockColumns(payload[blockMetaSize:], count, nffilter.AllColumns, &batch); err == nil {
 			t.Errorf("%s: column decode accepted mangled sections", c.name)
 		}

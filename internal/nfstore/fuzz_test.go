@@ -56,7 +56,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		if err := decodeBlockMeta(payload, count, &meta); err != nil {
 			t.Fatalf("readBlock accepted a payload decodeBlockMeta rejects: %v", err)
 		}
-		var batch colBatch
+		var batch Batch
 		if err := decodeBlockColumns(payload[blockMetaSize:], count, nffilter.AllColumns, &batch); err != nil {
 			return
 		}

@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
-
-	"repro/internal/flow"
 )
 
 // idxSuffix is appended to a segment path to name its zone-map sidecar
@@ -173,7 +171,7 @@ func (s *Store) BuildIndexes(ctx context.Context) (built int, err error) {
 		// A whole-segment scan with the rebuild on writes the sidecar;
 		// bins with an open writer are skipped until they seal.
 		p := segPlan{bin: bin, buildIdx: true}
-		if err := s.scanSegment(ctx, p, scanOpts{all: true}, func(*flow.Record) error { return nil }); err != nil {
+		if err := s.scanSegment(ctx, p, scanOpts{all: true}, func(*Batch) error { return nil }); err != nil {
 			return built, err
 		}
 		if s.loadZoneMap(bin) != nil {

@@ -3,6 +3,7 @@ package nfstore
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/flow"
@@ -14,14 +15,18 @@ import (
 // filter cannot match, then scan the survivors — serially below the
 // parallelism threshold, otherwise on ScanOrdered's bounded worker pool,
 // whose results are merged back in deterministic bin order. The callback
-// contract is identical to a serial scan: records arrive in bin order,
-// file order within a bin, through a reused *flow.Record.
+// contract is identical to a serial scan: rows arrive in bin order, file
+// order within a bin, through a reused *Batch.
 
-// queryBatchSize is how many matched records a ScanOrdered worker
+// queryBatchSize is how many matched rows a ScanOrdered worker
 // accumulates before handing them to the merger. It is kept below
 // ctxCheckStride so cancellation observed between batches still lands
 // within the documented one-stride bound.
 const queryBatchSize = 512
+
+// chunks recycles the batches ScanOrdered's workers copy rows into, so
+// a parallel scan reaches a steady state without allocating.
+var chunks = sync.Pool{New: func() any { return new(Batch) }}
 
 // maxAutoParallelism caps the automatic worker count: segment scans are
 // I/O-and-decode bound, and past a handful of workers the merger becomes
@@ -167,36 +172,38 @@ func (s *Store) planSegmentsIn(bins []uint32, iv flow.Interval, filter *nffilter
 // ScanOrdered. Span and filter matching happen inside scanSegment (where
 // the columnar path can prune blocks and evaluate vectorized); fn only
 // consumes survivors.
-func (s *Store) execPlan(ctx context.Context, plan []segPlan, opts scanOpts, fn func(*flow.Record) error) error {
-	scan := func(ctx context.Context, i int, emit func(*flow.Record) error) error {
+func (s *Store) execPlan(ctx context.Context, plan []segPlan, opts scanOpts, fn func(*Batch) error) error {
+	scan := func(ctx context.Context, i int, emit func(*Batch) error) error {
 		return s.scanSegment(ctx, plan[i], opts, emit)
 	}
 	return ScanOrdered(ctx, len(plan), s.queryParallelism(), scan, fn, nil)
 }
 
 // ScanOrdered runs n scan units (a store's segments, a sharded store's
-// (bin, shard) cells) with at most k in flight and streams their records
-// to fn in unit order, so fn sees the serial sequence at any k; k <= 1
-// scans on the caller's goroutine. Above that, workers hand records over
-// in batches of queryBatchSize and start lazily, at most k ahead of the
-// merge cursor, so goroutines and buffered memory scale with k, not n (a
-// warm-up sweep can plan tens of thousands of segments). The
-// *flow.Record passed to fn is reused.
+// (bin, shard) cells) with at most k in flight and streams their rows to
+// fn in unit order, so fn sees the serial sequence at any k; k <= 1
+// scans on the caller's goroutine and hands fn the units' own batches.
+// Above that, workers copy rows into batches of at most queryBatchSize
+// and start lazily, at most k ahead of the merge cursor, so goroutines
+// and buffered memory scale with k, not n (a warm-up sweep can plan tens
+// of thousands of segments). The *Batch passed to fn is reused once fn
+// returns.
 //
 // scan(ctx, i, emit) runs unit i and stops when emit fails, returning
 // emit's error, wrapped or not. An fn error ends the scan verbatim. A
-// unit's own error reaches fail(i, err) after every record the unit
+// unit's own error reaches fail(i, err) after every row the unit
 // emitted before it has reached fn; fail returns nil to skip the unit
 // (degraded reads) or the error to end the scan with, and a nil fail
 // ends it with the unit's error. Cancelling ctx ends the scan with
-// ctx.Err() within one batch.
-func ScanOrdered(ctx context.Context, n, k int, scan func(ctx context.Context, i int, emit func(*flow.Record) error) error, fn func(*flow.Record) error, fail func(i int, err error) error) error {
+// ctx.Err() within one batch. ScanOrdered returns only after every
+// worker it started has exited.
+func ScanOrdered(ctx context.Context, n, k int, scan func(ctx context.Context, i int, emit func(*Batch) error) error, fn func(*Batch) error, fail func(i int, err error) error) error {
 	if k = min(k, n); k <= 1 {
 		// fail must see only the units' own errors, so fn's are caught on
 		// the way out.
 		var fnErr error
-		emit := func(r *flow.Record) error {
-			fnErr = fn(r)
+		emit := func(b *Batch) error {
+			fnErr = fn(b)
 			return fnErr
 		}
 		for i := range n {
@@ -217,44 +224,59 @@ func ScanOrdered(ctx context.Context, n, k int, scan func(ctx context.Context, i
 		return nil
 	}
 
-	// This cancel fires only on return, to stop the units still scanning.
-	// No unit is cancelled because another failed, so the first error
-	// met in merge order is that unit's own.
+	// This cancel fires only on return, to stop the units still scanning,
+	// and the return then waits for their workers to exit, so no scan
+	// outlives the call. No unit is cancelled because another failed, so
+	// the first error met in merge order is that unit's own.
+	var workers sync.WaitGroup
+	defer workers.Wait()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type unit struct {
-		batches chan []flow.Record
+		batches chan *Batch
 		err     error // set before batches closes
 	}
 	units := make([]*unit, n)
 	start := func(i int) {
 		// Four batches of slack let a worker keep decoding while the
 		// merger drains the units ahead of it.
-		u := &unit{batches: make(chan []flow.Record, 4)}
+		u := &unit{batches: make(chan *Batch, 4)}
 		units[i] = u
+		workers.Add(1)
 		go func() {
+			defer workers.Done()
 			defer close(u.batches)
-			batch := make([]flow.Record, 0, queryBatchSize)
+			chunk := func() *Batch {
+				b := chunks.Get().(*Batch)
+				b.n = 0
+				return b
+			}
+			acc := chunk()
 			send := func() error {
 				select {
-				case u.batches <- batch:
+				case u.batches <- acc:
 				case <-ctx.Done():
 					return ctx.Err()
 				}
-				batch = make([]flow.Record, 0, queryBatchSize)
+				acc = chunk()
 				return nil
 			}
-			err := scan(ctx, i, func(r *flow.Record) error {
-				batch = append(batch, *r)
-				if len(batch) == queryBatchSize {
-					return send()
+			err := scan(ctx, i, func(b *Batch) error {
+				for lo := 0; lo < b.n; {
+					hi := min(b.n, lo+queryBatchSize-acc.n)
+					acc.appendRows(b, lo, hi)
+					if lo = hi; acc.n == queryBatchSize {
+						if err := send(); err != nil {
+							return err
+						}
+					}
 				}
 				return nil
 			})
 			// The rows a failing unit emitted before its error still
 			// reach the merge, exactly as they reach fn when serial.
-			if len(batch) > 0 {
+			if acc.n > 0 {
 				if serr := send(); err == nil {
 					err = serr
 				}
@@ -269,18 +291,15 @@ func ScanOrdered(ctx context.Context, n, k int, scan func(ctx context.Context, i
 
 	// Merge in unit order; each finished unit admits the next worker,
 	// keeping exactly k scans in flight.
-	var rec flow.Record
 	for j, u := range units {
-		for batch := range u.batches {
+		for b := range u.batches {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			for i := range batch {
-				rec = batch[i]
-				if err := fn(&rec); err != nil {
-					return err
-				}
+			if err := fn(b); err != nil {
+				return err
 			}
+			chunks.Put(b)
 		}
 		if err := u.err; err != nil {
 			if fail != nil {

@@ -17,9 +17,9 @@ import (
 type scanOpts struct {
 	iv     flow.Interval
 	filter *nffilter.Filter
-	// proj is the set of columns emitted records must carry (the filter's
-	// own columns are added internally; Start is decoded for the interval
-	// mask except in blocks provably inside iv).
+	// proj is the set of columns emitted batches carry (the filter's own
+	// columns are decoded as well, but not emitted; Start is decoded for
+	// the interval mask except in blocks provably inside iv).
 	proj nffilter.ColumnSet
 	// all disables the interval mask: every record of the segment is
 	// emitted (MigrateWorkers' raw rewrite path, BuildIndexes).
@@ -36,8 +36,8 @@ type scanOpts struct {
 // segment scan (after the committed-length limit is applied).
 var testScanReader func(io.Reader) io.Reader
 
-// scanSegment opens one planned segment and streams its matching records
-// to emit in file order, unit by unit (see unitReader), for either body
+// scanSegment opens one planned segment and streams its matching rows to
+// emit in file order, one batch per unit (see unitReader), for either body
 // format. When the plan asks for it (buildIdx), a zone map of the whole
 // segment is rebuilt as a side effect and persisted best-effort.
 //
@@ -51,7 +51,7 @@ var testScanReader func(io.Reader) io.Reader
 // at a unit boundary, and whatever a writer that reopens the bin later
 // appends lies beyond the snapshot. Sidecars are never persisted from an
 // open bin's prefix.
-func (s *Store) scanSegment(ctx context.Context, p segPlan, opts scanOpts, emit func(*flow.Record) error) error {
+func (s *Store) scanSegment(ctx context.Context, p segPlan, opts scanOpts, emit func(*Batch) error) error {
 	s.stats.segmentsScanned.Add(1)
 	f, err := os.Open(s.segPath(p.bin))
 	if err != nil {
@@ -91,13 +91,13 @@ var segReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<
 // without decoding a single column, and (for aggregations) fully
 // covered, fully matching blocks are consumed as totals. Surviving units
 // decode only the columns the filter and the projection need, the filter
-// runs vectorized over the column batch, and only the selected rows are
-// materialized. A short tail ends the scan cleanly only in a bin that
-// was open at the snapshot. When zb is non-nil every record also folds
-// into it, and a clean end persists it as the segment's sidecar.
-// Cancellation lands within one unit or one ctxCheckStride of emitted
-// records, whichever is sooner.
-func (s *Store) scanUnits(ctx context.Context, rd *unitReader, open bool, zb *zoneMap, opts scanOpts, emit func(*flow.Record) error) error {
+// runs vectorized over the column batch, and the unit's selected rows go
+// to emit as one Batch of the projected columns — the decoded columns
+// themselves when every row is selected. A short tail ends the scan
+// cleanly only in a bin that was open at the snapshot. When zb is
+// non-nil every record also folds into it, and a clean end persists it
+// as the segment's sidecar. Cancellation lands within one unit.
+func (s *Store) scanUnits(ctx context.Context, rd *unitReader, open bool, zb *zoneMap, opts scanOpts, emit func(*Batch) error) error {
 	bin := rd.bin
 	var root nffilter.Node
 	if opts.filter != nil {
@@ -121,9 +121,9 @@ func (s *Store) scanUnits(ctx context.Context, rd *unitReader, open bool, zb *zo
 	var scanned uint64
 	defer func() { s.stats.recordsScanned.Add(scanned) }()
 	var (
-		rec     flow.Record
-		batch   colBatch
-		emitted int
+		rec        flow.Record
+		batch, out Batch
+		rows       []int32
 	)
 	ev := vecEvaluator{b: &batch}
 	for {
@@ -209,34 +209,30 @@ func (s *Store) scanUnits(ctx context.Context, rd *unitReader, open bool, zb *zo
 				zb.add(&rec)
 			}
 		}
-		err = func() error {
-			for i := 0; i < count; i++ {
-				if sel != nil && !sel[i] {
-					continue
-				}
-				if !opts.all && !covered && !opts.iv.Contains(batch.start[i]) {
-					continue
-				}
+		rows = rows[:0]
+		for i := 0; i < count; i++ {
+			if sel != nil && !sel[i] {
+				continue
+			}
+			if !opts.all && !covered && !opts.iv.Contains(batch.Start[i]) {
+				continue
+			}
+			if !vec && opts.filter != nil {
 				batch.fill(&rec, i, bdec)
-				if !vec && opts.filter != nil && !opts.filter.Match(&rec) {
+				if !opts.filter.Match(&rec) {
 					continue
-				}
-				if emitted%ctxCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				emitted++
-				if err := emit(&rec); err != nil {
-					return err
 				}
 			}
-			return nil
-		}()
+			rows = append(rows, int32(i))
+		}
 		if sel != nil {
 			ev.release(sel)
 		}
-		if err != nil {
+		if len(rows) == 0 {
+			continue
+		}
+		out.project(&batch, rows, opts.proj)
+		if err := emit(&out); err != nil {
 			return err
 		}
 	}

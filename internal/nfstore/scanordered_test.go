@@ -10,12 +10,13 @@ import (
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/nffilter"
 )
 
 // orderedUnits is a fake ScanOrdered workload: unit i emits sizes[i]
-// records (Start i, SrcPort 0..) and then returns errs[i]. It checks ctx
-// per record, as real segment scans do, and counts the scans running at
-// once.
+// rows (Start i, SrcPort 0..) in batches of orderedBatch rows and then
+// returns errs[i]. It checks ctx per batch, as real segment scans do
+// per block, and counts the scans running at once.
 type orderedUnits struct {
 	sizes   []int
 	errs    map[int]error
@@ -23,18 +24,28 @@ type orderedUnits struct {
 	peak    atomic.Int32
 }
 
-func (u *orderedUnits) scan(ctx context.Context, i int, emit func(*flow.Record) error) error {
+// orderedBatch does not divide queryBatchSize, so workers split and join
+// the units' batches.
+const orderedBatch = 300
+
+var orderedCols = nffilter.ColumnSet(0).With(nffilter.ColStart).With(nffilter.ColSrcPort)
+
+func (u *orderedUnits) scan(ctx context.Context, i int, emit func(*Batch) error) error {
 	now := u.running.Add(1)
 	defer u.running.Add(-1)
 	for p := u.peak.Load(); now > p && !u.peak.CompareAndSwap(p, now); p = u.peak.Load() {
 	}
 	time.Sleep(time.Millisecond) // let units overlap, so an eager start would show
-	for j := range u.sizes[i] {
+	for lo := 0; lo < u.sizes[i]; lo += orderedBatch {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		r := flow.Record{Start: uint32(i), SrcPort: uint16(j)}
-		if err := emit(&r); err != nil {
+		b := Batch{n: min(orderedBatch, u.sizes[i]-lo), cols: orderedCols}
+		for j := lo; j < lo+b.n; j++ {
+			b.Start = append(b.Start, uint32(i))
+			b.SrcPort = append(b.SrcPort, uint16(j))
+		}
+		if err := emit(&b); err != nil {
 			return fmt.Errorf("unit %d: %w", i, err)
 		}
 	}
@@ -52,11 +63,25 @@ func (u *orderedUnits) want() []flow.Record {
 	return out
 }
 
-func collect(out *[]flow.Record) func(*flow.Record) error {
-	return func(r *flow.Record) error {
-		*out = append(*out, *r)
+// eachRow hands fn every row of each batch.
+func eachRow(fn func(*flow.Record) error) func(*Batch) error {
+	return func(b *Batch) error {
+		var r flow.Record
+		for i := range b.Len() {
+			b.Record(i, &r)
+			if err := fn(&r); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
+}
+
+func collect(out *[]flow.Record) func(*Batch) error {
+	return eachRow(func(r *flow.Record) error {
+		*out = append(*out, *r)
+		return nil
+	})
 }
 
 // Sizes straddle queryBatchSize, and the units past the channel buffer
@@ -96,7 +121,7 @@ func TestScanOrderedFnError(t *testing.T) {
 			return nil
 		}
 		skip := func(int, error) error { return nil }
-		if err := ScanOrdered(context.Background(), len(orderedSizes), k, u.scan, fn, skip); err != boom {
+		if err := ScanOrdered(context.Background(), len(orderedSizes), k, u.scan, eachRow(fn), skip); err != boom {
 			t.Fatalf("k=%d: err = %v, want boom verbatim", k, err)
 		}
 		if seen != 3500 {
@@ -155,7 +180,7 @@ func TestScanOrderedCancel(t *testing.T) {
 			}
 			return nil
 		}
-		err := ScanOrdered(ctx, len(orderedSizes), k, u.scan, fn, nil)
+		err := ScanOrdered(ctx, len(orderedSizes), k, u.scan, eachRow(fn), nil)
 		if !errors.Is(err, context.Canceled) || err != ctx.Err() {
 			t.Fatalf("k=%d: err = %v, want ctx.Err()", k, err)
 		}

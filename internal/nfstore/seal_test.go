@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/flow"
+	"repro/internal/nffilter"
 )
 
 // TestSealCommitsBin pins the streaming seal contract: Seal(t) flushes
@@ -121,6 +122,33 @@ func (h *hookReader) Read(p []byte) (int, error) {
 // decides what its tail means. The scan must return the sealed records
 // without error, and the next scan every record.
 func TestScanAcrossReseal(t *testing.T) {
+	scanAcrossReseal(t, func(s *Store, iv flow.Interval) (int, error) {
+		n := 0
+		err := s.Query(t.Context(), iv, nil, func(*flow.Record) error {
+			n++
+			return nil
+		})
+		return n, err
+	})
+}
+
+// TestScanAcrossResealBatches is TestScanAcrossReseal through a
+// projected Scan, the path extraction reads an open bin by.
+func TestScanAcrossResealBatches(t *testing.T) {
+	scanAcrossReseal(t, func(s *Store, iv flow.Interval) (int, error) {
+		n := 0
+		cols := nffilter.ColumnSet(0).With(nffilter.ColSrcIP).With(nffilter.ColPackets)
+		err := s.Scan(t.Context(), iv, nil, cols, func(b *Batch) error {
+			n += b.Len()
+			return nil
+		})
+		return n, err
+	})
+}
+
+// scanAcrossReseal runs the reseal race around one scan made by read,
+// which returns the rows it saw.
+func scanAcrossReseal(t *testing.T, read func(s *Store, iv flow.Interval) (int, error)) {
 	s, err := CreateFormat(t.TempDir(), 300, FormatV2)
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +191,7 @@ func TestScanAcrossReseal(t *testing.T) {
 			},
 		}
 	}
-	n := 0
-	err = s.Query(t.Context(), flow.Interval{Start: 0, End: 300}, nil, func(*flow.Record) error {
-		n++
-		return nil
-	})
+	n, err := read(s, flow.Interval{Start: 0, End: 300})
 	testScanReader = nil
 	if err != nil {
 		t.Fatalf("scan across a reseal: %v", err)

@@ -192,10 +192,11 @@ func (s *Store) Add(r *flow.Record) error {
 	return s.add(r)
 }
 
-// AddAll appends a batch of records, stopping at the first error; the
-// records before it stay appended. The lock is taken once per run of up
-// to blockRecords records, so a reader starting a scan waits for at most
-// about one block encode.
+// AddAll appends a batch of records, stopping at the first error, a
+// *RecordError naming the record's index; the records before it stay
+// appended. The lock is taken once per run of up to blockRecords
+// records, so a reader starting a scan waits for at most about one block
+// encode.
 func (s *Store) AddAll(rs []flow.Record) error {
 	for i := 0; i < len(rs); {
 		end := min(i+blockRecords, len(rs))
@@ -203,13 +204,23 @@ func (s *Store) AddAll(rs []flow.Record) error {
 		for ; i < end; i++ {
 			if err := s.add(&rs[i]); err != nil {
 				s.mu.Unlock()
-				return fmt.Errorf("record %d: %w", i, err)
+				return &RecordError{Index: i, Err: err}
 			}
 		}
 		s.mu.Unlock()
 	}
 	return nil
 }
+
+// RecordError is AddAll's error: the record at Index of the batch was
+// not appended, and Err says why.
+type RecordError struct {
+	Index int
+	Err   error
+}
+
+func (e *RecordError) Error() string { return fmt.Sprintf("record %d: %v", e.Index, e.Err) }
+func (e *RecordError) Unwrap() error { return e.Err }
 
 // add validates and appends one record. Caller holds s.mu.
 func (s *Store) add(r *flow.Record) error {
@@ -381,23 +392,24 @@ func (s *Store) Span() (iv flow.Interval, ok bool, err error) {
 // early without reporting an error to the caller.
 var ErrStopIteration = errors.New("nfstore: stop iteration")
 
-// ctxCheckStride is how many records a segment scan processes between
+// ctxCheckStride is how many records Query hands its callback between
 // context checks: frequent enough that cancellation lands well within one
 // segment, rare enough that Err()'s mutex never shows up in profiles.
 const ctxCheckStride = 1024
 
-// Query streams every record whose start time falls in iv and which
-// matches filter (nil means all) to fn, in bin order. The *flow.Record
-// passed to fn is reused between calls: copy it if it must outlive fn.
-// Cancelling ctx aborts the scan within one record stride and returns
-// ctx.Err().
+// Scan streams every record whose start time falls in iv and which
+// matches filter (nil means all) to fn as column batches carrying the
+// columns in cols, in bin order: one batch per block (or run of v1 rows)
+// with a match. Columns outside cols are nil. The *Batch is reused once
+// fn returns. ErrStopIteration from fn ends the scan with a nil error;
+// cancelling ctx aborts it within one block and returns ctx.Err().
 //
 // Segments whose zone-map sidecar proves the filter cannot match are
 // skipped without being opened, and surviving segments are scanned
 // concurrently (min(GOMAXPROCS, 8) at a time) with results merged back
 // in bin order — fn observes exactly the sequence a serial scan would
 // produce.
-func (s *Store) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
+func (s *Store) Scan(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, cols nffilter.ColumnSet, fn func(*Batch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -405,7 +417,7 @@ func (s *Store) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Fi
 	if err != nil {
 		return err
 	}
-	opts := scanOpts{iv: iv, filter: filter, proj: nffilter.AllColumns}
+	opts := scanOpts{iv: iv, filter: filter, proj: cols}
 	if err := s.execPlan(ctx, plan, opts, fn); err != nil {
 		if errors.Is(err, ErrStopIteration) {
 			return nil
@@ -413,6 +425,12 @@ func (s *Store) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Fi
 		return err
 	}
 	return nil
+}
+
+// Query streams the rows Scan would, one record at a time; see the
+// package-level Query.
+func (s *Store) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
+	return Query(ctx, s, iv, filter, fn)
 }
 
 // Iter returns a range-over-func iterator over the matching records of
@@ -480,10 +498,12 @@ func (s *Store) countPlan(ctx context.Context, plan []segPlan, iv flow.Interval,
 			aBytes.Add(b)
 		},
 	}
-	err = s.execPlan(ctx, scan, opts, func(r *flow.Record) error {
-		flows++
-		packets += r.Packets
-		bytes += r.Bytes
+	err = s.execPlan(ctx, scan, opts, func(b *Batch) error {
+		flows += uint64(b.n)
+		for i := range b.n {
+			packets += b.Packets[i]
+			bytes += b.Bytes[i]
+		}
 		return nil
 	})
 	if err != nil {
@@ -677,8 +697,11 @@ func (s *Store) tryMigrateSegment(ctx context.Context, bin uint32, target uint16
 func (s *Store) readSegmentAll(ctx context.Context, bin uint32) ([]flow.Record, error) {
 	var recs []flow.Record
 	opts := scanOpts{all: true, proj: nffilter.AllColumns}
-	err := s.scanSegment(ctx, segPlan{bin: bin}, opts, func(r *flow.Record) error {
-		recs = append(recs, *r)
+	err := s.scanSegment(ctx, segPlan{bin: bin}, opts, func(b *Batch) error {
+		for i := range b.n {
+			recs = append(recs, flow.Record{})
+			b.Record(i, &recs[len(recs)-1])
+		}
 		return nil
 	})
 	if err != nil {

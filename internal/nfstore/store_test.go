@@ -62,9 +62,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		var buf [RecordSize]byte
 		encodeRecord(buf[:], &in)
-		var out flow.Record
-		decodeRecord(buf[:], &out)
-		return in == out
+		var (
+			b   Batch
+			out flow.Record
+		)
+		DecodeRecords(buf[:], nffilter.AllColumns, &b)
+		b.Record(0, &out)
+		return b.Len() == 1 && in == out
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

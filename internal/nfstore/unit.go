@@ -114,7 +114,7 @@ func (u *unitReader) next() (count int, meta *zoneMap, err error) {
 
 // decode fills b with the current unit's columns in dec; columns outside
 // dec are left stale. The unit is valid only until the next call to next.
-func (u *unitReader) decode(dec nffilter.ColumnSet, b *colBatch) error {
+func (u *unitReader) decode(dec nffilter.ColumnSet, b *Batch) error {
 	if u.format == FormatV2 {
 		return decodeBlockColumns(u.unit, u.count, dec, b)
 	}
@@ -124,7 +124,7 @@ func (u *unitReader) decode(dec nffilter.ColumnSet, b *colBatch) error {
 
 // decodeRows gathers the columns in dec out of count fixed v1 rows (the
 // encodeRecord layout) into b.
-func decodeRows(rows []byte, count int, dec nffilter.ColumnSet, b *colBatch) {
+func decodeRows(rows []byte, count int, dec nffilter.ColumnSet, b *Batch) {
 	b.n = count
 	le := binary.LittleEndian
 	for c := nffilter.Column(0); c < nffilter.NumColumns; c++ {
@@ -133,64 +133,64 @@ func decodeRows(rows []byte, count int, dec nffilter.ColumnSet, b *colBatch) {
 		}
 		switch c {
 		case nffilter.ColStart:
-			b.start = growU32(b.start, count)
-			for i := range b.start {
-				b.start[i] = le.Uint32(rows[i*RecordSize:])
+			b.Start = growU32(b.Start, count)
+			for i := range b.Start {
+				b.Start[i] = le.Uint32(rows[i*RecordSize:])
 			}
 		case nffilter.ColDur:
-			b.dur = growU32(b.dur, count)
-			for i := range b.dur {
-				b.dur[i] = le.Uint32(rows[i*RecordSize+4:])
+			b.Dur = growU32(b.Dur, count)
+			for i := range b.Dur {
+				b.Dur[i] = le.Uint32(rows[i*RecordSize+4:])
 			}
 		case nffilter.ColSrcIP:
-			b.srcIP = growU32(b.srcIP, count)
-			for i := range b.srcIP {
-				b.srcIP[i] = le.Uint32(rows[i*RecordSize+8:])
+			b.SrcIP = growU32(b.SrcIP, count)
+			for i := range b.SrcIP {
+				b.SrcIP[i] = le.Uint32(rows[i*RecordSize+8:])
 			}
 		case nffilter.ColDstIP:
-			b.dstIP = growU32(b.dstIP, count)
-			for i := range b.dstIP {
-				b.dstIP[i] = le.Uint32(rows[i*RecordSize+12:])
+			b.DstIP = growU32(b.DstIP, count)
+			for i := range b.DstIP {
+				b.DstIP[i] = le.Uint32(rows[i*RecordSize+12:])
 			}
 		case nffilter.ColSrcPort:
-			b.srcPort = growU16(b.srcPort, count)
-			for i := range b.srcPort {
-				b.srcPort[i] = le.Uint16(rows[i*RecordSize+16:])
+			b.SrcPort = growU16(b.SrcPort, count)
+			for i := range b.SrcPort {
+				b.SrcPort[i] = le.Uint16(rows[i*RecordSize+16:])
 			}
 		case nffilter.ColDstPort:
-			b.dstPort = growU16(b.dstPort, count)
-			for i := range b.dstPort {
-				b.dstPort[i] = le.Uint16(rows[i*RecordSize+18:])
+			b.DstPort = growU16(b.DstPort, count)
+			for i := range b.DstPort {
+				b.DstPort[i] = le.Uint16(rows[i*RecordSize+18:])
 			}
 		case nffilter.ColProto:
-			b.proto = growU8(b.proto, count)
-			for i := range b.proto {
-				b.proto[i] = rows[i*RecordSize+20]
+			b.Proto = growU8(b.Proto, count)
+			for i := range b.Proto {
+				b.Proto[i] = rows[i*RecordSize+20]
 			}
 		case nffilter.ColFlags:
-			b.flags = growU8(b.flags, count)
-			for i := range b.flags {
-				b.flags[i] = rows[i*RecordSize+21]
+			b.Flags = growU8(b.Flags, count)
+			for i := range b.Flags {
+				b.Flags[i] = rows[i*RecordSize+21]
 			}
 		case nffilter.ColRouter:
-			b.router = growU16(b.router, count)
-			for i := range b.router {
-				b.router[i] = le.Uint16(rows[i*RecordSize+22:])
+			b.Router = growU16(b.Router, count)
+			for i := range b.Router {
+				b.Router[i] = le.Uint16(rows[i*RecordSize+22:])
 			}
 		case nffilter.ColAnno:
-			b.anno = growU16(b.anno, count)
-			for i := range b.anno {
-				b.anno[i] = le.Uint16(rows[i*RecordSize+24:])
+			b.Anno = growU16(b.Anno, count)
+			for i := range b.Anno {
+				b.Anno[i] = le.Uint16(rows[i*RecordSize+24:])
 			}
 		case nffilter.ColPackets:
-			b.packets = growU64(b.packets, count)
-			for i := range b.packets {
-				b.packets[i] = le.Uint64(rows[i*RecordSize+26:])
+			b.Packets = growU64(b.Packets, count)
+			for i := range b.Packets {
+				b.Packets[i] = le.Uint64(rows[i*RecordSize+26:])
 			}
 		case nffilter.ColBytes:
-			b.bytes = growU64(b.bytes, count)
-			for i := range b.bytes {
-				b.bytes[i] = le.Uint64(rows[i*RecordSize+34:])
+			b.Bytes = growU64(b.Bytes, count)
+			for i := range b.Bytes {
+				b.Bytes[i] = le.Uint64(rows[i*RecordSize+34:])
 			}
 		}
 	}

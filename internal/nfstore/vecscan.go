@@ -53,7 +53,7 @@ func vecSupported(n nffilter.Node) bool {
 // vecEvaluator evaluates a supported AST over one column batch, reusing
 // mask buffers across blocks.
 type vecEvaluator struct {
-	b    *colBatch
+	b    *Batch
 	free [][]bool
 }
 
@@ -128,7 +128,7 @@ func (e *vecEvaluator) eval(n nffilter.Node) []bool {
 	case *nffilter.ProtoMatch:
 		m := e.alloc()
 		p := uint8(t.Proto)
-		for i, v := range e.b.proto {
+		for i, v := range e.b.Proto {
 			m[i] = v == p
 		}
 		return m
@@ -136,7 +136,7 @@ func (e *vecEvaluator) eval(n nffilter.Node) []bool {
 		return e.evalCounter(t)
 	case *nffilter.FlagsMatch:
 		m := e.alloc()
-		for i, v := range e.b.flags {
+		for i, v := range e.b.Flags {
 			m[i] = v&t.Mask == t.Mask
 		}
 		return m
@@ -162,27 +162,27 @@ func (e *vecEvaluator) andInto(n nffilter.Node, m []bool) {
 		// conjunction with "any" is a no-op
 	case *nffilter.ProtoMatch:
 		p := uint8(t.Proto)
-		for i, v := range e.b.proto {
+		for i, v := range e.b.Proto {
 			m[i] = m[i] && v == p
 		}
 	case *nffilter.FlagsMatch:
-		for i, v := range e.b.flags {
+		for i, v := range e.b.Flags {
 			m[i] = m[i] && v&t.Mask == t.Mask
 		}
 	case *nffilter.IPMatch:
 		a := uint32(t.Addr)
 		switch t.Dir {
 		case nffilter.DirSrc:
-			for i, v := range e.b.srcIP {
+			for i, v := range e.b.SrcIP {
 				m[i] = m[i] && v == a
 			}
 		case nffilter.DirDst:
-			for i, v := range e.b.dstIP {
+			for i, v := range e.b.DstIP {
 				m[i] = m[i] && v == a
 			}
 		default:
 			for i := range m {
-				m[i] = m[i] && (e.b.srcIP[i] == a || e.b.dstIP[i] == a)
+				m[i] = m[i] && (e.b.SrcIP[i] == a || e.b.DstIP[i] == a)
 			}
 		}
 	case *nffilter.PortMatch:
@@ -193,16 +193,16 @@ func (e *vecEvaluator) andInto(n nffilter.Node, m []bool) {
 			pv := t.Port
 			switch t.Dir {
 			case nffilter.DirSrc:
-				for i, v := range e.b.srcPort {
+				for i, v := range e.b.SrcPort {
 					m[i] = m[i] && v == pv
 				}
 			case nffilter.DirDst:
-				for i, v := range e.b.dstPort {
+				for i, v := range e.b.DstPort {
 					m[i] = m[i] && v == pv
 				}
 			default:
 				for i := range m {
-					m[i] = m[i] && (e.b.srcPort[i] == pv || e.b.dstPort[i] == pv)
+					m[i] = m[i] && (e.b.SrcPort[i] == pv || e.b.DstPort[i] == pv)
 				}
 			}
 			return
@@ -210,17 +210,17 @@ func (e *vecEvaluator) andInto(n nffilter.Node, m []bool) {
 		c := uint64(t.Port)
 		switch t.Dir {
 		case nffilter.DirSrc:
-			for i, v := range e.b.srcPort {
+			for i, v := range e.b.SrcPort {
 				m[i] = m[i] && cmpApply(t.Op, uint64(v), c)
 			}
 		case nffilter.DirDst:
-			for i, v := range e.b.dstPort {
+			for i, v := range e.b.DstPort {
 				m[i] = m[i] && cmpApply(t.Op, uint64(v), c)
 			}
 		default:
 			for i := range m {
-				m[i] = m[i] && (cmpApply(t.Op, uint64(e.b.srcPort[i]), c) ||
-					cmpApply(t.Op, uint64(e.b.dstPort[i]), c))
+				m[i] = m[i] && (cmpApply(t.Op, uint64(e.b.SrcPort[i]), c) ||
+					cmpApply(t.Op, uint64(e.b.DstPort[i]), c))
 			}
 		}
 	default:
@@ -238,16 +238,16 @@ func (e *vecEvaluator) evalIP(t *nffilter.IPMatch) []bool {
 	a := uint32(t.Addr)
 	switch t.Dir {
 	case nffilter.DirSrc:
-		for i, v := range e.b.srcIP {
+		for i, v := range e.b.SrcIP {
 			m[i] = v == a
 		}
 	case nffilter.DirDst:
-		for i, v := range e.b.dstIP {
+		for i, v := range e.b.DstIP {
 			m[i] = v == a
 		}
 	default:
 		for i := range m {
-			m[i] = e.b.srcIP[i] == a || e.b.dstIP[i] == a
+			m[i] = e.b.SrcIP[i] == a || e.b.DstIP[i] == a
 		}
 	}
 	return m
@@ -258,17 +258,17 @@ func (e *vecEvaluator) evalNet(t *nffilter.NetMatch) []bool {
 	m := e.alloc()
 	switch t.Dir {
 	case nffilter.DirSrc:
-		for i, v := range e.b.srcIP {
+		for i, v := range e.b.SrcIP {
 			m[i] = t.Prefix.Contains(flow.IP(v))
 		}
 	case nffilter.DirDst:
-		for i, v := range e.b.dstIP {
+		for i, v := range e.b.DstIP {
 			m[i] = t.Prefix.Contains(flow.IP(v))
 		}
 	default:
 		for i := range m {
-			m[i] = t.Prefix.Contains(flow.IP(e.b.srcIP[i])) ||
-				t.Prefix.Contains(flow.IP(e.b.dstIP[i]))
+			m[i] = t.Prefix.Contains(flow.IP(e.b.SrcIP[i])) ||
+				t.Prefix.Contains(flow.IP(e.b.DstIP[i]))
 		}
 	}
 	return m
@@ -281,17 +281,17 @@ func (e *vecEvaluator) evalPort(t *nffilter.PortMatch) []bool {
 	c := uint64(t.Port)
 	switch t.Dir {
 	case nffilter.DirSrc:
-		for i, v := range e.b.srcPort {
+		for i, v := range e.b.SrcPort {
 			m[i] = cmpApply(t.Op, uint64(v), c)
 		}
 	case nffilter.DirDst:
-		for i, v := range e.b.dstPort {
+		for i, v := range e.b.DstPort {
 			m[i] = cmpApply(t.Op, uint64(v), c)
 		}
 	default:
 		for i := range m {
-			m[i] = cmpApply(t.Op, uint64(e.b.srcPort[i]), c) ||
-				cmpApply(t.Op, uint64(e.b.dstPort[i]), c)
+			m[i] = cmpApply(t.Op, uint64(e.b.SrcPort[i]), c) ||
+				cmpApply(t.Op, uint64(e.b.DstPort[i]), c)
 		}
 	}
 	return m
@@ -302,19 +302,19 @@ func (e *vecEvaluator) evalCounter(t *nffilter.CounterMatch) []bool {
 	m := e.alloc()
 	switch t.Field {
 	case nffilter.FieldPackets:
-		for i, v := range e.b.packets {
+		for i, v := range e.b.Packets {
 			m[i] = cmpApply(t.Op, v, t.Value)
 		}
 	case nffilter.FieldBytes:
-		for i, v := range e.b.bytes {
+		for i, v := range e.b.Bytes {
 			m[i] = cmpApply(t.Op, v, t.Value)
 		}
 	case nffilter.FieldDuration:
-		for i, v := range e.b.dur {
+		for i, v := range e.b.Dur {
 			m[i] = cmpApply(t.Op, uint64(v), t.Value)
 		}
 	case nffilter.FieldRouter:
-		for i, v := range e.b.router {
+		for i, v := range e.b.Router {
 			m[i] = cmpApply(t.Op, uint64(v), t.Value)
 		}
 	}

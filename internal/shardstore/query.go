@@ -74,14 +74,14 @@ func (st *ShardedStore) planCells(ctx context.Context, iv flow.Interval) ([]cell
 	return cells, nil
 }
 
-// Query streams every matching record to fn in (bin, shard) merge
-// order, with the nfstore.Engine contract: the *flow.Record is reused,
-// ErrStopIteration from fn ends the scan cleanly, cancellation aborts
-// promptly. A failing shard aborts with a ShardError naming it — or,
-// in degraded mode, drops out of the merge (its surviving peers' rows
-// still stream; rows are never silently truncated outside that explicit
-// opt-in).
-func (st *ShardedStore) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
+// Scan streams every matching row to fn as column batches in (bin,
+// shard) merge order, with the nfstore.Engine contract: the *Batch
+// carries only cols and is reused, ErrStopIteration from fn ends the
+// scan cleanly, cancellation aborts promptly. A failing shard aborts
+// with a ShardError naming it — or, in degraded mode, drops out of the
+// merge (its surviving peers' rows still stream; rows are never silently
+// truncated outside that explicit opt-in).
+func (st *ShardedStore) Scan(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, cols nffilter.ColumnSet, fn func(*nfstore.Batch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -89,8 +89,8 @@ func (st *ShardedStore) Query(ctx context.Context, iv flow.Interval, filter *nff
 	if err != nil {
 		return err
 	}
-	scan := func(ctx context.Context, i int, emit func(*flow.Record) error) error {
-		return st.shards[cells[i].shard].Query(ctx, cells[i].iv, filter, emit)
+	scan := func(ctx context.Context, i int, emit func(*nfstore.Batch) error) error {
+		return st.shards[cells[i].shard].Scan(ctx, cells[i].iv, filter, cols, emit)
 	}
 	// fail attributes a cell's error. fn's own errors never reach it:
 	// ScanOrdered returns those itself, at any fan-out, so no marker has
@@ -113,4 +113,10 @@ func (st *ShardedStore) Query(ctx context.Context, iv flow.Interval, filter *nff
 		return nil
 	}
 	return err
+}
+
+// Query streams the rows Scan would, one record at a time
+// (nfstore.Query).
+func (st *ShardedStore) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
+	return nfstore.Query(ctx, st, iv, filter, fn)
 }

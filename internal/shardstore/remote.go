@@ -288,13 +288,14 @@ func (r *RemoteShard) SegmentFormats() (map[uint16]int, error) {
 	return out.SegmentFormats, nil
 }
 
-// Query streams the peer's matching records through the framed binary
-// protocol, with the nfstore.Engine contract: ErrStopIteration from fn
-// ends the scan cleanly. The stream is bounded only by ctx: callback
-// errors close the connection (the peer aborts its scan via the dropped
-// request context), a missing terminator frame is a loud truncation
-// error, and an error frame carries the peer's own message.
-func (r *RemoteShard) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
+// Scan streams the peer's matching rows through the framed binary
+// protocol, one batch per frame, with the nfstore.Engine contract:
+// ErrStopIteration from fn ends the scan cleanly. The frames carry whole
+// records; the batch keeps only cols. The stream is bounded only by ctx:
+// callback errors close the connection (the peer aborts its scan via the
+// dropped request context), a missing terminator frame is a loud
+// truncation error, and an error frame carries the peer's own message.
+func (r *RemoteShard) Scan(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, cols nffilter.ColumnSet, fn func(*nfstore.Batch) error) error {
 	u := r.base + "/query?" + spanParams(iv, filter).Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -309,9 +310,9 @@ func (r *RemoteShard) Query(ctx context.Context, iv flow.Interval, filter *nffil
 		return &statusError{status: resp.StatusCode, msg: readErrBody(resp.Body)}
 	}
 	var (
-		hdr [4]byte
-		rec flow.Record
-		buf []byte
+		hdr   [4]byte
+		batch nfstore.Batch
+		buf   []byte
 	)
 	for {
 		if _, err := io.ReadFull(resp.Body, hdr[:]); err != nil {
@@ -345,17 +346,21 @@ func (r *RemoteShard) Query(ctx context.Context, iv flow.Interval, filter *nffil
 		if _, err := io.ReadFull(resp.Body, buf); err != nil {
 			return fmt.Errorf("query stream truncated mid-frame: %w", err)
 		}
-		for off := 0; off < need; off += nfstore.RecordSize {
-			nfstore.DecodeRecord(buf[off:off+nfstore.RecordSize], &rec)
-			if err := fn(&rec); err != nil {
-				// Returning closes the body, which aborts the peer-side scan.
-				if errors.Is(err, nfstore.ErrStopIteration) {
-					return nil
-				}
-				return err
+		nfstore.DecodeRecords(buf, cols, &batch)
+		if err := fn(&batch); err != nil {
+			// Returning closes the body, which aborts the peer-side scan.
+			if errors.Is(err, nfstore.ErrStopIteration) {
+				return nil
 			}
+			return err
 		}
 	}
+}
+
+// Query streams the rows Scan would, one record at a time
+// (nfstore.Query).
+func (r *RemoteShard) Query(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, fn func(*flow.Record) error) error {
+	return nfstore.Query(ctx, r, iv, filter, fn)
 }
 
 // Compile-time check: a remote peer is a (read-only) engine.

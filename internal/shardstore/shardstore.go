@@ -168,12 +168,24 @@ func (st *ShardedStore) Add(r *flow.Record) error {
 	return st.shards[st.shardFor(r)].Add(r)
 }
 
-// AddAll routes a batch of records to their shards.
+// AddAll routes a batch of records to their shards, each run of
+// consecutive records bound for one shard through that shard's AddAll.
+// It stops at the first error, a *nfstore.RecordError whose index counts
+// in rs; the records before it stay appended.
 func (st *ShardedStore) AddAll(rs []flow.Record) error {
-	for i := range rs {
-		if err := st.Add(&rs[i]); err != nil {
-			return err
+	for lo := 0; lo < len(rs); {
+		sh, hi := st.shardFor(&rs[lo]), lo+1
+		for hi < len(rs) && st.shardFor(&rs[hi]) == sh {
+			hi++
 		}
+		if err := st.shards[sh].AddAll(rs[lo:hi]); err != nil {
+			var re *nfstore.RecordError
+			if errors.As(err, &re) {
+				return &nfstore.RecordError{Index: lo + re.Index, Err: re.Err}
+			}
+			return &nfstore.RecordError{Index: lo, Err: err}
+		}
+		lo = hi
 	}
 	return nil
 }
@@ -465,17 +477,22 @@ func (st *ShardedStore) SegmentFormats() (map[uint16]int, error) {
 // unreachable remote shard contributes zeros — ShardStats exposes the
 // per-shard view with errors).
 func (st *ShardedStore) Stats() nfstore.Stats {
+	per := make([]nfstore.Stats, len(st.shards))
+	_, _ = st.fanShards(context.Background(), func(_ context.Context, i int, sh nfstore.Engine) error {
+		per[i] = sh.Stats()
+		return nil
+	})
 	var total nfstore.Stats
-	for _, s := range st.ShardStats() {
-		total.SegmentsConsidered += s.Stats.SegmentsConsidered
-		total.SegmentsPruned += s.Stats.SegmentsPruned
-		total.SegmentsScanned += s.Stats.SegmentsScanned
-		total.SegmentsAggregated += s.Stats.SegmentsAggregated
-		total.RecordsScanned += s.Stats.RecordsScanned
-		total.SidecarsBuilt += s.Stats.SidecarsBuilt
-		total.BlocksScanned += s.Stats.BlocksScanned
-		total.BlocksPruned += s.Stats.BlocksPruned
-		total.BlocksAggregated += s.Stats.BlocksAggregated
+	for _, s := range per {
+		total.SegmentsConsidered += s.SegmentsConsidered
+		total.SegmentsPruned += s.SegmentsPruned
+		total.SegmentsScanned += s.SegmentsScanned
+		total.SegmentsAggregated += s.SegmentsAggregated
+		total.RecordsScanned += s.RecordsScanned
+		total.SidecarsBuilt += s.SidecarsBuilt
+		total.BlocksScanned += s.BlocksScanned
+		total.BlocksPruned += s.BlocksPruned
+		total.BlocksAggregated += s.BlocksAggregated
 	}
 	return total
 }

@@ -469,7 +469,7 @@ func TestMigrateSharded(t *testing.T) {
 	}
 }
 
-// fakeShard is a shard whose reads are scripted: Count and Query call
+// fakeShard is a shard whose reads are scripted: Count and Scan call
 // read, everything else panics through the nil embedded interface.
 type fakeShard struct {
 	nfstore.Engine
@@ -480,7 +480,7 @@ func (f fakeShard) Bins() ([]uint32, error) { return []uint32{0}, nil }
 func (f fakeShard) Count(ctx context.Context, _ flow.Interval, _ *nffilter.Filter) (uint64, uint64, uint64, error) {
 	return 0, 0, 0, f.read(ctx)
 }
-func (f fakeShard) Query(ctx context.Context, _ flow.Interval, _ *nffilter.Filter, _ func(*flow.Record) error) error {
+func (f fakeShard) Scan(ctx context.Context, _ flow.Interval, _ *nffilter.Filter, _ nffilter.ColumnSet, _ func(*nfstore.Batch) error) error {
 	return f.read(ctx)
 }
 
@@ -532,8 +532,8 @@ func TestFailureAttribution(t *testing.T) {
 	}
 }
 
-// rowShard is a shard whose Query emits rows records (SrcPort 0..rows-1,
-// Router naming the shard) and then returns err.
+// rowShard is a shard whose Scan emits rows records (SrcPort 0..rows-1,
+// Router naming the shard), one batch each, and then returns err.
 type rowShard struct {
 	nfstore.Engine
 	router uint16
@@ -542,10 +542,15 @@ type rowShard struct {
 }
 
 func (f rowShard) Bins() ([]uint32, error) { return []uint32{0}, nil }
-func (f rowShard) Query(_ context.Context, _ flow.Interval, _ *nffilter.Filter, fn func(*flow.Record) error) error {
+func (f rowShard) Scan(_ context.Context, _ flow.Interval, _ *nffilter.Filter, cols nffilter.ColumnSet, fn func(*nfstore.Batch) error) error {
+	var (
+		buf [nfstore.RecordSize]byte
+		b   nfstore.Batch
+	)
 	for i := range f.rows {
-		r := flow.Record{Router: f.router, SrcPort: uint16(i)}
-		if err := fn(&r); err != nil {
+		nfstore.EncodeRecord(buf[:], &flow.Record{Router: f.router, SrcPort: uint16(i)})
+		nfstore.DecodeRecords(buf[:], cols, &b)
+		if err := fn(&b); err != nil {
 			return err
 		}
 	}
